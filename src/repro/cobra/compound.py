@@ -75,7 +75,9 @@ class CompoundEventDef:
                 events = [
                     e
                     for e in events
-                    if _role_label(metadata, e, component.role)
+                    if metadata.object_label(
+                        e["video_id"], e["roles"].get(component.role)
+                    )
                     == component.role_label
                 ]
             candidate_sets.append(events)
@@ -129,13 +131,3 @@ class CompoundEventDef:
             metadata.store_event(video_id, event)
             out.append(event)
         return out
-
-
-def _role_label(metadata: MetadataStore, record: dict[str, Any], role: str) -> str | None:
-    object_id = record["roles"].get(role)
-    if object_id is None:
-        return None
-    for video_object in metadata.objects(video_id=record["video_id"]):
-        if video_object["object_id"] == object_id:
-            return video_object["label"]
-    return object_id

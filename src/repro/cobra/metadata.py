@@ -6,13 +6,21 @@ off-line most of the time, but can also be extracted on-line in the case of
 dynamic feature/semantic extractions in the query time." (§2)
 
 Events and objects are decomposed into aligned BAT groups on the Monet
-kernel (fully decomposed storage), so the conceptual level can resolve
-queries with kernel operators instead of walking Python objects.
+kernel (fully decomposed storage): one void-headed BAT per attribute, so a
+row's position is its oid in every BAT of the group, plus two oid-headed
+BATs for the event roles. Lookups are column-at-a-time: equality filters
+are probes of the BATs' on-demand hash accelerators, the surviving oid
+lists are intersected, and a Python record is materialised only for an oid
+that is actually returned (DESIGN.md, "BAT accelerators and the COQL
+execution path"). Nothing is cached here — the accelerators live on the
+BATs, so a store view can be rebuilt per read at no cost.
 """
 
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as np
 
 from repro.cobra.model import VideoDocument, VideoEvent, VideoObject
 from repro.errors import CobraError, MonetError
@@ -91,10 +99,9 @@ class MetadataStore:
             self._store_event(video_id, event)
 
     def _has_rows_for(self, video_id: str) -> bool:
-        return (
-            video_id in self._event_bats["video_id"].tails()
-            or video_id in self._object_bats["video_id"].tails()
-        )
+        return self._event_bats["video_id"].tail_exists(
+            video_id
+        ) or self._object_bats["video_id"].tail_exists(video_id)
 
     def store_event(self, video_id: str, event: VideoEvent) -> None:
         """Add one (possibly freshly extracted) event to the metadata."""
@@ -132,44 +139,88 @@ class MetadataStore:
     def video_ids(self) -> list[str]:
         return sorted(self._documents)
 
+    def event_oids(
+        self,
+        video_id: str | None = None,
+        kind: str | None = None,
+        min_confidence: float = 0.0,
+    ) -> list[int]:
+        """Ascending oids of the events matching the filters.
+
+        The video and kind filters are hash probes on their BATs; the two
+        position lists are intersected by walking the shorter one against
+        the other's column, and the confidence floor is one comparison on
+        the cached float column. No record is built.
+        """
+        oids = _matching(self._event_bats, video_id=video_id, kind=kind)
+        if not oids:
+            return oids
+        below = self.event_column("confidence")[oids] < min_confidence
+        if below.any():
+            oids = [oid for oid, drop in zip(oids, below.tolist()) if not drop]
+        return oids
+
     def events(
         self,
         video_id: str | None = None,
         kind: str | None = None,
         min_confidence: float = 0.0,
+        oids: list[int] | None = None,
     ) -> list[dict[str, Any]]:
-        """Event records (from the BATs) matching the filters."""
-        columns = {attr: bat.tails() for attr, bat in self._event_bats.items()}
-        roles_by_oid = self._roles_by_oid()
+        """Event records (from the BATs) matching the filters, ordered by
+        ``(video_id, start)`` with ties in insertion order.
+
+        ``oids`` hands in an already filtered ascending oid list (the query
+        executor's surviving candidates) in place of the filters; either
+        way a record — columns gathered positionally, roles through a head
+        probe on the role BATs — is built only for an oid that is returned.
+        """
+        if oids is None:
+            oids = self.event_oids(video_id, kind, min_confidence)
+        columns = {
+            attr: bat.tails_at(oids) for attr, bat in self._event_bats.items()
+        }
+        order = sorted(
+            range(len(oids)),
+            key=lambda i: (columns["video_id"][i], columns["start"][i]),
+        )
         out: list[dict[str, Any]] = []
-        for oid in range(len(columns["event_id"])):
-            record = {attr: tails[oid] for attr, tails in columns.items()}
-            if video_id is not None and record["video_id"] != video_id:
-                continue
-            if kind is not None and record["kind"] != kind:
-                continue
-            if record["confidence"] < min_confidence:
-                continue
-            record["roles"] = roles_by_oid.get(oid, {})
+        for i in order:
+            record = {attr: values[i] for attr, values in columns.items()}
+            record["roles"] = self.event_roles(oids[i])
             record["interval"] = Interval(
                 record["start"], record["end"], record["kind"]
             )
             out.append(record)
-        out.sort(key=lambda r: (r["video_id"], r["start"]))
         return out
 
-    def _roles_of(self, oid: int) -> dict[str, str]:
-        return self._roles_by_oid().get(oid, {})
+    def has_events(self, video_id: str | None, kind: str) -> bool:
+        """Existence probe: is :meth:`events` non-empty for this video
+        (``None`` = any video) and kind? Builds no record."""
+        return bool(self.event_oids(video_id, kind))
 
-    def _roles_by_oid(self) -> dict[int, dict[str, str]]:
-        """The role pairs grouped by event oid in one pass over the role
-        BATs, so listing n events costs O(events + roles), not O(n^2)."""
-        grouped: dict[int, dict[str, str]] = {}
-        for (head, role), (_, object_id) in zip(
-            self._role_names, self._role_objects
-        ):
-            grouped.setdefault(head, {})[role] = object_id
-        return grouped
+    def event_column(self, attr: str) -> np.ndarray:
+        """One numeric event attribute (``start`` / ``end`` /
+        ``confidence``) as the BAT's cached read-only array, indexed by
+        event oid."""
+        return self._event_bats[attr].tail_array()
+
+    def event_video_ids(self, oids: list[int]) -> list[str]:
+        """The video each of the given events belongs to."""
+        return self._event_bats["video_id"].tails_at(oids)
+
+    def event_roles(self, oid: int) -> dict[str, str]:
+        """One event's ``role -> object id`` pairs, in role-BAT order, by
+        a head probe on the oid-headed role BATs."""
+        positions = self._role_names.head_positions(oid)
+        if not positions:
+            return {}
+        return dict(
+            zip(
+                self._role_names.tails_at(positions),
+                self._role_objects.tails_at(positions),
+            )
+        )
 
     def objects(
         self,
@@ -177,20 +228,58 @@ class MetadataStore:
         category: str | None = None,
         label: str | None = None,
     ) -> list[dict[str, Any]]:
-        ids = self._object_bats["object_id"].tails()
-        out = []
-        for oid in range(len(ids)):
-            record = {
-                attr: bat.tails()[oid] for attr, bat in self._object_bats.items()
-            }
-            if video_id is not None and record["video_id"] != video_id:
-                continue
-            if category is not None and record["category"] != category:
-                continue
-            if label is not None and record["label"] != label:
-                continue
-            out.append(record)
-        return out
+        """Object records matching the filters, in insertion order."""
+        oids = _matching(
+            self._object_bats, video_id=video_id, category=category, label=label
+        )
+        columns = {
+            attr: bat.tails_at(oids) for attr, bat in self._object_bats.items()
+        }
+        return [
+            {attr: values[i] for attr, values in columns.items()}
+            for i in range(len(oids))
+        ]
 
-    def has_events(self, video_id: str, kind: str) -> bool:
-        return bool(self.events(video_id, kind))
+    def object_label(self, video_id: str, object_id: str | None) -> str | None:
+        """The label a role value denotes in one video: the label of the
+        video's object with that id, or the value itself when there is no
+        such object (roles may store bare labels); ``None`` — the event
+        has no such role — stays ``None``. A hash probe on the object-id
+        BAT, checked against the video column."""
+        if object_id is None:
+            return None
+        bats = self._object_bats
+        positions = bats["object_id"].tail_positions(object_id)
+        for position, owner in zip(
+            positions, bats["video_id"].tails_at(positions)
+        ):
+            if owner == video_id:
+                return bats["label"].fetch(position)[1]
+        return object_id
+
+
+def _matching(bats: dict[str, BAT], **wanted: Any) -> list[int]:
+    """Ascending oids of the rows of one position-aligned BAT group whose
+    attributes equal the ``wanted`` values (``None`` = any): probe each
+    wanted attribute's tail hash, then check the shortest position list
+    against the other wanted columns."""
+    probed = sorted(
+        (
+            (bats[attr].tail_positions(value), attr, value)
+            for attr, value in wanted.items()
+            if value is not None
+        ),
+        key=lambda entry: len(entry[0]),
+    )
+    if not probed:
+        return list(range(len(next(iter(bats.values())))))
+    oids = probed[0][0]
+    for _, attr, value in probed[1:]:
+        if not oids:
+            break
+        oids = [
+            oid
+            for oid, tail in zip(oids, bats[attr].tails_at(oids))
+            if tail == value
+        ]
+    return oids

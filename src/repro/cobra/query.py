@@ -25,19 +25,22 @@ Grammar (case-insensitive keywords, identifiers/labels case-preserved)::
               | MEETS | OVERLAPS | STARTS | FINISHES | EQUALS
 
 The executor resolves queries against a :class:`~repro.cobra.metadata
-.MetadataStore`; temporal conditions join against other event sets through
-the Allen relations of :mod:`repro.rules.temporal`.
+.MetadataStore` column-at-a-time (candidate oid lists narrowed by BAT
+probes); temporal conditions are per-video interval joins against other
+event sets through the Allen relations of :mod:`repro.rules.temporal`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import re
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cobra.metadata import MetadataStore
 from repro.errors import QuerySyntaxError, UnknownConceptError
-from repro.rules.temporal import ALLEN_RELATIONS, holds
+from repro.rules.temporal import ALLEN_RELATIONS, holds, partner_bounds
+from repro.synth.annotations import Interval
 
 __all__ = ["Condition", "CoqlQuery", "parse_coql", "QueryExecutor"]
 
@@ -166,90 +169,117 @@ def parse_coql(text: str) -> CoqlQuery:
 
 
 class QueryExecutor:
-    """Resolves parsed COQL queries against the metadata store."""
+    """Resolves parsed COQL queries against the metadata store.
+
+    Column-at-a-time: the query's kind/video filters yield a candidate
+    list of event oids, every WHERE conjunct narrows that list through
+    BAT probes (no record exists yet), and the survivors are materialised
+    once at the end, in ``(video_id, start)`` order.
+    """
 
     def __init__(self, metadata: MetadataStore):
         self._metadata = metadata
 
     def execute(self, query: CoqlQuery) -> list[dict[str, Any]]:
         """Return matching event records (dicts with ``interval`` etc.)."""
-        candidates = self._metadata.events(video_id=query.video, kind=query.kind)
-        if not candidates and not self._kind_known(query.kind):
+        oids = self._metadata.event_oids(video_id=query.video, kind=query.kind)
+        if not oids and not self._kind_known(query.kind):
             raise UnknownConceptError(
                 f"no events of kind {query.kind!r} in any video — is the "
                 f"concept extracted or defined?"
             )
         for condition in query.conditions:
-            candidates = self._apply(condition, candidates, query)
-        return candidates
+            oids = self._apply(condition, oids)
+        return self._metadata.events(oids=oids)
 
     def _kind_known(self, kind: str) -> bool:
-        return any(True for _ in self._metadata.events(kind=kind))
+        return self._metadata.has_events(None, kind)
 
     # ------------------------------------------------------------------
-    def _apply(
-        self,
-        condition: Condition,
-        candidates: list[dict[str, Any]],
-        query: CoqlQuery,
-    ) -> list[dict[str, Any]]:
+    def _apply(self, condition: Condition, oids: list[int]) -> list[int]:
         if condition.kind == "role":
-            role = condition.get("role")
-            wanted = condition.get("label")
-            return [
-                r
-                for r in candidates
-                if self._role_label(r, role) == wanted
-            ]
+            return self._with_role(
+                oids, condition.get("role"), condition.get("label")
+            )
         if condition.kind == "position":
-            wanted = condition.get("label")
-            position = condition.get("position")
-            return [
-                r
-                for r in candidates
-                if self._role_label(r, f"p{position}") == wanted
-            ]
+            return self._with_role(
+                oids, f"p{condition.get('position')}", condition.get("label")
+            )
         if condition.kind == "confidence":
-            minimum = condition.get("minimum")
-            return [r for r in candidates if r["confidence"] >= minimum]
+            confidence = self._metadata.event_column("confidence")
+            keep = confidence[oids] >= condition.get("minimum")
+            return [oid for oid, kept in zip(oids, keep.tolist()) if kept]
         if condition.kind == "lap":
-            lap = condition.get("lap")
-            return [r for r in candidates if r["roles"].get("lap") == str(lap)]
+            lap = str(condition.get("lap"))
+            roles_of = self._metadata.event_roles
+            return [oid for oid in oids if roles_of(oid).get("lap") == lap]
         if condition.kind == "temporal":
-            return self._temporal(condition, candidates, query)
+            return self._temporal(condition, oids)
         raise QuerySyntaxError(f"unknown condition kind {condition.kind!r}")
 
-    def _role_label(self, record: dict[str, Any], role: str) -> str | None:
-        object_id = record["roles"].get(role)
-        if object_id is None:
-            return None
-        matches = self._metadata.objects(video_id=record["video_id"])
-        for video_object in matches:
-            if video_object["object_id"] == object_id:
-                return video_object["label"]
-        return object_id  # roles may store bare labels
+    def _with_role(
+        self, oids: list[int], role: str, wanted: str | None
+    ) -> list[int]:
+        """The events whose ``role`` value denotes the label ``wanted``:
+        a head probe on the role BATs per candidate, then an object-id
+        probe to resolve the value to its label in the event's video."""
+        metadata = self._metadata
+        out = []
+        for oid, video_id in zip(oids, metadata.event_video_ids(oids)):
+            object_id = metadata.event_roles(oid).get(role)
+            if metadata.object_label(video_id, object_id) == wanted:
+                out.append(oid)
+        return out
 
-    def _temporal(
-        self,
-        condition: Condition,
-        candidates: list[dict[str, Any]],
-        query: CoqlQuery,
-    ) -> list[dict[str, Any]]:
+    def _temporal(self, condition: Condition, oids: list[int]) -> list[int]:
+        """Keep the candidates standing in ``relation`` to some event of
+        the other kind in their own video — one interval join per video.
+
+        The other kind is fetched (and role-filtered) once per video and
+        sorted by start. Per candidate, :func:`partner_bounds` gives the
+        ranges a partner's endpoints must lie in: the start range is a
+        bisected window of the sorted starts, the end range a float
+        comparison inside it, and only what passes both reaches
+        :func:`holds`, which keeps the last word (tolerance included).
+        """
+        metadata = self._metadata
         relation = condition.get("relation")
         other_kind = condition.get("other")
         role = condition.get("role")
-        role_label = condition.get("label")
-        out = []
-        for record in candidates:
-            others = self._metadata.events(
-                video_id=record["video_id"], kind=other_kind
-            )
+        starts = metadata.event_column("start")
+        ends = metadata.event_column("end")
+        by_video: dict[str, list[int]] = {}
+        for oid, video_id in zip(oids, metadata.event_video_ids(oids)):
+            by_video.setdefault(video_id, []).append(oid)
+        kept: set[int] = set()
+        for video_id, candidates in by_video.items():
+            others = metadata.event_oids(video_id=video_id, kind=other_kind)
             if role is not None:
-                others = [
-                    o for o in others if self._role_label(o, role) == role_label
-                ]
-            if any(
-                holds(relation, record["interval"], o["interval"]) for o in others
+                others = self._with_role(others, role, condition.get("label"))
+            if not others:
+                continue
+            partners = sorted(
+                zip(starts[others].tolist(), ends[others].tolist())
+            )
+            partner_starts = [start for start, _ in partners]
+            longest = max(end - start for start, end in partners)
+            for oid, start, end in zip(
+                candidates,
+                starts[candidates].tolist(),
+                ends[candidates].tolist(),
             ):
-                out.append(record)
-        return out
+                interval = Interval(start, end)
+                start_lo, start_hi, end_lo, end_hi = partner_bounds(
+                    relation, interval, longest=longest
+                )
+                window = range(
+                    bisect_left(partner_starts, start_lo),
+                    bisect_right(partner_starts, start_hi),
+                )
+                if any(
+                    end_lo <= partners[position][1] <= end_hi
+                    and holds(relation, interval, Interval(*partners[position]))
+                    for position in window
+                ):
+                    kept.add(oid)
+        return [oid for oid in oids if oid in kept]

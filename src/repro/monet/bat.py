@@ -7,9 +7,14 @@ module implements the BAT together with the classic kernel operators used by
 the paper's MIL snippets (``insert``, ``reverse``, ``find``, ``select``,
 ``join``, ``max`` ...).
 
-The implementation favours clarity over raw speed but keeps tails of numeric
-BATs convertible to numpy arrays in one call (:meth:`BAT.tail_array`), which
-is what the feature-extraction extensions use for bulk processing.
+Columns are Python lists; speed comes from Monet-style *accelerators* hung
+on the BAT and built on demand: a value -> ascending-positions hash per
+column (:meth:`BAT.tail_positions`, :meth:`BAT.head_positions`,
+:meth:`BAT.tail_exists`) and a memoised read-only numpy image of the tail
+column (:meth:`BAT.tail_array`). Inserts never touch them — appended rows
+are caught up on the next probe — and every other mutation drops them, so
+the Cobra metadata store and the feature-extraction extensions get index-
+and column-shaped reads without a cache to size or invalidate by hand.
 """
 
 from __future__ import annotations
@@ -47,6 +52,40 @@ def _copy_column(values: list[Any], atom: Atom) -> list[Any]:
 #: Sentinel distinguishing ``select(v)`` from ``select(lo, hi)``.
 _MISSING = object()
 
+#: Hash key standing for every NaN, so probes keep ``_eq``'s null semantics
+#: (NaN equals NaN) although ``nan != nan`` defeats a plain dict lookup.
+_NAN = object()
+
+
+def _hash_key(value: Any) -> Any:
+    return _NAN if isinstance(value, float) and value != value else value
+
+
+class _Hash:
+    """One column's accelerator: value -> ascending positions over rows
+    ``[0, rows)``; rows appended since are added by :meth:`catch_up`."""
+
+    __slots__ = ("positions", "rows", "_floats")
+
+    def __init__(self, atom: Atom):
+        self.positions: dict[Any, list[int]] = {}
+        self.rows = 0
+        # only float-capable columns can hold a NaN to normalise
+        self._floats = (
+            atom.dtype.kind in "fO" and atom.name not in _IMMUTABLE_OBJECT_ATOMS
+        )
+
+    def catch_up(self, column: list[Any]) -> None:
+        positions, start = self.positions, self.rows
+        if start == len(column):
+            return
+        new = column[start:]
+        if self._floats:
+            new = [_hash_key(v) for v in new]
+        for position, value in enumerate(new, start):
+            positions.setdefault(value, []).append(position)
+        self.rows = start + len(new)
+
 
 class BAT:
     """A two-column (head, tail) association table.
@@ -58,8 +97,22 @@ class BAT:
         name: optional catalog name, set when the BAT is persisted.
 
     BATs are safe for concurrent *inserts* from the MIL parallel block (a
-    single mutex guards mutation); reads during concurrent mutation are not
-    synchronized, matching Monet's bulk-processing usage.
+    single mutex guards mutation). Accelerator probes
+    (:meth:`tail_positions`, :meth:`head_positions`, :meth:`tail_exists`,
+    :meth:`tail_array`) take the same mutex and are therefore snapshot-
+    consistent against concurrent inserts — the *watermark guarantee*: a
+    probe sees every row that was complete when it started (in particular
+    every row below a ``len()`` read beforehand) and returns no position at
+    or beyond a ``len()`` read afterwards, because an accelerator covers
+    rows ``[0, watermark)`` and is caught up to the column length, under
+    the mutex, before it answers. Plain scans (``select``, ``find``,
+    iteration) during concurrent mutation stay unsynchronized, matching
+    Monet's bulk-processing usage.
+
+    Accelerators are built on first probe, never at insert; ``delete`` /
+    ``replace`` / ``restore`` drop them, and ``copy`` / ``from_columns`` /
+    derived BATs start without any, so they live exactly as long as the
+    BAT object they describe.
     """
 
     def __init__(self, head_type: str, tail_type: str, name: str | None = None):
@@ -70,6 +123,8 @@ class BAT:
         self._lock = threading.Lock()
         self.name = name
         self._next_oid = 0
+        self._hashes: dict[str, _Hash] = {}  # "head" / "tail" accelerators
+        self._tail_memo: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -156,6 +211,7 @@ class BAT:
             keep = [i for i, h in enumerate(self._head) if h != key]
             self._head = [self._head[i] for i in keep]
             self._tail = [self._tail[i] for i in keep]
+            self._drop_accelerators()
         return self
 
     def replace(self, head: Any, tail: Any) -> "BAT":
@@ -166,6 +222,7 @@ class BAT:
             for i, h in enumerate(self._head):
                 if h == key:
                     self._tail[i] = value
+                    self._drop_accelerators()
                     return self
         raise BatError(f"replace: head {head!r} not present")
 
@@ -179,14 +236,19 @@ class BAT:
         best HMM score back to its model name via ``b.reverse.find``.
         """
         key = self._head_atom.coerce(head)
-        for h, t in zip(self._head, self._tail):
-            if _eq(h, key):
-                return t
+        found = self._probe("head", key, build=False)
+        if found is None:
+            found = (i for i, h in enumerate(self._head) if _eq(h, key))
+        for position in found:
+            return self._tail[position]
         raise BatError(f"find: head {head!r} not present")
 
     def exist(self, head: Any) -> bool:
         key = self._head_atom.coerce(head)
-        return any(_eq(h, key) for h in self._head)
+        found = self._probe("head", key, build=False)
+        if found is None:
+            return any(_eq(h, key) for h in self._head)
+        return bool(found)
 
     def fetch(self, position: int) -> tuple[Any, Any]:
         """Positional access (MIL ``b.fetch(i)``)."""
@@ -196,6 +258,66 @@ class BAT:
             raise BatError(
                 f"fetch: position {position} out of range 0..{len(self) - 1}"
             ) from None
+
+    # ------------------------------------------------------------------
+    # accelerators
+    # ------------------------------------------------------------------
+    def _drop_accelerators(self) -> None:
+        """Forget every accelerator (caller holds the mutex): positions
+        moved or a stored value changed, so nothing cached still holds."""
+        self._hashes.clear()
+        self._tail_memo = None
+
+    def _probe(self, side: str, key: Any, build: bool) -> list[int] | None:
+        """Ascending positions of ``key`` in the head or tail column, from
+        that column's hash caught up to the current length.
+
+        ``None`` means "scan instead": the hash does not exist and
+        ``build`` is false, or the column holds unhashable values. The
+        returned list is the caller's own.
+        """
+        with self._lock:
+            index = self._hashes.get(side)
+            if index is None:
+                if not build:
+                    return None
+                index = _Hash(self._head_atom if side == "head" else self._tail_atom)
+            try:
+                index.catch_up(self._head if side == "head" else self._tail)
+                found = index.positions.get(_hash_key(key))
+            except TypeError:  # unhashable values in an object column
+                self._hashes.pop(side, None)
+                return None
+            self._hashes[side] = index
+            return list(found) if found else []
+
+    def _positions(self, side: str, key: Any) -> list[int]:
+        found = self._probe(side, key, build=True)
+        if found is None:
+            column = self._head if side == "head" else self._tail
+            found = [i for i, value in enumerate(column) if _eq(value, key)]
+        return found
+
+    def tail_positions(self, value: Any) -> list[int]:
+        """Ascending positions whose tail equals ``value`` — the oid list
+        of ``select(value)`` on a void-headed BAT, in O(matches) through
+        the tail hash (built on first use)."""
+        return self._positions("tail", self._tail_atom.coerce(value))
+
+    def head_positions(self, value: Any) -> list[int]:
+        """Ascending positions whose head equals ``value`` (head hash)."""
+        return self._positions("head", self._head_atom.coerce(value))
+
+    def tail_exists(self, value: Any) -> bool:
+        """:meth:`exist` on the tail side: does any tail equal ``value``?"""
+        return bool(self.tail_positions(value))
+
+    def tails_at(self, positions: Iterable[int]) -> list[Any]:
+        """Positional gather of tail values (Monet's fetch-join): what
+        materialising a surviving oid list costs, instead of a copy of the
+        whole column."""
+        tail = self._tail
+        return [tail[position] for position in positions]
 
     # ------------------------------------------------------------------
     # unary operators
@@ -252,6 +374,7 @@ class BAT:
             self._head = _copy_column(snapshot._head, snapshot._head_atom)
             self._tail = _copy_column(snapshot._tail, snapshot._tail_atom)
             self._next_oid = snapshot._next_oid
+            self._drop_accelerators()
         return self
 
     def equals(self, other: "BAT") -> bool:
@@ -343,7 +466,13 @@ class BAT:
         out = BAT(self.head_type if self.head_type != "void" else "oid", self.tail_type)
         if hi is _MISSING:
             key = self._tail_atom.coerce(lo)
-            pairs = [(h, t) for h, t in zip(self._head, self._tail) if _eq(t, key)]
+            found = self._probe("tail", key, build=False)
+            if found is None:
+                pairs = [
+                    (h, t) for h, t in zip(self._head, self._tail) if _eq(t, key)
+                ]
+            else:
+                pairs = [(self._head[i], self._tail[i]) for i in found]
         else:
             lo_v = self._tail_atom.coerce(lo)
             hi_v = self._tail_atom.coerce(hi)
@@ -459,10 +588,24 @@ class BAT:
         return list(self._tail)
 
     def tail_array(self) -> np.ndarray:
-        """Tail column as a numpy array (dtype follows the atom type)."""
-        if self.tail_type in _NUMERIC_ATOMS:
-            return np.asarray(self._tail, dtype=self._tail_atom.dtype)
-        return np.asarray(self._tail, dtype=object)
+        """Tail column as a numpy array (dtype follows the atom type).
+
+        Memoised and read-only: repeated calls share one array until the
+        column changes (appended rows rebuild it on the next call), so
+        callers that need to write must ``.copy()`` it first.
+        """
+        with self._lock:
+            memo = self._tail_memo
+            if memo is None or len(memo) != len(self._tail):
+                dtype = (
+                    self._tail_atom.dtype
+                    if self.tail_type in _NUMERIC_ATOMS
+                    else object
+                )
+                memo = np.array(self._tail, dtype=dtype)
+                memo.flags.writeable = False
+                self._tail_memo = memo
+            return memo
 
     def head_array(self) -> np.ndarray:
         if self.head_type in _NUMERIC_ATOMS:

@@ -9,10 +9,22 @@ events" (§5.6). Allen's thirteen interval relations are that vocabulary.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import RuleError
 from repro.synth.annotations import Interval
 
-__all__ = ["allen_relation", "holds", "ALLEN_RELATIONS", "INVERSES"]
+__all__ = [
+    "allen_relation",
+    "holds",
+    "partner_bounds",
+    "ALLEN_RELATIONS",
+    "DEFAULT_TOLERANCE",
+    "INVERSES",
+]
+
+#: Endpoints closer than this many seconds count as equal in :func:`holds`.
+DEFAULT_TOLERANCE = 0.5
 
 ALLEN_RELATIONS = (
     "before",
@@ -80,7 +92,9 @@ def allen_relation(a: Interval, b: Interval, tolerance: float = 0.0) -> str:
     return "overlapped_by"
 
 
-def holds(relation: str, a: Interval, b: Interval, tolerance: float = 0.5) -> bool:
+def holds(
+    relation: str, a: Interval, b: Interval, tolerance: float = DEFAULT_TOLERANCE
+) -> bool:
     """Does the named relation hold between a and b (with tolerance)?
 
     Accepts the exact Allen names plus two practical disjunctions:
@@ -99,3 +113,62 @@ def holds(relation: str, a: Interval, b: Interval, tolerance: float = 0.5) -> bo
     if relation not in ALLEN_RELATIONS:
         raise RuleError(f"unknown temporal relation {relation!r}")
     return allen_relation(a, b, tolerance) == relation
+
+
+_INF = math.inf
+
+#: relation -> (a.start, a.end, tolerance) -> closed ranges
+#: ``(start_lo, start_hi, end_lo, end_hi)`` that b's endpoints must lie in
+#: for the relation to hold. Read off :func:`allen_relation` top to bottom:
+#: an ``eq`` test becomes a +-tolerance range, a strict comparison (and
+#: every earlier test the relation had to fail) a half-line.
+_PARTNER_BOUNDS = {
+    "equals": lambda s, e, t: (s - t, s + t, e - t, e + t),
+    "meets": lambda s, e, t: (e - t, e + t, -_INF, _INF),
+    "met_by": lambda s, e, t: (-_INF, _INF, s - t, s + t),
+    "before": lambda s, e, t: (e, _INF, -_INF, _INF),
+    "after": lambda s, e, t: (-_INF, _INF, -_INF, s),
+    "starts": lambda s, e, t: (s - t, s + t, e, _INF),
+    "started_by": lambda s, e, t: (s - t, s + t, -_INF, e),
+    "finishes": lambda s, e, t: (-_INF, s, e - t, e + t),
+    "finished_by": lambda s, e, t: (s, _INF, e - t, e + t),
+    "during": lambda s, e, t: (-_INF, s, e, _INF),
+    "contains": lambda s, e, t: (s, _INF, -_INF, e),
+    "overlaps": lambda s, e, t: (s, e, e, _INF),
+    "overlapped_by": lambda s, e, t: (-_INF, s, s, e),
+    # during | starts | finishes | equals
+    "within": lambda s, e, t: (-_INF, s + t, e - t, _INF),
+    "intersects": lambda s, e, t: (-_INF, e, s, _INF),
+}
+
+
+def partner_bounds(
+    relation: str,
+    a: Interval,
+    tolerance: float = DEFAULT_TOLERANCE,
+    longest: float = _INF,
+) -> tuple[float, float, float, float]:
+    """Where an interval b with ``holds(relation, a, b, tolerance)`` can be.
+
+    Returns closed ranges ``(start_lo, start_hi, end_lo, end_hi)`` for
+    ``b.start`` and ``b.end``. The ranges are *necessary, not sufficient*:
+    they let an interval join skip partners by endpoint order, and
+    :func:`holds` still decides the ones that remain. ``longest`` — the
+    longest duration any candidate b has, when the caller knows it — ties
+    the two ranges together: no b starts before ``end_lo - longest`` and
+    still ends in range. Tolerance and ``longest`` are widened by a few
+    ulps so that float rounding (inside ``abs(x - y) <= tolerance``, or in
+    the duration the caller computed) can never put a true partner outside
+    its range.
+    """
+    try:
+        bounds = _PARTNER_BOUNDS[relation]
+    except KeyError:
+        raise RuleError(f"unknown temporal relation {relation!r}") from None
+    widened = tolerance + 4 * math.ulp(max(abs(a.start), abs(a.end)) + tolerance)
+    start_lo, start_hi, end_lo, end_hi = bounds(a.start, a.end, widened)
+    if longest < _INF and end_lo > -_INF:
+        slack = 4 * math.ulp(abs(end_lo) + longest)
+        start_lo = max(start_lo, end_lo - longest - slack)
+    # b.start < b.end
+    return start_lo, min(start_hi, end_hi), max(end_lo, start_lo), end_hi

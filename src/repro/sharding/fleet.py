@@ -24,9 +24,9 @@ The gather is robust *by construction*:
 * a gather that loses shards never raises on its own: it returns a
   degraded :class:`repro.cobra.vdbms.QueryResult` carrying a
   :class:`ShardCoverageReport` (answered / shed / timed out / dead shards
-  and the fraction of the corpus covered). Only when coverage falls below
-  the caller's ``min_coverage`` floor does the gather fail loudly with a
-  typed :class:`repro.errors.InsufficientCoverageError`.
+  and the fraction of the targeted documents covered). Only when coverage
+  falls below the caller's ``min_coverage`` floor does the gather fail
+  loudly with a typed :class:`repro.errors.InsufficientCoverageError`.
 
 Document registration is **two-phase** and WAL-journaled: a ``prepare``
 record lands in the fleet's placement journal, the rows land on the
@@ -171,7 +171,10 @@ class ShardCoverageReport:
     circuit breaker; ``timed_out`` lost the sub-request to a partition,
     deadline, or unrecovered transient; ``dead`` were known-dead before
     the scatter or died during it. Coverage is measured in documents, not
-    shards: losing an empty shard costs nothing.
+    shards — losing an empty shard costs nothing — and against the
+    documents the gather *targets*: a ``FROM video`` query targets that one
+    document, so a shard-local answer from its owner is complete however
+    small the owner's share of the corpus.
     """
 
     plan: str
@@ -193,7 +196,7 @@ class ShardCoverageReport:
 
     @property
     def fraction(self) -> float:
-        """Fraction of the registered corpus the answer covers."""
+        """Fraction of the targeted documents the answer covers."""
         if self.documents_total == 0:
             return 1.0
         return self.documents_covered / self.documents_total
@@ -776,8 +779,9 @@ class ShardedKernel:
 
         ``min_coverage`` overrides the fleet's configured floor for this
         call. The result's ``coverage`` report states exactly which shards
-        answered and what fraction of the corpus the records cover; below
-        the floor the gather raises
+        answered and what fraction of the documents the query targets (the
+        one a ``FROM video`` names, else all) the records cover; below the
+        floor the gather raises
         :class:`repro.errors.InsufficientCoverageError` instead.
         """
         parsed = parse_coql(coql) if isinstance(coql, str) else coql
@@ -794,7 +798,12 @@ class ShardedKernel:
                 parsed, shard_rows, buckets
             )
             coverage = self._coverage(
-                plan, targets, buckets, served=served, dual_read=dual_read
+                plan,
+                targets,
+                buckets,
+                served=served,
+                dual_read=dual_read,
+                video=parsed.video,
             )
         records.sort(key=lambda r: (r["video_id"], r["start"]))
         self._enforce_floor(coverage, floor)
@@ -1045,16 +1054,22 @@ class ShardedKernel:
         buckets: "_GatherBuckets",
         served: set[str] | None = None,
         dual_read: int = 0,
+        video: str | None = None,
     ) -> ShardCoverageReport:
+        """Coverage of one gather, measured against the documents it
+        targets: the single document a ``FROM video`` query names, every
+        placed document otherwise."""
         answered = set(buckets.answered)
-        if served is not None:
-            covered = len(served)
-        else:
-            covered = sum(
-                1
+        if served is None:
+            served = {
+                video_id
                 for video_id, shard in self._placements.items()
                 if shard in answered
-            )
+            }
+        if video is not None:
+            total, covered = 1, int(video in served)
+        else:
+            total, covered = len(self._placements), len(served)
         accounting = self.config.migration_accounting
         return ShardCoverageReport(
             plan=plan,
@@ -1064,7 +1079,7 @@ class ShardedKernel:
             shed=tuple(sorted(buckets.shed)),
             timed_out=tuple(sorted(buckets.timed_out)),
             dead=tuple(sorted(buckets.dead)),
-            documents_total=len(self._placements),
+            documents_total=total,
             documents_covered=covered,
             migrating=len(self.migrations.in_flight()) if accounting else 0,
             dual_read=dual_read if accounting else 0,
@@ -1301,7 +1316,7 @@ class ShardedKernel:
         kernel = self.shard(shard_name).kernel
         for bat_name in ("meta_event_video_id", "meta_object_video_id"):
             try:
-                if video_id in kernel.bat(bat_name).tails():
+                if kernel.bat(bat_name).tail_exists(video_id):
                     return True
             except MonetError:
                 continue

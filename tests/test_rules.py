@@ -6,7 +6,13 @@ import pytest
 
 from repro.errors import RuleError
 from repro.rules.engine import Fact, Pattern, Rule, RuleEngine, Var
-from repro.rules.temporal import ALLEN_RELATIONS, INVERSES, allen_relation, holds
+from repro.rules.temporal import (
+    ALLEN_RELATIONS,
+    INVERSES,
+    allen_relation,
+    holds,
+    partner_bounds,
+)
 from repro.synth.annotations import Interval
 
 
@@ -64,6 +70,43 @@ def test_property_exactly_one_allen_relation(a_spec, b_spec):
     assert relation in ALLEN_RELATIONS
     # the inverse relation must hold in the other direction
     assert allen_relation(b, a) == INVERSES[relation]
+
+
+# endpoints on a grid finer than the tolerance (ties and exact-tolerance
+# gaps are the risky cases) mixed with arbitrary floats
+_endpoint = st.one_of(st.integers(0, 80).map(lambda k: k * 0.125), st.floats(0, 10))
+_duration = st.one_of(st.integers(1, 40).map(lambda k: k * 0.125), st.floats(0.01, 5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.tuples(_endpoint, _duration),
+    st.tuples(_endpoint, _duration),
+    st.sampled_from((0.0, 0.125, 0.3, 0.5)),
+    st.booleans(),
+)
+def test_property_partner_bounds_never_exclude_a_true_partner(
+    a_spec, b_spec, tolerance, know_longest
+):
+    """``partner_bounds`` is the pruning rule of the COQL interval join:
+    whenever ``holds(relation, a, b)`` is true, b's endpoints must lie in
+    the closed ranges it returns (necessity; ``holds`` decides the rest)."""
+    a = Interval(a_spec[0], a_spec[0] + a_spec[1])
+    b = Interval(b_spec[0], b_spec[0] + b_spec[1])
+    longest = b.end - b.start if know_longest else float("inf")
+    for relation in ALLEN_RELATIONS + ("intersects", "within"):
+        if not holds(relation, a, b, tolerance):
+            continue
+        start_lo, start_hi, end_lo, end_hi = partner_bounds(
+            relation, a, tolerance, longest=longest
+        )
+        assert start_lo <= b.start <= start_hi, (relation, a, b)
+        assert end_lo <= b.end <= end_hi, (relation, a, b)
+
+
+def test_partner_bounds_unknown_relation():
+    with pytest.raises(RuleError):
+        partner_bounds("near", Interval(0, 1))
 
 
 class TestEngine:

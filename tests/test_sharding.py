@@ -300,6 +300,39 @@ class TestGather:
         assert [r["video_id"] for r in result.records] == sorted(self.CORPUS)
         fleet.close()
 
+    def test_shard_local_gather_is_measured_against_the_document_it_targets(
+        self, tmp_path
+    ):
+        """``FROM v`` targets one document: answered by its owner it is
+        complete, even when that owner holds under a quarter of the corpus
+        (it used to be measured against all ten documents and so tripped
+        the default 0.25 floor with nothing lost)."""
+        fleet = ShardedKernel(tmp_path, shards=3)  # default configuration
+        for index in range(10):
+            fleet.register_document(make_document(f"gp{index}"), "f1")
+        sizes = {
+            shard: sum(1 for owner in fleet.placements().values() if owner == shard)
+            for shard in THREE
+        }
+        smallest = min(sizes, key=sizes.get)
+        assert sizes[smallest] / 10 < fleet.config.min_coverage
+        video = next(v for v, s in sorted(fleet.placements().items()) if s == smallest)
+        result = fleet.query(f"RETRIEVE fly_out FROM {video}")
+        coverage = result.coverage
+        assert coverage.complete and coverage.fraction == 1.0
+        assert (coverage.documents_covered, coverage.documents_total) == (1, 1)
+        assert coverage.plan == "shard-local" and coverage.targeted == (smallest,)
+        assert not result.degraded
+        assert [r["video_id"] for r in result.records] == [video]
+        # losing the owner loses the whole (one-document) target
+        fleet.shard(smallest).breaker.record_failure()
+        fleet.shard(smallest).breaker.record_failure()
+        with pytest.raises(InsufficientCoverageError) as excinfo:
+            fleet.query(f"RETRIEVE fly_out FROM {video}")
+        assert excinfo.value.coverage == 0.0
+        assert excinfo.value.report.shed == (smallest,)
+        fleet.close()
+
     def test_shard_death_plan_degrades_instead_of_raising(self, tmp_path):
         """The ISSUE acceptance gather: under the named ``shard-death``
         plan a bare shard-1 dies mid-scatter and shard-0 straggles (and is
