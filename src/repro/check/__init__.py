@@ -58,11 +58,82 @@ the reproduction's three levels:
   :class:`EquivalenceCertificate` artifacts on :class:`MilPlan` and gate
   eligibility for compiled execution.
 
+Under the MIL-side passes sit three shared modules:
+:mod:`repro.check.environment` (the kernel facts a pass checks against and
+the entry points every checker class inherits),
+:mod:`repro.check.effects` (the one read/declare/assign/write/append/
+commit/call event stream all effect questions are filters over) and
+:mod:`repro.check.pipeline` (the one ordered pass list) — see the pass
+table below. The tree shape itself is known only to
+:func:`repro.monet.mil.children` / :func:`repro.monet.mil.walk`.
+
 All passes report :class:`Diagnostic` findings through a shared
 :class:`DiagnosticReport`; error-severity findings raise the matching
 :class:`repro.errors.DiagnosticError` subclass at the registration choke
 points (``MilInterpreter.define_proc``, ``MoaCompiler.compile``,
 ``DbnExtension.register``, the fusion experiments).
+
+The MIL pass table
+------------------
+
+The MIL-side passes run from one ordered list,
+:data:`repro.check.pipeline.PASSES`; each choke point is a *stage* that
+runs the rows listing it, in this order, over one shared
+:class:`repro.check.environment.Environment` (DESIGN.md § Static analysis
+has the same table with more prose):
+
+==  ==============  ========  ======  ====  =======  =======  =====================
+#   pass            codes     define  lint  service  scatter  reads from earlier
+==  ==============  ========  ======  ====  =======  =======  =====================
+1   milcheck        MIL       x       x                       —
+2   flowcheck       FLOW      x       x                       fusion partition
+                                                              (FLOW002 gate)
+3   racecheck       RACE      x       x                       —
+4   costcheck       PERF      x       x                       —
+5   fusecheck       FUSE      x       x                       fusion partition
+6   shardcheck      SHARD004          x              x        fusion partition
+7   servicecheck    SVC                     x                 —
+8   programcheck    CALL      x       x     x        x        local cost; summaries
+==  ==============  ========  ======  ====  =======  =======  =====================
+
+``define`` is ``MilInterpreter.define_proc`` (one parsed ``PROC``),
+``lint`` is ``python -m repro.check``, ``service`` is
+``QueryService.register_proc`` and ``scatter`` is ``ShardedKernel.run``
+(the last two then hand the source to the kernel, whose ``define`` stage
+runs per ``PROC``). Source is parsed once per stage. The *fusion
+partition* of a body and the *local cost* of a procedure are memoised on
+the environment (:meth:`Environment.once`), so whichever pass asks first
+computes them and the rest read the answer; programcheck additionally
+runs one summary-aware partition of its own. The CLI's built-in run adds
+the model lints and the Moa translation validation, which are not MIL
+passes.
+
+Writing a MIL pass
+------------------
+
+1. Subclass :class:`repro.check.environment.MilPass` and implement
+   ``_check_definition(definition, label)`` (plus ``_check_toplevel`` if
+   file-level statements matter); parsing, ``MIL000`` ownership, the
+   per-``PROC`` loop and ``MilProcedure`` unwrapping come with the base.
+   Read kernel facts from ``self.env`` (``commands``, ``signatures``,
+   ``globals_names``, ``procedures``).
+2. Never ``match`` on the tree's shape to find things: iterate
+   :func:`repro.monet.mil.walk` (every node, pre-order) or
+   :func:`repro.monet.mil.children` (one level). Only an abstract
+   *evaluator* (milcheck types, flowcheck ranges, costcheck costs) owns a
+   ``match`` over expression nodes, because it computes a value per node.
+3. For "what does this code read / declare / assign / mutate / commit /
+   call", filter :func:`repro.check.effects.events` (ordered, evaluation
+   order) — or :func:`repro.check.effects.shared_events` for what one
+   ``PARALLEL`` branch exposes to its siblings.
+4. Reuse another pass's result through its checker built over the same
+   environment (``FuseChecker(self.env).analyze_proc(definition)``,
+   ``CostChecker(self.env).estimate_proc(definition)``); memoise your own
+   reusable analysis with ``self.env.once(kind, node, compute)`` and
+   label findings on the way out (:meth:`DiagnosticReport.labelled`).
+5. Add one row to :data:`repro.check.pipeline.PASSES` with the stages
+   that run it, a row to the tables here and in DESIGN.md, and a corpus
+   file under ``tests/data/badplans`` per new code.
 
 Run the linter from the command line::
 

@@ -7,16 +7,11 @@ temporal variants v1/v2/v3, and the audio-visual DBN).
 
 With paths, each is a ``.mil`` file (directories are searched recursively)
 linted against the standard Cobra kernel command set.  Every MIL artifact
-runs through all seven passes: the per-statement checker
-(:mod:`repro.check.milcheck`), the dataflow/range analysis
-(:mod:`repro.check.flowcheck`), the PARALLEL race analysis
-(:mod:`repro.check.racecheck`), the plan-cost analysis
-(:mod:`repro.check.costcheck`), the purity/fusibility analysis
-(:mod:`repro.check.fusecheck`), the scatter-placement analysis
-(:mod:`repro.check.shardcheck`), and the whole-program call-graph
-analysis (:mod:`repro.check.programcheck`).  Lint runs over the built-ins
-add an eighth pass: every built-in Moa plan is compiled and its emitted
-MIL validated equivalent (:mod:`repro.check.equivcheck`).
+is parsed once and run through the ``lint`` stage of the pass pipeline
+(:mod:`repro.check.pipeline`; the ordered pass table is in the
+:mod:`repro.check` docstring).  Lint runs over the built-ins add the
+translation-validation pass: every built-in Moa plan is compiled and its
+emitted MIL validated equivalent (:mod:`repro.check.equivcheck`).
 
 Options:
 
@@ -52,15 +47,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.check.costcheck import CostChecker
 from repro.check.diagnostics import Diagnostic, DiagnosticReport, Severity
-from repro.check.flowcheck import FlowChecker
-from repro.check.fusecheck import FuseChecker
-from repro.check.milcheck import MilChecker
+from repro.check.environment import Environment
 from repro.check.modelcheck import check_template
-from repro.check.programcheck import ProgramChecker
-from repro.check.racecheck import RaceChecker
-from repro.check.shardcheck import check_scatter_source
+from repro.check.pipeline import check_source
 
 #: Diagnostic-code prefixes that are advisory: they inform (and land in
 #: reports/SARIF) but never fail the build, not even under ``--strict``.
@@ -85,51 +75,26 @@ def _build_kernel():
     return CobraVDBMS(check="off").kernel
 
 
-def _checker_env(kernel, exclude_procs: tuple[str, ...] = ()) -> dict:
-    procedures = {
-        name: proc
-        for name, proc in kernel.interpreter.procedures.items()
-        if name not in exclude_procs
-    }
-    return dict(
-        commands=kernel.command_names(),
-        signatures=kernel.command_signatures(),
-        globals_names=kernel.catalog_names(),
-        procedures=procedures,
-    )
-
-
-def _check_mil(env: dict, source: str, name: str) -> DiagnosticReport:
-    """Run all seven MIL passes over one source artifact."""
-    report = DiagnosticReport()
-    report.extend(MilChecker(**env).check_source(source, name=name))
-    report.extend(FlowChecker(**env).check_source(source, name=name))
-    report.extend(RaceChecker(**env).check_source(source, name=name))
-    report.extend(CostChecker(**env).check_source(source, name=name))
-    report.extend(FuseChecker(**env).check_source(source, name=name))
-    report.extend(check_scatter_source(source, name=name, **env))
-    report.extend(ProgramChecker(**env).check_source(source, name=name))
-    return report
-
-
 def _check_builtin_mil(kernel) -> DiagnosticReport:
     from repro.cobra.extensions import DBN_INFER_PROC
     from repro.hmm.parallel import build_parallel_eval_proc
 
     # the kernel itself defined dbnInferP at construction time; exclude it
     # so re-linting the shipped source is not a duplicate definition
-    env = _checker_env(kernel, exclude_procs=("dbnInferP",))
+    full = kernel.interpreter.check_environment()
+    shipped = {n: p for n, p in full.procedures.items() if n != "dbnInferP"}
+    env = Environment(full.commands, full.signatures, full.globals_names, shipped)
     report = DiagnosticReport()
-    report.extend(_check_mil(env, DBN_INFER_PROC, "<dbnInferP>"))
+    report.extend(check_source(env, DBN_INFER_PROC, "<dbnInferP>"))
     parallel_source = build_parallel_eval_proc(
         "hmmP", [f"model{i}" for i in range(6)], n_servers=6
     )
-    report.extend(_check_mil(env, parallel_source, "<hmmP>"))
+    report.extend(check_source(env, parallel_source, "<hmmP>"))
     return report
 
 
 def _check_builtin_moa(kernel) -> DiagnosticReport:
-    """Pass 8: compile every built-in Moa plan and validate the translation.
+    """Compile every built-in Moa plan and validate the translation.
 
     Each plan must come back with an EQ001 certificate; a missing
     certificate surfaces as EQ002 (mis-translation, error) or EQ003
@@ -342,9 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         files = _collect_mil_files(args.paths)
         if files is None:
             return 2
-        env = _checker_env(_build_kernel())
+        env = _build_kernel().interpreter.check_environment()
         for path in files:
-            report.extend(_check_mil(env, path.read_text(), str(path)))
+            report.extend(check_source(env, path.read_text(), str(path)))
         checked = f"{len(files)} MIL file(s)"
     else:
         kernel = _build_kernel()

@@ -1,6 +1,6 @@
 """Call-graph construction over registered MIL procedures.
 
-The nine intraprocedural passes treat a ``CALL`` as a signature-shaped hole:
+The intraprocedural passes treat a ``CALL`` as a signature-shaped hole:
 flowcheck forgets what the callee returns, racecheck cannot see what the
 callee mutates, fusecheck conservatively marks every proc call impure. This
 module supplies the whole-program structure those passes lack:
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import hashlib
 from typing import Any, Iterable, Mapping
 
+from repro.check.effects import events
 from repro.monet.mil import (
     Assign,
     BinOp,
@@ -76,58 +77,40 @@ def collect_call_sites(definition: ProcDef | MilProcedure) -> tuple[CallSite, ..
         definition = definition.definition
     sites: list[CallSite] = []
 
-    def walk_expr(node: Any, conditional: bool, branch: int | None) -> None:
-        match node:
-            case Call(func=func, args=args, line=line):
-                if func != "new":  # new()'s args are type atoms
-                    for arg in args:
-                        walk_expr(arg, conditional, branch)
+    def visit(body: list[Any], conditional: bool, branch: int | None) -> None:
+        for statement in body:
+            match statement:
+                case If(cond=cond, then=then, orelse=orelse):
+                    record(cond, conditional, branch)
+                    visit(then + orelse, True, branch)
+                case While(cond=cond, body=inner):
+                    record(cond, conditional, branch)
+                    visit(inner, conditional, branch)
+                case Parallel(body=inner):
+                    for index, sub in enumerate(inner):
+                        visit([sub], conditional, index)
+                case _:
+                    record(statement, conditional, branch)
+
+    def record(code: Any, conditional: bool, branch: int | None) -> None:
+        for event in events(code):
+            if event.kind in ("call", "commit"):
+                call = event.node
                 arg_names = tuple(
-                    a.ident if isinstance(a, Name) else None for a in args
+                    a.ident if isinstance(a, Name) else None for a in call.args
                 )
                 sites.append(
                     CallSite(
-                        definition.name, func, line, arg_names, conditional, branch
+                        definition.name,
+                        call.func,
+                        call.line,
+                        arg_names,
+                        conditional,
+                        branch,
                     )
                 )
-            case MethodCall(target=target, args=args):
-                walk_expr(target, conditional, branch)
-                for arg in args:
-                    walk_expr(arg, conditional, branch)
-            case BinOp(left=left, right=right):
-                walk_expr(left, conditional, branch)
-                walk_expr(right, conditional, branch)
-            case UnaryOp(operand=operand):
-                walk_expr(operand, conditional, branch)
-            case _:
-                pass
 
-    def walk_stmt(statement: Any, conditional: bool, branch: int | None) -> None:
-        match statement:
-            case VarDecl(value=value) | Assign(value=value):
-                if value is not None:
-                    walk_expr(value, conditional, branch)
-            case ExprStmt(expr=expr) | Return(expr=expr):
-                if expr is not None:
-                    walk_expr(expr, conditional, branch)
-            case If(cond=cond, then=then, orelse=orelse):
-                walk_expr(cond, conditional, branch)
-                for sub in then + orelse:
-                    walk_stmt(sub, True, branch)
-            case While(cond=cond, body=body):
-                walk_expr(cond, conditional, branch)
-                for sub in body:
-                    walk_stmt(sub, conditional, branch)
-            case Parallel(body=body):
-                for index, sub in enumerate(body):
-                    walk_stmt(sub, conditional, index)
-            case ProcDef():
-                pass  # nested defs are analyzed at their own define site
-            case _:
-                pass
-
-    for statement in definition.body:
-        walk_stmt(statement, False, None)
+    visit(definition.body, False, None)
     return tuple(sites)
 
 

@@ -55,9 +55,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.check.diagnostics import DiagnosticReport, Severity
+from repro.check.effects import (
+    ACCESSES,
+    APPEND_METHODS,
+    MUTATIONS,
+    WRITE_METHODS,
+    names,
+)
+from repro.check.environment import MilPass, definition_of
 from repro.check.flowcheck import (
     EMPTY,
     FEATURE_RANGE,
@@ -69,8 +77,6 @@ from repro.check.flowcheck import (
 )
 from repro.check.fusecheck import IMPURE_COMMANDS
 from repro.check.milcheck import BatT, _named_type
-from repro.check.racecheck import APPEND_METHODS, WRITE_METHODS
-from repro.errors import MilSyntaxError
 from repro.moa.algebra import (
     Aggregate,
     Apply,
@@ -108,7 +114,6 @@ from repro.monet.mil import (
     UnaryOp,
     VarDecl,
     While,
-    parse,
 )
 from repro.monet.operators import BatStats
 
@@ -173,7 +178,7 @@ class _CopyRecord:
 
 @dataclass
 class _CostCtx:
-    source: str
+    #: findings, recorded without an origin (the reader labels them)
     report: DiagnosticReport
     #: cost accumulator stack; the top frame is the current block/branch
     frames: list[float] = field(default_factory=lambda: [0.0])
@@ -193,46 +198,19 @@ class _CostCtx:
         return self.frames.pop()
 
 
-class CostChecker:
+class CostChecker(MilPass):
     """Abstract cost interpreter over MIL procedures.
 
-    Constructor arguments mirror the other passes so one ``**environment``
-    serves all of them.
+    The default-statistics run of a procedure is memoised on the
+    environment: this pass's report and programcheck's local cost share it.
     """
 
-    def __init__(
-        self,
-        commands: Mapping[str, Any] | Iterable[str] | None = None,
-        signatures: Mapping[str, Any] | None = None,
-        globals_names: Iterable[str] = (),
-        procedures: Mapping[str, Any] | None = None,
-    ):
-        self._commands = set(commands or ())
-        self._signatures = dict(signatures or {})
-        self._globals = set(globals_names)
-        self._procs: dict[str, ProcDef] = {}
-        for name, proc in (procedures or {}).items():
-            self._procs[name] = (
-                proc.definition if isinstance(proc, MilProcedure) else proc
-            )
-
     # -- entry points ----------------------------------------------------
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse and cost-check a MIL program (syntax is milcheck's job)."""
-        try:
-            statements = parse(source)
-        except MilSyntaxError:
-            return DiagnosticReport()
-        report = DiagnosticReport()
-        toplevel = [s for s in statements if not isinstance(s, ProcDef)]
-        for statement in statements:
-            if isinstance(statement, ProcDef):
-                report.extend(self.check_proc(statement, source=name))
-        if toplevel:
-            ctx = _CostCtx(name, report)
-            self._walk_block(toplevel, {}, ctx)
-            self._finish(ctx)
-        return report
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+        return self._run_proc(definition, None)[1].labelled(label)
+
+    def _check_toplevel(self, statements: list[Any], label: str) -> DiagnosticReport:
+        return self._cost_body(statements, {})[1].labelled(label)
 
     def check_proc(
         self,
@@ -240,9 +218,9 @@ class CostChecker:
         source: str | None = None,
         stats: Mapping[str, BatStats] | None = None,
     ) -> DiagnosticReport:
-        report = DiagnosticReport()
-        self._run_proc(definition, source, stats, report)
-        return report
+        definition = definition_of(definition)
+        findings = self._run_proc(definition, stats)[1]
+        return findings.labelled(source or definition.name)
 
     def estimate_proc(
         self,
@@ -250,26 +228,34 @@ class CostChecker:
         stats: Mapping[str, BatStats] | None = None,
     ) -> float:
         """Estimated cost (abstract work units) of one procedure call."""
-        return self._run_proc(definition, None, stats, DiagnosticReport())
+        return self._run_proc(definition_of(definition), stats)[0]
 
     def _run_proc(
-        self,
-        definition: ProcDef | MilProcedure,
-        source: str | None,
-        stats: Mapping[str, BatStats] | None,
-        report: DiagnosticReport,
-    ) -> float:
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
-        env: dict[str, CostVal] = {}
-        for param in definition.params:
-            env[param.ident] = self._seed_param(
-                param.type_name, (stats or {}).get(param.ident)
-            )
-        ctx = _CostCtx(source or definition.name, report)
-        self._walk_block(definition.body, env, ctx)
+        self, definition: ProcDef, stats: Mapping[str, BatStats] | None
+    ) -> tuple[float, DiagnosticReport]:
+        """(cost, unlabelled findings) of one call of ``definition``."""
+
+        def run() -> tuple[float, DiagnosticReport]:
+            env = {
+                param.ident: self._seed_param(
+                    param.type_name, (stats or {}).get(param.ident)
+                )
+                for param in definition.params
+            }
+            return self._cost_body(definition.body, env)
+
+        if stats:
+            return run()  # measured cardinalities: the caller's one-off
+        return self.env.once("cost", definition, run)
+
+    def _cost_body(
+        self, body: list[Any], env: dict[str, CostVal]
+    ) -> tuple[float, DiagnosticReport]:
+        """The analysis proper: walk ``body`` from the seeded ``env``."""
+        ctx = _CostCtx(DiagnosticReport())
+        self._walk_block(body, env, ctx)
         self._finish(ctx)
-        return ctx.frames[0]
+        return ctx.frames[0], ctx.report
 
     def _seed_param(
         self, type_name: str | None, stats: BatStats | None
@@ -366,7 +352,6 @@ class CostChecker:
                         f"costs ~{sequential:.0f}; the branches are too "
                         f"cheap to ship",
                         Severity.WARNING,
-                        source=ctx.source,
                         line=line,
                     )
             case _:
@@ -397,7 +382,6 @@ class CostChecker:
                     f"intermediate BAT at every step; a fused selection "
                     f"would scan the input once",
                     Severity.WARNING,
-                    source=ctx.source,
                     line=first,
                     end_line=line,
                 )
@@ -424,7 +408,6 @@ class CostChecker:
                     f"{record.source!r} but is never sliced or mutated; "
                     f"read the source (or a slice) directly",
                     Severity.WARNING,
-                    source=ctx.source,
                     line=record.line,
                 )
 
@@ -432,7 +415,7 @@ class CostChecker:
     def _check_loop_invariants(
         self, body: list[Any], env: dict[str, CostVal], ctx: _CostCtx
     ) -> None:
-        assigned = _assigned_names(body)
+        assigned = names(body, MUTATIONS)
         for statement in body:
             expr = None
             match statement:
@@ -444,10 +427,9 @@ class CostChecker:
                     expr = inner
             if not isinstance(expr, Call):
                 continue
-            if expr.func not in self._signatures or expr.func in IMPURE_COMMANDS:
+            if expr.func not in self.env.signatures or expr.func in IMPURE_COMMANDS:
                 continue
-            free = _free_names(expr)
-            if free & assigned:
+            if names(expr, ACCESSES) & assigned:
                 continue
             ctx.report.add(
                 "PERF003",
@@ -455,7 +437,6 @@ class CostChecker:
                 f"inputs change inside the WHILE body; hoist it out of "
                 f"the loop",
                 Severity.WARNING,
-                source=ctx.source,
                 line=getattr(statement, "line", None) or expr.line,
             )
 
@@ -510,10 +491,10 @@ class CostChecker:
             return handler(self, node, arg_vals, env, ctx)
         scanned = sum(v.rows for v in arg_vals if v.is_bat)
         ctx.add(1.0 + scanned)
-        if node.func in self._procs:
-            definition = self._procs[node.func]
+        if node.func in self.env.procedures:
+            definition = self.env.procedures[node.func]
             return self._result_from_type(definition.return_type, arg_vals)
-        signature = self._signatures.get(node.func)
+        signature = self.env.signatures.get(node.func)
         if signature is not None:
             result = self._result_from_type(signature.returns, arg_vals)
             if signature.returns_range is not None:
@@ -576,7 +557,6 @@ class CostChecker:
                     f"(binary-search) access path exists and costs "
                     f"O(log n) instead of O(n)",
                     Severity.WARNING,
-                    source=ctx.source,
                     line=node.line,
                 )
             interval = receiver.interval
@@ -618,7 +598,6 @@ class CostChecker:
                         f"(~{rows * other.rows:.0f} work); key or mark "
                         f"the inner BAT first",
                         Severity.WARNING,
-                        source=ctx.source,
                         line=node.line,
                     )
             else:
@@ -711,85 +690,6 @@ def _select_source(value: Any) -> str | None:
     return None
 
 
-def _assigned_names(body: list[Any]) -> set[str]:
-    """Every name a loop body may rebind or mutate (recursively)."""
-    assigned: set[str] = set()
-
-    def walk(node: Any) -> None:
-        match node:
-            case VarDecl(ident=ident, value=value):
-                assigned.add(ident)
-                if value is not None:
-                    walk(value)
-            case Assign(ident=ident, value=value):
-                assigned.add(ident)
-                walk(value)
-            case ExprStmt(expr=expr):
-                walk(expr)
-            case Return(expr=expr):
-                if expr is not None:
-                    walk(expr)
-            case If(cond=cond, then=then, orelse=orelse):
-                walk(cond)
-                for sub in then + orelse:
-                    walk(sub)
-            case While(cond=cond, body=inner):
-                walk(cond)
-                for sub in inner:
-                    walk(sub)
-            case Parallel(body=inner):
-                for sub in inner:
-                    walk(sub)
-            case Call(args=args):
-                for arg in args:
-                    walk(arg)
-            case MethodCall(target=target, method=method, args=args):
-                walk(target)
-                for arg in args:
-                    walk(arg)
-                if isinstance(target, Name) and method in (
-                    APPEND_METHODS | WRITE_METHODS
-                ):
-                    assigned.add(target.ident)
-            case BinOp(left=left, right=right):
-                walk(left)
-                walk(right)
-            case UnaryOp(operand=operand):
-                walk(operand)
-            case _:
-                pass
-
-    for statement in body:
-        walk(statement)
-    return assigned
-
-
-def _free_names(node: Any) -> set[str]:
-    free: set[str] = set()
-
-    def walk(sub: Any) -> None:
-        match sub:
-            case Name(ident=ident):
-                free.add(ident)
-            case Call(args=args):
-                for arg in args:
-                    walk(arg)
-            case MethodCall(target=target, args=args):
-                walk(target)
-                for arg in args:
-                    walk(arg)
-            case BinOp(left=left, right=right):
-                walk(left)
-                walk(right)
-            case UnaryOp(operand=operand):
-                walk(operand)
-            case _:
-                pass
-
-    walk(node)
-    return free
-
-
 def _range_selectivity(interval: Interval, lo: Interval, hi: Interval) -> float:
     """Kept fraction of ``select(lo, hi)`` given the value interval."""
     if not (interval.known and lo.known and hi.known):
@@ -841,7 +741,6 @@ def _bulk_mselect(
             "value scan over a tail-sorted BAT; a sorted (binary-search) "
             "access path exists and costs O(log n) instead of O(n)",
             Severity.WARNING,
-            source=ctx.source,
             line=node.line,
         )
     op = _literal_str(node.args[1]) if len(node.args) > 1 else None
@@ -1075,14 +974,7 @@ def estimate_model_cost(template: Any) -> float:
 
 
 def check_cost_source(
-    source: str,
-    name: str = "<mil>",
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, Any] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
+    source: str, name: str = "<mil>", *environment: Any, **named: Any
 ) -> DiagnosticReport:
-    """Parse and cost-check MIL source text."""
-    return CostChecker(commands, signatures, globals_names, procedures).check_source(
-        source, name=name
-    )
+    """Parse and cost-check MIL source text (environment as for the class)."""
+    return CostChecker(*environment, **named).check_source(source, name=name)

@@ -10,7 +10,7 @@ optional source/line location, and a human-readable message. A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import enum
 from typing import Iterable, Iterator
 
@@ -154,6 +154,14 @@ class DiagnosticReport:
 
     def extend(self, diagnostics: Iterable[Diagnostic]) -> None:
         self.diagnostics.extend(diagnostics)
+
+    def labelled(self, source: str) -> "DiagnosticReport":
+        """A copy whose findings all carry ``source`` as their origin.
+
+        An analysis memoised per definition records findings without an
+        origin; each reader stamps the label it is reporting under.
+        """
+        return DiagnosticReport(replace(d, source=source) for d in self.diagnostics)
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Diagnostic]:

@@ -2,7 +2,7 @@
 
 The paper's rewriting layer (§3, :class:`repro.moa.rewrite.MoaCompiler`)
 turns a Moa expression into a MIL ``PROC`` of bulk commands. Nothing in the
-nine structural passes proves the emitted plan computes the *same answer*
+structural passes proves the emitted plan computes the *same answer*
 as the expression it replaced — milcheck would happily bless a plan whose
 ``mselect`` comparison operator was flipped. This pass closes that gap with
 translation validation: both sides are symbolically executed over an

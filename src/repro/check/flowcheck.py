@@ -53,12 +53,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.check.diagnostics import DiagnosticReport, Severity
+from repro.check.environment import MilPass
 from repro.check.fusecheck import FuseChecker
 from repro.check.milcheck import BatT, MilType, _head_as_value, _named_type
-from repro.errors import MilSyntaxError
 from repro.moa.algebra import (
     Aggregate,
     Apply,
@@ -88,7 +88,6 @@ from repro.monet.mil import (
     If,
     Literal,
     MethodCall,
-    MilProcedure,
     Name,
     Parallel,
     ProcDef,
@@ -96,7 +95,6 @@ from repro.monet.mil import (
     UnaryOp,
     VarDecl,
     While,
-    parse,
 )
 from repro.monet.module import CommandSignature
 
@@ -291,43 +289,15 @@ def _merge_env(
 # ---------------------------------------------------------------------------
 
 
-class FlowChecker:
-    """Abstract interpreter over MIL procedures and Moa expression trees.
-
-    Constructor arguments mirror :class:`repro.check.milcheck.MilChecker`
-    so the two passes run against the same kernel environment.
-    """
-
-    def __init__(
-        self,
-        commands: Mapping[str, Any] | Iterable[str] | None = None,
-        signatures: Mapping[str, CommandSignature] | None = None,
-        globals_names: Iterable[str] = (),
-        procedures: Mapping[str, Any] | None = None,
-    ):
-        self._commands = set(commands or ())
-        self._signatures = dict(signatures or {})
-        self._globals = set(globals_names)
-        self._procs: dict[str, ProcDef] = {}
-        for name, proc in (procedures or {}).items():
-            self._procs[name] = (
-                proc.definition if isinstance(proc, MilProcedure) else proc
-            )
+class FlowChecker(MilPass):
+    """Abstract interpreter over MIL procedures and Moa expression trees."""
 
     # -- entry points ----------------------------------------------------
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse and flow-check a MIL program (syntax errors are MIL000's)."""
-        try:
-            statements = parse(source)
-        except MilSyntaxError:
-            return DiagnosticReport()  # milcheck owns the MIL000 report
-        return self.check_program(statements, name=name)
-
     def check_program(
         self, statements: list[Any], name: str = "<mil>"
     ) -> DiagnosticReport:
         report = DiagnosticReport()
-        known = dict(self._procs)
+        known = dict(self.env.procedures)
         known.update(
             {s.name: s for s in statements if isinstance(s, ProcDef)}
         )
@@ -339,15 +309,11 @@ class FlowChecker:
             self._check_body(toplevel, [], known, name, report)
         return report
 
-    def check_proc(
-        self, definition: ProcDef | MilProcedure, source: str | None = None
-    ) -> DiagnosticReport:
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
-        known = dict(self._procs)
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+        known = dict(self.env.procedures)
         known.setdefault(definition.name, definition)
         report = DiagnosticReport()
-        self._check_proc(definition, known, source or definition.name, report)
+        self._check_proc(definition, known, label, report)
         return report
 
     # -- procedure walk --------------------------------------------------
@@ -381,7 +347,9 @@ class FlowChecker:
         reads: set[str] = set()
         for param in params:
             env[param.ident] = _VarState(self._seed_param(param.type_name))
-        ctx = _Ctx(known, source, report, decls, reads, self._fused_spans(body))
+        # FLOW002 gate: the partition is shared with the fusecheck pass
+        fused_spans = FuseChecker(self.env).certified_spans(body)
+        ctx = _Ctx(known, source, report, decls, reads, fused_spans)
         self._walk_block(body, env, ctx)
         self._flush_pending(env, ctx, suppressed=False)
         for record in decls:
@@ -393,15 +361,6 @@ class FlowChecker:
                     source=source,
                     line=record.line,
                 )
-
-    def _fused_spans(self, body: list[Any]) -> tuple[tuple[int, int], ...]:
-        """Certified fusion-region spans of ``body`` (FLOW002 gate)."""
-        return FuseChecker(
-            commands=self._commands,
-            signatures=self._signatures,
-            globals_names=self._globals,
-            procedures=self._procs,
-        ).certified_spans(body)
 
     def _flush_pending(
         self, env: dict[str, _VarState], ctx: "_Ctx", suppressed: bool
@@ -587,7 +546,7 @@ class FlowChecker:
         handler = _BULK_TRANSFER.get(node.func)
         if handler is not None:
             return handler(self, node, arg_vals, ctx)
-        signature = self._signatures.get(node.func)
+        signature = self.env.signatures.get(node.func)
         if signature is not None:
             return self._eval_signature_call(node, signature, arg_vals, ctx)
         return _ANY
@@ -1003,14 +962,7 @@ def check_feature_set(
 
 
 def check_flow_source(
-    source: str,
-    name: str = "<mil>",
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, CommandSignature] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
+    source: str, name: str = "<mil>", *environment: Any, **named: Any
 ) -> DiagnosticReport:
-    """Parse and flow-check MIL source text."""
-    return FlowChecker(commands, signatures, globals_names, procedures).check_source(
-        source, name=name
-    )
+    """Parse and flow-check MIL source text (environment as for the class)."""
+    return FlowChecker(*environment, **named).check_source(source, name=name)

@@ -40,29 +40,12 @@ FUSE003   warning   fusible statements left uncertified by a cross-branch
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.check.racecheck import APPEND_METHODS, CATALOG_COMMANDS, WRITE_METHODS
-from repro.errors import MilSyntaxError
-from repro.monet.mil import (
-    Assign,
-    BinOp,
-    Call,
-    ExprStmt,
-    If,
-    Literal,
-    MethodCall,
-    MilProcedure,
-    Name,
-    Parallel,
-    ProcDef,
-    Return,
-    UnaryOp,
-    VarDecl,
-    While,
-    parse,
-)
+from repro.check.effects import CATALOG_COMMANDS, events, shared_events
+from repro.check.environment import MilPass, definition_of
+from repro.monet.mil import If, MethodCall, MilProcedure, Parallel, ProcDef, While, walk
 
 __all__ = [
     "Effects",
@@ -193,48 +176,20 @@ class _Draft:
         return bool(self.stmts)
 
 
-class FuseChecker:
+class FuseChecker(MilPass):
     """Effect inference + fusion-region partitioning of MIL programs.
 
-    Constructor arguments mirror the other passes so one ``**environment``
-    serves all of them.
+    The partition of a body is memoised on the environment, so flowcheck's
+    FLOW002 gate, shardcheck's SHARD004 and this pass's own report share
+    one computation per definition.
     """
 
-    def __init__(
-        self,
-        commands: Mapping[str, Any] | Iterable[str] | None = None,
-        signatures: Mapping[str, Any] | None = None,
-        globals_names: Iterable[str] = (),
-        procedures: Mapping[str, Any] | None = None,
-    ):
-        self._commands = set(commands or ())
-        self._signatures = dict(signatures or {})
-        self._globals = set(globals_names)
-        self._procs = set(procedures or ())
-
     # -- entry points ----------------------------------------------------
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse and fusion-check a MIL program (syntax is milcheck's job)."""
-        try:
-            statements = parse(source)
-        except MilSyntaxError:
-            return DiagnosticReport()
-        report = DiagnosticReport()
-        toplevel = [s for s in statements if not isinstance(s, ProcDef)]
-        for statement in statements:
-            if isinstance(statement, ProcDef):
-                _, proc_report = self.analyze_with_report(statement, source=name)
-                report.extend(proc_report)
-        if toplevel:
-            _, top_report = self._analyze(toplevel, "<toplevel>", name)
-            report.extend(top_report)
-        return report
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+        return self._analyze(definition.body, definition.name, label)[1]
 
-    def check_proc(
-        self, definition: ProcDef | MilProcedure, source: str | None = None
-    ) -> DiagnosticReport:
-        _, report = self.analyze_with_report(definition, source=source)
-        return report
+    def _check_toplevel(self, statements: list[Any], label: str) -> DiagnosticReport:
+        return self._analyze(statements, "<toplevel>", label)[1]
 
     def analyze_proc(
         self, definition: ProcDef | MilProcedure
@@ -248,8 +203,7 @@ class FuseChecker:
         source: str | None = None,
     ) -> tuple[FusionPlan, DiagnosticReport]:
         """Partition one procedure; returns the plan and its diagnostics."""
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
+        definition = definition_of(definition)
         return self._analyze(
             definition.body, definition.name, source or definition.name
         )
@@ -264,61 +218,37 @@ class FuseChecker:
     # -- effect inference ------------------------------------------------
     def infer_effects(self, statement: Any) -> Effects:
         """Effect summary of one non-control statement."""
+        if isinstance(statement, (If, While, Parallel, ProcDef)):
+            # control statements are barriers, never summarized here
+            return Effects(impure=("<control>",))
         reads: list[str] = []
         writes: list[str] = []
         appends: list[str] = []
         impure: list[str] = []
-        flags = {"alloc": False, "commit": False, "bat": False}
+        flags = {
+            "alloc": False,
+            "commit": False,
+            "bat": any(isinstance(n, MethodCall) for n in walk(statement)),
+        }
 
-        def walk(node: Any) -> None:
-            match node:
-                case Literal():
-                    pass
-                case Name(ident=ident):
-                    if ident not in reads:
-                        reads.append(ident)
-                case Call(func=func, args=args):
-                    if func != "new":  # new()'s args are type atoms, not reads
-                        for arg in args:
-                            walk(arg)
-                    self._classify_call(func, flags, impure)
-                case MethodCall(target=target, method=method, args=args):
-                    walk(target)
-                    for arg in args:
-                        walk(arg)
-                    flags["bat"] = True
-                    if isinstance(target, Name):
-                        if method in APPEND_METHODS:
-                            if target.ident not in appends:
-                                appends.append(target.ident)
-                        elif method in WRITE_METHODS:
-                            if target.ident not in writes:
-                                writes.append(target.ident)
-                case BinOp(left=left, right=right):
-                    walk(left)
-                    walk(right)
-                case UnaryOp(operand=operand):
-                    walk(operand)
-                case _:
-                    pass
+        def note(names: list[str], ident: str) -> None:
+            if ident not in names:
+                names.append(ident)
 
-        match statement:
-            case VarDecl(ident=ident, value=value):
-                if value is not None:
-                    walk(value)
-                writes.append(ident)
-            case Assign(ident=ident, value=value):
-                walk(value)
-                writes.append(ident)
-            case ExprStmt(expr=expr):
-                walk(expr)
-            case Return(expr=expr):
-                if expr is not None:
-                    walk(expr)
-            case _:
-                # control statements are barriers, never summarized here
-                impure.append("<control>")
-
+        for event in events(statement):
+            match event.kind:
+                case "read":
+                    note(reads, event.name)
+                case "append":
+                    note(reads, event.name)
+                    note(appends, event.name)
+                case "write":
+                    note(reads, event.name)
+                    note(writes, event.name)
+                case "declare" | "assign":
+                    note(writes, event.name)
+                case "commit" | "call":
+                    self._classify_call(event.node.func, flags, impure)
         return Effects(
             reads=tuple(reads),
             writes=tuple(writes),
@@ -344,7 +274,7 @@ class FuseChecker:
         if func in IMPURE_COMMANDS:
             impure.append(func)
             return
-        signature = self._signatures.get(func)
+        signature = self.env.signatures.get(func)
         if signature is not None:
             # a declared command is pure unless listed above; it touches
             # BATs when its signature mentions a BAT column
@@ -361,11 +291,19 @@ class FuseChecker:
     def _analyze(
         self, body: list[Any], proc_name: str, source: str
     ) -> tuple[FusionPlan, DiagnosticReport]:
+        regions, findings = self.env.once(
+            "fusion", body, lambda: self._partition_body(body)
+        )
+        return FusionPlan(proc_name, regions), findings.labelled(source)
+
+    def _partition_body(
+        self, body: list[Any]
+    ) -> tuple[tuple[FusionRegion, ...], DiagnosticReport]:
+        """The analysis proper: regions and unlabelled findings of ``body``."""
         regions: list[FusionRegion] = []
         report = DiagnosticReport()
-        self._partition(body, "body", frozenset(), regions, report, source)
-        plan = FusionPlan(proc_name, tuple(regions))
-        for region in plan.regions:
+        self._partition(body, "body", frozenset(), regions, report)
+        for region in regions:
             if region.certified and region.statements >= 2:
                 report.add(
                     "FUSE001",
@@ -373,11 +311,10 @@ class FuseChecker:
                     f"{region.path}: {region.statements} statements "
                     f"(lines {region.start_line}-{region.end_line})",
                     Severity.INFO,
-                    source=source,
                     line=region.start_line,
                     end_line=region.end_line,
                 )
-        return plan, report
+        return tuple(regions), report
 
     def _partition(
         self,
@@ -386,7 +323,6 @@ class FuseChecker:
         conflicted: frozenset[str],
         regions: list[FusionRegion],
         report: DiagnosticReport,
-        source: str,
     ) -> None:
         draft = _Draft()
         last_region: FusionRegion | None = None
@@ -394,7 +330,7 @@ class FuseChecker:
 
         def flush() -> None:
             nonlocal last_region
-            region = self._close(draft, path, conflicted, regions, report, source)
+            region = self._close(draft, path, conflicted, regions, report)
             if region is not None:
                 if last_region is not None and len(barriers) == 1:
                     line, what = barriers[0]
@@ -404,7 +340,6 @@ class FuseChecker:
                         f"regions at {path}; hoisting it would fuse "
                         f"lines {last_region.start_line}-{region.end_line}",
                         Severity.WARNING,
-                        source=source,
                         line=line,
                     )
                 last_region = region
@@ -416,7 +351,7 @@ class FuseChecker:
                 last_region = None
                 barriers.clear()
                 self._partition_control(
-                    statement, path, conflicted, regions, report, source
+                    statement, path, conflicted, regions, report
                 )
                 continue
             effects = self.infer_effects(statement)
@@ -439,26 +374,20 @@ class FuseChecker:
         conflicted: frozenset[str],
         regions: list[FusionRegion],
         report: DiagnosticReport,
-        source: str,
     ) -> None:
         line = getattr(statement, "line", None)
         match statement:
             case If(then=then, orelse=orelse):
                 self._partition(
-                    then, f"{path}.if@{line}", conflicted, regions, report, source
+                    then, f"{path}.if@{line}", conflicted, regions, report
                 )
                 if orelse:
                     self._partition(
-                        orelse,
-                        f"{path}.else@{line}",
-                        conflicted,
-                        regions,
-                        report,
-                        source,
+                        orelse, f"{path}.else@{line}", conflicted, regions, report
                     )
             case While(body=body):
                 self._partition(
-                    body, f"{path}.while@{line}", conflicted, regions, report, source
+                    body, f"{path}.while@{line}", conflicted, regions, report
                 )
             case Parallel(body=body):
                 branch_conflicts = self._branch_conflicts(body)
@@ -469,7 +398,6 @@ class FuseChecker:
                         conflicted | branch_conflicts,
                         regions,
                         report,
-                        source,
                     )
             case ProcDef():
                 pass  # nested defs get their own plan at their define site
@@ -481,7 +409,6 @@ class FuseChecker:
         conflicted: frozenset[str],
         regions: list[FusionRegion],
         report: DiagnosticReport,
-        source: str,
     ) -> FusionRegion | None:
         stmts = draft.stmts
         draft.stmts = []
@@ -533,7 +460,6 @@ class FuseChecker:
                 f"fusible statements at {path} (lines {start}-{end}) left "
                 f"uncertified: {reason}",
                 Severity.WARNING,
-                source=source,
                 line=start,
                 end_line=end,
             )
@@ -549,7 +475,7 @@ class FuseChecker:
         update).  Concurrent appends commute under the BAT lock and do not
         conflict.
         """
-        summaries = [self._branch_summary(branch) for branch in branches]
+        summaries = [branch_summary(branch) for branch in branches]
         conflicted: set[str] = set()
         for index, (touched, mutated, assigned) in enumerate(summaries):
             others_touched: set[str] = set()
@@ -563,73 +489,25 @@ class FuseChecker:
             conflicted |= assigned & others_assigned
         return frozenset(conflicted)
 
-    def _branch_summary(
-        self, statement: Any
-    ) -> tuple[set[str], set[str], set[str]]:
-        """(touched, non-append-mutated, assigned) shared names of a branch."""
-        touched: set[str] = set()
-        mutated: set[str] = set()
-        assigned: set[str] = set()
-        local: set[str] = set()
 
-        def walk(node: Any) -> None:
-            match node:
-                case VarDecl(ident=ident, value=value):
-                    if value is not None:
-                        walk(value)
-                    local.add(ident)
-                case Assign(ident=ident, value=value):
-                    walk(value)
-                    assigned.add(ident)
-                    touched.add(ident)
-                case ExprStmt(expr=expr):
-                    walk(expr)
-                case Return(expr=expr):
-                    if expr is not None:
-                        walk(expr)
-                case If(cond=cond, then=then, orelse=orelse):
-                    walk(cond)
-                    for sub in then + orelse:
-                        walk(sub)
-                case While(cond=cond, body=body):
-                    walk(cond)
-                    for sub in body:
-                        walk(sub)
-                case Parallel(body=body):
-                    for sub in body:
-                        walk(sub)
-                case Name(ident=ident):
-                    touched.add(ident)
-                case Call(args=args):
-                    for arg in args:
-                        walk(arg)
-                case MethodCall(target=target, method=method, args=args):
-                    walk(target)
-                    for arg in args:
-                        walk(arg)
-                    if isinstance(target, Name) and method in WRITE_METHODS:
-                        mutated.add(target.ident)
-                case BinOp(left=left, right=right):
-                    walk(left)
-                    walk(right)
-                case UnaryOp(operand=operand):
-                    walk(operand)
-                case _:
-                    pass
-
-        walk(statement)
-        return touched - local, mutated - local, assigned - local
+def branch_summary(branch: Any) -> tuple[set[str], set[str], set[str]]:
+    """(touched, non-append-mutated, assigned) shared names of a branch."""
+    touched: set[str] = set()
+    mutated: set[str] = set()
+    assigned: set[str] = set()
+    for event in shared_events(branch):
+        if event.kind == "commit":
+            continue
+        touched.add(event.name)
+        if event.kind == "write":
+            mutated.add(event.name)
+        elif event.kind == "assign":
+            assigned.add(event.name)
+    return touched, mutated, assigned
 
 
 def check_fuse_source(
-    source: str,
-    name: str = "<mil>",
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, Any] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
+    source: str, name: str = "<mil>", *environment: Any, **named: Any
 ) -> DiagnosticReport:
-    """Parse and fusion-check MIL source text."""
-    return FuseChecker(commands, signatures, globals_names, procedures).check_source(
-        source, name=name
-    )
+    """Parse and fusion-check MIL source text (environment as for the class)."""
+    return FuseChecker(*environment, **named).check_source(source, name=name)

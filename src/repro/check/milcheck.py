@@ -44,7 +44,7 @@ import difflib
 from typing import Any, Iterable, Mapping
 
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.errors import MilSyntaxError
+from repro.check.environment import MilPass
 from repro.monet.atoms import ATOMS
 from repro.monet.mil import (
     Assign,
@@ -62,7 +62,7 @@ from repro.monet.mil import (
     UnaryOp,
     VarDecl,
     While,
-    parse,
+    walk,
 )
 from repro.monet.module import CommandSignature
 
@@ -238,58 +238,17 @@ def _suggest(name: str, candidates: Iterable[str]) -> str:
 
 def _effect_free(node: Any) -> bool:
     """Whether evaluating ``node`` can have no side effect (for MIL013)."""
-    match node:
-        case None | Literal() | Name():
-            return True
-        case BinOp(left=left, right=right):
-            return _effect_free(left) and _effect_free(right)
-        case UnaryOp(operand=operand):
-            return _effect_free(operand)
-        case _:
-            return False
+    return not any(isinstance(n, (Call, MethodCall)) for n in walk(node))
 
 
-class MilChecker:
-    """Static analyzer for MIL programs and procedures.
+class MilChecker(MilPass):
+    """Static analyzer for MIL programs and procedures."""
 
-    Args:
-        commands: known kernel command names (mapping or iterable).
-        signatures: declared :class:`CommandSignature` per command name.
-        globals_names: names visible at global scope (the BAT catalog plus
-            interpreter globals); they type as ``any``.
-        procedures: already defined procedures (name -> ProcDef or
-            MilProcedure), callable from the checked code.
-    """
-
-    def __init__(
-        self,
-        commands: Mapping[str, Any] | Iterable[str] | None = None,
-        signatures: Mapping[str, CommandSignature] | None = None,
-        globals_names: Iterable[str] = (),
-        procedures: Mapping[str, Any] | None = None,
-    ):
-        self._commands = set(commands or ())
-        self._signatures = dict(signatures or {})
-        self._globals = set(globals_names)
-        self._procs: dict[str, ProcDef] = {}
-        for name, proc in (procedures or {}).items():
-            self._procs[name] = (
-                proc.definition if isinstance(proc, MilProcedure) else proc
-            )
+    reports_syntax_errors = True
 
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse and check a whole MIL program; parse failures are MIL000."""
-        report = DiagnosticReport()
-        try:
-            statements = parse(source)
-        except MilSyntaxError as exc:
-            report.add("MIL000", str(exc), Severity.ERROR, source=name, line=exc.line)
-            return report
-        return self.check_program(statements, name=name)
-
     def check_program(
         self, statements: list[Any], name: str = "<mil>"
     ) -> DiagnosticReport:
@@ -300,17 +259,12 @@ class MilChecker:
         pending = {
             s.name: s for s in statements if isinstance(s, ProcDef)
         }
-        known_procs = {**self._procs, **pending}
-        toplevel = _Scope(
-            {
-                g: _VarInfo("any", 0, used=True)
-                for g in self._globals
-            }
-        )
+        known_procs = {**self.env.procedures, **pending}
+        toplevel = self._global_scope()
         for statement in statements:
             if isinstance(statement, ProcDef):
                 if (
-                    statement.name in self._procs
+                    statement.name in self.env.procedures
                     or pending.get(statement.name) is not statement
                 ):
                     report.add(
@@ -327,19 +281,15 @@ class MilChecker:
                 self._check_block([statement], toplevel, report, name, None)
         return report
 
-    def check_proc(
-        self, definition: ProcDef | MilProcedure, source: str | None = None
-    ) -> DiagnosticReport:
-        """Check one procedure definition against the known environment."""
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
-        known = dict(self._procs)
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+        known = dict(self.env.procedures)
         known.setdefault(definition.name, definition)
-        report = DiagnosticReport()
-        report.extend(
-            self._check_proc_def(definition, known, source or definition.name)
+        return self._check_proc_def(definition, known, label)
+
+    def _global_scope(self) -> "_Scope":
+        return _Scope(
+            {g: _VarInfo("any", 0, used=True) for g in self.env.globals_names}
         )
-        return report
 
     # ------------------------------------------------------------------
     # procedure / block analysis
@@ -351,13 +301,7 @@ class MilChecker:
         source: str,
     ) -> DiagnosticReport:
         report = DiagnosticReport()
-        scope = _Scope(
-            {
-                g: _VarInfo("any", 0, used=True)
-                for g in self._globals
-            }
-        )
-        body_scope = _Scope(parent=scope)
+        body_scope = _Scope(parent=self._global_scope())
         seen_params: set[str] = set()
         for param in definition.params:
             if param.ident in seen_params:
@@ -551,7 +495,7 @@ class MilChecker:
                 if info is not None:
                     info.used = True
                     return info.type
-                if ident in self._commands or ident in (known_procs or {}):
+                if ident in self.env.commands or ident in (known_procs or {}):
                     return "any"  # command/proc referenced as a value
                 report.add(
                     "MIL001",
@@ -589,11 +533,11 @@ class MilChecker:
     def _known_names(
         self, scope: _Scope, known_procs: Mapping[str, ProcDef] | None
     ) -> set[str]:
-        names: set[str] = set(self._commands) | set(known_procs or {})
-        walk: _Scope | None = scope
-        while walk is not None:
-            names.update(walk.variables)
-            walk = walk.parent
+        names: set[str] = set(self.env.commands) | set(known_procs or {})
+        enclosing: _Scope | None = scope
+        while enclosing is not None:
+            names.update(enclosing.variables)
+            enclosing = enclosing.parent
         return names
 
     def _infer_call(
@@ -642,16 +586,16 @@ class MilChecker:
         if info is not None:
             info.used = True
             return "any"  # a variable holding a callable; nothing to check
-        if node.func in self._signatures:
+        if node.func in self.env.signatures:
             return self._check_signature_call(
-                node, self._signatures[node.func], arg_types, report, source
+                node, self.env.signatures[node.func], arg_types, report, source
             )
-        if node.func in self._commands:
+        if node.func in self.env.commands:
             return "any"
         report.add(
             "MIL004",
             f"call to unknown command or procedure {node.func!r}"
-            + _suggest(node.func, set(self._commands) | set(procs)),
+            + _suggest(node.func, set(self.env.commands) | set(procs)),
             Severity.ERROR,
             source=source,
             line=node.line,
@@ -829,27 +773,15 @@ class MilChecker:
 # ---------------------------------------------------------------------------
 
 def check_source(
-    source: str,
-    name: str = "<mil>",
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, CommandSignature] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
+    source: str, name: str = "<mil>", *environment: Any, **named: Any
 ) -> DiagnosticReport:
-    """Parse and statically check MIL source text."""
-    return MilChecker(commands, signatures, globals_names, procedures).check_source(
-        source, name=name
-    )
+    """Parse and statically check MIL source text (environment as for
+    :class:`MilChecker`)."""
+    return MilChecker(*environment, **named).check_source(source, name=name)
 
 
 def check_proc(
-    definition: ProcDef | MilProcedure,
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, CommandSignature] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
+    definition: ProcDef | MilProcedure, *environment: Any, **named: Any
 ) -> DiagnosticReport:
     """Statically check a single parsed procedure definition."""
-    return MilChecker(commands, signatures, globals_names, procedures).check_proc(
-        definition
-    )
+    return MilChecker(*environment, **named).check_proc(definition)

@@ -49,31 +49,17 @@ CALL004   error          a callee writes (non-append) a BAT that another
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.check.callgraph import CallGraph, collect_call_sites, fingerprint
+from repro.check.callgraph import CallGraph, CallSite, collect_call_sites, fingerprint
+from repro.check.costcheck import CostChecker
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.check.fusecheck import IMPURE_COMMANDS, FuseChecker
-from repro.check.racecheck import APPEND_METHODS, CATALOG_COMMANDS, WRITE_METHODS
+from repro.check.effects import CATALOG_COMMANDS, events, names
+from repro.check.environment import Environment, MilPass
+from repro.check.fusecheck import IMPURE_COMMANDS, FuseChecker, branch_summary
 from repro.check.servicecheck import CHECKPOINT_COMMANDS
-from repro.errors import MilSyntaxError
-from repro.monet.mil import (
-    MIL_RECURSION_LIMIT,
-    Assign,
-    Call,
-    ExprStmt,
-    If,
-    MethodCall,
-    MilProcedure,
-    Name,
-    Parallel,
-    ProcDef,
-    Return,
-    VarDecl,
-    While,
-    parse,
-)
+from repro.monet.mil import MIL_RECURSION_LIMIT, MilProcedure, Parallel, ProcDef, walk
 
 __all__ = [
     "ProcSummary",
@@ -110,8 +96,6 @@ class ProcSummary:
     has_cancelpoint: bool = False
     #: costcheck estimate of one call, callee costs included.
     cost: float = 0.0
-    #: Number of flowcheck findings in the body (0 = flow-clean).
-    flow_findings: int = 0
     #: Distinct procedure callees, in first-call order.
     calls: tuple[str, ...] = ()
 
@@ -179,9 +163,15 @@ class _ProgramFuseChecker(FuseChecker):
     or committing callee stays a barrier.
     """
 
-    def __init__(self, summaries: Mapping[str, ProcSummary], **environment: Any):
-        super().__init__(**environment)
+    def __init__(self, summaries: Mapping[str, ProcSummary], env: Environment):
+        super().__init__(env)
         self._summaries = summaries
+
+    def certified_spans(self, body: list[Any]) -> tuple[tuple[int, int], ...]:
+        # not the environment's memoised partition: that one is the
+        # intraprocedural answer, this one changes with the summaries
+        regions, _ = self._partition_body(body)
+        return tuple((r.start_line, r.end_line) for r in regions if r.certified)
 
     def _classify_call(
         self, func: str, flags: dict[str, bool], impure: list[str]
@@ -198,44 +188,38 @@ class _ProgramFuseChecker(FuseChecker):
         super()._classify_call(func, flags, impure)
 
 
-class ProgramChecker:
+class ProgramChecker(MilPass):
     """Whole-program call-graph analysis (CALL001–CALL004).
 
-    Constructor arguments mirror the other passes so one ``**environment``
-    serves all of them; ``cache`` is the interpreter's persistent
-    :class:`SummaryCache` (a fresh one is used when omitted).
+    ``cache`` is the interpreter's persistent :class:`SummaryCache` (a
+    fresh one is used when omitted).
     """
 
     def __init__(
         self,
-        commands: Mapping[str, Any] | Iterable[str] | None = None,
+        commands: Mapping[str, Any] | Iterable[str] | Environment | None = None,
         signatures: Mapping[str, Any] | None = None,
         globals_names: Iterable[str] = (),
         procedures: Mapping[str, Any] | None = None,
         cache: SummaryCache | None = None,
     ):
-        self._commands = set(commands or ())
-        self._signatures = dict(signatures or {})
-        self._globals = set(globals_names)
-        self._context: dict[str, ProcDef] = {
-            name: (p.definition if isinstance(p, MilProcedure) else p)
-            for name, p in (procedures or {}).items()
-        }
+        super().__init__(commands, signatures, globals_names, procedures)
+        #: the program as this pass has seen it defined so far (the shared
+        #: environment stays as the kernel handed it out)
+        self._context: dict[str, ProcDef] = dict(self.env.procedures)
         self._cache = cache if cache is not None else SummaryCache()
 
     # -- entry points ----------------------------------------------------
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse MIL source and program-check its PROCs in define order.
+    def check_program(
+        self, statements: list[Any], name: str = "<mil>"
+    ) -> DiagnosticReport:
+        """Program-check the PROCs of parsed MIL source in define order.
 
         Definitions are processed sequentially, so an in-file redefinition
         that breaks an earlier caller's certificate (CALL003) is caught the
         same way the interpreter's choke point catches it.
         """
         report = DiagnosticReport()
-        try:
-            statements = parse(source)
-        except MilSyntaxError:
-            return report  # syntax is milcheck's job
         defs = [s for s in statements if isinstance(s, ProcDef)]
         # seed forward references with their FIRST definition only: a later
         # in-file redefinition must stay invisible until its own define
@@ -246,19 +230,10 @@ class ProgramChecker:
             report.extend(self.on_define(definition, source=name))
         return report
 
-    def check_program(
-        self, procedures: Mapping[str, Any] | None = None
-    ) -> DiagnosticReport:
-        """Program-check an already-registered procedure set in order."""
-        procs = {
-            name: (p.definition if isinstance(p, MilProcedure) else p)
-            for name, p in (procedures or self._context).items()
-        }
-        self._context.update(procs)
-        report = DiagnosticReport()
-        for definition in procs.values():
-            report.extend(self.on_define(definition, source=definition.name))
-        return report
+    def _sites(self, definition: ProcDef) -> tuple[CallSite, ...]:
+        return self.env.once(
+            "call sites", definition, lambda: collect_call_sites(definition)
+        )
 
     def summary(self, name: str) -> ProcSummary | None:
         entry = self._cache.entries.get(name)
@@ -269,10 +244,10 @@ class ProgramChecker:
         self, definition: ProcDef | MilProcedure, source: str | None = None
     ) -> DiagnosticReport:
         """Analyze one (re)definition against the cached program state."""
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
+        return self.check_proc(definition, source)
+
+    def _check_definition(self, definition: ProcDef, src: str) -> DiagnosticReport:
         name = definition.name
-        src = source or name
         report = DiagnosticReport()
         fp = fingerprint(definition)
         previous = self._cache.entries.get(name)
@@ -321,7 +296,7 @@ class ProgramChecker:
         closure: dict[str, ProcDef] = {}
         frontier = [
             site.callee
-            for site in collect_call_sites(self._context[pending])
+            for site in self._sites(self._context[pending])
             if site.callee in self._context and site.callee != pending
         ]
         while frontier:
@@ -331,7 +306,7 @@ class ProgramChecker:
             closure[callee] = self._context[callee]
             frontier.extend(
                 site.callee
-                for site in collect_call_sites(self._context[callee])
+                for site in self._sites(self._context[callee])
                 if site.callee in self._context
             )
         needed = {
@@ -380,10 +355,8 @@ class ProgramChecker:
         fp: str,
         summaries: Mapping[str, ProcSummary],
     ) -> ProcSummary:
-        params = [p.ident for p in definition.params]
-        param_index = {ident: i for i, ident in enumerate(params)}
-        locals_: set[str] = set(params)
-        _collect_locals(definition.body, locals_)
+        param_index = {p.ident: i for i, p in enumerate(definition.params)}
+        locals_ = _locals(definition)
 
         commits = False
         impure: list[str] = []
@@ -402,7 +375,7 @@ class ProgramChecker:
                 if not append and ident not in global_writes:
                     global_writes.append(ident)
 
-        for site in collect_call_sites(definition):
+        for site in self._sites(definition):
             func = site.callee
             if func in CATALOG_COMMANDS:
                 commits = True
@@ -440,11 +413,11 @@ class ProgramChecker:
                 if func not in calls:
                     calls.append(func)
 
-        for target, method in _method_mutations(definition.body):
-            note_write(target, append=method in APPEND_METHODS)
+        for event in events(definition.body):
+            if event.kind in ("append", "write"):
+                note_write(event.name, append=event.kind == "append")
 
         cost = self._estimate_cost(definition, summaries, calls)
-        flow_findings = self._count_flow_findings(definition)
         return ProcSummary(
             name=definition.name,
             fingerprint=fp,
@@ -455,7 +428,6 @@ class ProgramChecker:
             global_writes=tuple(global_writes),
             has_cancelpoint=has_cancelpoint,
             cost=cost,
-            flow_findings=flow_findings,
             calls=tuple(calls),
         )
 
@@ -465,57 +437,26 @@ class ProgramChecker:
         summaries: Mapping[str, ProcSummary],
         calls: list[str],
     ) -> float:
-        from repro.check.costcheck import CostChecker
-
-        local = CostChecker(
-            commands=self._commands,
-            signatures=self._signatures,
-            globals_names=self._globals,
-            procedures=self._context,
-        ).estimate_proc(definition)
+        local = CostChecker(self.env).estimate_proc(definition)
         transitive = sum(
             summaries[callee].cost for callee in calls if callee in summaries
         )
         return float(local) + float(transitive)
 
-    def _count_flow_findings(self, definition: ProcDef) -> int:
-        from repro.check.flowcheck import FlowChecker
-
-        return len(
-            FlowChecker(
-                commands=self._commands,
-                signatures=self._signatures,
-                globals_names=self._globals,
-                procedures=self._context,
-            ).check_proc(definition)
-        )
-
-    def _environment(self) -> dict[str, Any]:
-        return dict(
-            commands=self._commands,
-            signatures=self._signatures,
-            globals_names=self._globals,
-            procedures=self._context,
-        )
-
     def _region_calls(
         self, definition: ProcDef, summaries: Mapping[str, ProcSummary]
     ) -> tuple[tuple[str, int | None, int, int], ...]:
         """Call sites to known procs inside certified program-level regions."""
-        checker = _ProgramFuseChecker(summaries, **self._environment())
-        plan, _ = checker.analyze_with_report(definition)
-        spans = [
-            (region.start_line, region.end_line)
-            for region in plan.regions
-            if region.certified
-        ]
+        spans = _ProgramFuseChecker(summaries, self.env).certified_spans(
+            definition.body
+        )
         if not spans:
             return ()
         out: list[tuple[str, int | None, int, int]] = []
-        for site in collect_call_sites(definition):
+        for site in self._sites(definition):
             if site.callee not in summaries and site.callee not in self._context:
                 continue
-            if site.callee in self._commands:
+            if site.callee in self.env.commands:
                 continue
             for start, end in spans:
                 if site.line is not None and start <= site.line <= end:
@@ -531,16 +472,15 @@ class ProgramChecker:
         report: DiagnosticReport,
         source: str,
     ) -> None:
-        locals_: set[str] = {p.ident for p in definition.params}
-        _collect_locals(definition.body, locals_)
-        for site in collect_call_sites(definition):
+        locals_ = _locals(definition)
+        for site in self._sites(definition):
             func = site.callee
             if (
                 func == "new"
-                or func in self._commands
+                or func in self.env.commands
                 or func in self._context
                 or func in locals_
-                or func in self._globals
+                or func in self.env.globals_names
             ):
                 continue
             report.add(
@@ -616,15 +556,12 @@ class ProgramChecker:
         source: str,
     ) -> None:
         """CALL004: callee effects surfaced into PARALLEL branch ownership."""
-        fuse = FuseChecker(**self._environment())
-        for block in _parallel_blocks(definition.body):
+        sites = [s for s in self._sites(definition) if s.branch is not None]
+        for block in walk(definition.body):
+            if not isinstance(block, Parallel):
+                continue
             branches = block.body
-            intra = [fuse._branch_summary(branch) for branch in branches]
-            sites = [
-                s
-                for s in collect_call_sites(definition)
-                if s.branch is not None
-            ]
+            intra = [branch_summary(branch) for branch in branches]
             # names each branch mutates non-append *via a callee*
             callee_mutations: list[dict[str, str]] = [
                 {} for _ in branches
@@ -709,99 +646,16 @@ class ProgramChecker:
             frontier.extend(self._cache.callers_of(caller))
 
 
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _collect_locals(body: list[Any], out: set[str]) -> None:
-    for statement in body:
-        match statement:
-            case VarDecl(ident=ident):
-                out.add(ident)
-            case If(then=then, orelse=orelse):
-                _collect_locals(then, out)
-                _collect_locals(orelse, out)
-            case While(body=inner) | Parallel(body=inner):
-                _collect_locals(inner, out)
-            case _:
-                pass
-
-
-def _method_mutations(body: list[Any]) -> list[tuple[str, str]]:
-    """(target name, method) pairs for append/write method calls."""
-    out: list[tuple[str, str]] = []
-
-    def walk_expr(node: Any) -> None:
-        match node:
-            case MethodCall(target=target, method=method, args=args):
-                walk_expr(target)
-                for arg in args:
-                    walk_expr(arg)
-                if isinstance(target, Name) and (
-                    method in APPEND_METHODS or method in WRITE_METHODS
-                ):
-                    out.append((target.ident, method))
-            case Call(args=args):
-                for arg in args:
-                    walk_expr(arg)
-            case _:
-                pass
-
-    def walk_stmt(statement: Any) -> None:
-        match statement:
-            case VarDecl(value=value) | Assign(value=value):
-                if value is not None:
-                    walk_expr(value)
-            case ExprStmt(expr=expr) | Return(expr=expr):
-                if expr is not None:
-                    walk_expr(expr)
-            case If(then=then, orelse=orelse):
-                for sub in then + orelse:
-                    walk_stmt(sub)
-            case While(body=inner) | Parallel(body=inner):
-                for sub in inner:
-                    walk_stmt(sub)
-            case _:
-                pass
-
-    for statement in body:
-        walk_stmt(statement)
-    return out
-
-
-def _parallel_blocks(body: list[Any]) -> list[Parallel]:
-    out: list[Parallel] = []
-    for statement in body:
-        match statement:
-            case Parallel():
-                out.append(statement)
-                out.extend(_parallel_blocks(statement.body))
-            case If(then=then, orelse=orelse):
-                out.extend(_parallel_blocks(then))
-                out.extend(_parallel_blocks(orelse))
-            case While(body=inner):
-                out.extend(_parallel_blocks(inner))
-            case _:
-                pass
-    return out
+def _locals(definition: ProcDef) -> set[str]:
+    """Parameters plus every name the body declares anywhere."""
+    return {p.ident for p in definition.params} | names(
+        definition.body, ("declare",)
+    )
 
 
 def check_program_source(
-    source: str,
-    name: str = "<mil>",
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, Any] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
-    cache: SummaryCache | None = None,
+    source: str, name: str = "<mil>", *environment: Any, **named: Any
 ) -> DiagnosticReport:
-    """Parse MIL source and run the whole-program pass over its PROCs."""
-    return ProgramChecker(
-        commands, signatures, globals_names, procedures, cache=cache
-    ).check_source(source, name=name)
-
-
-# `replace` and `field` are re-exported building blocks for summary tweaks
-# in tests; keep linters from flagging the dataclass imports as unused.
-_ = (replace, field)
+    """Parse MIL source and run the whole-program pass over its PROCs
+    (environment and ``cache`` as for :class:`ProgramChecker`)."""
+    return ProgramChecker(*environment, **named).check_source(source, name=name)

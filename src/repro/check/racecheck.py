@@ -39,39 +39,14 @@ identity exists only at runtime — and is raised by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.errors import MilSyntaxError
-from repro.monet.mil import (
-    Assign,
-    BinOp,
-    Call,
-    ExprStmt,
-    If,
-    Literal,
-    MethodCall,
-    MilProcedure,
-    Name,
-    Parallel,
-    ProcDef,
-    Return,
-    UnaryOp,
-    VarDecl,
-    While,
-    parse,
-)
+from repro.check.effects import APPEND_METHODS, WRITE_METHODS, shared_events
+from repro.check.environment import MilPass
+from repro.monet.mil import Parallel, ProcDef, walk
 
 __all__ = ["RaceChecker", "check_race_source", "APPEND_METHODS", "WRITE_METHODS"]
-
-#: BAT methods that append under the BAT lock — commutative, race-free.
-APPEND_METHODS = frozenset({"insert", "insert_bulk"})
-
-#: BAT methods that mutate non-append — exclusive writers.
-WRITE_METHODS = frozenset({"delete", "replace"})
-
-#: Kernel commands that mutate the catalog (and auto-commit the WAL).
-CATALOG_COMMANDS = frozenset({"persist", "drop"})
 
 
 @dataclass
@@ -100,65 +75,21 @@ class _BranchEffects:
         return {e.kind for e in self.variables.get(ident, ())}
 
 
-class RaceChecker:
+class RaceChecker(MilPass):
     """Lockset/ownership analysis of PARALLEL blocks in MIL programs."""
 
-    def __init__(
-        self,
-        commands: Mapping[str, Any] | Iterable[str] | None = None,
-        signatures: Mapping[str, Any] | None = None,
-        globals_names: Iterable[str] = (),
-        procedures: Mapping[str, Any] | None = None,
-    ):
-        # signature mirrors the other checkers; only the name sets matter here
-        self._commands = set(commands or ())
-        self._globals = set(globals_names)
-        self._procs = set(procedures or ())
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+        return self._check_toplevel(definition.body, label)
 
-    # -- entry points ----------------------------------------------------
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse and race-check a MIL program (syntax errors are MIL000's)."""
-        try:
-            statements = parse(source)
-        except MilSyntaxError:
-            return DiagnosticReport()  # milcheck owns the MIL000 report
-        return self.check_program(statements, name=name)
-
-    def check_program(
-        self, statements: list[Any], name: str = "<mil>"
-    ) -> DiagnosticReport:
+    def _check_toplevel(self, statements: list[Any], label: str) -> DiagnosticReport:
         report = DiagnosticReport()
-        self._walk(statements, report, name)
-        return report
-
-    def check_proc(
-        self, definition: ProcDef | MilProcedure, source: str | None = None
-    ) -> DiagnosticReport:
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
-        report = DiagnosticReport()
-        self._walk(definition.body, report, source or definition.name)
-        return report
-
-    # -- statement traversal ---------------------------------------------
-    def _walk(
-        self, statements: list[Any], report: DiagnosticReport, source: str
-    ) -> None:
-        for statement in statements:
-            match statement:
-                case ProcDef(body=body):
-                    self._walk(body, report, source)
-                case If(then=then, orelse=orelse):
-                    self._walk(then, report, source)
-                    self._walk(orelse, report, source)
-                case While(body=body):
-                    self._walk(body, report, source)
+        for node in walk(statements):
+            match node:
                 case Parallel(body=body, line=line):
-                    self._check_parallel(body, line, report, source)
-                    # nested PARALLEL blocks inside branches
-                    self._walk(body, report, source)
-                case _:
-                    pass
+                    self._check_parallel(body, line, report, label)
+                case ProcDef(body=body):  # nested definition: walk() stops here
+                    report.extend(self._check_toplevel(body, label))
+        return report
 
     # -- PARALLEL analysis -----------------------------------------------
     def _check_parallel(
@@ -173,7 +104,13 @@ class RaceChecker:
             branch = _BranchEffects(
                 f"branch {index + 1}", getattr(statement, "line", line)
             )
-            self._collect(statement, branch, locals_=set())
+            for event in shared_events(statement):
+                if event.kind == "commit":
+                    branch.catalog.setdefault(event.name, []).append(
+                        _Effect("write", event.line)
+                    )
+                else:
+                    branch.touch(event.name, event.kind, event.line)
             branches.append(branch)
         if len(branches) < 2:
             return
@@ -275,93 +212,9 @@ class RaceChecker:
                 return effect.line
         return branch.line
 
-    # -- effect collection -----------------------------------------------
-    def _collect(
-        self, node: Any, branch: _BranchEffects, locals_: set[str]
-    ) -> None:
-        """Accumulate the shared-state effects of one branch statement."""
-        match node:
-            case None | Literal():
-                pass
-            case Name(ident=ident, line=line):
-                if ident not in locals_:
-                    branch.touch(ident, "read", line)
-            case VarDecl(ident=ident, value=value):
-                self._collect(value, branch, locals_)
-                locals_.add(ident)
-            case Assign(ident=ident, value=value, line=line):
-                self._collect(value, branch, locals_)
-                if ident not in locals_:
-                    branch.touch(ident, "assign", line)
-            case ExprStmt(expr=expr) | Return(expr=expr):
-                self._collect(expr, branch, locals_)
-            case MethodCall(target=target, method=method, args=args, line=line):
-                if (
-                    isinstance(target, Name)
-                    and target.ident not in locals_
-                ):
-                    if method in APPEND_METHODS:
-                        kind = "append"
-                    elif method in WRITE_METHODS:
-                        kind = "write"
-                    else:
-                        kind = "read"
-                    branch.touch(target.ident, kind, line)
-                else:
-                    self._collect(target, branch, locals_)
-                for arg in args:
-                    self._collect(arg, branch, locals_)
-            case Call(func=func, args=args, line=line):
-                if func in CATALOG_COMMANDS:
-                    catalog_name = (
-                        args[0].value
-                        if args and isinstance(args[0], Literal)
-                        and isinstance(args[0].value, str)
-                        else None
-                    )
-                    branch.catalog.setdefault(catalog_name, []).append(
-                        _Effect("write", line)
-                    )
-                    for arg in args[1:]:
-                        self._collect(arg, branch, locals_)
-                else:
-                    for arg in args:
-                        self._collect(arg, branch, locals_)
-            case BinOp(left=left, right=right):
-                self._collect(left, branch, locals_)
-                self._collect(right, branch, locals_)
-            case UnaryOp(operand=operand):
-                self._collect(operand, branch, locals_)
-            case If(cond=cond, then=then, orelse=orelse):
-                self._collect(cond, branch, locals_)
-                for sub in (*then, *orelse):
-                    self._collect(sub, branch, locals_)
-            case While(cond=cond, body=body):
-                self._collect(cond, branch, locals_)
-                for sub in body:
-                    self._collect(sub, branch, locals_)
-            case Parallel(body=body):
-                # a nested fan-out's effects still belong to this branch
-                for sub in body:
-                    self._collect(sub, branch, locals_)
-            case _:
-                pass
-
-
-# ---------------------------------------------------------------------------
-# convenience entry point
-# ---------------------------------------------------------------------------
-
 
 def check_race_source(
-    source: str,
-    name: str = "<mil>",
-    commands: Mapping[str, Any] | Iterable[str] | None = None,
-    signatures: Mapping[str, Any] | None = None,
-    globals_names: Iterable[str] = (),
-    procedures: Mapping[str, Any] | None = None,
+    source: str, name: str = "<mil>", *environment: Any, **named: Any
 ) -> DiagnosticReport:
-    """Parse and race-check MIL source text."""
-    return RaceChecker(commands, signatures, globals_names, procedures).check_source(
-        source, name=name
-    )
+    """Parse and race-check MIL source text (environment as for the class)."""
+    return RaceChecker(*environment, **named).check_source(source, name=name)

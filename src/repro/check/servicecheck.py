@@ -20,8 +20,10 @@ SVC001    error     unbounded WHILE with no cancellation checkpoint in a
 ========  ========  =====================================================
 
 A ``WHILE`` counts as *unbounded* when its condition is a constant truthy
-literal, or when no variable the condition reads is assigned or mutated
-anywhere in the loop body — the loop's own text cannot make it stop. A
+literal, or when no variable the condition reads is declared, assigned or
+mutated (``insert``/``delete``/``replace``..., see
+:mod:`repro.check.effects`) anywhere in the loop body — the loop's own
+text cannot make it stop. A
 ``cancelpoint()`` call anywhere in the body (including nested blocks)
 satisfies the checkpoint requirement.
 
@@ -33,28 +35,12 @@ cancellable.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.errors import MilSyntaxError
-from repro.monet.mil import (
-    Assign,
-    BinOp,
-    Call,
-    ExprStmt,
-    If,
-    Literal,
-    MethodCall,
-    MilProcedure,
-    Name,
-    Parallel,
-    ProcDef,
-    Return,
-    UnaryOp,
-    VarDecl,
-    While,
-    parse,
-)
+from repro.check.effects import ACCESSES, MUTATIONS, names
+from repro.check.environment import MilPass
+from repro.monet.mil import Call, Literal, MilProcedure, ProcDef, While, walk
 
 __all__ = ["ServiceChecker", "check_service_proc", "check_service_source"]
 
@@ -62,150 +48,51 @@ __all__ = ["ServiceChecker", "check_service_proc", "check_service_source"]
 CHECKPOINT_COMMANDS = frozenset({"cancelpoint"})
 
 
-class ServiceChecker:
+class ServiceChecker(MilPass):
     """Static service-readiness analyzer for MIL procedures."""
 
-    def check_proc(
-        self, definition: ProcDef | MilProcedure, source: str | None = None
-    ) -> DiagnosticReport:
-        """Check one PROC definition for service execution."""
-        if isinstance(definition, MilProcedure):
-            definition = definition.definition
-        report = DiagnosticReport()
-        self._check_block(definition.body, definition, report, source or definition.name)
-        return report
+    reports_syntax_errors = True
 
-    def check_source(self, source: str, name: str = "<mil>") -> DiagnosticReport:
-        """Parse MIL source and check every PROC it defines."""
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
         report = DiagnosticReport()
-        try:
-            statements = parse(source)
-        except MilSyntaxError as exc:
-            report.add("MIL000", str(exc), Severity.ERROR, source=name, line=exc.line)
-            return report
-        for statement in statements:
-            if isinstance(statement, ProcDef):
-                report.extend(self.check_proc(statement, source=name))
-        return report
-
-    # ------------------------------------------------------------------
-    def _check_block(
-        self,
-        statements: list[Any],
-        proc: ProcDef,
-        report: DiagnosticReport,
-        source: str,
-    ) -> None:
-        for statement in statements:
-            match statement:
-                case While(cond=cond, body=body):
-                    if self._unbounded(cond, body) and not self._has_checkpoint(body):
+        for node in walk(definition.body):
+            match node:
+                case While(cond=cond, body=body, line=line):
+                    if _unbounded(cond, body) and not _has_checkpoint(body):
                         report.add(
                             "SVC001",
-                            f"PROC {proc.name}: unbounded WHILE with no "
+                            f"PROC {definition.name}: unbounded WHILE with no "
                             f"cancellation checkpoint — the loop condition "
                             f"never changes inside the body and nothing "
                             f"calls cancelpoint(), so a cancelled request "
                             f"could spin forever on a service lane",
                             Severity.ERROR,
-                            source=source,
-                            line=getattr(statement, "line", None),
+                            source=label,
+                            line=line,
                         )
-                    self._check_block(body, proc, report, source)
-                case If(then=then, orelse=orelse):
-                    self._check_block(then, proc, report, source)
-                    self._check_block(orelse, proc, report, source)
-                case Parallel(body=body):
-                    self._check_block(body, proc, report, source)
-                case ProcDef(body=body):
-                    self._check_block(body, statement, report, source)
-                case _:
-                    pass
+                case ProcDef():  # nested definition: walk() stops here
+                    report.extend(self._check_definition(node, label))
+        return report
 
-    def _unbounded(self, cond: Any, body: list[Any]) -> bool:
-        """Whether the loop text itself can never terminate the loop."""
-        if isinstance(cond, Literal):
-            return bool(cond.value)
-        cond_vars = set(self._names(cond))
-        if not cond_vars:
-            # a condition made only of calls is opaque — assume bounded
-            return False
-        mutated = set(self._mutations(body))
-        return not (cond_vars & mutated)
 
-    def _names(self, node: Any) -> Iterable[str]:
-        match node:
-            case Name(ident=ident):
-                yield ident
-            case BinOp(left=left, right=right):
-                yield from self._names(left)
-                yield from self._names(right)
-            case UnaryOp(operand=operand):
-                yield from self._names(operand)
-            case MethodCall(target=target, args=args):
-                yield from self._names(target)
-                for arg in args:
-                    yield from self._names(arg)
-            case Call(args=args):
-                for arg in args:
-                    yield from self._names(arg)
-            case _:
-                return
+def _unbounded(cond: Any, body: list[Any]) -> bool:
+    """Whether the loop text itself can never terminate the loop."""
+    if isinstance(cond, Literal):
+        return bool(cond.value)
+    cond_vars = names(cond, ACCESSES)
+    if not cond_vars:
+        # a condition made only of calls is opaque — assume bounded
+        return False
+    # mutating methods count wherever they sit: a BAT the condition reads
+    # may shrink via ``delete`` and end the loop
+    return not (cond_vars & names(body, MUTATIONS))
 
-    def _mutations(self, statements: list[Any]) -> Iterable[str]:
-        """Names a block assigns or mutates (method calls count: a BAT the
-        condition reads may shrink via ``delete`` and end the loop)."""
-        for statement in statements:
-            match statement:
-                case Assign(ident=ident):
-                    yield ident
-                case VarDecl(ident=ident):
-                    yield ident
-                case ExprStmt(expr=MethodCall(target=Name(ident=ident))):
-                    yield ident
-                case If(then=then, orelse=orelse):
-                    yield from self._mutations(then)
-                    yield from self._mutations(orelse)
-                case While(body=body):
-                    yield from self._mutations(body)
-                case Parallel(body=body):
-                    yield from self._mutations(body)
-                case _:
-                    pass
 
-    def _has_checkpoint(self, statements: list[Any]) -> bool:
-        return any(self._calls_checkpoint(s) for s in statements)
-
-    def _calls_checkpoint(self, node: Any) -> bool:
-        match node:
-            case Call(func=func, args=args):
-                if func in CHECKPOINT_COMMANDS:
-                    return True
-                return any(self._calls_checkpoint(a) for a in args)
-            case ExprStmt(expr=expr) | Return(expr=expr) | Assign(value=expr) | VarDecl(value=expr):
-                return expr is not None and self._calls_checkpoint(expr)
-            case If(cond=cond, then=then, orelse=orelse):
-                return (
-                    self._calls_checkpoint(cond)
-                    or any(self._calls_checkpoint(s) for s in then)
-                    or any(self._calls_checkpoint(s) for s in orelse)
-                )
-            case While(cond=cond, body=body):
-                return self._calls_checkpoint(cond) or any(
-                    self._calls_checkpoint(s) for s in body
-                )
-            case Parallel(body=body):
-                return any(self._calls_checkpoint(s) for s in body)
-            case BinOp(left=left, right=right):
-                return self._calls_checkpoint(left) or self._calls_checkpoint(right)
-            case UnaryOp(operand=operand):
-                return self._calls_checkpoint(operand)
-            case MethodCall(target=target, args=args):
-                return self._calls_checkpoint(target) or any(
-                    self._calls_checkpoint(a) for a in args
-                )
-            case _:
-                return False
+def _has_checkpoint(body: list[Any]) -> bool:
+    return any(
+        isinstance(node, Call) and node.func in CHECKPOINT_COMMANDS
+        for node in walk(body)
+    )
 
 
 def check_service_proc(

@@ -6,9 +6,10 @@ pattern:
 * :func:`check_fleet_config` runs at :class:`repro.sharding.ShardedKernel`
   construction — misconfigurations that would silently mis-place writes or
   hide degraded answers are rejected before any document is registered;
-* :func:`check_scatter_source` runs when MIL source is registered for
-  scatter execution (``ShardedKernel.run``) and as the sixth pass of the
-  ``python -m repro.check`` CLI.
+* :class:`ScatterChecker` (:func:`check_scatter_source`) runs when MIL
+  source is registered for scatter execution (``ShardedKernel.run``) and
+  in the ``python -m repro.check`` CLI — see the pass table in
+  :mod:`repro.check`.
 
 Diagnostics:
 
@@ -48,17 +49,17 @@ Diagnostics:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.check.diagnostics import DiagnosticReport, Severity
+from repro.check.environment import MilPass
 from repro.check.fusecheck import FuseChecker
-from repro.errors import MilSyntaxError
-from repro.monet.mil import ProcDef, parse
+from repro.monet.mil import ProcDef
 
 if TYPE_CHECKING:  # structural only; no runtime import of sharding
     from repro.sharding.fleet import ShardConfig
 
-__all__ = ["check_fleet_config", "check_scatter_source"]
+__all__ = ["ScatterChecker", "check_fleet_config", "check_scatter_source"]
 
 _SOURCE = "sharded-fleet"
 
@@ -131,40 +132,36 @@ def check_fleet_config(
     return report
 
 
-def check_scatter_source(
-    source: str, name: str = "<mil>", **env
-) -> DiagnosticReport:
-    """SHARD004 over MIL source registered for scatter execution.
+class ScatterChecker(MilPass):
+    """SHARD004 over MIL procedures registered for scatter execution.
 
-    ``env`` takes the same keyword environment as the other checkers
-    (``commands``, ``signatures``, ``globals_names``, ``procedures``) so
-    the CLI can drive it alongside the five existing passes; all of it is
-    optional — the pass only needs the fusion partition.
+    Reads the fusion partition fusecheck memoised on the environment; it
+    only needs the regions, so every environment value is optional.
     """
-    report = DiagnosticReport()
-    try:
-        statements = parse(source)
-    except MilSyntaxError:
-        return report  # syntax is milcheck's job
-    checker = FuseChecker(**env)
-    for statement in statements:
-        if not isinstance(statement, ProcDef):
-            continue
-        plan, _ = checker.analyze_with_report(statement, source=name)
-        for region in plan.regions:
+
+    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+        report = DiagnosticReport()
+        for region in FuseChecker(self.env).analyze_proc(definition).regions:
             if not region.certified or "parallel" not in region.path:
                 continue
             report.add(
                 "SHARD004",
-                f"PROC {statement.name!r} fans out with a certified fusion "
+                f"PROC {definition.name!r} fans out with a certified fusion "
                 f"region at {region.path} (lines {region.start_line}-"
                 f"{region.end_line}): its certification rests on ownership "
                 f"facts under one kernel's BAT lock, which scatter "
                 f"execution across shards dissolves — the region must run "
                 f"uncertified (interpreter fallback) on the sharded path",
                 Severity.WARNING,
-                source=name,
+                source=label,
                 line=region.start_line,
                 end_line=region.end_line,
             )
-    return report
+        return report
+
+
+def check_scatter_source(
+    source: str, name: str = "<mil>", **environment: Any
+) -> DiagnosticReport:
+    """Parse MIL source and run :class:`ScatterChecker` over its PROCs."""
+    return ScatterChecker(**environment).check_source(source, name=name)

@@ -345,7 +345,7 @@ def builtin_moa_plans() -> dict[str, Expr]:
     """The repository's built-in Moa plans, by name.
 
     Every plan here must compile to an EQ001-certified MIL procedure —
-    ``python -m repro.check`` (pass 8) and the equivcheck test suite
+    ``python -m repro.check`` (the built-in run) and the equivcheck test suite
     enforce it. ``excitementGate`` is the Fig. 4 ``parallelHmm`` path: the
     selection over the excitement feature BAT whose survivors are
     quantized into the observation sequence fed to the parallel HMM

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import re
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import MilNameError, MilRecursionError, MilSyntaxError, MilTypeError
 from repro.monet.bat import BAT
@@ -33,8 +33,10 @@ __all__ = [
     "MIL_RECURSION_LIMIT",
     "MilInterpreter",
     "MilProcedure",
+    "children",
     "parse",
     "tokenize",
+    "walk",
 ]
 
 #: Maximum PROC call nesting depth. Deep enough for any legitimate plan
@@ -211,6 +213,64 @@ class ProcDef:
     return_type: str | None
     body: list[Any]
     line: int | None = None
+
+
+def children(node: Any) -> Iterator[Any]:
+    """Direct sub-nodes of a statement or expression, in evaluation order.
+
+    This is the one place that knows the shape of the tree. Two rules are
+    stated here and nowhere else: ``new(head, tail)`` takes type *atoms*
+    that merely look like names, so they are not children (nothing reads
+    them); and ``Param`` entries belong to a ``ProcDef``'s header, not its
+    body.
+    """
+    match node:
+        case Call(func=func, args=args):
+            if func != "new":
+                yield from args
+        case MethodCall(target=target, args=args):
+            yield target
+            yield from args
+        case BinOp(left=left, right=right):
+            yield left
+            yield right
+        case UnaryOp(operand=operand):
+            yield operand
+        case VarDecl(value=value) | Assign(value=value):
+            if value is not None:
+                yield value
+        case ExprStmt(expr=expr) | Return(expr=expr):
+            if expr is not None:
+                yield expr
+        case If(cond=cond, then=then, orelse=orelse):
+            yield cond
+            yield from then
+            yield from orelse
+        case While(cond=cond, body=body):
+            yield cond
+            yield from body
+        case Parallel(body=body) | ProcDef(body=body):
+            yield from body
+
+
+def walk(root: Any) -> Iterator[Any]:
+    """Every node under ``root`` (a node or a statement list), pre-order.
+
+    Nodes come out once each, a parent before its :func:`children` and
+    those in evaluation order. A ``ProcDef`` below the root is yielded but
+    not entered: it defines a procedure when the statement runs, its body
+    is not part of the enclosing code — walk it from its own root.
+    """
+    if isinstance(root, list):
+        pending = root[::-1]
+    else:
+        yield root
+        pending = list(children(root))[::-1]
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, ProcDef):
+            pending.extend(list(children(node))[::-1])
 
 
 @dataclass
@@ -571,6 +631,24 @@ class MilInterpreter:
         return dict(self._procs)
 
     # -- public API --------------------------------------------------------
+    def check_environment(self) -> Any:
+        """The :class:`repro.check.environment.Environment` to check MIL
+        against right now: commands, signatures, global/catalog names and
+        every defined (or, mid-``run``, about to be defined) procedure.
+
+        The one way static analysis looks into the interpreter — the
+        define-time passes, the CLI, service and scatter registration all
+        start from it.
+        """
+        from repro.check.environment import Environment
+
+        return Environment(
+            self._commands,
+            self._signatures,
+            self._globals.variables,
+            {**self._procs, **self._pending_procs},
+        )
+
     def run(self, source: str) -> Any:
         """Execute MIL source at global scope; returns the last RETURN or
         expression-statement value."""
@@ -593,14 +671,10 @@ class MilInterpreter:
     ) -> MilProcedure:
         """Register a PROC, statically checking it first.
 
-        Five passes run on every definition: the per-statement checker
-        (:mod:`repro.check.milcheck`), the dataflow/range analysis
-        (:mod:`repro.check.flowcheck`), the PARALLEL race analysis
-        (:mod:`repro.check.racecheck`), the plan-cost analysis
-        (:mod:`repro.check.costcheck`, advisory ``PERF`` hints), and the
-        purity/fusibility analysis (:mod:`repro.check.fusecheck`), whose
-        :class:`repro.check.fusecheck.FusionPlan` is attached to the
-        registered procedure. With ``check="error"`` (the default) or
+        The ``define`` stage of the pass pipeline runs on every definition
+        (the ordered pass table is in the :mod:`repro.check` docstring), and
+        fusecheck's :class:`repro.check.fusecheck.FusionPlan` is attached
+        to the registered procedure. With ``check="error"`` (the default) or
         ``check="sanitize"`` error-severity findings raise
         :class:`repro.errors.MilCheckError` and the procedure is NOT
         registered; ``check="warn"`` collects diagnostics without raising;
@@ -614,48 +688,23 @@ class MilInterpreter:
             definition = definition.definition
         fusion_plan = None
         if mode != "off":
-            # imported lazily: repro.check.milcheck imports this module
-            from repro.check.costcheck import CostChecker
-            from repro.check.flowcheck import FlowChecker
+            # imported lazily: the repro.check modules import this one
             from repro.check.fusecheck import FuseChecker
-            from repro.check.milcheck import MilChecker
-            from repro.check.programcheck import ProgramChecker, SummaryCache
-            from repro.check.racecheck import RaceChecker
+            from repro.check.pipeline import check_definition
+            from repro.check.programcheck import SummaryCache
             from repro.errors import MilCheckError
 
-            environment = dict(
-                commands=self._commands,
-                signatures=self._signatures,
-                globals_names=list(self._globals.variables),
-                procedures={**self._procs, **self._pending_procs},
-            )
-            report = MilChecker(**environment).check_proc(
-                definition, source=source
-            )
-            report.extend(
-                FlowChecker(**environment).check_proc(definition, source=source)
-            )
-            report.extend(
-                RaceChecker(**environment).check_proc(definition, source=source)
-            )
-            report.extend(
-                CostChecker(**environment).check_proc(definition, source=source)
-            )
-            fusion_plan, fuse_report = FuseChecker(
-                **environment
-            ).analyze_with_report(definition, source=source)
-            report.extend(fuse_report)
-            # pass 6: whole-program call-graph analysis. Summaries are
-            # memoized on the interpreter's cache keyed by source
-            # fingerprint, so unchanged procs are not re-analyzed on
-            # every registration.
+            # summaries are memoized on the interpreter's cache keyed by
+            # source fingerprint, so unchanged procs are not re-analyzed on
+            # every registration
             if self.program_cache is None:
                 self.program_cache = SummaryCache()
-            report.extend(
-                ProgramChecker(
-                    **environment, cache=self.program_cache
-                ).on_define(definition, source=source)
+            environment = self.check_environment()
+            report = check_definition(
+                environment, definition, source, cache=self.program_cache
             )
+            # the partition the passes already computed, not a second run
+            fusion_plan = FuseChecker(environment).analyze_proc(definition)
             self.diagnostics.extend(report)
             if mode in ("error", "sanitize"):
                 report.raise_if_errors(

@@ -335,18 +335,15 @@ class QueryService:
         targets (CALL001), uncancellable recursion (CALL002), and the
         other ``CALLnnn`` violations are rejected here too.
         """
-        from repro.check.programcheck import ProgramChecker
-        from repro.check.servicecheck import check_service_source
+        from repro.check.pipeline import check_source
 
-        report = check_service_source(mil_source, name="<service proc>")
-        interpreter = self._db.kernel.interpreter
-        report.extend(
-            ProgramChecker(
-                commands=interpreter._commands,
-                signatures=interpreter._signatures,
-                globals_names=list(interpreter._globals.variables),
-                procedures=dict(interpreter._procs),
-            ).check_source(mil_source, name="<service proc>")
+        # a fresh summary cache: a rejected registration must not leave
+        # entries behind on the interpreter's live one
+        report = check_source(
+            self._db.kernel.interpreter.check_environment(),
+            mil_source,
+            "<service proc>",
+            stage="service",
         )
         if report.has_errors():
             raise MilCheckError(

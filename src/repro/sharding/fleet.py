@@ -1102,42 +1102,38 @@ class ShardedKernel:
     def run(self, mil_source: str) -> None:
         """Define MIL source on every live shard for scatter execution.
 
-        Runs the SHARD004 pass first: certified fusion regions inside
+        Runs the ``scatter`` stage of the pass pipeline first, against the
+        first live shard's kernel. SHARD004: certified fusion regions inside
         ``PARALLEL`` branches are de-certified by scattering, and the
         finding (advisory) lands on :attr:`diagnostics`. The whole-program
         pass follows — ``scatter_call`` targets are cross-proc paths by
         construction, so unresolved targets and uncancellable recursion
         (``CALLnnn``) must be rejected before the source fans out to every
-        shard.
+        shard. With no live shard there is no kernel to resolve names
+        against and nowhere to run yet: the source is only recorded for
+        shards admitted later, whose kernels check it when they replay it.
         """
-        from repro.check.programcheck import ProgramChecker
-        from repro.check.shardcheck import check_scatter_source
+        from repro.check.pipeline import check_source
 
         with self._lock:
             mode = CheckMode.of(self.config.check)
-            if mode.checks:
-                report = check_scatter_source(mil_source, name="<scatter>")
-                live = self.live_shards()
-                if live:
-                    interpreter = self._shards[live[0]].kernel.interpreter
-                    report.extend(
-                        ProgramChecker(
-                            commands=interpreter._commands,
-                            signatures=interpreter._signatures,
-                            globals_names=list(
-                                interpreter._globals.variables
-                            ),
-                            procedures=dict(interpreter._procs),
-                        ).check_source(mil_source, name="<scatter>")
-                    )
+            live = self.live_shards()
+            if mode.checks and live:
+                # a fresh summary cache: a rejected registration must not
+                # poison the shard interpreters' live ones
+                report = check_source(
+                    self._shards[live[0]].kernel.interpreter.check_environment(),
+                    mil_source,
+                    "<scatter>",
+                    stage="scatter",
+                )
                 self.diagnostics.extend(report.sorted())
                 if mode.raises:
                     report.raise_if_errors(
                         "scatter MIL registration", ShardingCheckError
                     )
-            for name in self.live_shards():
-                shard = self._shards[name]
-                self._fenced_apply(shard, lambda k: k.run(mil_source))
+            for name in live:
+                self._fenced_apply(self._shards[name], lambda k: k.run(mil_source))
             # shards added later replay the same sources (_admit_shard)
             self._mil_sources.append(mil_source)
 

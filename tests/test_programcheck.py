@@ -117,6 +117,33 @@ class TestSummaries:
         assert top.calls == ("mid",)
         assert not top.pure
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "RETURN 0 + p.replace(0, 2.0).count;",  # BinOp operand
+            "RETURN -p.replace(0, 2.0).count;",  # UnaryOp operand
+            "IF (p.replace(0, 2.0).count > 0) { RETURN 1; } RETURN 0;",
+            "WHILE (p.delete(0).count > 0) { cancelpoint(); } RETURN 0;",
+            "VAR n := p.replace(0, 2.0).count; RETURN n;",
+            "VAR n := 0; n := p.replace(0, 2.0).count; RETURN n;",
+            "RETURN helper(p.delete(0));",  # call argument
+        ],
+    )
+    def test_writes_inside_expressions_reach_the_summary(self, kernel, body):
+        """A callee write is a write wherever it sits in the statement: the
+        summary (and so CALL004 in the callers) sees it in conditions,
+        operands, initialisers and arguments, not only as a bare statement."""
+        checker = ProgramChecker(**_env(kernel))
+        checker.check_source(
+            "PROC helper(BAT[void,dbl] q) : int := { RETURN q.count; }\n"
+            f"PROC wr(BAT[void,dbl] p) : int := {{ {body} }}\n"
+            "PROC app(BAT[void,dbl] p) : int := { RETURN 0 + p.insert(1.0).count; }\n"
+            "PROC glob() : int := { RETURN 0 + catalogBat.delete(0).count; }\n"
+        )
+        assert checker.summary("wr").param_writes == (0,)
+        assert checker.summary("app").param_appends == (0,)
+        assert checker.summary("glob").global_writes == ("catalogBat",)
+
     def test_cancelpoint_reachability_crosses_calls(self, kernel):
         checker = ProgramChecker(**_env(kernel))
         checker.check_source(

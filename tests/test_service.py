@@ -357,6 +357,36 @@ class TestRegisterProc:
         assert any(d.code == "SVC001" for d in err.value.diagnostics)
         assert not service._db.kernel.has_command("spin")
 
+    @pytest.mark.parametrize(
+        "loop_body, rejected",
+        [
+            # the drain is a mutation wherever it sits in the statement
+            ("VAR left := b.delete(0).count;", False),
+            ("IF (b.delete(0).count > 3) { left := 1; }", False),
+            ("left := tally(b.delete(0));", False),
+            # reading b, or mutating something else, never ends the loop
+            ("VAR left := b.count;", True),
+            ("IF (b.count > 3) { other.delete(0); }", True),
+        ],
+    )
+    def test_svc001_counts_mutations_anywhere_in_the_body(self, loop_body, rejected):
+        db = FakeVdbms()
+        db.kernel.register_command("tally", lambda bat: len(bat))
+        service = QueryService(db)
+        source = (
+            "PROC drain(BAT[void,dbl] b, BAT[void,dbl] other) : int := {\n"
+            "  VAR left := 0;\n"
+            f"  WHILE (b.count > 0) {{ {loop_body} }}\n"
+            "  RETURN left;\n"
+            "}\n"
+        )
+        if rejected:
+            with pytest.raises(MilCheckError) as err:
+                service.register_proc(source)
+            assert [d.code for d in err.value.diagnostics] == ["SVC001"]
+        else:
+            assert service.register_proc(source) == ["drain"]
+
     def test_cancelpoint_satisfies_the_gate(self):
         db = FakeVdbms()
         db.kernel.register_command("fuse", lambda: 1)
