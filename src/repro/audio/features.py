@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+#: Frame rows per block of :func:`pitch_track`'s autocorrelation (~25 MB of
+#: windows, spectra and autocorrelations at 16 kHz).
+PITCH_BLOCK_ROWS = 1024
+
+
 def short_time_energy(signal: AudioSignal, window: str = "hamming") -> np.ndarray:
     """Per-frame short time energy: mean of the windowed squared samples.
 
@@ -66,38 +71,45 @@ def pitch_track(
     if not 0 < fmin < fmax:
         raise SignalError(f"bad pitch range [{fmin}, {fmax}]")
     base = signal.frames()
+    fs = signal.sample_rate
     # Pitch needs more than one period in view: analyse a 30 ms window
     # centred on each 10 ms frame (previous + current + next frame).
     padded = np.vstack([base[:1], base, base[-1:]])
-    frames = np.hstack([padded[:-2], padded[1:-1], padded[2:]])
-    fs = signal.sample_rate
+    n = 3 * base.shape[1]
     lag_min = max(int(fs / fmax), 1)
-    lag_max = min(int(fs / fmin), frames.shape[1] - 1)
+    lag_max = min(int(fs / fmin), n - 1)
     if lag_max <= lag_min:
         raise SignalError(
             "frames too short for the requested pitch range; "
             "lower fmin or raise the sample rate"
         )
-    centered = frames - frames.mean(axis=1, keepdims=True)
-    # Autocorrelation via FFT, per frame; unbiased normalization so long
-    # lags (low pitch) compete fairly with short lags.
-    n = frames.shape[1]
     size = 1 << int(np.ceil(np.log2(2 * n)))
-    spectra = np.fft.rfft(centered, n=size, axis=1)
-    autocorr = np.fft.irfft(spectra * np.conj(spectra), n=size, axis=1)[:, :n]
     overlap = (n - np.arange(n)).astype(np.float64)
-    unbiased = autocorr / overlap
-    r0 = unbiased[:, 0]
-    window = unbiased[:, lag_min : lag_max + 1]
-    peak_val = window.max(axis=1)
-    # A periodic signal peaks equally at every multiple of its period; take
-    # the SMALLEST near-maximal lag so subharmonics don't halve the pitch.
-    near_peak = window >= 0.93 * np.maximum(peak_val[:, None], 1e-12)
-    best_lag = np.argmax(near_peak, axis=1) + lag_min
-    best_val = window[np.arange(window.shape[0]), best_lag - lag_min]
-    energies = np.mean(centered**2, axis=1)
-    voiced = (energies > energy_floor) & (best_val > 0.3 * np.maximum(r0, 1e-12))
-    pitch = np.where(voiced, fs / best_lag, 0.0)
+    pitch = np.empty(base.shape[0])
+    # Every row's autocorrelation is independent of the others, so the
+    # windows, spectra and autocorrelations exist for one block of rows at
+    # a time instead of for the whole track.
+    for lo in range(0, base.shape[0], PITCH_BLOCK_ROWS):
+        hi = min(lo + PITCH_BLOCK_ROWS, base.shape[0])
+        frames = np.hstack([padded[lo:hi], padded[lo + 1 : hi + 1], padded[lo + 2 : hi + 2]])
+        centered = frames - frames.mean(axis=1, keepdims=True)
+        # Autocorrelation via FFT, per frame; unbiased normalization so long
+        # lags (low pitch) compete fairly with short lags.
+        spectra = np.fft.rfft(centered, n=size, axis=1)
+        autocorr = np.fft.irfft(spectra * np.conj(spectra), n=size, axis=1)[:, :n]
+        unbiased = autocorr / overlap
+        r0 = unbiased[:, 0]
+        window = unbiased[:, lag_min : lag_max + 1]
+        peak_val = window.max(axis=1)
+        # A periodic signal peaks equally at every multiple of its period;
+        # take the SMALLEST near-maximal lag so subharmonics don't halve
+        # the pitch.
+        near_peak = window >= 0.93 * np.maximum(peak_val[:, None], 1e-12)
+        best_lag = np.argmax(near_peak, axis=1) + lag_min
+        best_val = window[np.arange(window.shape[0]), best_lag - lag_min]
+        energies = np.mean(centered**2, axis=1)
+        voiced = (energies > energy_floor) & (best_val > 0.3 * np.maximum(r0, 1e-12))
+        pitch[lo:hi] = np.where(voiced, fs / best_lag, 0.0)
     return pitch
 
 

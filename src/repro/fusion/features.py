@@ -39,6 +39,7 @@ from repro.errors import SignalError
 from repro.faults import resolve_injector
 from repro.resilience import FailureReport
 from repro.synth.grandprix import SyntheticRace
+from repro.text.pipeline import TextScan
 from repro.video.features import extract_visual_features
 
 __all__ = [
@@ -77,6 +78,9 @@ class FeatureSet:
         dropped: stream name -> reason, for streams that could not be
             extracted (modality failure or injected loss).
         failures: structured records of the faults behind the drops.
+        text_scan: the text detector's scan of the frames, taken during the
+            visual pass so that ingest need not decode them again; None when
+            that pass did not complete (or the set was built by hand).
     """
 
     race_name: str
@@ -84,6 +88,7 @@ class FeatureSet:
     keyword_hits: list[KeywordHit] = field(default_factory=list)
     dropped: dict[str, str] = field(default_factory=dict)
     failures: list[FailureReport] = field(default_factory=list)
+    text_scan: TextScan | None = None
 
     @property
     def n_steps(self) -> int:
@@ -126,7 +131,9 @@ def extract_feature_set(
 
     The audio chain (endpoint detection, excited-speech features, keyword
     spotting) and the visual chain (shot/DVE/semaphore/dust/sand/motion)
-    produce streams that are truncated to a common length.
+    produce streams that are truncated to a common length. The visual chain
+    is the one pass over the race's frames: the text detector's scan
+    observes its chunks and is returned on ``FeatureSet.text_scan``.
 
     With ``on_error="degrade"`` a failing modality chain is dropped and
     recorded on ``FeatureSet.dropped`` / ``FeatureSet.failures`` instead of
@@ -172,10 +179,11 @@ def extract_feature_set(
         AUDIO_FEATURES[1:],
         lambda: extract_excitement_features(race.signal),
     )
+    text_scan = TextScan(race.video.fps)
     visual_features = chain(
         "extract.visual",
         VISUAL_FEATURES + ("passing", "dve"),
-        lambda: extract_visual_features(race.video),
+        lambda: extract_visual_features(race.video, observer=text_scan.observe),
     )
     keywords = chain("extract.keywords", ("f1",), spot_keywords)
 
@@ -218,4 +226,11 @@ def extract_feature_set(
         )
     n = min(min(v.shape[0] for v in streams.values()), n_target)
     streams = {name: values[:n] for name, values in streams.items()}
-    return FeatureSet(race.name, streams, hits, dropped=dropped, failures=failures)
+    return FeatureSet(
+        race.name,
+        streams,
+        hits,
+        dropped=dropped,
+        failures=failures,
+        text_scan=text_scan if visual_features is not None else None,
+    )

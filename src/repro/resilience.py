@@ -127,12 +127,12 @@ class CancellationToken(Deadline):
 
     One token rides along with each service request, from admission through
     the conceptual preprocessor into Moa evaluation, MIL interpretation,
-    DBN inference steps and per-frame extraction. Hot loops call
+    DBN inference steps and per-chunk frame extraction. Hot loops call
     :meth:`check` (directly, where a deadline is already threaded through)
     or :func:`cancel_checkpoint` (against the ambient token installed with
     :func:`cancel_scope`), and the first checkpoint after :meth:`cancel`
     or deadline expiry raises — so a cancelled request stops consuming
-    kernel steps within one MIL statement / inference step / frame.
+    kernel steps within one MIL statement / inference step / frame chunk.
     """
 
     __slots__ = ("_cancelled", "_cancel_reason")
@@ -175,8 +175,8 @@ class CancellationToken(Deadline):
 
 
 #: The ambient token of the request currently executing on this thread /
-#: context. Low layers (MIL statement dispatch, DBN inference, per-frame
-#: extraction) consult it through :func:`cancel_checkpoint` so cancellation
+#: context. Low layers (MIL statement dispatch, DBN inference, per-chunk
+#: frame extraction) consult it through :func:`cancel_checkpoint` so cancellation
 #: propagates without threading a token through every signature.
 _CURRENT_TOKEN: contextvars.ContextVar[CancellationToken | None] = (
     contextvars.ContextVar("repro_cancellation_token", default=None)

@@ -114,8 +114,8 @@ class FormulaOneSystem:
                 locator=f"synthetic://{data.name}?seed={race.spec.seed}",
                 duration=race.duration,
                 fps=race.video.fps,
-                width=race.video and 192,
-                height=144,
+                width=race.video.width,
+                height=race.video.height,
                 audio_sample_rate=race.signal.sample_rate,
             )
         )
@@ -131,8 +131,14 @@ class FormulaOneSystem:
         return document
 
     def _add_text_events(self, document: VideoDocument, data: RaceData) -> None:
-        """Run the OCR pipeline and store the semantic overlay events."""
-        overlays = extract_overlays(data.race.video)
+        """Store the semantic overlay events the OCR pipeline recognizes.
+
+        Recognition reads the scan taken during feature extraction; only a
+        feature set without one (visual chain dropped, hand-built data)
+        costs a second pass over the frames.
+        """
+        scan = data.features.text_scan
+        overlays = scan.overlays() if scan is not None else extract_overlays(data.race.video)
         for overlay in overlays:
             interval = Interval(
                 overlay.start_time, max(overlay.end_time, overlay.start_time + 0.1)

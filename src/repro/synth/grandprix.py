@@ -163,4 +163,4 @@ def _with_frame_loss(stream: FrameStream, mask: np.ndarray) -> FrameStream:
                 last = frame
                 yield frame
 
-    return FrameStream(source, stream.fps, stream.n_frames)
+    return FrameStream(source, stream.fps, stream.n_frames, stream.height, stream.width)

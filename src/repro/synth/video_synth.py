@@ -70,6 +70,8 @@ class RaceVideoRenderer:
             lambda: (self.frame(i) for i in range(self.n_frames)),
             self.fps,
             self.n_frames,
+            self.height,
+            self.width,
         )
 
     def frame(self, index: int) -> np.ndarray:

@@ -11,6 +11,11 @@ effect: an inter-frame difference whose active region is (a) strongly
 concentrated in a band, and (b) drifts coherently over consecutive frames,
 sustained for several frames — which a hard cut (one frame) or ordinary
 motion (spatially spread) does not produce.
+
+The band scores are array arithmetic over all transitions of a frame chunk
+(:func:`wipe_band_scores`, fed by the inter-frame difference the motion
+features share); only the run of wipe-like transitions is followed frame by
+frame, on :class:`DveDetector`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SignalError
+from repro.video.motion import band_sums, pair_columns
 
-__all__ = ["DveDetector", "ReplaySegmenter", "wipe_band_score"]
+__all__ = ["DveDetector", "ReplaySegmenter", "wipe_band_score", "wipe_band_scores"]
+
+
+def wipe_band_scores(raw: np.ndarray, n_bands: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Score how wipe-like each frame transition of a chunk is.
+
+    Args:
+        raw: ``int64[pairs, W]`` column sums of the (ungated) inter-frame
+            difference, from :func:`repro.video.motion.difference_columns`.
+
+    Returns:
+        (concentration, centroid), each ``[pairs]``: concentration in
+        [0, 1] measures how much of the inter-frame change lives in few
+        adjacent column bands; centroid in [0, 1] is the horizontal
+        position of the change mass. A static pair scores (0, 0.5).
+    """
+    energy = band_sums(raw, n_bands).astype(np.float64)
+    total = raw.sum(axis=1)
+    concentration = np.zeros(raw.shape[0])
+    centroid = np.full(raw.shape[0], 0.5)
+    changed = total > 0
+    probabilities = energy[changed] / total[changed, None]
+    top3 = np.sort(probabilities, axis=1)[:, -3:].sum(axis=1)
+    uniform_top3 = 3.0 / n_bands
+    concentration[changed] = np.clip(
+        (top3 - uniform_top3) / (1.0 - uniform_top3), 0.0, 1.0
+    )
+    positions = np.arange(n_bands)
+    # one dot product per pair: a matrix-vector product may round differently
+    centroid[changed] = [row @ positions / (n_bands - 1) for row in probabilities]
+    return concentration, centroid
 
 
 def wipe_band_score(
@@ -30,30 +66,10 @@ def wipe_band_score(
     """Score how wipe-like one frame transition is.
 
     Returns:
-        (concentration, centroid): concentration in [0, 1] measures how much
-        of the inter-frame change lives in few adjacent column bands;
-        centroid in [0, 1] is the horizontal position of the change mass.
+        (concentration, centroid) of :func:`wipe_band_scores` for the pair.
     """
-    if previous.shape != current.shape:
-        raise SignalError("frames differ in shape")
-    diff = np.abs(current.astype(np.int16) - previous.astype(np.int16)).sum(axis=2)
-    total = diff.sum()
-    if total <= 0:
-        return 0.0, 0.5
-    width = diff.shape[1]
-    edges = np.linspace(0, width, n_bands + 1).astype(int)
-    energy = np.array(
-        [diff[:, edges[i] : edges[i + 1]].sum() for i in range(n_bands)],
-        dtype=np.float64,
-    )
-    probabilities = energy / total
-    top3 = np.sort(probabilities)[-3:].sum()
-    uniform_top3 = 3.0 / n_bands
-    concentration = float(
-        np.clip((top3 - uniform_top3) / (1.0 - uniform_top3), 0.0, 1.0)
-    )
-    centroid = float(probabilities @ np.arange(n_bands) / (n_bands - 1))
-    return concentration, centroid
+    concentration, centroid = wipe_band_scores(pair_columns(previous, current)[0], n_bands)
+    return float(concentration[0]), float(centroid[0])
 
 
 class DveDetector:
@@ -75,21 +91,34 @@ class DveDetector:
 
     def update(self, frame: np.ndarray) -> float:
         """Consume one frame; return the current DVE score in [0, 1]."""
-        if self._previous is None:
-            self._previous = frame
+        previous, self._previous = self._previous, frame
+        if previous is None:
             return 0.0
-        diff_level = float(
-            np.abs(frame.astype(np.int16) - self._previous.astype(np.int16)).mean()
-            / 255.0
+        return float(self.advance(pair_columns(previous, frame)[0], frame.shape[0])[0])
+
+    def advance(self, raw: np.ndarray, height: int) -> np.ndarray:
+        """Consume the transitions of a chunk; return one score per pair.
+
+        Args:
+            raw: ``int64[pairs, W]`` ungated difference column sums.
+            height: frame height (the sums' pixel count is ``height * W``).
+
+        The run of wipe-like transitions lives on the detector, so a wipe
+        that straddles two chunks scores like one uninterrupted run.
+        """
+        change = raw.sum(axis=1) / (height * raw.shape[1] * 3) / 255.0
+        concentration, centroid = wipe_band_scores(raw)
+        wipe_like = (concentration >= self.concentration_threshold) & (
+            change >= self.min_change
         )
-        concentration, centroid = wipe_band_score(self._previous, frame)
-        self._previous = frame
-        if concentration >= self.concentration_threshold and diff_level >= self.min_change:
-            self._run_centroids.append(centroid)
-        else:
-            self._run_centroids.clear()
-            return 0.0
-        return self._score()
+        scores = np.zeros(raw.shape[0])
+        for index in range(raw.shape[0]):
+            if wipe_like[index]:
+                self._run_centroids.append(float(centroid[index]))
+                scores[index] = self._score()
+            else:
+                self._run_centroids.clear()
+        return scores
 
     def _score(self) -> float:
         if len(self._run_centroids) < self.min_run:

@@ -7,7 +7,9 @@ The rectangular region is detected by filtering the red component of the
 RGB color representation of a still image."
 
 Detection is therefore two-stage: a per-frame red-rectangle score, and a
-temporal check that the rectangle widens in regular steps.
+temporal check that the rectangle widens in regular steps. The red filter
+runs over a chunk of frames at once; the temporal check is a small
+per-frame tail whose window is carried from chunk to chunk.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["red_rectangle", "semaphore_score", "SemaphoreTracker"]
+from repro.video.frames import channel_planes
+
+__all__ = ["red_rectangle", "red_rectangles", "semaphore_score", "SemaphoreTracker"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,34 @@ class RedRectangle:
         return self.bottom - self.top
 
 
+def red_rectangles(
+    planes: np.ndarray,
+    red_min: int = 150,
+    other_max: int = 90,
+) -> list[RedRectangle | None]:
+    """Dominant red region of every frame of a chunk, given its channel
+    planes ``uint8[3, c, H, W]`` (:func:`repro.video.frames.channel_planes`).
+
+    The R-component filter and its row/column occupancy run over the whole
+    chunk; only frames that do hold a red region (rare outside the start)
+    get a bounding box. An entry is None when its frame has fewer than 20
+    red pixels.
+    """
+    red, green, blue = planes
+    mask = (red >= red_min) & (green <= other_max) & (blue <= other_max)
+    counts = np.count_nonzero(mask, axis=(1, 2))
+    out: list[RedRectangle | None] = [None] * mask.shape[0]
+    for index in np.flatnonzero(counts >= 20):
+        rows = np.flatnonzero(mask[index].any(axis=1))
+        cols = np.flatnonzero(mask[index].any(axis=0))
+        top, bottom = int(rows[0]), int(rows[-1]) + 1
+        left, right = int(cols[0]), int(cols[-1]) + 1
+        # every red pixel lies inside its own bounding box
+        fill = float(counts[index] / max((bottom - top) * (right - left), 1))
+        out[index] = RedRectangle(top, bottom, left, right, fill)
+    return out
+
+
 def red_rectangle(
     frame: np.ndarray,
     red_min: int = 150,
@@ -47,20 +79,7 @@ def red_rectangle(
 
     Returns None when fewer than 20 red pixels exist.
     """
-    mask = (
-        (frame[:, :, 0] >= red_min)
-        & (frame[:, :, 1] <= other_max)
-        & (frame[:, :, 2] <= other_max)
-    )
-    if mask.sum() < 20:
-        return None
-    rows = np.where(mask.any(axis=1))[0]
-    cols = np.where(mask.any(axis=0))[0]
-    top, bottom = int(rows[0]), int(rows[-1]) + 1
-    left, right = int(cols[0]), int(cols[-1]) + 1
-    area = (bottom - top) * (right - left)
-    fill = float(mask[top:bottom, left:right].sum() / max(area, 1))
-    return RedRectangle(top, bottom, left, right, fill)
+    return red_rectangles(channel_planes(frame[None]), red_min, other_max)[0]
 
 
 def semaphore_score(frame: np.ndarray) -> float:
@@ -90,12 +109,22 @@ class SemaphoreTracker:
 
     def update(self, frame: np.ndarray) -> float:
         """Consume one frame; return the current start-light score."""
-        rect = red_rectangle(frame)
-        width = rect.width if rect is not None and rect.fill > 0.4 else 0
-        self._widths.append(width)
-        if len(self._widths) > self.history:
-            self._widths.pop(0)
-        return self.score()
+        return float(self.update_chunk(channel_planes(frame[None]))[0])
+
+    def update_chunk(self, planes: np.ndarray) -> np.ndarray:
+        """Consume a chunk's ``uint8[3, c, H, W]`` planes; return c scores.
+
+        The tracked window lives on the tracker, so consecutive chunks of
+        any sizes score like one frame-by-frame pass.
+        """
+        scores = np.zeros(planes.shape[1])
+        for index, rect in enumerate(red_rectangles(planes)):
+            width = rect.width if rect is not None and rect.fill > 0.4 else 0
+            self._widths.append(width)
+            if len(self._widths) > self.history:
+                self._widths.pop(0)
+            scores[index] = self.score()
+        return scores
 
     def score(self) -> float:
         """Regular-growth score over the tracked window, in [0, 1]."""

@@ -125,6 +125,14 @@ class TestFeatures:
         silent = AudioSignal(np.zeros(FS), FS)
         assert pitch_track(silent).max() == 0.0
 
+    def test_pitch_does_not_depend_on_the_row_block(self, rng, monkeypatch):
+        sig = bandpass(speechlike(140, rng=rng), 0, 882)
+        whole = pitch_track(sig)
+        assert (whole > 0).any()
+        for rows in (1, 7, whole.shape[0] + 5):
+            monkeypatch.setattr("repro.audio.features.PITCH_BLOCK_ROWS", rows)
+            assert np.array_equal(pitch_track(sig), whole)
+
     def test_mel_filterbank_shape_and_coverage(self):
         bank = mel_filterbank(24, 256, FS)
         assert bank.shape == (24, 129)

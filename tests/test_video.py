@@ -37,7 +37,7 @@ class TestFrames:
             check_frame(np.full((4, 4, 3), 300.0))
 
     def test_stream_length_enforced(self):
-        stream = FrameStream(lambda: iter([flat(10)]), fps=10, n_frames=2)
+        stream = FrameStream(lambda: iter([flat(10)]), fps=10, n_frames=2, height=H, width=W)
         with pytest.raises(SignalError):
             list(stream)
 
@@ -49,6 +49,38 @@ class TestFrames:
     def test_duration(self):
         stream = FrameStream.from_frames([flat(0)] * 30, fps=10)
         assert stream.duration == pytest.approx(3.0)
+
+    def test_chunks_cover_the_stream_in_order(self, monkeypatch):
+        monkeypatch.setattr("repro.video.frames.CHUNK_FRAMES", 4)
+        stream = FrameStream.from_frames([flat(i) for i in range(10)], fps=10)
+        assert (stream.height, stream.width) == (H, W)
+        chunks = list(stream.chunks())
+        assert [(start, c.shape) for start, c in chunks] == [
+            (0, (4, H, W, 3)),
+            (4, (4, H, W, 3)),
+            (8, (2, H, W, 3)),
+        ]
+        assert all(c.dtype == np.uint8 for _, c in chunks)
+        assert [int(f[0, 0, 0]) for _, c in chunks for f in c] == list(range(10))
+        assert [int(f[0, 0, 0]) for f in stream] == list(range(10))
+
+    def test_chunks_validate_every_frame(self):
+        bad_value = [flat(10), np.full((H, W, 3), 300.0)]
+        with pytest.raises(SignalError):
+            list(FrameStream(lambda: iter(bad_value), 10, 2, H, W).chunks())
+        floats = FrameStream(lambda: iter([np.full((H, W, 3), 7.0)]), 10, 1, H, W)
+        (_, chunk), = floats.chunks()
+        assert chunk.dtype == np.uint8 and chunk[0, 0, 0, 0] == 7
+
+    def test_frame_of_another_size_rejected(self):
+        stream = FrameStream(lambda: iter([flat(10), flat(10, h=H // 2)]), 10, 2, H, W)
+        with pytest.raises(SignalError, match="differ in shape"):
+            list(stream.chunks())
+
+    def test_stream_overproduction_rejected(self):
+        stream = FrameStream(lambda: iter([flat(10)] * 3), fps=10, n_frames=2, height=H, width=W)
+        with pytest.raises(SignalError, match="promised 2"):
+            list(stream.chunks())
 
 
 class TestHistograms:
