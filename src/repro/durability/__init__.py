@@ -11,7 +11,9 @@ classic recoverability stack:
   full-catalog checkpoints that truncate the log;
 * :mod:`repro.durability.store` — the :class:`DurableStore` façade tying
   the two together, with :meth:`DurableStore.recover` rebuilding the last
-  committed state and reporting recovery-time metrics;
+  committed state and reporting recovery-time metrics, and
+  :func:`apply_record` / :func:`replay`, the one place a log record takes
+  effect (recovery and replicas both call it);
 * :mod:`repro.durability.chaos` — the kill-point sweep that proves the
   guarantees by killing at every crash point and recovering.
 
@@ -46,6 +48,8 @@ from repro.durability.store import (
     DurableStore,
     RecoveredState,
     RecoveryReport,
+    apply_record,
+    replay,
 )
 from repro.durability.wal import WalScan, WriteAheadLog, read_records
 
@@ -59,9 +63,11 @@ __all__ = [
     "SweepSummary",
     "WalScan",
     "WriteAheadLog",
+    "apply_record",
     "kill_point_sweep",
     "read_checkpoint",
     "read_records",
+    "replay",
     "run_crash_site",
     "write_checkpoint",
 ]

@@ -40,21 +40,29 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         if checkpoint.modules:
             print(f"  modules: {', '.join(checkpoint.modules)}")
     scan = read_records(f"{args.store}/{WAL_FILE}")
+    appends = [r for r in scan.records if r.get("op") == "append"]
     print(
-        f"wal: {len(scan.records)} record(s), {scan.valid_length} valid "
-        f"byte(s) of {scan.file_length}"
+        f"wal: format {scan.format}, {len(scan.records)} record(s) "
+        f"({len(appends)} append(s) of "
+        f"{sum(len(r.get('tail', [])) for r in appends)} row(s)), "
+        f"{scan.valid_length} valid byte(s) of {scan.file_length}"
     )
     if scan.corruption:
         print(f"  CORRUPT TAIL: {scan.corruption} ({scan.torn_bytes} byte(s))")
     for index, record in enumerate(scan.records):
         op = record.get("op")
         detail = ""
-        if op in ("persist",):
+        if op == "persist":
             payload = record.get("bat", {})
             detail = (
                 f" {record.get('name')!r} "
                 f"BAT[{payload.get('head_type')},{payload.get('tail_type')}] "
                 f"({len(payload.get('head', []))} associations)"
+            )
+        elif op == "append":
+            detail = (
+                f" {record.get('name')!r} at {record.get('at')} "
+                f"(+{len(record.get('tail', []))} row(s))"
             )
         elif op in ("drop", "proc", "module"):
             detail = f" {record.get('name')!r}"

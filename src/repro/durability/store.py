@@ -14,10 +14,35 @@ the store writes ``begin`` + delta + ``commit`` as one batch, fsyncing
 after the commit marker — the WAL commit boundary of
 ``MonetKernel.transaction()``.
 
+Record ops. A transaction logs what it changed, not what it touched: a
+BAT that only grew is one ``append`` record holding rows ``[at, len)``;
+``persist`` — the full image — is the fallback for a BAT that is new,
+rebound under its name, or was deleted from, replaced in or restored, and
+what an auto-commit ``kernel.persist`` writes; ``drop``, ``proc`` and
+``module`` are as small as they sound. Checkpoints stay full snapshots.
+``at`` counts from what the *store* holds, not from where the transaction
+began: the store remembers the :meth:`BAT.version` of every image and
+delta it made durable (:meth:`DurableStore.rows_logged`), so a mutation
+made outside any transaction rides along with the next commit — as rows,
+or as the full image of a BAT the store can no longer vouch for — instead
+of leaving a gap no replay could bridge.
+
+:func:`replay` is the one place records take effect — crash recovery and
+the replicas of :mod:`repro.replication` both call it — and it is
+idempotent: ``persist``/``drop``/``proc``/``module`` by construction, an
+``append`` by its ``at`` (applied when the BAT holds exactly ``at`` rows,
+recognised as already applied when it holds at least ``at + n``, a typed
+error otherwise). That is what lets a log that a checkpoint already
+subsumes — a crash after the checkpoint's rename, before the truncation —
+replay harmlessly. An op it does not know is an error, never skipped: a
+skipped delta is lost rows.
+
 :meth:`DurableStore.recover` loads the checkpoint, replays committed WAL
 records (discarding any uncommitted batch), truncates torn or corrupt log
 tails, verifies the :mod:`repro.check` catalog invariants, and reports
-recovery-time metrics on a :class:`RecoveryReport`.
+recovery-time metrics on a :class:`RecoveryReport`. A log in the older
+``REPROWAL1`` format reads back the same way; :meth:`DurableStore.open`
+folds it into a checkpoint before the first new record is written.
 """
 
 from __future__ import annotations
@@ -27,7 +52,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, MutableMapping, Sequence
 
 from repro.check.catalogcheck import check_catalog
 from repro.check.diagnostics import Diagnostic
@@ -39,13 +64,16 @@ from repro.durability.checkpoint import (
     write_checkpoint,
 )
 from repro.durability.wal import (
+    WAL_FORMAT,
     WriteAheadLog,
+    append_record,
     bat_from_payload,
     bat_to_payload,
+    decode_value,
     read_records,
     require_directory,
 )
-from repro.errors import CatalogCheckError, DurabilityError
+from repro.errors import CatalogCheckError, DurabilityError, WalCorruptionError
 from repro.faults import FaultInjector, FaultPlan, resolve_injector
 from repro.monet.bat import BAT
 
@@ -55,14 +83,91 @@ __all__ = [
     "RecoveredState",
     "RecoveryReport",
     "WAL_FILE",
+    "apply_record",
+    "replay",
 ]
 
 WAL_FILE = "wal.log"
 
 
-#: One catalog mutation inside a transaction delta:
-#: ``("persist", name, bat)`` or ``("drop", name, None)``.
+#: One catalog mutation inside a transaction delta: ``("persist", name,
+#: bat)``, ``("append", name, bat, at)`` — rows ``[at, len)`` are new — or
+#: ``("drop", name)``.
 CatalogDelta = Sequence[tuple]
+
+
+def apply_record(
+    record: dict[str, Any],
+    catalog: MutableMapping[str, BAT],
+    define: Callable[[str, Any], Any],
+    modules: set[str],
+    error: type[Exception] = WalCorruptionError,
+) -> None:
+    """Let one committed record take effect on ``catalog`` (BATs by name),
+    ``define(name, definition)`` (PROCs) and ``modules``.
+
+    Idempotent: ``persist`` carries a full image, ``drop`` tolerates
+    absence, and ``append`` grows the BAT *in place* only when it holds
+    exactly ``at`` rows — at least ``at + n`` rows means the delta is
+    already in it. Any other length, and any op this reader does not
+    know, raises ``error``.
+    """
+    op = record["op"]
+    if op == "persist":
+        name = record["name"]
+        catalog[name] = bat_from_payload(record["bat"], name=name)
+    elif op == "append":
+        name, at, tail = record["name"], record["at"], record["tail"]
+        bat = catalog.get(name)
+        rows = -1 if bat is None else len(bat)
+        if rows == at:
+            bat.append_columns(
+                [decode_value(v) for v in record["head"]],
+                [decode_value(v) for v in tail],
+                record["next_oid"],
+            )
+        elif rows < at + len(tail):
+            raise error(
+                f"append record for BAT {name!r} holds rows "
+                f"[{at}, {at + len(tail)}), which do not continue "
+                + ("a BAT that is missing" if bat is None else f"its {rows} row(s)")
+            )
+    elif op == "drop":
+        catalog.pop(record["name"], None)
+    elif op == "proc":
+        define(record["name"], pickle.loads(base64.b64decode(record["def"])))
+    elif op == "module":
+        modules.add(record["name"])
+    else:
+        raise error(f"unknown record op {op!r}: refusing to skip it")
+
+
+def replay(
+    records: Sequence[dict[str, Any]],
+    catalog: MutableMapping[str, BAT],
+    define: Callable[[str, Any], Any],
+    modules: set[str],
+    error: type[Exception] = WalCorruptionError,
+) -> None:
+    """:func:`apply_record` over committed records, in log order.
+
+    An ``append`` that a later ``persist`` or ``drop`` of the same BAT
+    supersedes is passed over instead of length-checked: when the log is
+    replayed onto a checkpoint that already subsumes it, the BAT is in its
+    *final* state, which such an append need not fit — and whatever it did
+    would be overwritten anyway.
+    """
+    superseded_before = {
+        record["name"]: index
+        for index, record in enumerate(records)
+        if record["op"] in ("persist", "drop")
+    }
+    for index, record in enumerate(records):
+        if record["op"] == "append" and index < superseded_before.get(
+            record["name"], -1
+        ):
+            continue
+        apply_record(record, catalog, define, modules, error)
 
 
 @dataclass
@@ -72,8 +177,12 @@ class RecoveryReport:
     store: str
     checkpoint_seqno: int = 0
     checkpoint_bats: int = 0
+    wal_format: int = WAL_FORMAT
     wal_records: int = 0
     records_replayed: int = 0
+    #: Of those, ``append`` row deltas — and the rows they carried.
+    appends_replayed: int = 0
+    rows_appended: int = 0
     transactions_committed: int = 0
     transactions_discarded: int = 0
     aborts_seen: int = 0
@@ -99,8 +208,9 @@ class RecoveryReport:
             f"recovery of {self.store}",
             f"  checkpoint: seqno {self.checkpoint_seqno}, "
             f"{self.checkpoint_bats} BAT(s)",
-            f"  wal: {self.wal_records} record(s), "
-            f"{self.records_replayed} replayed, "
+            f"  wal: format {self.wal_format}, {self.wal_records} record(s), "
+            f"{self.records_replayed} replayed "
+            f"({self.appends_replayed} append(s) of {self.rows_appended} row(s)), "
             f"{self.transactions_committed} txn(s) committed, "
             f"{self.transactions_discarded} discarded, "
             f"{self.aborts_seen} abort marker(s)",
@@ -159,6 +269,8 @@ class DurableStore:
         self._next_txn = 1
         self._records_in_wal = 0
         self._modules: set[str] = set()
+        #: BAT name -> the version of the BAT whose rows the store holds
+        self._logged: dict[str, tuple[object, int, int]] = {}
         self._opened = False
 
     # ------------------------------------------------------------------
@@ -171,8 +283,15 @@ class DurableStore:
         self._next_txn = state.next_txn
         self._records_in_wal = state.report.wal_records
         self._modules = set(state.modules)
-        self._wal.open()
+        self._logged = {
+            name: bat.version() for name, bat in state.catalog.items()
+        }
         self._opened = True
+        if state.report.wal_format != WAL_FORMAT:
+            # an older log is never appended to: fold it into a checkpoint
+            # and start a log in the current format
+            self.checkpoint(state.catalog, state.definitions, state.modules)
+        self._wal.open()
         return state
 
     def close(self) -> None:
@@ -205,17 +324,42 @@ class DurableStore:
                 "store is not open for appending (call open() first)"
             )
 
+    def rows_logged(self, name: str, bat: BAT) -> int | None:
+        """How many leading rows of ``bat`` the store already holds under
+        ``name`` — given that the BAT has only grown since it logged them,
+        so an ``append`` of the rows from there on continues the log.
+        ``None`` when it holds nothing under that name, or the BAT was
+        rewritten or rebound since, or cannot tell (mutable values)."""
+        version = self._logged.get(name)
+        return None if version is None else bat.appended_since(version)
+
+    def _rows_record(
+        self, name: str, bat: BAT, at: int | None = None
+    ) -> tuple[dict[str, Any], tuple[object, int, int]]:
+        """The record for rows ``[at, len)`` of ``bat`` (``at=None``: the
+        full image), and the version to remember once it is durable. The
+        lineage and rewrite counter are read *before* the rows, so a racing
+        rewrite can only make the next commit fall back to a full image."""
+        lineage, rewrites, _ = bat.version()
+        if at is None:
+            payload = bat_to_payload(bat)
+            record = {"op": "persist", "name": name, "bat": payload}
+        else:
+            record = payload = append_record(name, bat, at)
+        return record, (lineage, rewrites, (at or 0) + len(payload["tail"]))
+
     def log_persist(self, name: str, bat: BAT) -> None:
         """Auto-commit record: full image of one persisted BAT."""
         self._require_open()
-        self._wal.append(
-            {"op": "persist", "name": name, "bat": bat_to_payload(bat)}
-        )
+        record, version = self._rows_record(name, bat)
+        self._wal.append(record)
+        self._logged[name] = version
         self._records_in_wal += 1
 
     def log_drop(self, name: str) -> None:
         self._require_open()
         self._wal.append({"op": "drop", "name": name})
+        self._logged.pop(name, None)
         self._records_in_wal += 1
 
     def log_proc(self, name: str, definition: Any) -> None:
@@ -252,22 +396,23 @@ class DurableStore:
         """
         self._require_open()
         records = []
-        for entry in delta:
-            if entry[0] == "persist":
-                _, name, bat = entry
-                records.append(
-                    {"op": "persist", "name": name, "bat": bat_to_payload(bat)}
-                )
-            elif entry[0] == "drop":
-                records.append({"op": "drop", "name": entry[1]})
+        logged = dict(self._logged)  # takes effect once the batch is durable
+        for op, name, *rows in delta:
+            if op in ("persist", "append"):
+                record, logged[name] = self._rows_record(name, *rows)
+                records.append(record)
+            elif op == "drop":
+                records.append({"op": "drop", "name": name})
+                logged.pop(name, None)
             else:
-                raise DurabilityError(f"unknown delta op {entry[0]!r}")
+                raise DurabilityError(f"unknown delta op {op!r}")
         if not records:
             return None
         txn = self._next_txn
         self._next_txn += 1
         self._wal.commit(txn, records)
         self._records_in_wal += len(records) + 2
+        self._logged = logged
         return txn
 
     # ------------------------------------------------------------------
@@ -295,6 +440,9 @@ class DurableStore:
             set(modules) | self._modules,
         )
         write_checkpoint(self.path, snapshot, faults=self.faults, fsync=self._fsync)
+        self._logged = {
+            name: bat.version() for name, bat in snapshot.catalog.items()
+        }
         self._wal.truncate()
         self._records_in_wal = 0
         self.faults.on_call("checkpoint:truncated")
@@ -325,16 +473,18 @@ class DurableStore:
         modules = set(snapshot.modules)
 
         scan = read_records(self.wal_path)
+        report.wal_format = scan.format
         report.wal_records = len(scan.records)
         report.corruption = scan.corruption
         report.truncated_bytes = scan.torn_bytes
         if scan.torn_bytes and not dry_run:
-            self._truncate_tail(scan.valid_length)
+            self._wal.truncate(scan.valid_length or None)
 
         max_txn = 0
+        committed: list[dict[str, Any]] = []
         pending: list[dict[str, Any]] | None = None
         for record in scan.records:
-            op = record.get("op")
+            op = record["op"]
             if op == "begin":
                 if pending is not None:
                     report.transactions_discarded += 1
@@ -342,9 +492,7 @@ class DurableStore:
                 max_txn = max(max_txn, int(record.get("txn", 0)))
             elif op == "commit":
                 if pending is not None:
-                    for buffered in pending:
-                        self._apply(buffered, catalog, definitions, modules)
-                        report.records_replayed += 1
+                    committed.extend(pending)
                     report.transactions_committed += 1
                     pending = None
             elif op == "abort":
@@ -353,10 +501,14 @@ class DurableStore:
             elif pending is not None:
                 pending.append(record)
             else:
-                self._apply(record, catalog, definitions, modules)
-                report.records_replayed += 1
+                committed.append(record)
         if pending is not None:
             report.transactions_discarded += 1
+        replay(committed, catalog, definitions.__setitem__, modules)
+        report.records_replayed = len(committed)
+        appends = [len(r["tail"]) for r in committed if r["op"] == "append"]
+        report.appends_replayed = len(appends)
+        report.rows_appended = sum(appends)
 
         report.bats_recovered = len(catalog)
         report.procs_recovered = len(definitions)
@@ -376,36 +528,6 @@ class DurableStore:
             report=report,
         )
 
-    def _truncate_tail(self, valid_length: int) -> None:
-        was_open = self._opened
-        self._wal.truncate(max(valid_length, 0) or None)
-        if not was_open:
-            self._wal.close()
-
-    @staticmethod
-    def _apply(
-        record: dict[str, Any],
-        catalog: dict[str, BAT],
-        definitions: dict[str, Any],
-        modules: set[str],
-    ) -> None:
-        """Replay one committed record; idempotent by construction
-        (persist carries a full image, drop tolerates absence)."""
-        op = record.get("op")
-        if op == "persist":
-            name = record["name"]
-            catalog[name] = bat_from_payload(record["bat"], name=name)
-        elif op == "drop":
-            catalog.pop(record["name"], None)
-        elif op == "proc":
-            definitions[record["name"]] = pickle.loads(
-                base64.b64decode(record["def"])
-            )
-        elif op == "module":
-            modules.add(record["name"])
-        # unknown ops are skipped: a newer writer may add record types that
-        # an older reader can safely ignore
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
@@ -414,9 +536,7 @@ class DurableStore:
         checkpoint (``python -m repro.durability compact``)."""
         state = self.recover()
         was_open = self._opened
-        if not was_open:
-            self._wal.open()
-            self._opened = True
+        self._opened = True
         self._seqno = state.report.checkpoint_seqno
         self._modules = set(state.modules)
         try:

@@ -2,13 +2,21 @@
 
 File layout::
 
-    REPROWAL1\\n                      10-byte magic header
+    REPROWAL2\\n                      10-byte magic header
     [u32 length][u32 crc32][payload]  repeated; big-endian, crc over payload
 
 Payloads are JSON dictionaries with an ``op`` field. Catalog values that
 JSON cannot carry natively (opaque ``any``-atom objects, pickled MIL
 ``ProcDef`` ASTs) are tagged ``{"__pickle__": <base64>}``; everything else
 stays human-readable for ``python -m repro.durability inspect``.
+
+The magic is the format rule. ``REPROWAL2`` logs may hold row deltas
+(``append`` records, :func:`append_record`); ``REPROWAL1`` logs, written
+before deltas existed, hold full BAT images only. The reader accepts both
+and reports which it saw (:attr:`WalScan.format`); the writer stamps only
+``REPROWAL2`` and refuses to open a ``REPROWAL1`` file for appending, so
+an old reader can never meet a delta it would skip — the store folds such
+a log into a checkpoint first (:meth:`DurableStore.open`).
 
 Write semantics: an *auto-commit* record (:meth:`WriteAheadLog.append`) is
 written and fsynced on its own; a *transaction* (:meth:`commit`) is written
@@ -32,7 +40,7 @@ import os
 import pickle
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -41,9 +49,12 @@ from repro.faults import FaultInjector
 from repro.monet.bat import BAT
 
 __all__ = [
+    "LEGACY_MAGIC",
     "MAGIC",
+    "WAL_FORMAT",
     "WalScan",
     "WriteAheadLog",
+    "append_record",
     "bat_from_payload",
     "bat_to_payload",
     "decode_record",
@@ -54,7 +65,12 @@ __all__ = [
     "read_records",
 ]
 
-MAGIC = b"REPROWAL1\n"
+MAGIC = b"REPROWAL2\n"
+#: Header of logs written before row deltas: full BAT images only.
+LEGACY_MAGIC = b"REPROWAL1\n"
+#: Format number per magic; the writer's is :data:`WAL_FORMAT`.
+_FORMATS = {LEGACY_MAGIC: 1, MAGIC: 2}
+WAL_FORMAT = _FORMATS[MAGIC]
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
 
 #: Upper bound on one record's payload; a length field above this is treated
@@ -83,15 +99,26 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-def bat_to_payload(bat: BAT) -> dict[str, Any]:
-    heads, tails, next_oid = bat.columns()
+def _rows_payload(bat: BAT, start: int) -> dict[str, Any]:
+    heads, tails, next_oid = bat.columns(start)
     return {
-        "head_type": bat.head_type,
-        "tail_type": bat.tail_type,
         "head": [encode_value(v) for v in heads],
         "tail": [encode_value(v) for v in tails],
         "next_oid": next_oid,
     }
+
+
+def bat_to_payload(bat: BAT) -> dict[str, Any]:
+    return {
+        "head_type": bat.head_type,
+        "tail_type": bat.tail_type,
+        **_rows_payload(bat, 0),
+    }
+
+
+def append_record(name: str, bat: BAT, at: int) -> dict[str, Any]:
+    """The row delta of a BAT that only grew: rows ``[at, len)``."""
+    return {"op": "append", "name": name, "at": at, **_rows_payload(bat, at)}
 
 
 def bat_from_payload(payload: dict[str, Any], name: str | None = None) -> BAT:
@@ -127,54 +154,78 @@ class WalScan:
     """Result of scanning a WAL file.
 
     Attributes:
-        records: every structurally valid record, in append order.
+        records: every structurally valid record from the start offset on,
+            in append order.
         valid_length: byte offset up to which the file is trustworthy.
         file_length: actual byte length of the file on disk.
         corruption: human-readable reason scanning stopped early (``None``
             when the whole file was valid).
+        ends: byte offset just past each record, parallel to ``records`` —
+            the start offset that resumes the scan after it.
+        format: the format the magic header declares (:data:`WAL_FORMAT`
+            for a missing or empty file, which the writer would create).
     """
 
     records: list[dict[str, Any]]
     valid_length: int
     file_length: int
     corruption: str | None = None
+    ends: list[int] = field(default_factory=list)
+    format: int = WAL_FORMAT
 
     @property
     def torn_bytes(self) -> int:
         return self.file_length - self.valid_length
 
 
-def read_records(path: str | Path) -> WalScan:
-    """Scan a WAL file, stopping at the first torn or corrupt record."""
+def read_records(path: str | Path, start: int = 0) -> WalScan:
+    """Scan a WAL file, stopping at the first torn or corrupt record.
+
+    ``start`` resumes an earlier scan: a byte offset that scan reported
+    (one of :attr:`WalScan.ends`, or its ``valid_length``); only the bytes
+    from there on are read and decoded. Offsets in the result stay
+    absolute.
+    """
     path = Path(path)
     if not path.exists():
         return WalScan([], 0, 0)
-    data = path.read_bytes()
-    if not data:
+    begin = max(start, len(MAGIC))
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MAGIC))
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(begin)
+        data = fh.read()
+    if not magic:
         return WalScan([], 0, 0)
-    if not data.startswith(MAGIC):
-        if len(data) < len(MAGIC) and MAGIC.startswith(data):
+    if magic not in _FORMATS:
+        if len(magic) < len(MAGIC) and MAGIC.startswith(magic):
             # crash while writing the header of a brand-new log
-            return WalScan([], 0, len(data), corruption="torn magic header")
+            return WalScan([], 0, len(magic), corruption="torn magic header")
         raise WalCorruptionError(
             f"{path} does not start with the WAL magic header"
         )
+    if start > size:
+        raise WalCorruptionError(
+            f"{path} is {size} byte(s) long, shorter than the resume offset {start}"
+        )
+    end = begin + len(data)
     records: list[dict[str, Any]] = []
-    offset = len(MAGIC)
+    ends: list[int] = []
+    offset = begin
     corruption: str | None = None
-    while offset < len(data):
-        if offset + _HEADER.size > len(data):
+    while offset < end:
+        if offset + _HEADER.size > end:
             corruption = f"torn record header at offset {offset}"
             break
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
+        length, crc = _HEADER.unpack_from(data, offset - begin)
+        body = offset + _HEADER.size
         if length > MAX_RECORD_BYTES:
             corruption = f"implausible record length {length} at offset {offset}"
             break
-        if start + length > len(data):
+        if body + length > end:
             corruption = f"torn record payload at offset {offset}"
             break
-        payload = data[start : start + length]
+        payload = data[body - begin : body - begin + length]
         if zlib.crc32(payload) != crc:
             corruption = f"checksum mismatch at offset {offset}"
             break
@@ -187,8 +238,11 @@ def read_records(path: str | Path) -> WalScan:
             corruption = f"malformed record (no op) at offset {offset}"
             break
         records.append(record)
-        offset = start + length
-    return WalScan(records, offset, len(data), corruption=corruption)
+        offset = body + length
+        ends.append(offset)
+    return WalScan(
+        records, offset, end, corruption, ends=ends, format=_FORMATS[magic]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +277,17 @@ class WriteAheadLog:
             return
         existed = self.path.exists()
         is_new = not existed or self.path.stat().st_size == 0
+        if not is_new:
+            with open(self.path, "rb") as fh:
+                magic = fh.read(len(MAGIC))
+            if magic != MAGIC:
+                # whoever reads this log by its magic would skip an
+                # ``append`` record, i.e. lose rows
+                raise DurabilityError(
+                    f"{self.path} is not a {MAGIC[:-1].decode()} log and "
+                    f"cannot be appended to; DurableStore.open() folds an "
+                    f"older log into a checkpoint first"
+                )
         self._file = open(self.path, "ab")
         if is_new:
             self._file.write(MAGIC)
@@ -246,7 +311,9 @@ class WriteAheadLog:
         return self._records_written
 
     def truncate(self, length: int | None = None) -> None:
-        """Physically truncate the file (to empty-with-header by default)."""
+        """Physically truncate the file (to empty-with-header by default);
+        a writer that was open is open again afterwards."""
+        was_open = self._file is not None
         self.close()
         with open(self.path, "r+b" if self.path.exists() else "wb") as fh:
             fh.truncate(len(MAGIC) if length is None else length)
@@ -256,7 +323,8 @@ class WriteAheadLog:
             fh.flush()
             os.fsync(fh.fileno())
         self._records_written = 0
-        self.open()
+        if was_open:
+            self.open()
 
     def _sync(self) -> None:
         assert self._file is not None

@@ -37,15 +37,19 @@ _NUMERIC_ATOMS = {"oid", "void", "int", "flt", "dbl"}
 _IMMUTABLE_OBJECT_ATOMS = {"str", "chr"}
 
 
+def _holds_mutable_values(atom: Atom) -> bool:
+    """Object-dtype atoms (``any`` and extension types) may hold mutable
+    Python values; numeric/bool/string atoms never do."""
+    return atom.dtype == np.dtype(object) and atom.name not in _IMMUTABLE_OBJECT_ATOMS
+
+
 def _copy_column(values: list[Any], atom: Atom) -> list[Any]:
     """Snapshot one column so later mutation of the source cannot leak.
 
-    Numeric/bool/string atoms hold immutable values, so a new list is
-    enough; object-dtype atoms (``any`` and extension types) may hold
-    mutable Python values, which must be deep-copied for the snapshot to
-    be genuinely independent.
+    Immutable values only need a new list; mutable ones must be
+    deep-copied for the snapshot to be genuinely independent.
     """
-    if atom.dtype == np.dtype(object) and atom.name not in _IMMUTABLE_OBJECT_ATOMS:
+    if _holds_mutable_values(atom):
         return [_copy.deepcopy(v) for v in values]
     return list(values)
 
@@ -113,6 +117,12 @@ class BAT:
     ``replace`` / ``restore`` drop them, and ``copy`` / ``from_columns`` /
     derived BATs start without any, so they live exactly as long as the
     BAT object they describe.
+
+    The same split — inserts only ever append, everything else rewrites —
+    lets :meth:`appended_since` tell in O(1) which rows a BAT gained since
+    an earlier :meth:`version` of it: a BAT carries a *lineage* token and a
+    *rewrite counter* that ``delete`` / ``replace`` / ``restore`` bump and
+    ``copy`` carries over, and inserts touch neither.
     """
 
     def __init__(self, head_type: str, tail_type: str, name: str | None = None):
@@ -125,6 +135,8 @@ class BAT:
         self._next_oid = 0
         self._hashes: dict[str, _Hash] = {}  # "head" / "tail" accelerators
         self._tail_memo: np.ndarray | None = None
+        self._lineage = object()  # shared with copies, see appended_since
+        self._rewrites = 0  # mutations other than an append, so far
 
     # ------------------------------------------------------------------
     # basic properties
@@ -136,6 +148,15 @@ class BAT:
     @property
     def tail_type(self) -> str:
         return self._tail_atom.name
+
+    @property
+    def holds_mutable_values(self) -> bool:
+        """Whether a stored value can change in place — without the BAT
+        knowing: true of ``any`` and extension atoms, never of numbers,
+        bools and strings."""
+        return _holds_mutable_values(self._head_atom) or _holds_mutable_values(
+            self._tail_atom
+        )
 
     def count(self) -> int:
         """Number of associations (MIL ``b.count``)."""
@@ -264,9 +285,11 @@ class BAT:
     # ------------------------------------------------------------------
     def _drop_accelerators(self) -> None:
         """Forget every accelerator (caller holds the mutex): positions
-        moved or a stored value changed, so nothing cached still holds."""
+        moved or a stored value changed, so nothing cached still holds —
+        nor does "this BAT only grew" (:meth:`appended_since`)."""
         self._hashes.clear()
         self._tail_memo = None
+        self._rewrites += 1
 
     def _probe(self, side: str, key: Any, build: bool) -> list[int] | None:
         """Ascending positions of ``key`` in the head or tail column, from
@@ -353,7 +376,43 @@ class BAT:
             out._head = _copy_column(self._head, self._head_atom)
             out._tail = _copy_column(self._tail, self._tail_atom)
             out._next_oid = self._next_oid
+            out._lineage, out._rewrites = self._lineage, self._rewrites
         return out
+
+    def begin_lineage(self) -> None:
+        """Cut the tie to every earlier :meth:`version`, those of copies
+        included. The kernel calls this when a BAT object becomes bound
+        under a catalog name, so a diverged copy rebound under the name of
+        its source is never mistaken for the source having grown."""
+        self._lineage = object()
+
+    def version(self) -> tuple[object, int, int]:
+        """``(lineage, rewrite counter, row count)`` as of now — all that
+        :meth:`appended_since` needs to remember of this state."""
+        with self._lock:
+            return self._lineage, self._rewrites, len(self._head)
+
+    def appended_since(self, version: tuple[object, int, int]) -> int | None:
+        """Position of the first row this BAT gained since ``version`` was
+        taken (of it, or of the BAT it is a :meth:`copy` of) —
+        ``len(self)`` when it gained none — or ``None`` when that cannot be
+        told without comparing values.
+
+        O(1): the same lineage and rewrite counter mean every mutation in
+        between was an insert, so the rows counted then are still rows
+        ``[0, count)``. A BAT holding mutable object values always answers
+        ``None``, because an in-place change to a stored value bumps
+        nothing.
+        """
+        lineage, rewrites, rows = version
+        if (
+            lineage is not self._lineage
+            or rewrites != self._rewrites
+            or rows > len(self)
+            or self.holds_mutable_values
+        ):
+            return None
+        return rows
 
     def restore(self, snapshot: "BAT") -> "BAT":
         """Roll this BAT back to a snapshot copy, in place.
@@ -370,6 +429,8 @@ class BAT:
                 f"cannot restore BAT[{self.head_type},{self.tail_type}] from "
                 f"snapshot BAT[{snapshot.head_type},{snapshot.tail_type}]"
             )
+        if self.appended_since(snapshot.version()) == len(self):
+            return self  # untouched since the snapshot: nothing to roll back
         with self._lock:
             self._head = _copy_column(snapshot._head, snapshot._head_atom)
             self._tail = _copy_column(snapshot._tail, snapshot._tail_atom)
@@ -392,13 +453,25 @@ class BAT:
             _eq(a, b) for a, b in zip(self._head, other._head)
         ) and all(_eq(a, b) for a, b in zip(self._tail, other._tail))
 
-    def columns(self) -> tuple[list[Any], list[Any], int]:
-        """Copies of (head column, tail column, next-oid counter).
+    def columns(self, start: int = 0) -> tuple[list[Any], list[Any], int]:
+        """Copies of (head column, tail column, next-oid counter), the
+        columns from row ``start`` on.
 
         The serialization view used by the WAL/checkpoint writers.
         """
         with self._lock:
-            return list(self._head), list(self._tail), self._next_oid
+            return self._head[start:], self._tail[start:], self._next_oid
+
+    def append_columns(
+        self, head: Iterable[Any], tail: Iterable[Any], next_oid: int
+    ) -> "BAT":
+        """Append serialized rows in place: :meth:`columns` ``(start)`` of
+        the writer, replayed on a BAT that holds rows ``[0, start)``.
+        An :meth:`insert_bulk`, so accelerators survive it."""
+        self.insert_bulk(head, tail)
+        with self._lock:
+            self._next_oid = int(next_oid)
+        return self
 
     @classmethod
     def from_columns(

@@ -67,8 +67,10 @@ class MonetKernel:
     :class:`repro.durability.DurableStore`) and the kernel recovers the
     catalog, PROC definitions, and expected module list from it at startup,
     then write-ahead-logs every catalog mutation. ``transaction()`` becomes
-    the WAL commit boundary: the delta against the entry snapshot is
-    group-committed (fsynced) when the outermost transaction exits cleanly.
+    the WAL commit boundary: what the catalog gained over what the store
+    holds — the rows appended to a BAT that only grew, the whole BAT
+    otherwise — is group-committed (fsynced) when the outermost transaction
+    exits cleanly.
     The :class:`RecoveryReport` of the startup recovery is on
     :attr:`recovery`; modules named in :attr:`expected_modules` must be
     re-loaded by the caller (module code cannot be serialized).
@@ -138,6 +140,10 @@ class MonetKernel:
         if self._sanitizer is not None:
             self._sanitizer.on_catalog_write("persist", name, bat)
         bat.name = name
+        if self._catalog.get(name) is not bat:
+            # a rebound name commits as a full image, even when the new BAT
+            # is a copy of the old one that has grown since
+            bat.begin_lineage()
         self._catalog[name] = bat
         if self._logging_autocommit():
             self._store.log_persist(name, bat)
@@ -170,6 +176,14 @@ class MonetKernel:
 
     def catalog_names(self) -> list[str]:
         return sorted(self._catalog)
+
+    @property
+    def catalog(self) -> dict[str, BAT]:
+        """The live name -> BAT mapping itself: what log replay
+        (:func:`repro.durability.store.replay`) writes a store-less
+        replica's state into. Everything else goes through
+        :meth:`persist` / :meth:`drop`, which log and sanitize."""
+        return self._catalog
 
     # ------------------------------------------------------------------
     # snapshot / rollback
@@ -257,13 +271,28 @@ class MonetKernel:
             self._maybe_checkpoint()
 
     def _catalog_delta(self, saved: dict[str, BAT]) -> list[tuple]:
-        """Mutations since ``saved``: full images of new/changed BATs plus
-        drops — the records one WAL commit batch carries."""
+        """What one WAL commit batch carries: per BAT, the rows it gained
+        since the store last logged it when it has only grown since, and
+        its full image when the store cannot vouch for any row (a BAT that
+        is new, rebound, or was rewritten); then the drops.
+
+        A BAT of mutable values is never vouched for, so it is logged in
+        full whenever it differs from ``saved``, its copy from transaction
+        entry.
+        """
         delta: list[tuple] = []
         for name, bat in self._catalog.items():
-            old = saved.get(name)
-            if old is None or not old.equals(bat):
-                delta.append(("persist", name, bat))
+            at = self._store.rows_logged(name, bat)
+            if at is None:
+                old = saved.get(name)
+                if not (
+                    bat.holds_mutable_values
+                    and old is not None
+                    and old.equals(bat)
+                ):
+                    delta.append(("persist", name, bat))
+            elif at < len(bat):
+                delta.append(("append", name, bat, at))
         for name in saved:
             if name not in self._catalog:
                 delta.append(("drop", name))

@@ -2,30 +2,32 @@
 
 A :class:`Replica` holds an internal store-less :class:`MonetKernel` whose
 catalog is the replication apply target. Shipments are applied with the
-same semantics as crash recovery (:meth:`DurableStore.recover`): auto-commit
+same semantics as crash recovery (:meth:`DurableStore.recover`) — and by
+the same function, :func:`repro.durability.store.replay`: auto-commit
 records apply immediately, transaction records buffer from their ``begin``
 until the ``commit`` marker arrives, and a batch whose marker never ships
 (the primary died mid-commit, or a ``lag`` fault withheld the tail) stays
 pending across pumps — and is discarded on promotion, exactly as recovery
 discards an uncommitted batch.
 
-Reads are served through a fresh :class:`repro.cobra.metadata.MetadataStore`
-per query: applying a ``persist`` record *replaces* the BAT object in the
+An ``append`` record grows the replica's BAT *in place*, so the
+accelerators queries built on it survive a pump and only catch up on the
+new rows. Reads are nevertheless served through a fresh
+:class:`repro.cobra.metadata.MetadataStore` per query: a ``persist``
+record (the full-image fallback) *replaces* the BAT object in the
 catalog, so a cached metadata view would silently keep serving the old
 BATs.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.durability.checkpoint import Checkpoint
-from repro.durability.wal import bat_from_payload
-from repro.errors import MonetError, ReplicationError
+from repro.durability.store import replay
+from repro.errors import ReplicationError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.replication.link import ReplicaPosition, Shipment
@@ -82,18 +84,16 @@ class Replica:
             )
         if shipment.snapshot is not None:
             self._install_snapshot(shipment.snapshot)
-        applied = 0
+        committed: list[dict[str, Any]] = []
         for record in shipment.records:
-            op = record.get("op")
+            op = record["op"]
             if op == "begin":
                 # a dangling begin (previous batch lost its commit to a
                 # crash) is superseded, as in recovery
                 self._pending = []
             elif op == "commit":
                 if self._pending is not None:
-                    for buffered in self._pending:
-                        self._apply_record(buffered)
-                        applied += 1
+                    committed.extend(self._pending)
                     self.commits_applied += 1
                     self._pending = None
             elif op == "abort":
@@ -101,10 +101,26 @@ class Replica:
             elif self._pending is not None:
                 self._pending.append(record)
             else:
-                self._apply_record(record)
-                applied += 1
+                committed.append(record)
+        try:
+            replay(
+                committed,
+                self.kernel.catalog,
+                lambda name, definition: self.kernel.interpreter.define_proc(
+                    definition, check="off"
+                ),
+                self.modules,
+                error=ReplicationError,
+            )
+        except ReplicationError:
+            # half a shipment may have landed: forget the position, so the
+            # next pump re-seeds from the checkpoint instead of resuming
+            self.position = ReplicaPosition()
+            self._pending = None
+            raise
+        self.records_applied += len(committed)
         self.position = shipment.position
-        return applied
+        return len(committed)
 
     def _install_snapshot(self, snapshot: Checkpoint) -> None:
         """Re-seed the replica from a full checkpoint (catch-up rounds)."""
@@ -112,7 +128,9 @@ class Replica:
         for name in self.kernel.catalog_names():
             self.kernel.drop(name)
         for name in sorted(snapshot.catalog):
-            self.kernel.persist(name, snapshot.catalog[name])
+            # a copy: the link hands every replica the same parsed
+            # checkpoint, and this one's appends land in place
+            self.kernel.persist(name, snapshot.catalog[name].copy())
         for name, definition in sorted(snapshot.definitions().items()):
             # procs are never dropped, so redefining over survivors is
             # exactly the recovery semantics; checks off: the defining
@@ -120,24 +138,6 @@ class Replica:
             self.kernel.interpreter.define_proc(definition, check="off")
         self.modules = set(snapshot.modules)
         self.snapshots_installed += 1
-
-    def _apply_record(self, record: dict[str, Any]) -> None:
-        """Replay one committed record (mirrors ``DurableStore._apply``)."""
-        op = record.get("op")
-        if op == "persist":
-            name = record["name"]
-            self.kernel.persist(name, bat_from_payload(record["bat"], name=name))
-        elif op == "drop":
-            try:
-                self.kernel.drop(record["name"])
-            except MonetError:
-                pass  # idempotent, as in recovery
-        elif op == "proc":
-            definition = pickle.loads(base64.b64decode(record["def"]))
-            self.kernel.interpreter.define_proc(definition, check="off")
-        elif op == "module":
-            self.modules.add(record["name"])
-        self.records_applied += 1
 
     @property
     def has_pending(self) -> bool:

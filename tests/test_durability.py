@@ -265,6 +265,35 @@ class TestRecovery:
             assert sorted(state.catalog) == ["laps"]
             assert state.catalog["laps"].equals(lap_bat())
 
+    def test_duplicate_replay_of_row_deltas_is_idempotent(self, tmp_path):
+        # the same crash, with a WAL of append records: the rows they carry
+        # are already in the checkpoint and must not be appended twice
+        kernel = MonetKernel(threads=1, check="off", store=tmp_path / "s")
+        laps = kernel.persist("laps", lap_bat())
+        ghost = kernel.persist("ghost", lap_bat())
+        for lap in (77.7, 77.5):
+            with kernel.transaction():
+                laps.insert(lap)
+                ghost.insert(lap)
+        with kernel.transaction():
+            # a shrinking full image after the appends: the checkpoint
+            # holds 2 rows, which the earlier deltas (rows 3 and 4) do
+            # not fit — they are superseded, not an error
+            ghost.delete(0).delete(1).delete(2)
+        expected = kernel.snapshot()
+        write_checkpoint(
+            kernel.store.path, Checkpoint(seqno=1, catalog=expected), fsync=False
+        )
+        kernel.close()  # killed before the WAL truncation
+        ops = [r["op"] for r in read_records(kernel.store.wal_path).records]
+        assert ops.count("append") == 4 and ops.count("persist") == 3
+        for _ in range(2):
+            state = DurableStore(tmp_path / "s", fsync=False).recover()
+            assert sorted(state.catalog) == ["ghost", "laps"]
+            assert len(state.catalog["laps"]) == 5
+            for name, bat in expected.items():
+                assert state.catalog[name].equals(bat)
+
     def test_torn_tail_is_truncated_on_recovery(self, tmp_path):
         store = DurableStore(tmp_path / "s", fsync=False)
         store.open()
