@@ -85,7 +85,7 @@ class DbnModule(MonetModule):
         evidence = EvidenceSequence(engine.template, hard={observed[0]: values})
         posterior = engine.posterior_series(evidence, node)[:, 1]
         out = BAT("void", "dbl")
-        out.insert_bulk(None, [float(p) for p in posterior])
+        out.insert_bulk(None, posterior.tolist())
         return out
 
 
@@ -166,11 +166,19 @@ class DbnExtension(MoaExtension):
         return result.template
 
     def infer(
-        self, name: str, evidence: EvidenceSequence, node: str
-    ) -> np.ndarray:
-        """P(node = 1 | evidence) per step (filtered)."""
+        self, name: str, evidence: EvidenceSequence, node: str | Sequence[str]
+    ) -> np.ndarray | list[np.ndarray]:
+        """P(node = 1 | evidence) per step (filtered).
+
+        ``node`` is one hidden node or a sequence of them; a sequence gets
+        a list of series in the same order, all marginals of a single
+        forward pass.
+        """
         engine = self._module.model(name)
-        return engine.posterior_series(evidence, node)[:, 1]
+        gamma = engine.filter(evidence).gamma
+        if isinstance(node, str):
+            return engine.marginal(gamma, node)[:, 1]
+        return [engine.marginal(gamma, each)[:, 1] for each in node]
 
     def log_likelihood(self, name: str, evidence: EvidenceSequence) -> float:
         return self._module.model(name).log_likelihood(evidence)

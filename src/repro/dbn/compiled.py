@@ -14,7 +14,8 @@ compiles a :class:`~repro.dbn.template.DbnTemplate` into that form:
 * leaf evidence CPDs become (S, card) observation matrices combined into a
   per-step likelihood vector.
 
-Filtering then runs like an HMM over S states, and the Boyen-Koller
+Filtering then runs like an HMM over S states — on the blocked scan kernel
+of :mod:`repro.dbn.scan`, which the HMMs share — and the Boyen-Koller
 approximation is a per-step projection of the belief onto a product of
 cluster marginals (:func:`project_onto_clusters`) — with one cluster the
 recursion is exact.
@@ -29,10 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.bayes.factor import Factor
+from repro.dbn import scan
 from repro.dbn.evidence import EvidenceSequence
 from repro.dbn.template import DbnTemplate
 from repro.errors import InferenceError
-from repro.resilience import cancel_checkpoint
 
 __all__ = ["CompiledDbn", "FilterResult", "SmoothResult", "project_onto_clusters"]
 
@@ -84,6 +85,47 @@ class SmoothResult:
     initial_config: int
 
 
+class _ClusterProjection:
+    """Boyen-Koller projection onto a fixed partition of the interface.
+
+    The partition is validated and its axes resolved here, once; calling
+    the object projects one belief.
+    """
+
+    def __init__(
+        self,
+        hidden: Sequence[str],
+        cards: Sequence[int],
+        clusters: Sequence[Sequence[str]],
+    ):
+        names = list(hidden)
+        assigned = [h for cluster in clusters for h in cluster]
+        if sorted(assigned) != sorted(names):
+            raise InferenceError(
+                f"clusters {clusters} are not a partition of the interface {names}"
+            )
+        self._cards = list(cards)
+        #: per cluster: the axes summed away and the broadcast shape of what is left
+        self._marginals: list[tuple[tuple[int, ...], list[int]]] = []
+        for cluster in clusters:
+            positions = [names.index(h) for h in cluster]
+            other_axes = tuple(i for i in range(len(names)) if i not in positions)
+            # marginal axes are ordered by ascending original position
+            shape = [c if i in positions else 1 for i, c in enumerate(self._cards)]
+            self._marginals.append((other_axes, shape))
+
+    def __call__(self, belief: np.ndarray) -> np.ndarray:
+        shaped = belief.reshape(self._cards)
+        total = shaped.sum()
+        if total <= 0:
+            raise InferenceError("cannot project a zero belief")
+        result = np.ones_like(shaped)
+        for other_axes, shape in self._marginals:
+            result = result * (shaped.sum(axis=other_axes) / total).reshape(shape)
+        flat = result.reshape(-1)
+        return flat / flat.sum()
+
+
 def project_onto_clusters(
     belief: np.ndarray,
     hidden: Sequence[str],
@@ -103,28 +145,7 @@ def project_onto_clusters(
     Returns:
         The projected belief, normalized, shape (S,).
     """
-    names = list(hidden)
-    assigned = [h for cluster in clusters for h in cluster]
-    if sorted(assigned) != sorted(names):
-        raise InferenceError(
-            f"clusters {clusters} are not a partition of the interface {names}"
-        )
-    shaped = belief.reshape(list(cards))
-    total = shaped.sum()
-    if total <= 0:
-        raise InferenceError("cannot project a zero belief")
-    result = np.ones_like(shaped)
-    for cluster in clusters:
-        positions = [names.index(h) for h in cluster]
-        other_axes = tuple(i for i in range(len(names)) if i not in positions)
-        marginal = shaped.sum(axis=other_axes) / total
-        shape = [1] * len(names)
-        for pos in positions:
-            shape[pos] = cards[pos]
-        # marginal axes are ordered by ascending original position
-        result = result * marginal.reshape(shape)
-    flat = result.reshape(-1)
-    return flat / flat.sum()
+    return _ClusterProjection(hidden, cards, clusters)(belief)
 
 
 class _SliceModel:
@@ -228,10 +249,7 @@ class _SliceModel:
         matrix); soft evidence mixes matrices linearly, which is exactly
         Pearl virtual evidence followed by marginalizing the evidence node.
         """
-        n = steps.shape[0]
-        if not self.coupling_evidence:
-            return np.ones((n, 1))
-        weights = np.ones((n, self.n_configs))
+        weights = np.ones((steps.shape[0], self.n_configs))
         radices = np.ones(len(self.coupling_cards), dtype=np.int64)
         for i in range(len(self.coupling_cards) - 2, -1, -1):
             radices[i] = radices[i + 1] * self.coupling_cards[i + 1]
@@ -244,18 +262,8 @@ class _SliceModel:
             weights *= lik[:, config_states]
         return weights
 
-    def step_tables(self, evidence: EvidenceSequence, steps: np.ndarray) -> np.ndarray:
-        """Materialized per-step tables: (len(steps), S[, S])."""
-        if not self.coupling_evidence:
-            reps = [steps.shape[0]] + [1] * (self.tables.ndim - 1)
-            return np.tile(self.tables[0][None, ...], reps)
-        weights = self.config_weights(evidence, steps)
-        return np.tensordot(weights, self.tables, axes=(1, 0))
-
     def config_indices(self, evidence: EvidenceSequence, steps: np.ndarray) -> np.ndarray:
         """Configuration index per step (requires hard coupling evidence)."""
-        if not self.coupling_evidence:
-            return np.zeros(steps.shape[0], dtype=np.int64)
         index = np.zeros(steps.shape[0], dtype=np.int64)
         for tag, name in self.coupling_evidence:
             if not evidence.is_hard(name):
@@ -271,13 +279,66 @@ class _SliceModel:
             radix *= self.coupling_cards[axis]
         return index
 
+    def step_configs(
+        self, evidence: EvidenceSequence, steps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tables (C, S[, S]) and the one each step selects, (len(steps),).
+
+        Hard (or no) coupling evidence indexes the compiled tables; soft
+        coupling evidence mixes them into one table per step.
+        """
+        if all(evidence.is_hard(name) for _, name in self.coupling_evidence):
+            return self.tables, self.config_indices(evidence, steps)
+        weights = self.config_weights(evidence, steps)
+        mixed = np.tensordot(weights, self.tables, axes=(1, 0))
+        return mixed, np.arange(steps.shape[0])
+
+    def step_tables(self, evidence: EvidenceSequence, steps: np.ndarray) -> np.ndarray:
+        """Per-step tables (len(steps), S[, S]); a read-only broadcast view
+        when every step shares one."""
+        tables, configs = self.step_configs(evidence, steps)
+        if tables.shape[0] == 1:
+            return np.broadcast_to(tables[0], (steps.shape[0], *tables.shape[1:]))
+        return tables[configs]
+
+    def likelihood_rows(
+        self, evidence: EvidenceSequence, steps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf-evidence likelihood as distinct rows and the row of each step.
+
+        Returns ``(rows, index)`` with ``rows[index]`` the (len(steps), S)
+        likelihood matrix. Hard evidence repeats, so its rows are built once
+        per distinct combination of leaf values, by gathering observation
+        columns; a leaf with soft evidence makes every step its own row.
+        """
+        n = steps.shape[0]
+        hard = [name for name in self.leaf_obs if evidence.is_hard(name)]
+        # number the combinations of hard leaf values, mixed-radix
+        code = np.zeros(n, dtype=np.int64)
+        span = 1
+        for name in hard:
+            card = self.leaf_obs[name].shape[1]
+            if span * card >= 2**62:  # renumber densely before int64 overflows
+                code = np.unique(code, return_inverse=True)[1]
+                span = n
+            code = code * card + evidence.hard_values(name)[steps]
+            span *= card
+        _, first, index = np.unique(code, return_index=True, return_inverse=True)
+        rows = np.ones((first.shape[0], self.n_states))
+        for name in hard:
+            values = evidence.hard_values(name)[steps[first]]
+            rows *= self.leaf_obs[name].T[values]
+        soft = [name for name in self.leaf_obs if not evidence.is_hard(name)]
+        if soft:
+            rows, index = rows[index], np.arange(n)
+            for name in soft:
+                rows *= evidence.likelihoods(name)[steps] @ self.leaf_obs[name].T
+        return rows, index
+
     def likelihood_matrix(self, evidence: EvidenceSequence, steps: np.ndarray) -> np.ndarray:
         """Leaf-evidence likelihood per step, shape (len(steps), S)."""
-        out = np.ones((steps.shape[0], self.n_states))
-        for name, obs in self.leaf_obs.items():
-            lik = evidence.likelihoods(name)[steps]  # (n, card)
-            out *= lik @ obs.T
-        return out
+        rows, index = self.likelihood_rows(evidence, steps)
+        return rows[index]
 
 
 class CompiledDbn:
@@ -291,8 +352,23 @@ class CompiledDbn:
         self.n_states = int(np.prod(self.cards))
         self._initial = _SliceModel(template, transition=False)
         self._transition = _SliceModel(template, transition=True)
+        # (S, card) 0/1 matrix per hidden node: which interface states carry
+        # each of its values
+        values = np.unravel_index(np.arange(self.n_states), self.cards)
+        self._members = {
+            node: np.eye(card)[values[axis]]
+            for axis, (node, card) in enumerate(zip(self.hidden, self.cards))
+        }
 
     # ------------------------------------------------------------------
+    def _initial_belief(self, evidence: EvidenceSequence) -> np.ndarray:
+        """Unnormalised belief of slice 0: prior times leaf likelihood."""
+        first = np.zeros(1, dtype=np.int64)
+        return (
+            self._initial.step_tables(evidence, first)[0]
+            * self._initial.likelihood_matrix(evidence, first)[0]
+        )
+
     def filter(
         self,
         evidence: EvidenceSequence,
@@ -305,97 +381,46 @@ class CompiledDbn:
             clusters: optional Boyen-Koller partition of the hidden nodes;
                 omitted or a single cluster keeps the recursion exact.
         """
-        t_len = len(evidence)
-        steps = np.arange(t_len)
-        project = clusters is not None and len(list(clusters)) > 1
-        priors = self._initial.step_tables(evidence, steps[:1])[0]
-        lik0 = self._initial.likelihood_matrix(evidence, steps[:1])[0]
-        gamma = np.zeros((t_len, self.n_states))
-        log_likelihood = 0.0
-
-        alpha = priors * lik0
-        scale = alpha.sum()
-        if scale <= 0:
-            raise InferenceError("evidence has zero probability at t=0")
-        alpha /= scale
-        log_likelihood += np.log(scale)
-        if project:
-            alpha = project_onto_clusters(alpha, self.hidden, self.cards, clusters)
-        gamma[0] = alpha
-
-        if t_len > 1:
-            rest = steps[1:]
-            tables = self._transition.step_tables(evidence, rest)
-            liks = self._transition.likelihood_matrix(evidence, rest)
-            for i, t in enumerate(rest):
-                cancel_checkpoint("dbn.filter")
-                alpha = (alpha @ tables[i]) * liks[i]
-                scale = alpha.sum()
-                if scale <= 0:
-                    raise InferenceError(f"evidence has zero probability at t={t}")
-                alpha /= scale
-                log_likelihood += np.log(scale)
-                if project:
-                    alpha = project_onto_clusters(
-                        alpha, self.hidden, self.cards, clusters
-                    )
-                gamma[t] = alpha
-        return FilterResult(gamma, float(log_likelihood))
+        rest = np.arange(1, len(evidence))
+        steps = scan.StepMatrices.build(
+            *self._transition.step_configs(evidence, rest),
+            *self._transition.likelihood_rows(evidence, rest),
+        )
+        project = None
+        if clusters is not None and len(list(clusters)) > 1:
+            project = _ClusterProjection(self.hidden, self.cards, clusters)
+        gamma, log_scales = scan.forward(
+            self._initial_belief(evidence), steps, site="dbn.filter", project=project
+        )
+        return FilterResult(gamma, float(log_scales.sum()))
 
     def smooth(self, evidence: EvidenceSequence) -> SmoothResult:
         """Forward-backward pass with transition statistics for EM."""
-        t_len = len(evidence)
-        steps = np.arange(t_len)
-        priors = self._initial.step_tables(evidence, steps[:1])[0]
-        lik0 = self._initial.likelihood_matrix(evidence, steps[:1])[0]
-
-        alphas = np.zeros((t_len, self.n_states))
-        scales = np.zeros(t_len)
-        alpha = priors * lik0
-        scales[0] = alpha.sum()
-        if scales[0] <= 0:
-            raise InferenceError("evidence has zero probability at t=0")
-        alphas[0] = alpha / scales[0]
-
-        tables = liks = None
-        if t_len > 1:
-            rest = steps[1:]
-            tables = self._transition.step_tables(evidence, rest)
-            liks = self._transition.likelihood_matrix(evidence, rest)
-            for i, t in enumerate(rest):
-                cancel_checkpoint("dbn.smooth")
-                alpha = (alphas[t - 1] @ tables[i]) * liks[i]
-                scales[t] = alpha.sum()
-                if scales[t] <= 0:
-                    raise InferenceError(f"evidence has zero probability at t={t}")
-                alphas[t] = alpha / scales[t]
-
-        betas = np.zeros((t_len, self.n_states))
-        betas[-1] = 1.0
-        for t in range(t_len - 2, -1, -1):
-            weighted = liks[t] * betas[t + 1]  # index t == step t+1 data
-            betas[t] = (tables[t] @ weighted) / scales[t + 1]
-
-        gamma = alphas * betas
-        gamma /= gamma.sum(axis=1, keepdims=True)
-
+        rest = np.arange(1, len(evidence))
+        # EM files each step's counts under one configuration: hard coupling only
+        initial_config = int(
+            self._initial.config_indices(evidence, np.zeros(1, dtype=np.int64))[0]
+        )
+        configs = self._transition.config_indices(evidence, rest)
+        tables = self._transition.tables
+        lik_rows, rows = self._transition.likelihood_rows(evidence, rest)
+        steps = scan.StepMatrices.build(tables, configs, lik_rows, rows)
+        alphas, log_scales = scan.forward(
+            self._initial_belief(evidence), steps, site="dbn.smooth"
+        )
+        betas = scan.backward(steps, site="dbn.smooth")
+        weighted = lik_rows[rows] * betas[1:]
         xi_by_config: dict[int, np.ndarray] = {}
-        if t_len > 1:
-            configs = self._transition.config_indices(evidence, steps[1:])
-            for i, t in enumerate(range(1, t_len)):
-                xi = (
-                    alphas[t - 1][:, None]
-                    * tables[i]
-                    * (liks[i] * betas[t])[None, :]
-                    / scales[t]
-                )
-                cfg = int(configs[i])
-                if cfg not in xi_by_config:
-                    xi_by_config[cfg] = np.zeros((self.n_states, self.n_states))
-                xi_by_config[cfg] += xi
-        initial_config = int(self._initial.config_indices(evidence, steps[:1])[0])
+        for cfg in np.unique(configs).tolist():
+            chosen = configs == cfg
+            xi_by_config[cfg] = scan.expected_transitions(
+                tables[cfg], alphas[:-1][chosen], weighted[chosen]
+            )
         return SmoothResult(
-            gamma, float(np.log(scales).sum()), xi_by_config, initial_config
+            scan.posteriors(alphas, betas),
+            float(log_scales.sum()),
+            xi_by_config,
+            initial_config,
         )
 
     # ------------------------------------------------------------------
@@ -404,12 +429,9 @@ class CompiledDbn:
 
     def marginal(self, gamma: np.ndarray, node: str) -> np.ndarray:
         """Project interface posteriors (T, S) onto one hidden node (T, card)."""
-        if node not in self.hidden:
+        if node not in self._members:
             raise InferenceError(f"{node!r} is not a hidden node")
-        axis = self.hidden.index(node)
-        shaped = gamma.reshape(gamma.shape[0], *self.cards)
-        other = tuple(i + 1 for i in range(len(self.cards)) if i != axis)
-        return shaped.sum(axis=other)
+        return gamma @ self._members[node]
 
     def posterior_series(
         self,

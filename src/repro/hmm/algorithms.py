@@ -1,4 +1,5 @@
-"""HMM inference algorithms: scaled forward/backward, Viterbi, posteriors."""
+"""HMM inference algorithms: scaled forward/backward (on the shared scan
+kernel of :mod:`repro.dbn.scan`), Viterbi, posteriors."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.dbn import scan
 from repro.errors import InferenceError
 from repro.hmm.model import DiscreteHmm
 
@@ -34,53 +36,31 @@ class ForwardBackwardResult:
     scales: np.ndarray
 
 
+def _chain(model: DiscreteHmm, obs: np.ndarray) -> tuple[np.ndarray, scan.StepMatrices]:
+    """Slice 0's unnormalised belief and the step matrices of the rest:
+    one transition table, the emission column of each symbol as its row."""
+    configs = np.zeros(obs.shape[0] - 1, dtype=np.int64)
+    steps = scan.StepMatrices.build(
+        model.transition[None], configs, model.emission.T, obs[1:]
+    )
+    return model.initial * model.emission[:, obs[0]], steps
+
+
 def forward_backward(model: DiscreteHmm, observations: Sequence[int]) -> ForwardBackwardResult:
     """Run the scaled forward-backward algorithm on one sequence."""
     obs = model.check_observations(observations)
-    t_len = obs.shape[0]
-    n = model.n_states
-    a = model.transition
-    b = model.emission
-
-    alphas = np.zeros((t_len, n))
-    scales = np.zeros(t_len)
-
-    alpha = model.initial * b[:, obs[0]]
-    scales[0] = alpha.sum()
-    if scales[0] == 0:
-        raise InferenceError("observation sequence has zero probability at t=0")
-    alphas[0] = alpha / scales[0]
-    for t in range(1, t_len):
-        alpha = (alphas[t - 1] @ a) * b[:, obs[t]]
-        scales[t] = alpha.sum()
-        if scales[t] == 0:
-            raise InferenceError(f"observation sequence has zero probability at t={t}")
-        alphas[t] = alpha / scales[t]
-
-    betas = np.zeros((t_len, n))
-    betas[-1] = 1.0
-    for t in range(t_len - 2, -1, -1):
-        betas[t] = (a @ (b[:, obs[t + 1]] * betas[t + 1])) / scales[t + 1]
-
-    gamma = alphas * betas
-    gamma /= gamma.sum(axis=1, keepdims=True)
-
-    xi_sum = np.zeros((n, n))
-    for t in range(t_len - 1):
-        numer = (
-            alphas[t][:, None]
-            * a
-            * (b[:, obs[t + 1]] * betas[t + 1])[None, :]
-            / scales[t + 1]
-        )
-        xi_sum += numer
-
+    initial, steps = _chain(model, obs)
+    alphas, log_scales = scan.forward(initial, steps, site="hmm.forward_backward")
+    betas = scan.backward(steps, site="hmm.forward_backward")
+    xi_sum = scan.expected_transitions(
+        model.transition, alphas[:-1], model.emission.T[obs[1:]] * betas[1:]
+    )
     return ForwardBackwardResult(
-        log_likelihood=float(np.log(scales).sum()),
-        gamma=gamma,
+        log_likelihood=float(log_scales.sum()),
+        gamma=scan.posteriors(alphas, betas),
         xi_sum=xi_sum,
         alphas=alphas,
-        scales=scales,
+        scales=np.exp(log_scales),
     )
 
 
@@ -91,21 +71,11 @@ def log_likelihood(model: DiscreteHmm, observations: Sequence[int]) -> float:
     paper's Fig. 3/4 before the best-scoring model is selected.
     """
     obs = model.check_observations(observations)
-    alpha = model.initial * model.emission[:, obs[0]]
-    total = 0.0
-    scale = alpha.sum()
-    if scale == 0:
+    try:
+        _, log_scales = scan.forward(*_chain(model, obs), site="hmm.log_likelihood")
+    except InferenceError:  # an impossible sequence scores -inf, not an error
         return float("-inf")
-    total += np.log(scale)
-    alpha /= scale
-    for t in range(1, obs.shape[0]):
-        alpha = (alpha @ model.transition) * model.emission[:, obs[t]]
-        scale = alpha.sum()
-        if scale == 0:
-            return float("-inf")
-        total += np.log(scale)
-        alpha /= scale
-    return float(total)
+    return float(log_scales.sum())
 
 
 def viterbi(model: DiscreteHmm, observations: Sequence[int]) -> tuple[list[int], float]:

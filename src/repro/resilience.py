@@ -132,7 +132,8 @@ class CancellationToken(Deadline):
     or :func:`cancel_checkpoint` (against the ambient token installed with
     :func:`cancel_scope`), and the first checkpoint after :meth:`cancel`
     or deadline expiry raises — so a cancelled request stops consuming
-    kernel steps within one MIL statement / inference step / frame chunk.
+    kernel steps within one MIL statement / block of inference steps /
+    frame chunk.
     """
 
     __slots__ = ("_cancelled", "_cancel_reason")

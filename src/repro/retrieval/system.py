@@ -194,9 +194,9 @@ class FormulaOneSystem:
         node_kinds = [("Highlight", "highlight"), ("Start", "start"), ("FlyOut", "fly_out")]
         if self.include_passing:
             node_kinds.append(("Passing", "passing"))
+        posteriors = self.db.dbn.infer("av", evidence, [node for node, _ in node_kinds])
         events = []
-        for node, kind in node_kinds:
-            posterior = self.db.dbn.infer("av", evidence, node)
+        for (_, kind), posterior in zip(node_kinds, posteriors):
             for segment in extract_segments(posterior):
                 lo = int(segment.start * 10)
                 hi = max(int(segment.end * 10), lo + 1)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.dbn.compiled import CompiledDbn
 from repro.dbn.evidence import EvidenceSequence
+from repro.dbn.scan import SCAN_BLOCK
 from repro.dbn.template import DbnTemplate
 from repro.errors import (
     CircuitOpenError,
@@ -54,8 +55,10 @@ class CountdownToken(CancellationToken):
     def __init__(self, trips: int):
         super().__init__(None)
         self._trips = trips
+        self.checks = 0
 
     def check(self, site: str = "") -> None:
+        self.checks += 1
         self._trips -= 1
         if self._trips <= 0:
             self.cancel("countdown reached zero")
@@ -272,27 +275,53 @@ class TestMilCancellation:
 
 
 class TestDbnCancellation:
-    def test_cancellation_mid_filter(self):
-        """The forward pass stops at the per-step checkpoint, not at the end."""
-        template = two_chain()
-        steps = 30
-        evidence = EvidenceSequence(
-            template, hard={"F": [0] * steps, "G": [0] * steps}
+    """The scan kernel polls once per block of ``SCAN_BLOCK`` steps."""
+
+    BLOCKS = 12
+
+    def _long_evidence(self, template):
+        steps = 1 + self.BLOCKS * SCAN_BLOCK
+        rng = np.random.default_rng(0)
+        return EvidenceSequence(
+            template,
+            hard={"F": rng.integers(0, 2, steps), "G": rng.integers(0, 3, steps)},
         )
+
+    def _cancelled_at_tenth_block(self, method):
+        template = two_chain()
+        evidence = self._long_evidence(template)
         dbn = CompiledDbn(template)
         token = CountdownToken(trips=10)
         with cancel_scope(token):
             with pytest.raises(RequestCancelled) as err:
-                dbn.filter(evidence)
-        assert err.value.site == "dbn.filter"
+                getattr(dbn, method)(evidence)
+        assert token.checks == 10  # ten blocks in, of twelve
+        return err.value.site
+
+    def test_cancellation_mid_filter(self):
+        """The forward pass stops at a block checkpoint, not at the end."""
+        assert self._cancelled_at_tenth_block("filter") == "dbn.filter"
+
+    def test_cancellation_mid_smooth(self):
+        assert self._cancelled_at_tenth_block("smooth") == "dbn.smooth"
+
+    def test_one_checkpoint_per_block(self):
+        template = two_chain()
+        evidence = self._long_evidence(template)
+        dbn = CompiledDbn(template)
+        token = CountdownToken(trips=10**9)
+        with cancel_scope(token):
+            dbn.filter(evidence)
+        assert token.checks == self.BLOCKS
+        token = CountdownToken(trips=10**9)
+        with cancel_scope(token):
+            dbn.smooth(evidence)  # forward and backward
+        assert token.checks == 2 * self.BLOCKS
 
     def test_deadline_mid_filter(self):
         """An expiring budget surfaces as TimeoutExpired from inside the loop."""
         template = two_chain()
-        steps = 30
-        evidence = EvidenceSequence(
-            template, hard={"F": [0] * steps, "G": [0] * steps}
-        )
+        evidence = self._long_evidence(template)
         dbn = CompiledDbn(template)
         clock = FakeClock()
 
@@ -308,13 +337,16 @@ class TestDbnCancellation:
 
     def test_uncancelled_scope_leaves_inference_untouched(self):
         template = two_chain()
-        evidence = EvidenceSequence(template, hard={"F": [0, 1, 0], "G": [0, 1, 2]})
+        evidence = self._long_evidence(template)
         dbn = CompiledDbn(template)
         baseline = dbn.filter(evidence)
+        smoothed = dbn.smooth(evidence)
         with cancel_scope(CancellationToken(None)):
             scoped = dbn.filter(evidence)
-        np.testing.assert_allclose(baseline.gamma, scoped.gamma)
-        assert baseline.log_likelihood == pytest.approx(scoped.log_likelihood)
+            scoped_smooth = dbn.smooth(evidence)
+        np.testing.assert_array_equal(baseline.gamma, scoped.gamma)
+        assert baseline.log_likelihood == scoped.log_likelihood
+        np.testing.assert_array_equal(smoothed.gamma, scoped_smooth.gamma)
 
 
 class TestHalfOpenProbe:

@@ -74,6 +74,30 @@ class TestSystem:
         assert not second.report.ran_extraction
         assert len(second) == len(first)
 
+    def test_av_extraction_is_one_inference_call(self, f1_system, mini_race, monkeypatch):
+        """Highlight, Start and FlyOut are marginals of one forward pass."""
+        from repro.cobra.model import FeatureTrack, RawVideo, VideoDocument
+
+        # an unregistered copy of the race: extraction must not touch the system
+        document = VideoDocument(
+            raw=RawVideo("copy", "synthetic://copy", 180.0, 10.0, 192, 144, 16000)
+        )
+        for name, values in mini_race.features.streams.items():
+            document.add_feature(FeatureTrack(name, values))
+        calls = []
+        infer = f1_system.db.dbn.infer
+        monkeypatch.setattr(
+            f1_system.db.dbn,
+            "infer",
+            lambda *args: calls.append(args[2]) or infer(*args),
+        )
+        events = f1_system._extract_av_events(document)
+        assert calls == [["Highlight", "Start", "FlyOut"]]
+        stored = f1_system.query("RETRIEVE highlight")
+        assert sorted(
+            (e.interval.start, e.interval.end) for e in events if e.kind == "highlight"
+        ) == sorted((r["start"], r["end"]) for r in stored.records)
+
     def test_highlight_recall_against_truth(self, f1_system, mini_race):
         from repro.fusion.evaluate import segment_precision_recall
 

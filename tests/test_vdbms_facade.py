@@ -61,6 +61,34 @@ class TestDbnExtension:
         assert posterior.shape == (30,)
         assert np.all((posterior >= 0) & (posterior <= 1))
 
+    def test_infer_several_nodes_is_one_forward_pass(self, rng, monkeypatch):
+        from repro.dbn import scan
+
+        t = DbnTemplate()
+        t.add_node("H", 2)
+        t.add_node("K", 2)
+        t.add_node("F", 2, observed=True)
+        t.add_intra_edge("H", "K")
+        t.add_intra_edge("K", "F")
+        t.add_inter_edge("H", "H")
+        t.add_inter_edge("K", "K")
+        t.randomize(np.random.default_rng(4))
+        ext = DbnExtension(MonetKernel())
+        ext.register("demo", t)
+        _, evidence = sample_sequence(t, 40, rng)
+        one_by_one = [ext.infer("demo", evidence, node) for node in ("K", "H")]
+
+        passes = []
+        forward = scan.forward
+        monkeypatch.setattr(
+            scan, "forward", lambda *a, **kw: passes.append(1) or forward(*a, **kw)
+        )
+        together = ext.infer("demo", evidence, ["K", "H"])
+        assert len(passes) == 1
+        assert len(together) == 2
+        for series, alone in zip(together, one_by_one):
+            np.testing.assert_array_equal(series, alone)
+
     def test_loglik_operator(self, rng):
         kernel = MonetKernel()
         ext = DbnExtension(kernel)
