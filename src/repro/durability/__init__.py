@@ -4,9 +4,9 @@ The paper's Monet kernel is a real DBMS with persistent BATs; the
 reproduction's catalog was purely in-memory until this package added the
 classic recoverability stack:
 
-* :mod:`repro.durability.wal` — an append-only, CRC32-checksummed,
-  length-prefixed write-ahead log with fsync-on-commit and named crash
-  points;
+* :mod:`repro.durability.wal` — the record log (append-only, CRC32 and
+  length framed, fsynced, named crash points) under the write-ahead log
+  and the sharded fleet's placement journal, and the WAL's batch grammar;
 * :mod:`repro.durability.checkpoint` — atomic (write-temp, fsync, rename)
   full-catalog checkpoints that truncate the log;
 * :mod:`repro.durability.store` — the :class:`DurableStore` façade tying

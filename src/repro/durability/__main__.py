@@ -3,6 +3,7 @@
 Usage::
 
     python -m repro.durability inspect <store-dir>   # dump checkpoint + WAL
+    python -m repro.durability inspect <log-file>    # dump one record log
     python -m repro.durability verify  <store-dir>   # read-only recovery
     python -m repro.durability compact <store-dir>   # fold WAL -> checkpoint
     python -m repro.durability sweep [--dir DIR]     # kill-point sweep
@@ -19,56 +20,86 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from pathlib import Path
+from typing import Any
 
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.store import WAL_FILE, DurableStore
-from repro.durability.wal import read_records
+from repro.durability.wal import JOURNAL_MAGIC, BatchAssembler, read_records
 from repro.errors import CatalogCheckError, DurabilityError, ReproError
 
 
-def _cmd_inspect(args: argparse.Namespace) -> int:
-    checkpoint = read_checkpoint(args.store)
-    if checkpoint is None:
-        print("checkpoint: (none)")
-    else:
-        print(f"checkpoint: seqno {checkpoint.seqno}")
-        for name in sorted(checkpoint.catalog):
-            bat = checkpoint.catalog[name]
-            print(f"  {bat!r}")
-        for name in sorted(checkpoint.procs):
-            print(f"  PROC {name} ({len(checkpoint.procs[name])} pickled bytes)")
-        if checkpoint.modules:
-            print(f"  modules: {', '.join(checkpoint.modules)}")
-    scan = read_records(f"{args.store}/{WAL_FILE}")
-    appends = [r for r in scan.records if r.get("op") == "append"]
-    print(
-        f"wal: format {scan.format}, {len(scan.records)} record(s) "
-        f"({len(appends)} append(s) of "
-        f"{sum(len(r.get('tail', [])) for r in appends)} row(s)), "
-        f"{scan.valid_length} valid byte(s) of {scan.file_length}"
+def _describe(record: dict[str, Any]) -> str:
+    op = record["op"]
+    if op == "persist":
+        payload = record.get("bat", {})
+        return (
+            f" {record.get('name')!r} "
+            f"BAT[{payload.get('head_type')},{payload.get('tail_type')}] "
+            f"({len(payload.get('head', []))} associations)"
+        )
+    if op == "append":
+        return (
+            f" {record.get('name')!r} at {record.get('at')} "
+            f"(+{len(record.get('tail', []))} row(s))"
+        )
+    if "txn" in record:  # a batch marker
+        return f" txn {record['txn']}"
+    if "name" in record:
+        return f" {record['name']!r}"
+    return "".join(
+        f" {key}={value!r}" for key, value in record.items() if key != "op"
     )
+
+
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    target = Path(args.store)
+    log = target
+    if target.is_dir():
+        log = target / WAL_FILE
+        checkpoint = read_checkpoint(target)
+        if checkpoint is None:
+            print("checkpoint: (none)")
+        else:
+            print(f"checkpoint: seqno {checkpoint.seqno}")
+            for name in sorted(checkpoint.catalog):
+                bat = checkpoint.catalog[name]
+                print(f"  {bat!r}")
+            for name in sorted(checkpoint.procs):
+                print(f"  PROC {name} ({len(checkpoint.procs[name])} pickled bytes)")
+            if checkpoint.modules:
+                print(f"  modules: {', '.join(checkpoint.modules)}")
+    journal = False
+    if log.is_file():
+        with open(log, "rb") as fh:
+            journal = fh.read(len(JOURNAL_MAGIC)) == JOURNAL_MAGIC
+    if journal:
+        # its ``commit``/``abort`` records are placement ops, not batch
+        # markers: every record stands alone
+        scan = read_records(log, magics=(JOURNAL_MAGIC,))
+        in_effect = {id(record) for record in scan.records}
+        print(
+            f"placement journal: {len(scan.records)} record(s), "
+            f"{scan.valid_length} valid byte(s) of {scan.file_length}"
+        )
+    else:
+        scan = read_records(log)
+        in_effect = {id(r) for r in BatchAssembler().feed(scan.records)}
+        appends = [r for r in scan.records if r.get("op") == "append"]
+        print(
+            f"wal: format {scan.format}, {len(scan.records)} record(s) "
+            f"({len(appends)} append(s) of "
+            f"{sum(len(r.get('tail', [])) for r in appends)} row(s)), "
+            f"{scan.valid_length} valid byte(s) of {scan.file_length}"
+        )
     if scan.corruption:
         print(f"  CORRUPT TAIL: {scan.corruption} ({scan.torn_bytes} byte(s))")
     for index, record in enumerate(scan.records):
-        op = record.get("op")
-        detail = ""
-        if op == "persist":
-            payload = record.get("bat", {})
-            detail = (
-                f" {record.get('name')!r} "
-                f"BAT[{payload.get('head_type')},{payload.get('tail_type')}] "
-                f"({len(payload.get('head', []))} associations)"
-            )
-        elif op == "append":
-            detail = (
-                f" {record.get('name')!r} at {record.get('at')} "
-                f"(+{len(record.get('tail', []))} row(s))"
-            )
-        elif op in ("drop", "proc", "module"):
-            detail = f" {record.get('name')!r}"
-        elif op in ("begin", "commit", "abort"):
-            detail = f" txn {record.get('txn')}"
-        print(f"  [{index:04d}] {op}{detail}")
+        lost = "txn" not in record and id(record) not in in_effect
+        print(
+            f"  [{index:04d}] {record['op']}{_describe(record)}"
+            + ("  (uncommitted batch: recovery discards it)" if lost else "")
+        )
     return 0
 
 
@@ -141,7 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         ("compact", _cmd_compact, "fold the WAL into a fresh checkpoint"),
     ):
         sub = commands.add_parser(name, help=doc)
-        sub.add_argument("store", help="store directory")
+        sub.add_argument(
+            "store", help="store directory (inspect: or one record-log file)"
+        )
         sub.set_defaults(handler=handler)
 
     sweep = commands.add_parser(

@@ -65,6 +65,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.wal import (
     WAL_FORMAT,
+    BatchAssembler,
     WriteAheadLog,
     append_record,
     bat_from_payload,
@@ -348,26 +349,26 @@ class DurableStore:
             record = payload = append_record(name, bat, at)
         return record, (lineage, rewrites, (at or 0) + len(payload["tail"]))
 
-    def log_persist(self, name: str, bat: BAT) -> None:
-        """Auto-commit record: full image of one persisted BAT."""
+    def _append(self, record: dict[str, Any]) -> None:
+        """One auto-commit record, durable before returning."""
         self._require_open()
-        record, version = self._rows_record(name, bat)
         self._wal.append(record)
-        self._logged[name] = version
         self._records_in_wal += 1
 
+    def log_persist(self, name: str, bat: BAT) -> None:
+        """Auto-commit record: full image of one persisted BAT."""
+        record, version = self._rows_record(name, bat)
+        self._append(record)
+        self._logged[name] = version
+
     def log_drop(self, name: str) -> None:
-        self._require_open()
-        self._wal.append({"op": "drop", "name": name})
+        self._append({"op": "drop", "name": name})
         self._logged.pop(name, None)
-        self._records_in_wal += 1
 
     def log_proc(self, name: str, definition: Any) -> None:
         """Auto-commit record: one MIL PROC definition (pickled AST)."""
-        self._require_open()
         blob = base64.b64encode(pickle_definition(definition)).decode("ascii")
-        self._wal.append({"op": "proc", "name": name, "def": blob})
-        self._records_in_wal += 1
+        self._append({"op": "proc", "name": name, "def": blob})
 
     def log_module(self, name: str) -> None:
         """Auto-commit record: a MEL module registration marker."""
@@ -375,17 +376,14 @@ class DurableStore:
         if name in self._modules:
             return
         self._modules.add(name)
-        self._wal.append({"op": "module", "name": name})
-        self._records_in_wal += 1
+        self._append({"op": "module", "name": name})
 
     def log_abort(self) -> int:
         """Audit marker for a rolled-back transaction (nothing to undo:
         transaction records are only written at commit)."""
-        self._require_open()
         txn = self._next_txn
         self._next_txn += 1
-        self._wal.append({"op": "abort", "txn": txn})
-        self._records_in_wal += 1
+        self._append({"op": "abort", "txn": txn})
         return txn
 
     def commit(self, delta: CatalogDelta) -> int | None:
@@ -472,38 +470,18 @@ class DurableStore:
         definitions = snapshot.definitions()
         modules = set(snapshot.modules)
 
-        scan = read_records(self.wal_path)
+        scan = read_records(self.wal_path) if dry_run else self._wal.recover()
         report.wal_format = scan.format
         report.wal_records = len(scan.records)
         report.corruption = scan.corruption
         report.truncated_bytes = scan.torn_bytes
-        if scan.torn_bytes and not dry_run:
-            self._wal.truncate(scan.valid_length or None)
 
-        max_txn = 0
-        committed: list[dict[str, Any]] = []
-        pending: list[dict[str, Any]] | None = None
-        for record in scan.records:
-            op = record["op"]
-            if op == "begin":
-                if pending is not None:
-                    report.transactions_discarded += 1
-                pending = []
-                max_txn = max(max_txn, int(record.get("txn", 0)))
-            elif op == "commit":
-                if pending is not None:
-                    committed.extend(pending)
-                    report.transactions_committed += 1
-                    pending = None
-            elif op == "abort":
-                report.aborts_seen += 1
-                max_txn = max(max_txn, int(record.get("txn", 0)))
-            elif pending is not None:
-                pending.append(record)
-            else:
-                committed.append(record)
-        if pending is not None:
-            report.transactions_discarded += 1
+        batches = BatchAssembler()
+        committed = batches.feed(scan.records)
+        batches.discard()  # a batch still open at the end never committed
+        report.transactions_committed = batches.committed
+        report.transactions_discarded = batches.discarded
+        report.aborts_seen = batches.aborted
         replay(committed, catalog, definitions.__setitem__, modules)
         report.records_replayed = len(committed)
         appends = [len(r["tail"]) for r in committed if r["op"] == "append"]
@@ -524,7 +502,7 @@ class DurableStore:
             catalog=catalog,
             definitions=definitions,
             modules=sorted(modules),
-            next_txn=max_txn + 1,
+            next_txn=batches.max_txn + 1,
             report=report,
         )
 

@@ -1,30 +1,39 @@
-"""The append-only, checksummed write-ahead log.
+"""The record log: an append-only, checksummed file of JSON records.
 
-File layout::
+One framing serves every journal in the repo. File layout::
 
-    REPROWAL2\\n                      10-byte magic header
+    <magic>\\n                        10-byte header naming the log's kind
     [u32 length][u32 crc32][payload]  repeated; big-endian, crc over payload
 
-Payloads are JSON dictionaries with an ``op`` field. Catalog values that
-JSON cannot carry natively (opaque ``any``-atom objects, pickled MIL
+Payloads are JSON dictionaries with an ``op`` field. Values that JSON
+cannot carry natively (opaque ``any``-atom objects, pickled MIL
 ``ProcDef`` ASTs) are tagged ``{"__pickle__": <base64>}``; everything else
 stays human-readable for ``python -m repro.durability inspect``.
+
+:class:`RecordLog` is the writer: a persistent handle, one fsync per
+record, four named kill points around the two halves of each record so the
+chaos harnesses can manufacture genuinely torn records, and a scan that
+*physically* cuts a torn tail off before the first append. Its two users
+are told apart by magic and kill-site prefix: the catalog WAL
+(:class:`WriteAheadLog`, ``REPROWAL2``, ``wal.append:*`` plus the
+``wal.commit:*`` sites of its transaction batches) and the sharded
+fleet's placement journal (``REPROJNL1``, ``journal.append:*``).
 
 The magic is the format rule. ``REPROWAL2`` logs may hold row deltas
 (``append`` records, :func:`append_record`); ``REPROWAL1`` logs, written
 before deltas existed, hold full BAT images only. The reader accepts both
 and reports which it saw (:attr:`WalScan.format`); the writer stamps only
-``REPROWAL2`` and refuses to open a ``REPROWAL1`` file for appending, so
-an old reader can never meet a delta it would skip — the store folds such
-a log into a checkpoint first (:meth:`DurableStore.open`).
+the newest magic of its kind and refuses to open any other file for
+appending, so an old reader can never meet a delta it would skip — the
+store folds such a log into a checkpoint first (:meth:`DurableStore.open`).
+A file under a foreign header (a WAL handed to the journal's reader, a
+JSON-lines ``placements.log`` from before ``REPROJNL1``) raises
+:class:`WalCorruptionError`; it never reads as an empty log.
 
-Write semantics: an *auto-commit* record (:meth:`WriteAheadLog.append`) is
-written and fsynced on its own; a *transaction* (:meth:`commit`) is written
-as one ``begin`` + delta records + ``commit`` batch, fsynced after the
-commit marker — a batch without its commit marker is discarded on replay.
-The writer deliberately splits each auto-commit record into two OS writes
-around a named crash point so the chaos harness can manufacture genuinely
-torn records.
+A WAL *transaction* (:meth:`WriteAheadLog.commit`) is one ``begin`` +
+delta records + ``commit`` batch, fsynced after the commit marker;
+:class:`BatchAssembler` is the one reader of that grammar — recovery, the
+replicas and ``inspect`` feed it records and get back those in effect.
 
 Read semantics (:func:`read_records`): records are scanned until EOF or the
 first structurally bad record (short header, length past EOF, CRC or JSON
@@ -42,16 +51,20 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import IO, Any, Iterable, Sequence
 
 from repro.errors import DurabilityError, WalCorruptionError
 from repro.faults import FaultInjector
 from repro.monet.bat import BAT
 
 __all__ = [
+    "BatchAssembler",
+    "JOURNAL_MAGIC",
     "LEGACY_MAGIC",
     "MAGIC",
+    "RecordLog",
     "WAL_FORMAT",
+    "WAL_MAGICS",
     "WalScan",
     "WriteAheadLog",
     "append_record",
@@ -68,9 +81,12 @@ __all__ = [
 MAGIC = b"REPROWAL2\n"
 #: Header of logs written before row deltas: full BAT images only.
 LEGACY_MAGIC = b"REPROWAL1\n"
-#: Format number per magic; the writer's is :data:`WAL_FORMAT`.
-_FORMATS = {LEGACY_MAGIC: 1, MAGIC: 2}
-WAL_FORMAT = _FORMATS[MAGIC]
+#: The WAL's headers, oldest first: a log's format number is its header's
+#: position here, counted from 1, and the writer stamps the last.
+WAL_MAGICS = (LEGACY_MAGIC, MAGIC)
+WAL_FORMAT = len(WAL_MAGICS)
+#: Header of the sharded fleet's placement journal (``placements.log``).
+JOURNAL_MAGIC = b"REPROJNL1\n"
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
 
 #: Upper bound on one record's payload; a length field above this is treated
@@ -151,7 +167,7 @@ def decode_record(payload: bytes) -> dict[str, Any]:
 
 @dataclass
 class WalScan:
-    """Result of scanning a WAL file.
+    """Result of scanning a record-log file.
 
     Attributes:
         records: every structurally valid record from the start offset on,
@@ -162,8 +178,9 @@ class WalScan:
             when the whole file was valid).
         ends: byte offset just past each record, parallel to ``records`` —
             the start offset that resumes the scan after it.
-        format: the format the magic header declares (:data:`WAL_FORMAT`
-            for a missing or empty file, which the writer would create).
+        format: position (from 1) of the file's magic among the accepted
+            ones — the newest for a missing or empty file, which the
+            writer would create.
     """
 
     records: list[dict[str, Any]]
@@ -178,31 +195,38 @@ class WalScan:
         return self.file_length - self.valid_length
 
 
-def read_records(path: str | Path, start: int = 0) -> WalScan:
-    """Scan a WAL file, stopping at the first torn or corrupt record.
+def read_records(
+    path: str | Path, start: int = 0, magics: Sequence[bytes] = WAL_MAGICS
+) -> WalScan:
+    """Scan a record log, stopping at the first torn or corrupt record.
 
-    ``start`` resumes an earlier scan: a byte offset that scan reported
-    (one of :attr:`WalScan.ends`, or its ``valid_length``); only the bytes
-    from there on are read and decoded. Offsets in the result stay
-    absolute.
+    ``magics`` are the headers the caller accepts, oldest first; any other
+    header raises :class:`WalCorruptionError`. ``start`` resumes an earlier
+    scan: a byte offset that scan reported (one of :attr:`WalScan.ends`, or
+    its ``valid_length``); only the bytes from there on are read and
+    decoded. Offsets in the result stay absolute.
     """
     path = Path(path)
+    newest = magics[-1]
     if not path.exists():
-        return WalScan([], 0, 0)
-    begin = max(start, len(MAGIC))
+        return WalScan([], 0, 0, format=len(magics))
+    begin = max(start, len(newest))
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
+        magic = fh.read(len(newest))
         size = fh.seek(0, os.SEEK_END)
         fh.seek(begin)
         data = fh.read()
     if not magic:
-        return WalScan([], 0, 0)
-    if magic not in _FORMATS:
-        if len(magic) < len(MAGIC) and MAGIC.startswith(magic):
+        return WalScan([], 0, 0, format=len(magics))
+    if magic not in magics:
+        if len(magic) < len(newest) and newest.startswith(magic):
             # crash while writing the header of a brand-new log
-            return WalScan([], 0, len(magic), corruption="torn magic header")
+            return WalScan(
+                [], 0, len(magic), "torn magic header", format=len(magics)
+            )
         raise WalCorruptionError(
-            f"{path} does not start with the WAL magic header"
+            f"{path} does not start with the magic header of a "
+            f"{newest[:-1].decode()} log"
         )
     if start > size:
         raise WalCorruptionError(
@@ -241,8 +265,61 @@ def read_records(path: str | Path, start: int = 0) -> WalScan:
         offset = body + length
         ends.append(offset)
     return WalScan(
-        records, offset, end, corruption, ends=ends, format=_FORMATS[magic]
+        records, offset, end, corruption, ends, magics.index(magic) + 1
     )
+
+
+class BatchAssembler:
+    """The one reader of the WAL's transaction grammar.
+
+    :meth:`feed` takes records in log order — the whole log or a shipment
+    at a time, the open batch is carried across calls — and returns those
+    in effect: auto-commit records at once, a ``begin`` batch when its
+    ``commit`` marker arrives. A batch the next ``begin`` supersedes lost
+    its marker to a crash and is discarded, as is one the caller gives up
+    on (:meth:`discard`). ``abort`` is an audit marker for nothing logged.
+    """
+
+    def __init__(self) -> None:
+        self._pending: list[dict[str, Any]] | None = None
+        self.committed = 0
+        self.discarded = 0
+        self.aborted = 0
+        #: Highest transaction id seen on a ``begin`` or ``abort`` marker.
+        self.max_txn = 0
+
+    @property
+    def open(self) -> bool:
+        """Whether a batch is waiting for its commit marker."""
+        return self._pending is not None
+
+    def feed(self, records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+        effective: list[dict[str, Any]] = []
+        for record in records:
+            op = record["op"]
+            if op == "begin":
+                self.discard()
+                self._pending = []
+                self.max_txn = max(self.max_txn, int(record.get("txn", 0)))
+            elif op == "commit":
+                if self._pending is not None:
+                    effective.extend(self._pending)
+                    self.committed += 1
+                    self._pending = None
+            elif op == "abort":
+                self.aborted += 1
+                self.max_txn = max(self.max_txn, int(record.get("txn", 0)))
+            elif self._pending is not None:
+                self._pending.append(record)
+            else:
+                effective.append(record)
+        return effective
+
+    def discard(self) -> None:
+        """Give up on the open batch, if any."""
+        if self._pending is not None:
+            self._pending = None
+            self.discarded += 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,65 +327,85 @@ def read_records(path: str | Path, start: int = 0) -> WalScan:
 # ---------------------------------------------------------------------------
 
 
-class WriteAheadLog:
-    """Append-only writer over one WAL file.
+class RecordLog:
+    """Append-only writer over one record-log file.
 
-    ``faults`` is consulted at the named crash points (``wal.append:*``,
-    ``wal.commit:*``) so a chaos plan with ``kind="kill"`` can terminate
-    the "process" between any two physical write steps; ``fsync=False``
-    trades durability for speed in tests that only exercise replay logic.
+    ``magics`` are the headers of this kind of log, oldest first — read
+    any, stamp the last; ``site`` prefixes the crash points
+    (``<site>.append:*``) at which ``faults`` is consulted, so a chaos plan
+    with ``kind="kill"`` can terminate the "process" between any two
+    physical write steps; ``fsync=False`` trades durability for speed in
+    tests that only exercise replay logic.
     """
 
     def __init__(
         self,
         path: str | Path,
+        magics: Sequence[bytes],
+        site: str,
         faults: FaultInjector | None = None,
         fsync: bool = True,
     ):
         self.path = Path(path)
+        self._magics = tuple(magics)
+        self.magic = self._magics[-1]
+        self._sites = [
+            f"{site}.append:{step}"
+            for step in ("before", "mid", "written", "synced")
+        ]
         self._faults = faults if faults is not None else FaultInjector.disabled()
         self._fsync = fsync
         self._file: IO[bytes] | None = None
-        self._records_written = 0
+        #: Known to end on a record boundary (:meth:`recover` ran).
+        self._clean = False
 
     # -- file lifecycle -------------------------------------------------
-    def open(self) -> None:
+    def recover(self) -> WalScan:
+        """Scan the whole file and cut a torn or corrupt tail off it, so
+        the next append lands where a reader will find it."""
+        scan = read_records(self.path, magics=self._magics)
+        if scan.torn_bytes:
+            self.truncate(scan.valid_length or None)
+        self._clean = True
+        return scan
+
+    def open(self) -> IO[bytes]:
+        """The handle appends go through, opened (behind a recovered
+        tail, stamping the header of a new file) on first use."""
         if self._file is not None:
-            return
+            return self._file
+        if not self._clean:
+            self.recover()
         existed = self.path.exists()
         is_new = not existed or self.path.stat().st_size == 0
         if not is_new:
             with open(self.path, "rb") as fh:
-                magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                # whoever reads this log by its magic would skip an
-                # ``append`` record, i.e. lose rows
+                magic = fh.read(len(self.magic))
+            if magic != self.magic:
+                # whoever reads this log by its magic would skip a record
+                # only the newest format has (the WAL's ``append``: rows)
                 raise DurabilityError(
-                    f"{self.path} is not a {MAGIC[:-1].decode()} log and "
+                    f"{self.path} is not a {self.magic[:-1].decode()} log and "
                     f"cannot be appended to; DurableStore.open() folds an "
                     f"older log into a checkpoint first"
                 )
-        self._file = open(self.path, "ab")
+        self._file = fh = open(self.path, "ab")
         if is_new:
-            self._file.write(MAGIC)
-            self._file.flush()
-            self._sync()
+            fh.write(self.magic)
+            fh.flush()
+            self._sync(fh)
             if not existed and self._fsync:
                 # fsyncing the file makes its *contents* durable; a freshly
                 # created file also needs its directory entry persisted, or
                 # power loss can lose the whole log despite every record
                 # fsync that follows
                 fsync_directory(self.path.parent)
+        return fh
 
     def close(self) -> None:
         if self._file is not None:
             self._file.close()
             self._file = None
-
-    @property
-    def records_written(self) -> int:
-        """Records appended through this writer since open/truncate."""
-        return self._records_written
 
     def truncate(self, length: int | None = None) -> None:
         """Physically truncate the file (to empty-with-header by default);
@@ -316,49 +413,59 @@ class WriteAheadLog:
         was_open = self._file is not None
         self.close()
         with open(self.path, "r+b" if self.path.exists() else "wb") as fh:
-            fh.truncate(len(MAGIC) if length is None else length)
+            fh.truncate(len(self.magic) if length is None else length)
             if length is None:
                 fh.seek(0)
-                fh.write(MAGIC)
+                fh.write(self.magic)
             fh.flush()
             os.fsync(fh.fileno())
-        self._records_written = 0
         if was_open:
             self.open()
 
-    def _sync(self) -> None:
-        assert self._file is not None
+    def _sync(self, fh: IO[bytes]) -> None:
         if self._fsync:
-            os.fsync(self._file.fileno())
-
-    def _require_open(self) -> IO[bytes]:
-        if self._file is None:
-            self.open()
-        assert self._file is not None
-        return self._file
+            os.fsync(fh.fileno())
 
     # -- appending ------------------------------------------------------
     def append(self, record: dict[str, Any]) -> None:
-        """Write one auto-commit record, durable before returning.
+        """Write one record, durable before returning.
 
-        Crash points: ``wal.append:before`` (nothing written),
-        ``wal.append:mid`` (record torn in half — recovery truncates),
-        ``wal.append:written`` (record complete, not yet fsynced),
-        ``wal.append:synced`` (fully durable).
+        Crash points: ``<site>.append:before`` (nothing written),
+        ``:mid`` (record torn in half — recovery truncates), ``:written``
+        (record complete, not yet fsynced), ``:synced`` (fully durable).
         """
-        fh = self._require_open()
-        self._faults.on_call("wal.append:before")
+        fh = self.open()
+        before, mid, written, synced = self._sites
+        self._faults.on_call(before)
         data = encode_record(record)
         split = len(data) // 2
         fh.write(data[:split])
         fh.flush()
-        self._faults.on_call("wal.append:mid")
+        self._faults.on_call(mid)
         fh.write(data[split:])
         fh.flush()
-        self._faults.on_call("wal.append:written")
-        self._sync()
-        self._records_written += 1
-        self._faults.on_call("wal.append:synced")
+        self._faults.on_call(written)
+        self._sync(fh)
+        self._faults.on_call(synced)
+
+    def size(self) -> int:
+        if not self.path.exists():
+            return 0
+        return self.path.stat().st_size
+
+
+class WriteAheadLog(RecordLog):
+    """The catalog WAL: a record log whose records may form transactions.
+    An *auto-commit* record (:meth:`append`) stands on its own; a
+    :meth:`commit` batch takes effect only whole (:class:`BatchAssembler`)."""
+
+    def __init__(
+        self,
+        path: str | Path,
+        faults: FaultInjector | None = None,
+        fsync: bool = True,
+    ):
+        super().__init__(path, WAL_MAGICS, "wal", faults=faults, fsync=fsync)
 
     def commit(
         self, txn_id: int, records: Iterable[dict[str, Any]]
@@ -369,7 +476,7 @@ class WriteAheadLog:
         is on disk — a crash at ``wal.commit:begin`` or ``wal.commit:mid``
         leaves an uncommitted prefix that recovery discards.
         """
-        fh = self._require_open()
+        fh = self.open()
         body = [{"op": "begin", "txn": txn_id}, *records]
         self._faults.on_call("wal.commit:begin")
         fh.write(b"".join(encode_record(r) for r in body))
@@ -378,14 +485,8 @@ class WriteAheadLog:
         fh.write(encode_record({"op": "commit", "txn": txn_id}))
         fh.flush()
         self._faults.on_call("wal.commit:marker")
-        self._sync()
-        self._records_written += len(body) + 1
+        self._sync(fh)
         self._faults.on_call("wal.commit:synced")
-
-    def size(self) -> int:
-        if not self.path.exists():
-            return 0
-        return self.path.stat().st_size
 
 
 def require_directory(path: str | Path) -> Path:

@@ -74,6 +74,9 @@ class FaultSpec:
             withholds from a replication shipment.
         max_triggers: cap on how many times this spec may fire (``None`` =
             unlimited).
+        skip: how many invocations of a matching site pass untouched
+            before the spec may fire — ``skip=1`` on ``journal.append:mid``
+            tears the *second* record a run appends.
         message: override for the injected error message.
     """
 
@@ -85,6 +88,7 @@ class FaultSpec:
     severity: float = 0.5
     factor: int = 2
     max_triggers: int | None = None
+    skip: int = 0
     message: str = ""
 
     def __post_init__(self) -> None:
@@ -102,6 +106,8 @@ class FaultSpec:
             raise ReproError(f"delay must be >= 0, got {self.delay}")
         if self.factor < 1:
             raise ReproError(f"factor must be >= 1, got {self.factor}")
+        if self.skip < 0:
+            raise ReproError(f"skip must be >= 0, got {self.skip}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,8 @@ class FaultPlan:
     def triggers(self, spec_index: int, site: str, invocation: int) -> bool:
         """Whether spec #``spec_index`` fires at this invocation of ``site``."""
         spec = self.specs[spec_index]
+        if invocation < spec.skip:
+            return False
         if spec.rate >= 1.0:
             return True
         if spec.rate <= 0.0:

@@ -3,12 +3,12 @@
 A :class:`Replica` holds an internal store-less :class:`MonetKernel` whose
 catalog is the replication apply target. Shipments are applied with the
 same semantics as crash recovery (:meth:`DurableStore.recover`) — and by
-the same function, :func:`repro.durability.store.replay`: auto-commit
-records apply immediately, transaction records buffer from their ``begin``
-until the ``commit`` marker arrives, and a batch whose marker never ships
-(the primary died mid-commit, or a ``lag`` fault withheld the tail) stays
-pending across pumps — and is discarded on promotion, exactly as recovery
-discards an uncommitted batch.
+the same two pieces, :class:`repro.durability.wal.BatchAssembler` and
+:func:`repro.durability.store.replay`: auto-commit records apply
+immediately, a transaction's records once its commit marker arrives, and a
+batch whose marker never ships (the primary died mid-commit, or a ``lag``
+fault withheld the tail) stays pending across pumps — and is discarded on
+promotion, exactly as recovery discards an uncommitted batch.
 
 An ``append`` record grows the replica's BAT *in place*, so the
 accelerators queries built on it survive a pump and only catch up on the
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.durability.checkpoint import Checkpoint
 from repro.durability.store import replay
+from repro.durability.wal import BatchAssembler
 from repro.errors import ReplicationError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
@@ -59,8 +60,8 @@ class Replica:
         #: Store-less serving kernel; its catalog is the apply target.
         self.kernel = MonetKernel(threads=1, check="off")
         self.position = ReplicaPosition()
-        #: Uncommitted transaction records buffered between pumps.
-        self._pending: list[dict[str, Any]] | None = None
+        #: Carries an uncommitted transaction batch between pumps.
+        self._batches = BatchAssembler()
         #: Admin-severed link (fault-injected partitions are per-round).
         self.partitioned = False
         #: Module names shipped via ``module`` records.
@@ -69,7 +70,6 @@ class Replica:
         self.lag_records = 0
         self._caught_up_at = clock()
         self.records_applied = 0
-        self.commits_applied = 0
         self.snapshots_installed = 0
         self.promoted = False
 
@@ -84,24 +84,7 @@ class Replica:
             )
         if shipment.snapshot is not None:
             self._install_snapshot(shipment.snapshot)
-        committed: list[dict[str, Any]] = []
-        for record in shipment.records:
-            op = record["op"]
-            if op == "begin":
-                # a dangling begin (previous batch lost its commit to a
-                # crash) is superseded, as in recovery
-                self._pending = []
-            elif op == "commit":
-                if self._pending is not None:
-                    committed.extend(self._pending)
-                    self.commits_applied += 1
-                    self._pending = None
-            elif op == "abort":
-                pass  # audit marker; nothing was buffered for it
-            elif self._pending is not None:
-                self._pending.append(record)
-            else:
-                committed.append(record)
+        committed = self._batches.feed(shipment.records)
         try:
             replay(
                 committed,
@@ -116,7 +99,7 @@ class Replica:
             # half a shipment may have landed: forget the position, so the
             # next pump re-seeds from the checkpoint instead of resuming
             self.position = ReplicaPosition()
-            self._pending = None
+            self._batches.discard()
             raise
         self.records_applied += len(committed)
         self.position = shipment.position
@@ -124,7 +107,7 @@ class Replica:
 
     def _install_snapshot(self, snapshot: Checkpoint) -> None:
         """Re-seed the replica from a full checkpoint (catch-up rounds)."""
-        self._pending = None  # off-lineage pending records are garbage
+        self._batches.discard()  # off-lineage pending records are garbage
         for name in self.kernel.catalog_names():
             self.kernel.drop(name)
         for name in sorted(snapshot.catalog):
@@ -140,15 +123,14 @@ class Replica:
         self.snapshots_installed += 1
 
     @property
+    def commits_applied(self) -> int:
+        """Transaction batches whose commit marker arrived and applied."""
+        return self._batches.committed
+
+    @property
     def has_pending(self) -> bool:
         """Whether an uncommitted transaction batch is buffered."""
-        return self._pending is not None
-
-    def discard_pending(self) -> int:
-        """Drop any buffered uncommitted batch (promotion, re-seed)."""
-        dropped = len(self._pending) if self._pending is not None else 0
-        self._pending = None
-        return dropped
+        return self._batches.open
 
     # ------------------------------------------------------------------
     # staleness
@@ -215,7 +197,7 @@ class Replica:
                 f"refusing to promote {self.name!r} into non-empty store "
                 f"directory {self.path}"
             )
-        self.discard_pending()
+        self._batches.discard()
         kernel = MonetKernel(threads=1, check=check, store=store)
         snapshot = self.kernel.snapshot()
         if snapshot:

@@ -8,8 +8,9 @@ Usage::
 Runs the seeded shard-death and split-under-load scenarios twice each
 (the paired runs must produce byte-identical reports — chaos as a
 reproducible test, not flakiness), then the placement and migration kill
-sweeps (registration crashed at each two-phase crash point; the online
-split crashed at every migration protocol kill point). Exits non-zero if
+sweeps (registration crashed at each two-phase crash point and inside
+each journal append; the online split crashed at every migration
+protocol kill point). Exits non-zero if
 a gather raises instead of degrading, a coverage report is inexact, the
 catalogs fail to converge byte-for-byte after rebalance or split, a
 crashed migration fails to recover to the reference state, or any seeded
@@ -86,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         same = first.to_dict() == second.to_dict()
         if not same:
             print("NON-DETERMINISTIC: two shard-death runs diverged")
-        print("placement kill sweep (registration crashed between the phases):")
+        print("placement kill sweep (registration crashed at every crash point):")
         sweep = placement_kill_sweep(base / "sweep", seed=args.seed, fsync=fsync)
         print(sweep.describe())
         report["scenario"] = first.to_dict()

@@ -27,8 +27,10 @@ three-shard fleet (one replica per shard):
 :func:`placement_kill_sweep` separately crashes document registration at
 each two-phase crash point (``sharding.place:prepared`` — journal record
 written, rows not yet on the shard; ``sharding.place:registered`` — rows
-durable, commit record missing) and verifies recovery rolls the in-doubt
-placement back or forward respectively.
+durable, commit record missing) and at the journal's own four
+(``journal.append:*``, once inside the ``prepare`` append and once inside
+the ``commit`` append), and verifies recovery resolves the registration
+as :data:`PLACEMENT_KILL_SITES` says it must.
 
 :func:`split_under_load_scenario` exercises the online-split machinery of
 :mod:`repro.sharding.migration`: a third shard joins a live two-shard
@@ -60,6 +62,7 @@ from typing import Any
 import json
 
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
+from repro.durability.wal import JOURNAL_MAGIC, read_records
 from repro.errors import (
     FencedWriteError,
     InsufficientCoverageError,
@@ -68,6 +71,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sharding.fleet import (
+    JOURNAL_FILE,
     ShardConfig,
     ShardCoverageReport,
     ShardedKernel,
@@ -87,11 +91,28 @@ __all__ = [
     "split_under_load_scenario",
 ]
 
-#: The two-phase registration crash points the placement sweep kills at.
-PLACEMENT_KILL_SITES = (
-    "sharding.place:prepared",
-    "sharding.place:registered",
-)
+_ABORTED = ["prepare", "abort"]
+_COMMITTED = ["prepare", "commit"]
+
+#: The registration crash points the placement sweep kills at — the two
+#: between the phases, then the journal append's four, ``<site>@<record>``
+#: killing inside the append of that record — each with what recovery must
+#: do about the registration in flight and the journal it must leave. An
+#: absent or torn ``prepare`` leaves nothing (the torn half is cut off); a
+#: durable one without rows rolls back; durable rows roll forward whether
+#: the ``commit`` is absent or torn.
+PLACEMENT_KILL_SITES = {
+    "sharding.place:prepared": ("rolled back", _ABORTED),
+    "sharding.place:registered": ("rolled forward", _COMMITTED),
+    "journal.append:before@prepare": ("found nothing journaled", []),
+    "journal.append:mid@prepare": ("found nothing journaled", []),
+    "journal.append:written@prepare": ("rolled back", _ABORTED),
+    "journal.append:synced@prepare": ("rolled back", _ABORTED),
+    "journal.append:before@commit": ("rolled forward", _COMMITTED),
+    "journal.append:mid@commit": ("rolled forward", _COMMITTED),
+    "journal.append:written@commit": ("found it committed", _COMMITTED),
+    "journal.append:synced@commit": ("found it committed", _COMMITTED),
+}
 
 #: The migration crash points the split sweep kills at: one after each
 #: protocol phase's journal record, plus the per-document copy site of
@@ -382,16 +403,25 @@ def placement_kill_sweep(
     seed: int = 2026,
     fsync: bool = True,
 ) -> PlacementSweepSummary:
-    """Crash registration at each two-phase crash point; recovery must
-    roll the in-doubt placement back (prepared) or forward (registered)."""
+    """Crash registration at each of :data:`PLACEMENT_KILL_SITES`;
+    recovery must resolve the registration in flight as listed there."""
     base = Path(base_dir)
     summary = PlacementSweepSummary()
-    for site in PLACEMENT_KILL_SITES:
-        scratch = base / site.replace(":", "__").replace(".", "_")
+    for label, (resolution, journal_after) in PLACEMENT_KILL_SITES.items():
+        site, _, record = label.partition("@")
+        scratch = base / label.replace(":", "__").replace(".", "_").replace("@", "__")
         plan = FaultPlan(
             seed=seed,
-            name=f"placement-kill@{site}",
-            specs=(FaultSpec(site=site, kind="kill", max_triggers=1),),
+            name=f"placement-kill@{label}",
+            specs=(
+                FaultSpec(
+                    site=site,
+                    kind="kill",
+                    max_triggers=1,
+                    # the commit is the second record a registration appends
+                    skip=int(record == "commit"),
+                ),
+            ),
         )
         failures: list[str] = []
         fleet = ShardedKernel(
@@ -406,7 +436,7 @@ def placement_kill_sweep(
         except SimulatedCrash:
             crashed = True
         if not crashed:
-            failures.append(f"kill at {site} never fired")
+            failures.append(f"kill at {label} never fired")
         fleet.close()
 
         # reopen: recovery must resolve the in-doubt placement
@@ -414,8 +444,7 @@ def placement_kill_sweep(
             scratch, shards=2, config=ShardConfig(fsync=fsync)
         )
         placements = recovered.placements()
-        rows_durable = site == "sharding.place:registered"
-        resolution = "rolled forward" if rows_durable else "rolled back"
+        rows_durable = journal_after == _COMMITTED
         if rows_durable and "race0" not in placements:
             failures.append(
                 "rows reached the owning shard before the crash but "
@@ -426,6 +455,18 @@ def placement_kill_sweep(
                 f"no rows reached any shard but recovery committed "
                 f"{placements}"
             )
+        if not rows_durable and any(
+            recovered._shard_has_rows(name, "race0")
+            for name in recovered.shard_names()
+        ):
+            failures.append("the registration never took effect but left rows")
+        journal = read_records(scratch / JOURNAL_FILE, magics=(JOURNAL_MAGIC,))
+        ops = [entry["op"] for entry in journal.records]
+        if journal.corruption or ops != journal_after:
+            failures.append(
+                f"recovery should leave the journal at {journal_after} with "
+                f"no torn tail, found {ops} ({journal.corruption or 'clean'})"
+            )
         # re-registration must complete (or idempotently restore) the
         # placement either way, and the catalogs must converge
         recovered.register_document(_document("race0"), "formula1")
@@ -435,7 +476,7 @@ def placement_kill_sweep(
         recovered.close()
         summary.results.append(
             {
-                "site": site,
+                "site": label,
                 "resolution": resolution,
                 "placements": placements,
                 "failures": failures,

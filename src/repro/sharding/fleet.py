@@ -28,16 +28,23 @@ The gather is robust *by construction*:
   falls below the caller's ``min_coverage`` floor does the gather fail
   loudly with a typed :class:`repro.errors.InsufficientCoverageError`.
 
-Document registration is **two-phase** and WAL-journaled: a ``prepare``
+Document registration is **two-phase** and journaled: a ``prepare``
 record lands in the fleet's placement journal, the rows land on the
 owning shard (inside that shard's own WAL transaction), then a ``commit``
 record seals the placement. A crash between the phases
 (``sharding.place:prepared`` / ``sharding.place:registered`` kill sites)
-recovers to a consistent placement: a prepared-but-unregistered document
-rolls back, a registered-but-uncommitted one rolls forward. Marking a
-shard dead triggers deterministic rebalancing — its documents move to
-their ring successors in journal order, so two fleets replaying the same
-history agree byte-for-byte (:meth:`ShardedKernel.convergence_report`).
+or inside either journal append (``journal.append:*``) recovers to a
+consistent placement: a prepared-but-unregistered document rolls back, a
+registered-but-uncommitted one rolls forward. Marking a shard dead
+triggers deterministic rebalancing — its documents move to their ring
+successors in journal order, so two fleets replaying the same history
+agree byte-for-byte (:meth:`ShardedKernel.convergence_report`).
+
+The journal (``placements.log``) is a :class:`repro.durability.wal.
+RecordLog` — the WAL's framing under its own magic — and a record takes
+effect in :meth:`ShardedKernel._apply` and nowhere else: the live path
+appends durably, then applies (:meth:`ShardedKernel._log`); reopening
+applies the log in order, then resolves what a crash left in doubt.
 
 Construction runs the :mod:`repro.check.shardcheck` static pass
 (SHARD001-SHARD003) under the configured check mode; MIL registered for
@@ -48,8 +55,6 @@ which is exactly what makes every disaster here a seeded, replayable test.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -68,6 +73,7 @@ from repro.cobra.query import CoqlQuery, QueryExecutor, parse_coql
 from repro.cobra.vdbms import QueryResult
 from repro.durability.chaos import compare_catalogs
 from repro.durability.store import DurableStore
+from repro.durability.wal import JOURNAL_MAGIC, RecordLog, require_directory
 from repro.errors import (
     CircuitOpenError,
     CobraError,
@@ -89,7 +95,11 @@ from repro.monet.kernel import MonetKernel
 from repro.replication.group import GroupConfig, KernelGroup, Lease
 from repro.resilience import CircuitBreaker, Deadline, cancel_checkpoint
 from repro.sharding.migration import (
+    COPIED,
+    CUTOVER,
+    RETIRED,
     MigrationCoordinator,
+    MigrationState,
     PlacementLease,
     SplitReport,
     event_from_payload,
@@ -363,38 +373,6 @@ class FleetStatus:
         }
 
 
-class _PlacementJournal:
-    """Append-only JSON-lines journal of two-phase placement records."""
-
-    def __init__(self, path: Path, fsync: bool = True):
-        self.path = path
-        self._fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def append(self, record: Mapping[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-
-    def records(self) -> list[dict[str, Any]]:
-        """Every journaled record in order; a torn tail line (the crash
-        landed mid-append) is discarded, exactly like a torn WAL tail."""
-        if not self.path.exists():
-            return []
-        out: list[dict[str, Any]] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-        return out
-
-
 class _Shard:
     """One partition: a durable kernel, optionally a replicated group."""
 
@@ -438,9 +416,10 @@ class ShardedKernel:
             plus the fleet's placement journal.
         shards: shard names, or a count (``3`` -> ``shard-0``..``shard-2``).
         faults: injector consulted on the shard transports
-            (``sharding.transport:<shard>``) and the placement crash
-            points (``sharding.place:prepared|registered``); the same
-            injector reaches each shard's kernel and replication links.
+            (``sharding.transport:<shard>``), the placement crash points
+            (``sharding.place:prepared|registered``) and the journal's
+            (``journal.append:*``); the same injector reaches each
+            shard's kernel and replication links.
         clock: injectable monotonic clock (breakers, deadlines).
     """
 
@@ -485,6 +464,17 @@ class ShardedKernel:
                 )
 
         self._lock = threading.RLock()
+        self._journal = RecordLog(
+            require_directory(self.base_dir) / JOURNAL_FILE,
+            (JOURNAL_MAGIC,),
+            "journal",
+            faults=self.faults,
+            fsync=self.config.fsync,
+        )
+        # scanned (and a torn tail cut off) before any shard store opens:
+        # a file that is not a placement journal fails here, typed
+        journaled = self._journal.recover().records
+        self._journal.open()
         self.ring = HashRing(names, vnodes=self.config.vnodes)
         self._shards: dict[str, _Shard] = {
             name: self._build_shard(name) for name in names
@@ -493,9 +483,6 @@ class ShardedKernel:
         # so an empty shard and a reference rebuild agree byte-for-byte
         for name in names:
             self._shards[name].view()
-        self._journal = _PlacementJournal(
-            self.base_dir / JOURNAL_FILE, fsync=self.config.fsync
-        )
         self._seq = 0
         #: video id -> owning shard (the committed placement map).
         self._placements: dict[str, str] = {}
@@ -511,6 +498,9 @@ class ShardedKernel:
         }
         #: video id -> (document, domain) handles known to this process.
         self._documents: dict[str, tuple[VideoDocument, str]] = {}
+        #: seq -> journaled ``prepare`` that no ``commit`` or ``abort`` has
+        #: closed: the registrations in doubt.
+        self._prepared: dict[int, dict[str, Any]] = {}
         self._fenced_retries = 0
         #: Advanced by every migration cutover; write intents stamped with
         #: an older epoch fence instead of landing on a stale owner.
@@ -521,7 +511,9 @@ class ShardedKernel:
         self._mil_sources: list[str] = []
         #: The online split/migration subsystem (phases, fencing, recovery).
         self.migrations = MigrationCoordinator(self)
-        self._recover_placements()
+        for record in journaled:
+            self._apply(record)
+        self._resolve_in_doubt()
 
     def _build_shard(self, name: str) -> _Shard:
         store = DurableStore(
@@ -654,14 +646,11 @@ class ShardedKernel:
     ) -> str:
         """Place and register one document; returns the owning shard.
 
-        Phase 1 journals the intended placement (``prepare``) and lands
-        the rows on the owning shard inside that shard's WAL transaction;
-        phase 2 seals the placement (``commit``). The two
-        ``sharding.place:*`` kill sites sit exactly between the phases, so
-        the chaos sweep can crash the fleet in either half and recovery
-        must converge (roll back an unregistered prepare, roll forward a
-        registered one). Re-registering a recovered document only restores
-        the Python-side handle, mirroring
+        The rows land through the two journaled phases of
+        :meth:`_place_document`; a crash in either half recovers to a
+        consistent placement (an unregistered prepare rolls back, a
+        registered one rolls forward). Re-registering a recovered document
+        only restores the Python-side handle, mirroring
         :meth:`repro.cobra.metadata.MetadataStore.register_document`.
         """
         video_id = document.raw.video_id
@@ -681,63 +670,118 @@ class ShardedKernel:
                         f"no shard in the fleet"
                     )
                 target = self.config.write_routing
-            shard = self.shard(target)
-            if shard.dead:
+            if self.shard(target).dead:
                 raise ShardingError(
                     f"owning shard {target!r} is dead; rebalance before "
                     f"registering {video_id!r}"
                 )
-            self._seq += 1
-            seq = self._seq
-            event_ids = tuple(document.events)
-            self._journal.append(
-                {
-                    "op": "prepare",
-                    "seq": seq,
-                    "video": video_id,
-                    "shard": target,
-                    "domain": domain,
-                    "events": list(event_ids),
-                }
-            )
-            self.faults.on_call("sharding.place:prepared")
-            self._write_document(shard, document)
-            self.faults.on_call("sharding.place:registered")
-            self._journal.append(
-                {"op": "commit", "seq": seq, "video": video_id}
-            )
-            self._place(video_id, target, event_ids)
+            self._place_document(target, document, domain)
             self._documents[video_id] = (document, domain)
             return target
 
-    def _place(
-        self,
-        video_id: str,
-        shard: str,
-        events: tuple[str, ...] | None = None,
+    def _place_document(
+        self, target: str, document: VideoDocument, domain: str
     ) -> None:
-        """Commit a placement: ownership flips *and* the document's rows
-        land on ``shard`` now. ``events`` is the event-id set present at
-        insertion (None for legacy journal records: all handle events)."""
-        self._placements[video_id] = shard
-        self._placement_order[shard].append(video_id)
-        self._ops[shard].append(("doc", video_id, events))
+        """The two phases of landing one document on ``target``: journal
+        ``prepare``, write the rows inside the shard's WAL transaction,
+        journal ``commit`` — registration and rebalance moves alike. The
+        ``sharding.place:*`` kill sites sit exactly between the phases, so
+        a chaos sweep can crash the fleet in either half."""
+        video_id = document.raw.video_id
+        prepared = self._log(
+            "prepare",
+            video=video_id,
+            shard=target,
+            domain=domain,
+            events=list(document.events),
+        )
+        self.faults.on_call("sharding.place:prepared")
+        self._write_document(self.shard(target), document)
+        self.faults.on_call("sharding.place:registered")
+        self._log("commit", seq=prepared["seq"], video=video_id)
 
-    def _record_copy(
-        self, shard: str, video_id: str, events: tuple[str, ...]
-    ) -> None:
-        """A migration copy landed the document's rows on ``shard`` —
-        insertion order advances, but ownership does *not* flip until
-        cutover (the placement map still names the source)."""
-        self._placement_order[shard].append(video_id)
-        self._ops[shard].append(("doc", video_id, events))
+    # ------------------------------------------------------------------
+    # the placement journal: append, then apply
+    # ------------------------------------------------------------------
+    def _log(
+        self, op: str, seq: int | None = None, **fields: Any
+    ) -> dict[str, Any]:
+        """Append one record durably, then let it take effect. ``seq``
+        names the record this one continues (a ``commit`` its ``prepare``,
+        a migration phase its plan); left out, the record opens a new one."""
+        record = {
+            "op": op,
+            "seq": self._seq + 1 if seq is None else seq,
+            **fields,
+        }
+        self._journal.append(record)
+        self._apply(record)
+        return record
 
-    def _record_event(
-        self, shard: str, video_id: str, payload: Mapping[str, Any]
+    def _apply(self, record: dict[str, Any]) -> None:
+        """Let one journal record take effect — the only code that changes
+        the placement map, the per-shard insertion history, the routing
+        epoch, the topology or a migration's state, on the live path and
+        in recovery alike. An unknown op is an error, never skipped."""
+        op, video_id = record["op"], record.get("video")
+        self._seq = max(self._seq, record["seq"])
+        active = self.migrations._active
+        state = active.get(video_id)
+        if op == "prepare":
+            self._prepared[record["seq"]] = record
+        elif op == "commit":
+            # ownership flips *and* the rows are on the shard now
+            entry = self._prepared.pop(record["seq"])
+            self._placements[video_id] = entry["shard"]
+            self._landed(entry["shard"], video_id, entry["events"])
+        elif op == "abort":
+            del self._prepared[record["seq"]]
+        elif op == "add-shard":
+            # a fleet reopened at its grown size was handed the name
+            if record["shard"] not in self._shards:
+                self._admit_shard(record["shard"])
+        elif op == "event":
+            # a late event row landed on the shard (online write)
+            self._ops[record["shard"]].append(("event", video_id, record["event"]))
+            if (
+                state is not None
+                and state.phase == COPIED
+                and record["shard"] == state.src
+            ):
+                state.pending.append(record["event"])
+        elif op == "migrate-plan":
+            active[video_id] = MigrationState(
+                video_id, record["src"], record["dst"], record["seq"]
+            )
+        elif op == "migrate-copy":
+            # insertion order advances on the destination, ownership does
+            # not flip until cutover
+            self._landed(state.dst, video_id, record["events"])
+            state.phase = COPIED
+        elif op == "migrate-ship":
+            # the head of the pending tail landed on the destination
+            self._ops[state.dst].append(("event", video_id, record["event"]))
+            del state.pending[:1]
+        elif op == "migrate-cutover":
+            self._placements[video_id] = state.dst
+            self._routing_epoch += 1
+            state.phase = CUTOVER
+        elif op == "migrate-retire":
+            active.pop(video_id).phase = RETIRED
+        elif op == "migrate-abort":
+            del active[video_id]
+        else:
+            raise ShardingError(
+                f"unknown placement journal op {op!r}: refusing to skip it"
+            )
+
+    def _landed(
+        self, shard: str, video_id: str, events: Iterable[str]
     ) -> None:
-        """A late event row landed on ``shard`` (online write or
-        catch-up shipment)."""
-        self._ops[shard].append(("event", video_id, dict(payload)))
+        """(:meth:`_apply` only.) The document's rows landed on ``shard``;
+        ``events`` are the event ids present at insertion."""
+        self._placement_order[shard].append(video_id)
+        self._ops[shard].append(("doc", video_id, tuple(events)))
 
     def _write_document(self, shard: _Shard, document: VideoDocument) -> None:
         def apply(kernel: MonetKernel) -> None:
@@ -1150,8 +1194,8 @@ class ShardedKernel:
         """Move every document owned by a dead shard to its ring
         successor among the live shards.
 
-        Moves replay the two-phase registration path (journal prepare →
-        shard write → journal commit) in original journal order, so the
+        Moves take the two-phase registration path
+        (:meth:`_place_document`) in original journal order, so the
         destination BAT row order — and therefore the byte-for-byte
         convergence check — is a pure function of the fleet's history.
         Documents whose Python handle is unknown to this process cannot
@@ -1178,145 +1222,34 @@ class ShardedKernel:
                     )
                 document, domain = handle
                 dst = self.ring.owner(video_id, exclude=dead)
-                target = self.shard(dst)
-                self._seq += 1
-                seq = self._seq
-                event_ids = tuple(document.events)
-                self._journal.append(
-                    {
-                        "op": "prepare",
-                        "seq": seq,
-                        "video": video_id,
-                        "shard": dst,
-                        "domain": domain,
-                        "events": list(event_ids),
-                    }
-                )
-                self._write_document(target, document)
-                self._journal.append(
-                    {"op": "commit", "seq": seq, "video": video_id}
-                )
-                self._place(video_id, dst, event_ids)
+                self._place_document(dst, document, domain)
                 moved.append((video_id, src, dst))
             return RebalanceReport(moves=tuple(moved), dead=tuple(dead))
 
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def _recover_placements(self) -> None:
-        """Rebuild the placement map from the journal, resolving in-doubt
-        registrations *and* migrations.
+    def _resolve_in_doubt(self) -> None:
+        """Close what a crash left open once the journal is applied.
 
-        Registrations: a prepare whose rows reached the owning shard
-        rolls forward (the commit record is re-appended), one whose rows
-        did not rolls back (an abort record keeps the audit trail).
-
-        Migrations: every record of the protocol replays in order —
-        topology growth (``add-shard``), copies (ops + insertion order on
-        the destination), shipped tail records, cutovers (ownership flip
-        + routing epoch). A migration left in doubt by a crash is then
-        handed to :meth:`MigrationCoordinator.resolve_in_doubt`: rolled
-        back before the copy point, rolled forward — healed, cut over,
-        verified, retired — after it.
+        Registrations: a ``prepare`` whose rows reached its shard rolls
+        forward (``commit``), one whose rows did not rolls back
+        (``abort``). Rows on the shard the document is *already* placed on
+        belong to that placement — an earlier attempt the caller retried —
+        so such a prepare rolls back too. Migrations: see
+        :meth:`MigrationCoordinator.resolve_in_doubt`.
         """
-        committed: set[str] = set()
-        prepared: dict[int, dict[str, Any]] = {}
-        migrations: dict[str, dict[str, Any]] = {}
-        records = self._journal.records()
-        for record in records:
-            self._seq = max(self._seq, int(record.get("seq", 0)))
-            op = record["op"]
-            if op == "prepare":
-                prepared[record["seq"]] = record
-            elif op == "commit":
-                entry = prepared.pop(record["seq"], None)
-                if entry is not None:
-                    events = entry.get("events")
-                    self._place(
-                        entry["video"],
-                        entry["shard"],
-                        tuple(events) if events is not None else None,
-                    )
-                    committed.add(entry["video"])
-            # "abort" records need no replay: the prepare they close was
-            # already popped rolled-back state on the crashed run
-            elif op == "abort":
-                prepared.pop(record["seq"], None)
-            elif op == "add-shard":
-                if record["shard"] not in self._shards:
-                    self._admit_shard(record["shard"])
-            elif op == "event":
-                self._record_event(
-                    record["shard"], record["video"], record["event"]
-                )
-                entry = migrations.get(record["video"])
-                if (
-                    entry is not None
-                    and entry["phase"] == "copied"
-                    and record["shard"] == entry["src"]
-                ):
-                    entry["pending"].append(record["event"])
-            elif op == "migrate-plan":
-                migrations[record["video"]] = {
-                    "seq": record["seq"],
-                    "src": record["src"],
-                    "dst": record["dst"],
-                    "phase": "planned",
-                    "pending": [],
-                }
-            elif op == "migrate-copy":
-                entry = migrations[record["video"]]
-                entry["phase"] = "copied"
-                self._record_copy(
-                    entry["dst"],
-                    record["video"],
-                    tuple(record.get("events") or ()),
-                )
-            elif op == "migrate-ship":
-                entry = migrations[record["video"]]
-                self._record_event(
-                    entry["dst"], record["video"], record["event"]
-                )
-                if entry["pending"]:
-                    entry["pending"].pop(0)
-            elif op == "migrate-cutover":
-                entry = migrations[record["video"]]
-                entry["phase"] = "cutover"
-                self._placements[record["video"]] = entry["dst"]
-                self._routing_epoch += 1
-            elif op in ("migrate-retire", "migrate-abort"):
-                migrations.pop(record["video"], None)
-        for seq in sorted(prepared):
-            entry = prepared[seq]
+        for seq in sorted(self._prepared):
+            entry = self._prepared[seq]
             video_id, shard_name = entry["video"], entry["shard"]
-            if video_id in committed:
-                continue  # a later registration superseded this prepare
-            events = entry.get("events")
-            if self._shard_has_rows(shard_name, video_id):
-                self._journal.append(
-                    {"op": "commit", "seq": seq, "video": video_id}
-                )
-                self._place(
-                    video_id,
-                    shard_name,
-                    tuple(events) if events is not None else None,
-                )
-            else:
-                self._journal.append(
-                    {"op": "abort", "seq": seq, "video": video_id}
-                )
-        for video_id in sorted(migrations):
-            self.migrations.resolve_in_doubt(video_id, migrations[video_id])
+            retried = self._placements.get(video_id) == shard_name
+            landed = not retried and self._shard_has_rows(shard_name, video_id)
+            self._log("commit" if landed else "abort", seq=seq, video=video_id)
+        self.migrations.resolve_in_doubt()
 
     def _shard_has_rows(self, shard_name: str, video_id: str) -> bool:
-        kernel = self.shard(shard_name).kernel
-        for bat_name in ("meta_event_video_id", "meta_object_video_id"):
-            try:
-                if kernel.bat(bat_name).tail_exists(video_id):
-                    return True
-            except MonetError:
-                continue
-        return False
+        """The test a shard's own re-registration goes by."""
+        return self.shard(shard_name).view()._has_rows_for(video_id)
 
     # ------------------------------------------------------------------
     # maintenance + verification
@@ -1433,8 +1366,10 @@ class ShardedKernel:
             )
 
     def close(self) -> None:
-        """Release every shard's WAL handles (groups close their own)."""
+        """Release the journal's handle and every shard's WAL handles
+        (groups close their own)."""
         with self._lock:
+            self._journal.close()
             for _, shard in sorted(self._shards.items()):
                 if shard.group is not None:
                     shard.group.close()

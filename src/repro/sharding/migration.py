@@ -4,8 +4,9 @@ ROADMAP item 2 left shard *splitting* open: the fleet could drain dead
 shards but had no way to add capacity to a live one. This module moves a
 document between shards while the fleet keeps answering queries and
 accepting writes, surviving a crash at any step. The protocol is five
-journaled phases, recorded in the same two-phase placement journal as
-registration (:class:`repro.sharding.fleet._PlacementJournal`):
+journaled phases, recorded in the same placement journal as registration
+and taking effect, like every record in it, only in
+:meth:`repro.sharding.fleet.ShardedKernel._apply`:
 
 ``plan``
     a ``migrate-plan`` record names the (video, source, destination)
@@ -219,14 +220,12 @@ def divergence(
 
 
 def pruned_document(
-    document: VideoDocument, event_ids: tuple[str, ...] | None
+    document: VideoDocument, event_ids: tuple[str, ...]
 ) -> VideoDocument:
     """The document as it looked when it was inserted on a shard: only
     the events present at insertion time. Late events (appended through
     the fleet's online write path) replay as separate ops, so the
     reference rebuild reproduces the shard's exact row order."""
-    if event_ids is None:
-        return document
     keep = set(event_ids)
     if keep == set(document.events):
         return document
@@ -247,7 +246,8 @@ def pruned_document(
 # ---------------------------------------------------------------------------
 @dataclass
 class MigrationState:
-    """One in-flight migration (mutable; the coordinator owns it)."""
+    """One in-flight migration. ``phase`` and ``pending`` change only as
+    journal records take effect (:meth:`ShardedKernel._apply`)."""
 
     video: str
     src: str
@@ -257,10 +257,6 @@ class MigrationState:
     #: Source-side WAL tail for the moving document: event payloads
     #: written after the copy, awaiting shipment to the destination.
     pending: list[dict[str, Any]] = field(default_factory=list)
-    #: Tail records shipped so far (catch-up progress).
-    shipped: int = 0
-    #: Event ids present in the document at copy time.
-    copied_events: tuple[str, ...] = ()
 
     @property
     def lag(self) -> int:
@@ -325,10 +321,11 @@ class MigrationCoordinator:
     """Drives the journaled migration protocol against one fleet.
 
     Every public method takes the fleet lock (re-entrant, so the fleet's
-    own wrappers may hold it already). The coordinator reaches into the
-    fleet's placement internals deliberately: migration *is* placement,
-    staged — the journal, the ops log, and the placement map must move
-    in one critical section per phase.
+    own wrappers may hold it already). Migration *is* placement, staged:
+    each phase does its shard write, then journals one record through
+    :meth:`ShardedKernel._log`, which is what moves the placement map,
+    the ops log and this coordinator's ``_active`` states — in one
+    critical section per phase.
     """
 
     def __init__(self, fleet: "ShardedKernel"):
@@ -374,11 +371,7 @@ class MigrationCoordinator:
                 raise MigrationError(
                     f"shard {name!r} is already in the fleet"
                 )
-            fleet._seq += 1
-            fleet._journal.append(
-                {"op": "add-shard", "seq": fleet._seq, "shard": name}
-            )
-            fleet._admit_shard(name)
+            fleet._log("add-shard", shard=name)
             return self.remapped(name)
 
     def remapped(self, name: str) -> list[str]:
@@ -433,21 +426,9 @@ class MigrationCoordinator:
                     f"cannot migrate {video_id!r} off dead shard {src!r}; "
                     f"rebalance instead"
                 )
-            fleet._seq += 1
-            seq = fleet._seq
-            fleet._journal.append(
-                {
-                    "op": "migrate-plan",
-                    "seq": seq,
-                    "video": video_id,
-                    "src": src,
-                    "dst": dst,
-                }
-            )
-            state = MigrationState(video=video_id, src=src, dst=dst, seq=seq)
-            self._active[video_id] = state
+            fleet._log("migrate-plan", video=video_id, src=src, dst=dst)
             fleet.faults.on_call("migration:planned")
-            return state
+            return self._active[video_id]
 
     def copy(self, video_id: str) -> MigrationState:
         """Phase 2: bulk-copy the document's rows to the destination
@@ -466,19 +447,13 @@ class MigrationCoordinator:
                     f"this process to re-register from"
                 )
             document = handle[0]
-            event_ids = tuple(document.events)
             fleet._write_document(fleet.shard(state.dst), document)
-            fleet._journal.append(
-                {
-                    "op": "migrate-copy",
-                    "seq": state.seq,
-                    "video": video_id,
-                    "events": list(event_ids),
-                }
+            fleet._log(
+                "migrate-copy",
+                seq=state.seq,
+                video=video_id,
+                events=list(document.events),
             )
-            fleet._record_copy(state.dst, video_id, event_ids)
-            state.copied_events = event_ids
-            state.phase = COPIED
             fleet.faults.on_call("migration:copied")
             return state
 
@@ -495,9 +470,11 @@ class MigrationCoordinator:
             shipped = 0
             while state.pending and (budget is None or shipped < budget):
                 cancel_checkpoint(f"sharding.migrate:{video_id}")
-                self._ship(state, state.pending[0])
-                state.pending.pop(0)
-                state.shipped += 1
+                payload = state.pending[0]
+                self._insert_event(
+                    state.dst, video_id, event_from_payload(payload)
+                )
+                fleet._log("migrate-ship", video=video_id, event=payload)
                 shipped += 1
             return shipped
 
@@ -519,16 +496,7 @@ class MigrationCoordinator:
                     floor=floor,
                     video=video_id,
                 )
-            fleet._journal.append(
-                {
-                    "op": "migrate-cutover",
-                    "seq": state.seq,
-                    "video": video_id,
-                }
-            )
-            fleet._placements[video_id] = state.dst
-            fleet._routing_epoch += 1
-            state.phase = CUTOVER
+            fleet._log("migrate-cutover", seq=state.seq, video=video_id)
             fleet.faults.on_call("migration:cutover")
             return state
 
@@ -552,15 +520,7 @@ class MigrationCoordinator:
                     f"retire of {video_id!r} refused: the copies diverge: "
                     + "; ".join(problems)
                 )
-            fleet._journal.append(
-                {
-                    "op": "migrate-retire",
-                    "seq": state.seq,
-                    "video": video_id,
-                }
-            )
-            del self._active[video_id]
-            state.phase = RETIRED
+            fleet._log("migrate-retire", seq=state.seq, video=video_id)
             fleet.faults.on_call("migration:retired")
             return state
 
@@ -580,10 +540,7 @@ class MigrationCoordinator:
         """Run all five phases for one document."""
         with self._fleet._lock:
             self.plan(video_id, destination)
-            self.copy(video_id)
-            self.catch_up(video_id)
-            self.cutover(video_id)
-            return self.retire(video_id)
+            return self.resume(video_id)
 
     def resume(self, video_id: str) -> MigrationState:
         """Drive an in-flight migration from its current phase to
@@ -673,43 +630,16 @@ class MigrationCoordinator:
             # the old owner — the SHARD006 hazard, demonstrated under
             # check="off"/"warn": rows land where no gather will look
             target = owner if stale else current
-            payload = event_payload(event)
             self._insert_event(target, video_id, event)
-            fleet._seq += 1
-            fleet._journal.append(
-                {
-                    "op": "event",
-                    "seq": fleet._seq,
-                    "video": video_id,
-                    "shard": target,
-                    "event": payload,
-                }
+            # a write to the source of a copied document also joins the
+            # migration's pending tail (ShardedKernel._apply)
+            fleet._log(
+                "event",
+                video=video_id,
+                shard=target,
+                event=event_payload(event),
             )
-            fleet._record_event(target, video_id, payload)
-            state = self._active.get(video_id)
-            if (
-                state is not None
-                and state.phase == COPIED
-                and target == state.src
-            ):
-                state.pending.append(payload)
             return target
-
-    def _ship(self, state: MigrationState, payload: dict[str, Any]) -> None:
-        fleet = self._fleet
-        self._insert_event(
-            state.dst, state.video, event_from_payload(payload)
-        )
-        fleet._seq += 1
-        fleet._journal.append(
-            {
-                "op": "migrate-ship",
-                "seq": fleet._seq,
-                "video": state.video,
-                "event": payload,
-            }
-        )
-        fleet._record_event(state.dst, state.video, payload)
 
     def _insert_event(
         self, shard_name: str, video_id: str, event: VideoEvent
@@ -729,10 +659,8 @@ class MigrationCoordinator:
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def resolve_in_doubt(
-        self, video_id: str, entry: dict[str, Any]
-    ) -> None:
-        """Roll one in-doubt migration forward or back after a crash.
+    def resolve_in_doubt(self) -> None:
+        """Roll every migration the journal left open forward or back.
 
         The copy is the commit point: a bare plan whose rows never
         reached the destination rolls **back** (``migrate-abort``); a
@@ -743,45 +671,25 @@ class MigrationCoordinator:
         """
         fleet = self._fleet
         with fleet._lock:
-            phase, src, dst = entry["phase"], entry["src"], entry["dst"]
-            if phase == PLANNED:
-                if not fleet._shard_has_rows(dst, video_id):
-                    fleet._journal.append(
-                        {
-                            "op": "migrate-abort",
-                            "seq": entry["seq"],
-                            "video": video_id,
-                        }
+            for video_id in sorted(self._active):
+                state = self._active[video_id]
+                if state.phase == PLANNED:
+                    if not fleet._shard_has_rows(state.dst, video_id):
+                        fleet._log(
+                            "migrate-abort", seq=state.seq, video=video_id
+                        )
+                        continue
+                    # rows are durable but the copy record is torn off:
+                    # seal it with the event ids the destination attests
+                    fleet._log(
+                        "migrate-copy",
+                        seq=state.seq,
+                        video=video_id,
+                        events=[
+                            payload["event_id"]
+                            for payload in event_rows(
+                                fleet.shard(state.dst).kernel, video_id
+                            )
+                        ],
                     )
-                    return
-                # rows are durable but the copy record is torn off: roll
-                # forward with the event ids the destination attests
-                event_ids = tuple(
-                    payload["event_id"]
-                    for payload in event_rows(
-                        fleet.shard(dst).kernel, video_id
-                    )
-                )
-                fleet._journal.append(
-                    {
-                        "op": "migrate-copy",
-                        "seq": entry["seq"],
-                        "video": video_id,
-                        "events": list(event_ids),
-                    }
-                )
-                fleet._record_copy(dst, video_id, event_ids)
-                phase = COPIED
-            state = MigrationState(
-                video=video_id,
-                src=src,
-                dst=dst,
-                seq=entry["seq"],
-                phase=phase,
-                pending=list(entry["pending"]),
-            )
-            self._active[video_id] = state
-            if state.phase == COPIED:
-                self.catch_up(video_id)
-                self.cutover(video_id)
-            self.retire(video_id)
+                self.resume(video_id)

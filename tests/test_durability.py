@@ -16,14 +16,23 @@ from repro.durability import (
 )
 from repro.durability.__main__ import main as durability_main
 from repro.durability.wal import (
+    JOURNAL_MAGIC,
     MAGIC,
+    BatchAssembler,
+    RecordLog,
     bat_from_payload,
     bat_to_payload,
     decode_value,
     encode_record,
     encode_value,
 )
-from repro.errors import MonetError, RecoveryError
+from repro.errors import (
+    MonetError,
+    RecoveryError,
+    SimulatedCrash,
+    WalCorruptionError,
+)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 
@@ -121,6 +130,21 @@ class TestWalScan:
         rescan = read_records(path)
         assert rescan.corruption is None
         assert rescan.valid_length == rescan.file_length
+
+    def test_opening_cuts_a_torn_tail_off_before_the_first_append(
+        self, tmp_path
+    ):
+        path = self._write(tmp_path / "wal.log", [{"op": "drop", "name": "a"}])
+        intact = path.read_bytes()
+        path.write_bytes(intact + encode_record({"op": "drop", "name": "b"})[:7])
+        wal = WriteAheadLog(path, fsync=False)
+        wal.open()
+        assert path.read_bytes() == intact
+        wal.append({"op": "drop", "name": "c"})
+        wal.close()
+        scan = read_records(path)
+        assert [r["name"] for r in scan.records] == ["a", "c"]
+        assert scan.corruption is None
 
     def test_corrupt_checksum_mid_log_discards_the_tail(self, tmp_path):
         path = self._write(
@@ -476,6 +500,87 @@ class TestDurableKernel:
 
 
 # ---------------------------------------------------------------------------
+# the record log under another magic, and the batch grammar's one reader
+# ---------------------------------------------------------------------------
+
+
+class TestRecordLog:
+    def _journal(self, path, faults=None):
+        return RecordLog(
+            path, (JOURNAL_MAGIC,), "journal", faults=faults, fsync=False
+        )
+
+    def test_each_kind_of_log_rejects_the_other(self, tmp_path):
+        journal = self._journal(tmp_path / "j.log")
+        journal.append({"op": "prepare", "seq": 1})
+        journal.close()
+        assert (tmp_path / "j.log").read_bytes().startswith(JOURNAL_MAGIC)
+        with pytest.raises(WalCorruptionError, match="REPROWAL2"):
+            read_records(tmp_path / "j.log")
+        wal = WriteAheadLog(tmp_path / "w.log", fsync=False)
+        wal.append({"op": "drop", "name": "a"})
+        wal.close()
+        with pytest.raises(WalCorruptionError, match="REPROJNL1"):
+            self._journal(tmp_path / "w.log").recover()
+        with pytest.raises(WalCorruptionError):
+            self._journal(tmp_path / "w.log").append({"op": "prepare", "seq": 1})
+
+    @pytest.mark.parametrize(
+        "step, survives", [("before", 0), ("mid", 0), ("written", 1), ("synced", 1)]
+    )
+    def test_kill_sites_carry_the_callers_prefix(self, tmp_path, step, survives):
+        plan = FaultPlan(
+            specs=(
+                # the WAL's sites must stay silent: the same injector
+                # reaches the stores beside a journal
+                FaultSpec(site="wal.append:*", kind="kill"),
+                FaultSpec(site=f"journal.append:{step}", kind="kill", skip=1),
+            )
+        )
+        journal = self._journal(tmp_path / "j.log", FaultInjector(plan))
+        journal.append({"op": "prepare", "seq": 1})
+        with pytest.raises(SimulatedCrash):
+            journal.append({"op": "commit", "seq": 1})
+        journal.close()
+        scan = self._journal(tmp_path / "j.log").recover()
+        assert len(scan.records) == 1 + survives
+        assert scan.torn_bytes == 0 or step == "mid"
+        after = read_records(tmp_path / "j.log", magics=(JOURNAL_MAGIC,))
+        assert after.torn_bytes == 0 and after.records == scan.records
+
+
+class TestBatchAssembler:
+    BATCH = [
+        {"op": "begin", "txn": 4},
+        {"op": "drop", "name": "a"},
+        {"op": "drop", "name": "b"},
+        {"op": "commit", "txn": 4},
+    ]
+
+    def test_a_batch_takes_effect_only_at_its_commit_marker(self):
+        batches = BatchAssembler()
+        assert batches.feed([{"op": "drop", "name": "auto"}, *self.BATCH[:2]]) == [
+            {"op": "drop", "name": "auto"}
+        ]
+        assert batches.open and batches.committed == 0
+        # the open batch is carried into the next call
+        assert [r["name"] for r in batches.feed(self.BATCH[2:])] == ["a", "b"]
+        assert not batches.open
+        assert (batches.committed, batches.discarded, batches.max_txn) == (1, 0, 4)
+
+    def test_a_batch_without_its_marker_is_discarded(self):
+        batches = BatchAssembler()
+        stream = [*self.BATCH[:3], {"op": "abort", "txn": 9}, *self.BATCH]
+        assert [r["name"] for r in batches.feed(stream)] == ["a", "b"]
+        assert (batches.committed, batches.discarded, batches.aborted) == (1, 1, 1)
+        assert batches.max_txn == 9
+        batches.feed(self.BATCH[:2])
+        batches.discard()
+        batches.discard()  # nothing open: not another discarded batch
+        assert batches.discarded == 2 and not batches.open
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -494,6 +599,37 @@ class TestCli:
         assert durability_main(["inspect", store]) == 0
         out = capsys.readouterr().out
         assert "persist 'laps'" in out and "commit txn" in out
+
+    def test_inspect_marks_an_uncommitted_batch(self, tmp_path, capsys):
+        store = self._seed_store(tmp_path)
+        wal = WriteAheadLog(tmp_path / "s" / "wal.log", fsync=False)
+        wal.append({"op": "begin", "txn": 7})
+        wal.append({"op": "drop", "name": "laps"})
+        wal.close()
+        # a store directory and its log file read the same
+        for target in (store, f"{store}/wal.log"):
+            assert durability_main(["inspect", target]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            marked = [line for line in lines if "uncommitted" in line]
+            assert len(marked) == 1 and "drop 'laps'" in marked[0]
+
+    def test_inspect_reads_a_placement_journal(self, tmp_path, capsys):
+        journal = RecordLog(
+            tmp_path / "placements.log", (JOURNAL_MAGIC,), "journal", fsync=False
+        )
+        journal.append({"op": "prepare", "seq": 1, "video": "race0"})
+        journal.append({"op": "commit", "seq": 1, "video": "race0"})
+        journal.close()
+        assert durability_main(["inspect", str(tmp_path / "placements.log")]) == 0
+        out = capsys.readouterr().out
+        assert "placement journal: 2 record(s)" in out
+        assert "prepare seq=1 video='race0'" in out
+        assert "commit seq=1 video='race0'" in out and "uncommitted" not in out
+
+    def test_inspect_rejects_a_file_that_is_no_record_log(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("prepare race0 on shard-0\n")
+        assert durability_main(["inspect", str(tmp_path / "notes.txt")]) == 1
+        assert "magic header" in capsys.readouterr().out
 
     def test_verify_ok_and_corrupt(self, tmp_path, capsys):
         store = self._seed_store(tmp_path)

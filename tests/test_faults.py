@@ -149,6 +149,18 @@ class TestFaultInjector:
         results = [injector.should_drop("s") for _ in range(5)]
         assert results == [True, True, False, False, False]
 
+    def test_skip_lets_the_first_invocations_of_a_site_pass(self):
+        plan = FaultPlan(
+            seed=0,
+            specs=(FaultSpec(site="s*", kind="drop", skip=2, max_triggers=1),),
+        )
+        injector = FaultInjector(plan)
+        assert [injector.should_drop("s1") for _ in range(4)] == [
+            False, False, True, False,
+        ]
+        with pytest.raises(ReproError, match="skip"):
+            FaultSpec(site="s", skip=-1)
+
     def test_corrupt_array_deterministic_and_bounded(self):
         plan = FaultPlan(
             seed=9, specs=(FaultSpec(site="a", kind="corrupt", severity=0.3),)

@@ -2,7 +2,9 @@
 partial-failure-tolerant gathers, the SHARD static pass, and the seeded
 shard-death chaos scenario."""
 
+import copy
 import json
+import random
 
 import pytest
 
@@ -11,11 +13,13 @@ from repro.check.shardcheck import check_fleet_config, check_scatter_source
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
 from repro.cobra.preprocessor import choose_scatter_plan
 from repro.cobra.query import parse_coql
+from repro.durability.wal import JOURNAL_MAGIC, encode_record, read_records
 from repro.errors import (
     InsufficientCoverageError,
     PlacementError,
     ShardingCheckError,
     SimulatedCrash,
+    WalCorruptionError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, get_plan
 from repro.sharding import (
@@ -47,6 +51,12 @@ def make_document(video_id, n_events=1):
             "dbn",
         )
     return doc
+
+
+def journal_records(base_dir):
+    scan = read_records(base_dir / "placements.log", magics=(JOURNAL_MAGIC,))
+    assert scan.corruption is None
+    return scan.records
 
 
 def make_fleet(tmp_path, shards=3, faults=None, **overrides):
@@ -207,10 +217,7 @@ class TestRegistration:
     def test_registration_journals_prepare_then_commit(self, tmp_path):
         fleet = make_fleet(tmp_path, shards=2)
         fleet.register_document(make_document("race0"), "f1")
-        records = [
-            json.loads(line)
-            for line in (tmp_path / "placements.log").read_text().splitlines()
-        ]
+        records = journal_records(tmp_path)
         assert [r["op"] for r in records] == ["prepare", "commit"]
         assert records[0]["video"] == "race0"
         fleet.close()
@@ -249,7 +256,7 @@ class TestCrashRecovery:
     def test_crash_after_prepare_rolls_back(self, tmp_path):
         recovered = self._crash_at(tmp_path, "sharding.place:prepared")
         assert recovered.placements() == {}
-        ops = [r["op"] for r in recovered._journal.records()]
+        ops = [r["op"] for r in journal_records(tmp_path)]
         assert ops == ["prepare", "abort"]
         recovered.close()
 
@@ -257,7 +264,7 @@ class TestCrashRecovery:
         recovered = self._crash_at(tmp_path, "sharding.place:registered")
         placements = recovered.placements()
         assert list(placements) == ["race0"]
-        ops = [r["op"] for r in recovered._journal.records()]
+        ops = [r["op"] for r in journal_records(tmp_path)]
         assert ops == ["prepare", "commit"]
         # the rolled-forward document is queryable once its handle returns
         recovered.register_document(make_document("race0"), "f1")
@@ -278,6 +285,140 @@ class TestCrashRecovery:
 # ---------------------------------------------------------------------------
 # partial-failure gathers
 # ---------------------------------------------------------------------------
+
+
+class TestJournal:
+    def test_appends_after_a_torn_tail_survive_the_next_reopen(self, tmp_path):
+        fleet = make_fleet(tmp_path, shards=2)
+        fleet.register_document(make_document("race0"), "f1")
+        fleet.close()
+        log = tmp_path / "placements.log"
+        intact = log.read_bytes()
+        torn = encode_record({"op": "prepare", "seq": 2, "video": "race9"})
+        log.write_bytes(intact + torn[: len(torn) // 2])
+
+        reopened = make_fleet(tmp_path, shards=2)
+        assert log.read_bytes() == intact  # cut off, not just skipped
+        owner = reopened.register_document(make_document("race1"), "f1")
+        reopened.close()
+
+        final = make_fleet(tmp_path, shards=2)
+        assert final.placements()["race1"] == owner
+        assert final._shard_has_rows(owner, "race1")
+        for vid in ("race0", "race1"):
+            final.register_document(make_document(vid), "f1")
+        assert final.convergence_report() == []
+        final.close()
+
+    def test_a_file_that_is_not_a_journal_is_a_typed_error(self, tmp_path):
+        # what fleets wrote before the record log: JSON lines, no magic
+        (tmp_path / "placements.log").write_text(
+            '{"op": "prepare", "seq": 1, "video": "race0", "shard": "shard-0"}\n'
+        )
+        with pytest.raises(WalCorruptionError, match="REPROJNL1"):
+            make_fleet(tmp_path, shards=2)
+
+    def test_close_releases_the_journal_handle(self, tmp_path):
+        fleet = make_fleet(tmp_path, shards=2)
+        handle = fleet._journal._file
+        assert not handle.closed
+        fleet.close()
+        assert handle.closed
+
+    def test_a_reopened_fleet_is_the_live_fleet(self, tmp_path, monkeypatch):
+        """Reopen-equals-live: the state a record leaves behind when the
+        live path applies it is the state replaying the journal up to that
+        record rebuilds — at every record boundary, not only the end."""
+
+        def state_of(fleet):
+            return copy.deepcopy(
+                {
+                    "placements": fleet.placements(),
+                    "order": fleet._placement_order,
+                    "ops": fleet._ops,
+                    "epoch": fleet._routing_epoch,
+                    "seq": fleet._seq,
+                    "prepared": fleet._prepared,
+                    "in_flight": fleet.migrations.in_flight(),
+                    "pending": {
+                        video: state.pending
+                        for video, state in fleet.migrations._active.items()
+                    },
+                }
+            )
+
+        rng = random.Random(23)
+        live = make_fleet(tmp_path / "live", shards=2)
+        after_record = [state_of(live)]
+        apply = live._apply
+
+        def spy(record):
+            apply(record)
+            after_record.append(state_of(live))
+
+        live._apply = spy
+        docs = {f"race{i}": make_document(f"race{i}") for i in range(10)}
+
+        def late_event(vid):
+            start = rng.uniform(20.0, 80.0)
+            event = docs[vid].new_event(
+                "passing", Interval(start, start + 5.0), rng.random(), {}, "dbn"
+            )
+            live.store_event(vid, event)
+
+        for doc in docs.values():
+            live.register_document(doc, "f1")
+        for _ in range(3):
+            late_event(rng.choice(sorted(docs)))
+        # one migration stopped after each phase, one run to the end
+        moving = live.add_shard("shard-2")
+        assert moving == ["race2", "race7", "race8", "race9"]
+        migrations = live.migrations
+        migrations.plan("race2")
+        migrations.plan("race7")
+        migrations.copy("race7")
+        late_event("race7")  # joins the pending tail
+        migrations.plan("race8")
+        migrations.copy("race8")
+        late_event("race8")
+        migrations.catch_up("race8")
+        migrations.cutover("race8")
+        late_event("race8")  # lands on the new owner
+        live.migrate_document("race9")
+        assert migrations.in_flight() == {
+            "race2": "planned", "race7": "copied", "race8": "cutover"
+        }
+        live.split("shard-2")  # finishes all three
+        live.mark_dead("shard-0")
+        live.rebalance()
+        for _ in range(3):
+            late_event(rng.choice(sorted(docs)))
+        final = after_record[-1]
+        assert final["in_flight"] == {} and final["epoch"] == 5
+        assert live.convergence_report() == []
+        live.close()
+
+        log = tmp_path / "live" / "placements.log"
+        scan = read_records(log, magics=(JOURNAL_MAGIC,))
+        assert len(scan.records) == len(after_record) - 1
+        data = log.read_bytes()
+        with monkeypatch.context() as patched:
+            # replay only: in-doubt work stays as the prefix left it
+            patched.setattr(
+                ShardedKernel, "_resolve_in_doubt", lambda self: None
+            )
+            for index, end in enumerate([len(JOURNAL_MAGIC), *scan.ends]):
+                prefix = tmp_path / f"prefix-{index}"
+                prefix.mkdir()
+                (prefix / "placements.log").write_bytes(data[:end])
+                replayed = make_fleet(prefix, shards=2)
+                assert state_of(replayed) == after_record[index], index
+                replayed.close()
+
+        reopened = make_fleet(tmp_path / "live", shards=2)
+        assert state_of(reopened) == final
+        assert log.read_bytes() == data  # nothing was in doubt
+        reopened.close()
 
 
 class TestGather:
@@ -441,6 +582,53 @@ class TestFailoverAndRebalance:
         reopened.mark_dead(owner)
         with pytest.raises(PlacementError, match="no document handle"):
             reopened.rebalance()
+        reopened.close()
+
+    @pytest.mark.parametrize("site", PLACEMENT_KILL_SITES)
+    def test_rebalance_killed_mid_move_reopens_consistent_and_finishes(
+        self, tmp_path, site
+    ):
+        """A rebalance move is a registration: the same two phases, the
+        same kill points, the same roll-back/roll-forward on reopen."""
+        corpus = {
+            vid: make_document(vid)
+            for vid in ("race0", "race1", "race2", "race3", "race4", "race5")
+        }
+
+        def reopen(faults=None):
+            fleet = make_fleet(tmp_path, faults=faults)
+            for vid, doc in corpus.items():
+                fleet.register_document(doc, "f1")  # restores the handles
+            return fleet
+
+        reopen().close()
+        site, _, record = site.partition("@")
+        plan = FaultPlan(
+            seed=1,
+            name="rebalance-kill",
+            specs=(
+                FaultSpec(
+                    site=site,
+                    kind="kill",
+                    max_triggers=1,
+                    skip=int(record == "commit"),
+                ),
+            ),
+        )
+        crashing = reopen(FaultInjector(plan))
+        crashing.mark_dead("shard-1")
+        with pytest.raises(SimulatedCrash):
+            crashing.rebalance()
+        crashing.close()
+
+        reopened = reopen()
+        assert reopened.convergence_report() == []
+        reopened.mark_dead("shard-1")
+        reopened.rebalance()
+        assert "shard-1" not in reopened.placements().values()
+        result = reopened.query("RETRIEVE fly_out")
+        assert result.coverage.complete and len(result.records) == len(corpus)
+        assert reopened.convergence_report() == []
         reopened.close()
 
     def test_status_snapshot_is_deterministic(self, tmp_path):
