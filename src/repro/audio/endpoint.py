@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.audio.features import mfcc, short_time_energy
-from repro.audio.filters import ENDPOINT_BAND, bandpass
+from repro.audio.features import cepstrum, short_time_energy
+from repro.audio.filters import ENDPOINT_BAND, BandSplit
 from repro.audio.signal import AudioSignal, clip_statistics
 
 __all__ = ["EndpointConfig", "EndpointResult", "detect_speech"]
@@ -72,17 +72,22 @@ class EndpointResult:
 
 
 def detect_speech(
-    signal: AudioSignal, config: EndpointConfig | None = None
+    signal: AudioSignal,
+    config: EndpointConfig | None = None,
+    bands: BandSplit | None = None,
 ) -> EndpointResult:
     """Classify each 0.1 s clip as speech or non-speech.
 
     The STE is computed on the band-filtered signal "because this bandwidth
     diminishes car noises, and various background noises"; the MFCC score
     uses the first ``n_mfcc`` coefficients, "the most indicative for speech
-    detection".
+    detection". A caller that filters the same track itself passes its
+    ``bands`` (a :class:`BandSplit` of ``signal``) so the spectrum and the
+    band are computed once between them.
     """
     config = config or EndpointConfig()
-    filtered = bandpass(signal, *config.band)
+    bands = bands or BandSplit(signal)
+    filtered = bands.band(*config.band)
 
     ste = short_time_energy(filtered)
     stats = clip_statistics(signal, ste)
@@ -93,7 +98,7 @@ def detect_speech(
         + w_rng * stats["dynamic_range"]
     )
 
-    coefficients = mfcc(filtered, n_coefficients=config.n_mfcc)
+    coefficients = cepstrum(bands.mel_log_energies(*config.band), config.n_mfcc)
     magnitude = np.abs(coefficients).sum(axis=1)
     mfcc_stats = clip_statistics(signal, magnitude)
     mfcc_score = mfcc_stats["average"] + mfcc_stats["dynamic_range"]

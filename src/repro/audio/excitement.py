@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.audio.endpoint import EndpointConfig, EndpointResult, detect_speech
-from repro.audio.features import mfcc, pause_rate, pitch_track, short_time_energy
-from repro.audio.filters import ENDPOINT_BAND, EXCITEMENT_BAND, bandpass
+from repro.audio.features import cepstrum, pause_rate, pitch_track, short_time_energy
+from repro.audio.filters import ENDPOINT_BAND, EXCITEMENT_BAND, BandSplit
 from repro.audio.signal import AudioSignal, clip_statistics
 
 __all__ = ["ExcitementFeatures", "extract_excitement_features"]
@@ -80,18 +80,20 @@ def extract_excitement_features(
     Clips classified non-speech by the endpoint detector get zero for every
     excitement feature (the paper computes them "only ... on speech
     segments"); pause rate is computed everywhere since it measures the
-    quantity of speech itself.
+    quantity of speech itself. The track is transformed once: the endpoint
+    detector and the features below share one :class:`BandSplit`.
     """
-    endpoint = detect_speech(signal, endpoint_config)
+    bands = BandSplit(signal)
+    endpoint = detect_speech(signal, endpoint_config, bands)
 
-    high = bandpass(signal, *EXCITEMENT_BAND)
-    low = bandpass(signal, *ENDPOINT_BAND)
+    high = bands.band(*EXCITEMENT_BAND)
+    low = bands.band(*ENDPOINT_BAND)
 
     ste = short_time_energy(high)
     ste_stats = clip_statistics(signal, ste)
     pitch = pitch_track(low)
     pitch_stats = clip_statistics(signal, pitch)
-    coefficients = np.abs(mfcc(low)).mean(axis=1)
+    coefficients = np.abs(cepstrum(bands.mel_log_energies(*ENDPOINT_BAND))).mean(axis=1)
     mfcc_stats = clip_statistics(signal, coefficients)
     pauses = pause_rate(signal)
 

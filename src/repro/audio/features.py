@@ -8,7 +8,8 @@ Implements the feature set of §5.2:
   below 1 kHz ("human speech is usually under 1 kHz").
 * **MFCCs** — mel filterbank log-energies followed by a cosine transform;
   12 coefficients of which the paper uses the first three for endpoint
-  detection.
+  detection. The two steps are separate functions so that both projections
+  of one band come from one filterbank pass.
 * **Pause rate** — fraction of silent frames per clip, "intended to
   determine the quantity of speech in an audio clip".
 
@@ -26,6 +27,8 @@ __all__ = [
     "short_time_energy",
     "pitch_track",
     "mel_filterbank",
+    "mel_log_energies",
+    "cepstrum",
     "mfcc",
     "pause_rate",
     "zero_crossing_rate",
@@ -144,6 +147,32 @@ def mel_filterbank(
     return bank
 
 
+def mel_log_energies(
+    signal: AudioSignal, n_filters: int = 24, window: str = "hamming"
+) -> np.ndarray:
+    """Per-frame log energies of the mel filterbank, shape (n_frames,
+    n_filters) — the framed spectral pass every cepstral projection of a
+    signal shares."""
+    frames = signal.frames()
+    w = window_function(window, frames.shape[1])
+    n_fft = 1 << int(np.ceil(np.log2(frames.shape[1])))
+    spectra = np.abs(np.fft.rfft(frames * w, n=n_fft, axis=1)) ** 2
+    bank = mel_filterbank(n_filters, n_fft, signal.sample_rate)
+    energies = spectra @ bank.T
+    return np.log(np.maximum(energies, 1e-12))
+
+
+def cepstrum(log_energies: np.ndarray, n_coefficients: int = 12) -> np.ndarray:
+    """DCT-II of mel log energies over the filter axis, shape (n_frames,
+    n_coefficients); coefficient 0 is the first (index 0 = C1 in the
+    paper's counting of "first three")."""
+    n_filters = log_energies.shape[1]
+    k = np.arange(n_coefficients)[:, None]
+    j = np.arange(n_filters)[None, :]
+    dct = np.cos(np.pi * (k + 1) * (j + 0.5) / n_filters)
+    return log_energies @ dct.T
+
+
 def mfcc(
     signal: AudioSignal,
     n_coefficients: int = 12,
@@ -156,21 +185,9 @@ def mfcc(
     different filtered sub-bands" (§5.2).
 
     Returns:
-        Array of shape (n_frames, n_coefficients); coefficient 0 is the
-        first (index 0 = C1 in the paper's counting of "first three").
+        Array of shape (n_frames, n_coefficients).
     """
-    frames = signal.frames()
-    w = window_function(window, frames.shape[1])
-    n_fft = 1 << int(np.ceil(np.log2(frames.shape[1])))
-    spectra = np.abs(np.fft.rfft(frames * w, n=n_fft, axis=1)) ** 2
-    bank = mel_filterbank(n_filters, n_fft, signal.sample_rate)
-    energies = spectra @ bank.T
-    log_energies = np.log(np.maximum(energies, 1e-12))
-    # DCT-II over the filter axis.
-    k = np.arange(n_coefficients)[:, None]
-    j = np.arange(n_filters)[None, :]
-    dct = np.cos(np.pi * (k + 1) * (j + 0.5) / n_filters)
-    return log_energies @ dct.T
+    return cepstrum(mel_log_energies(signal, n_filters, window), n_coefficients)
 
 
 def pause_rate(

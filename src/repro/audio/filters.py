@@ -8,17 +8,22 @@ edges here default to those values.
 
 Filtering is done with an FFT brick-wall band-pass — simple, linear-phase
 and exactly reproducible, which matters more for a reproduction than
-matched roll-off.
+matched roll-off. The forward transform does not depend on the band, so a
+:class:`BandSplit` takes it once per track.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from repro.audio.features import mel_log_energies
 from repro.audio.signal import AudioSignal
 from repro.errors import SignalError
 
 __all__ = [
+    "BandSplit",
     "bandpass",
     "ENDPOINT_BAND",
     "EXCITEMENT_BAND",
@@ -34,26 +39,66 @@ EXCITEMENT_BAND = (882.0, 2205.0)
 SPEECH_BAND_LIMIT = 2500.0
 
 
-def bandpass(signal: AudioSignal, low_hz: float, high_hz: float) -> AudioSignal:
-    """Zero out spectral content outside [low_hz, high_hz].
+class BandSplit:
+    """One track's spectrum and what the front end derives from it per band.
 
-    Args:
-        signal: input signal.
-        low_hz: lower edge (inclusive); 0 gives a low-pass.
-        high_hz: upper edge (inclusive); must not exceed Nyquist.
-
-    Returns:
-        A new :class:`AudioSignal` with the same length and sample rate.
+    The endpoint detector and the excited-speech features filter the same
+    signal, two of their three bands being the same one. A ``BandSplit``
+    transforms the signal once, inverts once per distinct band and frames
+    each band's mel log energies once; the results are what separate
+    ``bandpass`` / ``mfcc`` calls would return.
     """
-    nyquist = signal.sample_rate / 2
-    if not 0 <= low_hz < high_hz:
-        raise SignalError(f"bad band [{low_hz}, {high_hz}]")
-    if high_hz > nyquist:
-        raise SignalError(
-            f"band edge {high_hz} Hz exceeds Nyquist {nyquist} Hz"
-        )
-    spectrum = np.fft.rfft(signal.samples)
-    freqs = np.fft.rfftfreq(signal.samples.shape[0], d=1.0 / signal.sample_rate)
-    mask = (freqs >= low_hz) & (freqs <= high_hz)
-    filtered = np.fft.irfft(spectrum * mask, n=signal.samples.shape[0])
-    return AudioSignal(filtered, signal.sample_rate)
+
+    def __init__(self, signal: AudioSignal):
+        self.signal = signal
+        self._bands: dict[tuple[float, float], AudioSignal] = {}
+        self._mel: dict[tuple[float, float], np.ndarray] = {}
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self.signal.samples)
+
+    @cached_property
+    def _freqs(self) -> np.ndarray:
+        signal = self.signal
+        return np.fft.rfftfreq(signal.samples.shape[0], d=1.0 / signal.sample_rate)
+
+    def band(self, low_hz: float, high_hz: float) -> AudioSignal:
+        """The signal with spectral content outside [low_hz, high_hz] zeroed.
+
+        Args:
+            low_hz: lower edge (inclusive); 0 gives a low-pass.
+            high_hz: upper edge (inclusive); must not exceed Nyquist.
+
+        Returns:
+            An :class:`AudioSignal` with the same length and sample rate,
+            shared by every caller asking for this band.
+        """
+        key = (float(low_hz), float(high_hz))
+        if key not in self._bands:
+            signal = self.signal
+            nyquist = signal.sample_rate / 2
+            if not 0 <= low_hz < high_hz:
+                raise SignalError(f"bad band [{low_hz}, {high_hz}]")
+            if high_hz > nyquist:
+                raise SignalError(
+                    f"band edge {high_hz} Hz exceeds Nyquist {nyquist} Hz"
+                )
+            mask = (self._freqs >= low_hz) & (self._freqs <= high_hz)
+            filtered = np.fft.irfft(self._spectrum * mask, n=signal.samples.shape[0])
+            self._bands[key] = AudioSignal(filtered, signal.sample_rate)
+        return self._bands[key]
+
+    def mel_log_energies(self, low_hz: float, high_hz: float) -> np.ndarray:
+        """Framed mel log energies of one band (see
+        :func:`repro.audio.features.mel_log_energies`)."""
+        key = (float(low_hz), float(high_hz))
+        if key not in self._mel:
+            self._mel[key] = mel_log_energies(self.band(low_hz, high_hz))
+        return self._mel[key]
+
+
+def bandpass(signal: AudioSignal, low_hz: float, high_hz: float) -> AudioSignal:
+    """Zero out spectral content outside [low_hz, high_hz] (a
+    :class:`BandSplit` used for one band)."""
+    return BandSplit(signal).band(low_hz, high_hz)

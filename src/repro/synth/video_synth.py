@@ -13,7 +13,9 @@ Renders the broadcast picture the paper's §5.3/§5.4 detectors consume:
 * superimposed text overlays.
 
 Frames are a pure function of (timeline, frame index), so the stream can be
-re-iterated without buffering the race.
+re-iterated without buffering the race. The renderer reads the timeline
+once, at construction: the event windows each drawing step tests are
+resolved there, not per frame.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import bisect
 
 import numpy as np
 
+from repro.errors import SynthesisError
 from repro.synth.race import RaceTimeline
 from repro.synth.text_synth import draw_overlay
 from repro.video.flyout import DUST_RGB, SAND_RGB
@@ -63,6 +66,20 @@ class RaceVideoRenderer:
         steady = shot_rng.random(shot_count) < 0.2
         self._shot_speeds[steady] *= 0.08
         self._car_colors = shot_rng.integers(120, 255, size=(shot_count, 2, 3))
+        # The windows the drawing steps test, resolved once.
+        self._starts = [e for e in timeline.events if e.kind == "start"]
+        self._passings = [e for e in timeline.events if e.kind == "passing"]
+        self._fly_outs = [e for e in timeline.events if e.kind == "fly_out"]
+        self._replays = [(i.start, i.end) for i, _ in timeline.replays]
+        self._wipes = [
+            (anchor - DVE_SECONDS, anchor, direction)
+            for start, end in self._replays
+            for anchor, direction in ((start, 1), (end, -1))
+        ]
+        self._overlays = list(timeline.overlays)
+        # (shot, upper half, lower-half stripe strip) of the shot being
+        # rendered: one shot at a time, never the whole race.
+        self._shot_background: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def stream(self) -> FrameStream:
@@ -75,61 +92,78 @@ class RaceVideoRenderer:
         )
 
     def frame(self, index: int) -> np.ndarray:
-        """Render frame ``index`` (pure function of the timeline)."""
+        """Render frame ``index`` (pure function of the timeline).
+
+        The per-frame generator feeds the sensor jitter and nothing else:
+        one ``integers`` draw of the frame's shape, which is what pins the
+        pixels of a seeded race.
+        """
+        if not 0 <= index < self.n_frames:
+            raise SynthesisError(
+                f"frame {index} is outside the race's {self.n_frames} frames"
+            )
         t = index / self.fps
         shot = bisect.bisect_right(self._cuts, t)
         shot_start = self._cuts[shot - 1] if shot > 0 else 0.0
-        rng = np.random.default_rng(
-            (self.timeline.spec.seed + 3) * 1_000_003 + index
-        )
 
         frame = self._background(t, shot, shot_start)
         self._draw_cars(frame, t, shot, shot_start)
         self._draw_passing(frame, t)
-        self._draw_fly_out(frame, t, rng)
+        self._draw_fly_out(frame, t)
         self._draw_semaphore(frame, t)
         self._apply_replay_tone(frame, t)
         self._apply_dve(frame, t)
         self._draw_overlays(frame, t)
 
         if self.noise:
+            rng = np.random.default_rng(
+                (self.timeline.spec.seed + 3) * 1_000_003 + index
+            )
             jitter = rng.integers(-self.noise, self.noise + 1, frame.shape)
-            frame = np.clip(frame.astype(np.int16) + jitter, 0, 255)
+            frame += jitter.astype(np.int16)
+            np.clip(frame, 0, 255, out=frame)
         return frame.astype(np.uint8)
 
     # ------------------------------------------------------------------
     def _background(self, t: float, shot: int, shot_start: float) -> np.ndarray:
-        tone = self._shot_tones[shot]
-        frame = np.empty((self.height, self.width, 3), dtype=np.int16)
-        frame[:, :] = tone
-        # moving track stripes
+        """A fresh int16 frame: the shot's tone, sky band and track stripes.
+
+        Sky band (top fifth) and stripes (lower half) never overlap, so the
+        clipped tones of both are fixed per shot. The stripes repeat every
+        28 columns and only slide: the lower half of any frame of the shot
+        is a window into one strip that is 28 columns wider than the frame.
+        """
+        half = self.height // 2
+        cached = self._shot_background
+        if cached is None or cached[0] != shot:
+            tone = self._shot_tones[shot]
+            top = np.empty((half, self.width, 3), dtype=np.int16)
+            top[:] = tone
+            top[: self.height // 5] += 35
+            np.clip(top, 0, 255, out=top)
+            strip = np.empty((self.height - half, self.width + 28, 3), dtype=np.int16)
+            strip[:] = tone
+            strip[:, np.arange(self.width + 28) // 14 % 2 == 0] -= 25
+            np.clip(strip, 0, 255, out=strip)
+            cached = self._shot_background = (shot, top, strip)
+        _, top, strip = cached
         speed = self._shot_speeds[shot] * self._motion_boost(t)
-        offset = int((t - shot_start) * speed)
-        xs = (np.arange(self.width) + offset) // 14 % 2 == 0
-        frame[self.height // 2 :, xs] -= 25
-        # sky band
-        frame[: self.height // 5] += 35
-        return np.clip(frame, 0, 255)
+        offset = int((t - shot_start) * speed) % 28
+        frame = np.empty((self.height, self.width, 3), dtype=np.int16)
+        frame[:half] = top
+        frame[half:] = strip[:, offset : offset + self.width]
+        return frame
 
     def _motion_boost(self, t: float) -> float:
-        for event in self.timeline.events:
-            if event.kind == "start" and event.time <= t < event.time + event.duration:
-                return 3.0
+        if any(_during(event, t) for event in self._starts):
+            return 3.0
         # During a well-covered passing the camera tracks the duel, so the
         # background is nearly static and the overtaking car's sweep
         # dominates the motion histogram — the German GP camera work.
-        damp = self._passing_damp(t)
-        if damp is not None:
-            return damp
-        return 1.0
-
-    def _passing_damp(self, t: float) -> float | None:
-        for event in self.timeline.events:
-            if event.kind != "passing":
-                continue
-            if event.time <= t < event.time + event.duration:
+        for event in self._passings:
+            if _during(event, t):
                 return float(1.0 - 0.92 * event.visibility)
-        return None
+        return 1.0
 
     def _draw_cars(
         self, frame: np.ndarray, t: float, shot: int, shot_start: float
@@ -148,10 +182,8 @@ class RaceVideoRenderer:
             self._rect(frame, y, y + 10, x, x + 22, color)
 
     def _draw_passing(self, frame: np.ndarray, t: float) -> None:
-        for event in self.timeline.events:
-            if event.kind != "passing":
-                continue
-            if not event.time <= t < event.time + event.duration:
+        for event in self._passings:
+            if not _during(event, t):
                 continue
             progress = (t - event.time) / event.duration
             visibility = event.visibility
@@ -165,13 +197,9 @@ class RaceVideoRenderer:
                 frame, y, y + height, x, x + width, np.array([235, 220, 40])
             )
 
-    def _draw_fly_out(
-        self, frame: np.ndarray, t: float, rng: np.random.Generator
-    ) -> None:
-        for event in self.timeline.events:
-            if event.kind != "fly_out":
-                continue
-            if not event.time <= t < event.time + event.duration:
+    def _draw_fly_out(self, frame: np.ndarray, t: float) -> None:
+        for event in self._fly_outs:
+            if not _during(event, t):
                 continue
             progress = (t - event.time) / event.duration
             intensity = np.sin(np.pi * min(progress * 1.4, 1.0))
@@ -186,9 +214,7 @@ class RaceVideoRenderer:
             self._blend(frame, dust_rows, dust_cols, DUST_RGB, 0.6 * intensity + 0.3)
 
     def _draw_semaphore(self, frame: np.ndarray, t: float) -> None:
-        for event in self.timeline.events:
-            if event.kind != "start":
-                continue
+        for event in self._starts:
             lead = event.time - t
             if not 0.0 < lead <= 6.0:
                 continue
@@ -200,32 +226,23 @@ class RaceVideoRenderer:
                 frame, 8, 18, x0, x0 + width, np.array([225, 25, 25])
             )
 
-    def _replay_windows(self) -> list[tuple[float, float]]:
-        return [(i.start, i.end) for i, _ in self.timeline.replays]
-
     def _apply_replay_tone(self, frame: np.ndarray, t: float) -> None:
-        for start, end in self._replay_windows():
-            if start <= t < end:
-                frame += 30
-                np.clip(frame, 0, 255, out=frame)
-                return
+        if any(start <= t < end for start, end in self._replays):
+            frame += 30
+            np.clip(frame, 0, 255, out=frame)
 
     def _apply_dve(self, frame: np.ndarray, t: float) -> None:
-        for start, end in self._replay_windows():
-            for anchor, direction in ((start, 1), (end, -1)):
-                begin = anchor - DVE_SECONDS
-                if begin <= t < anchor:
-                    progress = (t - begin) / DVE_SECONDS
-                    if direction < 0:
-                        progress = 1.0 - progress
-                    edge = int(self.width * progress)
-                    frame[:, :edge] = np.clip(
-                        frame[:, :edge].astype(np.int16) + 90, 0, 255
-                    )
-                    return
+        for begin, anchor, direction in self._wipes:
+            if begin <= t < anchor:
+                progress = (t - begin) / DVE_SECONDS
+                if direction < 0:
+                    progress = 1.0 - progress
+                edge = int(self.width * progress)
+                frame[:, :edge] = np.clip(frame[:, :edge] + 90, 0, 255)
+                return
 
     def _draw_overlays(self, frame: np.ndarray, t: float) -> None:
-        for interval, words in self.timeline.overlays:
+        for interval, words in self._overlays:
             if interval.start <= t < interval.end:
                 draw_overlay(frame, words)
                 return
@@ -248,6 +265,10 @@ class RaceVideoRenderer:
         frame[rows, cols] = (
             (1 - alpha) * region + alpha * target
         ).astype(np.int16)
+
+
+def _during(event, t: float) -> bool:
+    return event.time <= t < event.time + event.duration
 
 
 def render_video(timeline: RaceTimeline, **kwargs) -> FrameStream:

@@ -9,6 +9,7 @@ from repro.audio.endpoint import EndpointConfig, detect_speech
 from repro.audio.excitement import extract_excitement_features
 from repro.audio.features import (
     frame_entropy,
+    cepstrum,
     mel_filterbank,
     mfcc,
     pause_rate,
@@ -16,7 +17,7 @@ from repro.audio.features import (
     short_time_energy,
     zero_crossing_rate,
 )
-from repro.audio.filters import bandpass
+from repro.audio.filters import BandSplit, bandpass
 from repro.audio.keywords import (
     CLEAN_SPEECH_MODEL,
     F1_KEYWORDS,
@@ -102,6 +103,23 @@ class TestFilters:
             bandpass(tone(100), 500, 100)
         with pytest.raises(SignalError):
             bandpass(tone(100), 0, FS)  # beyond Nyquist
+        with pytest.raises(SignalError):
+            BandSplit(tone(100)).mel_log_energies(500, 100)
+
+    def test_band_split_shares_what_it_derives(self, rng):
+        signal = speechlike(140, rng=rng)
+        bands = BandSplit(signal)
+        low = bands.band(0, 882)
+        assert bands.band(0.0, 882.0) is low  # one irfft per distinct band
+        assert bands.mel_log_energies(0, 882) is bands.mel_log_energies(0, 882)
+        high = bands.band(882, 2205)
+        # each is what a separate bandpass / mfcc call returns
+        assert np.array_equal(low.samples, bandpass(signal, 0, 882).samples)
+        assert np.array_equal(high.samples, bandpass(signal, 882, 2205).samples)
+        for n in (3, 12):
+            assert np.array_equal(
+                cepstrum(bands.mel_log_energies(0, 882), n), mfcc(low, n_coefficients=n)
+            )
 
 
 class TestFeatures:

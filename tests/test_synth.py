@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SynthesisError
 from repro.synth.annotations import GroundTruth, Interval, merge_intervals, raster
-from repro.synth.audio_synth import synthesize_audio
+from repro.synth.audio_synth import smooth_slots, synthesize_audio
 from repro.synth.grandprix import BELGIAN_GP, GERMAN_GP, USA_GP
 from repro.synth.race import RaceSpec, generate_timeline
 from repro.synth.text_synth import draw_overlay
@@ -146,7 +148,79 @@ class TestAudioSynth:
         assert per_clip[r > 0].mean() > 1.5 * per_clip[r == 0].mean()
 
 
+def full_smoothing(values, samples_per_slot, n, width):
+    """What ``smooth_slots`` replaces: the whole envelope convolved."""
+    envelope = np.repeat(np.asarray(values, dtype=np.float64), samples_per_slot)[:n]
+    return np.convolve(envelope, np.ones(width) / width, mode="same")
+
+
+class TestSmoothSlots:
+    """``smooth_slots`` is the full box convolution, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 0.35]),
+                st.floats(0.0, 1.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        samples_per_slot=st.integers(1, 48),
+        width=st.integers(1, 40),
+        cut=st.integers(0, 47),
+    )
+    # adjacent slots that all differ, first and last non-zero
+    @example(values=[0.3, 0.9, 0.1, 0.7, 0.2], samples_per_slot=16, width=4, cut=0)
+    # slots narrower than the kernel: every window straddles several steps
+    @example(values=[0.3, 0.9, 0.1, 0.7, 0.2, 0.5], samples_per_slot=3, width=8, cut=1)
+    # a single slot
+    @example(values=[0.6], samples_per_slot=20, width=5, cut=0)
+    # n not a multiple of the slot length
+    @example(values=[0.0, 1.0, 1.0, 0.0], samples_per_slot=16, width=4, cut=7)
+    # all-zero and all-equal envelopes
+    @example(values=[0.0] * 6, samples_per_slot=16, width=4, cut=0)
+    @example(values=[0.8] * 6, samples_per_slot=16, width=4, cut=3)
+    # the signal is exactly one kernel long
+    @example(values=[0.2, 0.4], samples_per_slot=4, width=8, cut=0)
+    def test_equals_full_convolution(self, values, samples_per_slot, width, cut):
+        n = len(values) * samples_per_slot - min(cut, samples_per_slot - 1)
+        if n < width:
+            with pytest.raises(SynthesisError):
+                smooth_slots(np.array(values), samples_per_slot, n, width)
+            return
+        smoothed = smooth_slots(np.array(values), samples_per_slot, n, width)
+        expected = full_smoothing(values, samples_per_slot, n, width)
+        assert smoothed.shape == expected.shape
+        assert np.array_equal(smoothed, expected)
+
+    def test_at_synthesis_scale(self):
+        """16 kHz slots and the 400-tap kernel ``synthesize_audio`` uses,
+        on an envelope with bursts of distinct intensities."""
+        rng = np.random.default_rng(5)
+        values = np.zeros(300)
+        for start in rng.integers(0, 280, size=12):
+            values[start : start + int(rng.integers(1, 20))] = rng.uniform(0.35, 1.0)
+        values[0], values[-1] = 0.5, 0.9
+        smoothed = smooth_slots(values, 1600, 300 * 1600 - 123, 400)
+        assert np.array_equal(smoothed, full_smoothing(values, 1600, 300 * 1600 - 123, 400))
+
+    def test_longer_request_than_slots_is_clipped_like_repeat(self):
+        values = np.array([0.0, 1.0, 0.5])
+        assert np.array_equal(
+            smooth_slots(values, 10, 1000, 4), full_smoothing(values, 10, 1000, 4)
+        )
+
+
 class TestVideoSynth:
+    def test_frame_index_outside_the_race_rejected(self):
+        renderer = RaceVideoRenderer(generate_timeline(SPEC))
+        assert renderer.frame(renderer.n_frames - 1).shape == (144, 192, 3)
+        for index in (-1, renderer.n_frames, renderer.n_frames + 50):
+            with pytest.raises(SynthesisError, match="outside"):
+                renderer.frame(index)
+
     def test_frames_deterministic(self):
         timeline = generate_timeline(SPEC)
         renderer = RaceVideoRenderer(timeline)
