@@ -13,9 +13,10 @@ classic recoverability stack:
   the two together, with :meth:`DurableStore.recover` rebuilding the last
   committed state and reporting recovery-time metrics, and
   :func:`apply_record` / :func:`replay`, the one place a log record takes
-  effect (recovery and replicas both call it);
-* :mod:`repro.durability.chaos` — the kill-point sweep that proves the
-  guarantees by killing at every crash point and recovering.
+  effect (recovery and replicas both call it).
+
+The ``durability`` scenario of :mod:`repro.chaos` proves the guarantees by
+killing at every crash point and recovering.
 
 Opt in through the kernel::
 
@@ -29,16 +30,8 @@ Inspect a store from the command line::
     python -m repro.durability inspect state/catalog
     python -m repro.durability verify  state/catalog
     python -m repro.durability compact state/catalog
-    python -m repro.durability sweep
 """
 
-from repro.durability.chaos import (
-    CRASH_SITES,
-    SweepResult,
-    SweepSummary,
-    kill_point_sweep,
-    run_crash_site,
-)
 from repro.durability.checkpoint import (
     Checkpoint,
     read_checkpoint,
@@ -54,20 +47,15 @@ from repro.durability.store import (
 from repro.durability.wal import WalScan, WriteAheadLog, read_records
 
 __all__ = [
-    "CRASH_SITES",
     "Checkpoint",
     "DurableStore",
     "RecoveredState",
     "RecoveryReport",
-    "SweepResult",
-    "SweepSummary",
     "WalScan",
     "WriteAheadLog",
     "apply_record",
-    "kill_point_sweep",
     "read_checkpoint",
     "read_records",
     "replay",
-    "run_crash_site",
     "write_checkpoint",
 ]

@@ -1,4 +1,4 @@
-"""Inspect, verify, compact, and chaos-test durable catalog stores.
+"""Inspect, verify, and compact durable catalog stores.
 
 Usage::
 
@@ -6,20 +6,17 @@ Usage::
     python -m repro.durability inspect <log-file>    # dump one record log
     python -m repro.durability verify  <store-dir>   # read-only recovery
     python -m repro.durability compact <store-dir>   # fold WAL -> checkpoint
-    python -m repro.durability sweep [--dir DIR]     # kill-point sweep
 
 ``verify`` exits non-zero when the store is unrecoverable, the recovered
 catalog violates the :mod:`repro.check` invariants, or catalogcheck
 reports *any* CAT finding (warnings included) — so CI can gate on a clean
-store; ``sweep`` exits non-zero when any crash point fails to recover to
-the last committed state (the CI ``crash-recovery`` job gates on this).
+store.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -143,26 +140,10 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Imported lazily: the sweep pulls in the whole kernel stack.
-    from repro.durability.chaos import CRASH_SITES, kill_point_sweep
-
-    for site in args.site or ():
-        if site not in CRASH_SITES:
-            raise SystemExit(
-                f"unknown crash site {site!r}; known: {', '.join(CRASH_SITES)}"
-            )
-    base = args.dir or tempfile.mkdtemp(prefix="repro-sweep-")
-    print(f"sweeping {len(args.site or CRASH_SITES)} crash site(s) under {base}")
-    summary = kill_point_sweep(base, sites=args.site or None, fsync=not args.no_fsync)
-    print(summary.describe())
-    return 0 if summary.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.durability",
-        description="Inspect, verify, compact, and chaos-test durable stores.",
+        description="Inspect, verify, and compact durable stores.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -176,20 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             "store", help="store directory (inspect: or one record-log file)"
         )
         sub.set_defaults(handler=handler)
-
-    sweep = commands.add_parser(
-        "sweep", help="run the kill-point chaos sweep against a scratch store"
-    )
-    sweep.add_argument(
-        "--dir", default=None, help="scratch directory (default: a temp dir)"
-    )
-    sweep.add_argument(
-        "--site", action="append", help="limit to specific crash site(s)"
-    )
-    sweep.add_argument(
-        "--no-fsync", action="store_true", help="skip fsync calls (faster)"
-    )
-    sweep.set_defaults(handler=_cmd_sweep)
 
     args = parser.parse_args(argv)
     try:

@@ -35,8 +35,8 @@ __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 #:   ``factor`` extra duplicate arrivals per trigger, which the query
 #:   service synthesizes as clone requests to drive overload,
 #: * ``kill``    — raise :class:`repro.errors.SimulatedCrash`, modelling a
-#:   process kill at a named WAL/checkpoint crash point (the chaos harness
-#:   in :mod:`repro.durability.chaos` recovers from disk afterwards),
+#:   process kill at a named WAL/checkpoint crash point (the chaos
+#:   scenarios in :mod:`repro.chaos` recover from disk afterwards),
 #: * ``partition`` — sever a replication link for one shipment round: the
 #:   :meth:`repro.faults.injector.FaultInjector.link_partitioned` hook
 #:   reports the link down, so no WAL records flow and the replica's lag

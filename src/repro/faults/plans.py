@@ -38,6 +38,8 @@ SITE_FAMILIES: dict[str, str] = {
     "wal.append:<point>": "WAL append crash points (kill)",
     "wal.commit:<point>": "WAL commit crash points (kill)",
     "checkpoint:<point>": "checkpoint crash points (kill)",
+    "journal.append:<point>": "placement journal append crash points "
+    "(kill)",
     "service.submit:<kind>": "service admission (burst: duplicate "
     "arrivals)",
     "replication.link:<replica>": "WAL shipping links (partition/lag)",
@@ -88,8 +90,8 @@ NAMED_PLANS: dict[str, FaultPlan] = {
     ),
     # One simulated process kill mid-commit: WAL records written, commit
     # marker not yet — recovery must discard the in-flight transaction.
-    # Exercised by tests/test_crash_recovery.py and the crash-recovery CI
-    # job (the kill-point sweep covers every other crash site).
+    # Exercised by tests/test_crash_recovery.py (repro.chaos's durability
+    # scenario covers every other crash site).
     "crash-commit": FaultPlan(
         seed=11,
         name="crash-commit",
@@ -101,7 +103,7 @@ NAMED_PLANS: dict[str, FaultPlan] = {
     # amplified 4x (factor=3 extra clones per arrival) while the video
     # extractor lane wedges in cancellable stalls — drives the queue to
     # saturation so shed-oldest and drain paths are exercised. Used by
-    # tests/test_service.py and the overload CI job.
+    # repro.chaos's overload scenario.
     "overload-burst": FaultPlan(
         seed=41,
         name="overload-burst",
@@ -115,7 +117,7 @@ NAMED_PLANS: dict[str, FaultPlan] = {
     # answers through a hedged backup read) — a fan-out query must return
     # a degraded result with an exact ShardCoverageReport, never raise.
     # Used by tests/test_sharding.py; the richer two-kill scenario (dead
-    # shard + in-shard failover) lives in repro.sharding.chaos.
+    # shard + in-shard failover) is repro.chaos's shard-death scenario.
     "shard-death": FaultPlan(
         seed=77,
         name="shard-death",

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import copy as _copy
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import BatError
 from repro.monet.atoms import ATOMS, Atom
 
-__all__ = ["BAT", "new_bat"]
+__all__ = ["BAT", "compare_catalogs", "new_bat"]
 
 _NUMERIC_ATOMS = {"oid", "void", "int", "flt", "dbl"}
 
@@ -443,7 +443,7 @@ class BAT:
 
         NaN tails compare equal to NaN (null semantics), matching
         :meth:`find`. Used by the durability layer to compute transaction
-        deltas and by the chaos harness to compare recovered catalogs.
+        deltas and by :func:`compare_catalogs`.
         """
         if (self.head_type, self.tail_type) != (other.head_type, other.tail_type):
             return False
@@ -691,6 +691,38 @@ def _eq(a: Any, b: Any) -> bool:
     if isinstance(a, float) and isinstance(b, float):
         return a == b or (np.isnan(a) and np.isnan(b))
     return a == b
+
+
+def compare_catalogs(
+    expected: Mapping[str, BAT], recovered: Mapping[str, BAT]
+) -> list[str]:
+    """Mismatch descriptions between an expected model and a recovered
+    catalog — empty when they agree structurally (:meth:`BAT.equals`) AND
+    the numeric tail arrays agree byte-for-byte."""
+    failures: list[str] = []
+    if set(expected) != set(recovered):
+        failures.append(
+            f"catalog names differ: expected {sorted(expected)}, "
+            f"recovered {sorted(recovered)}"
+        )
+    for name in sorted(set(expected) & set(recovered)):
+        want, got = expected[name], recovered[name]
+        if not want.equals(got):
+            failures.append(
+                f"{name}: recovered BAT differs "
+                f"(expected {len(want)} rows, got {len(got)})"
+            )
+            continue
+        want_tail, got_tail = want.tail_array(), got.tail_array()
+        if want_tail.dtype != got_tail.dtype:
+            failures.append(
+                f"{name}: tail dtype {got_tail.dtype} != expected {want_tail.dtype}"
+            )
+        elif want_tail.dtype != np.dtype(object) and (
+            want_tail.tobytes() != got_tail.tobytes()
+        ):
+            failures.append(f"{name}: tail arrays differ byte-for-byte")
+    return failures
 
 
 def new_bat(head_type: str, tail_type: str) -> BAT:

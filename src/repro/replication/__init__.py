@@ -10,9 +10,9 @@ replay semantics as crash recovery. Reads route by staleness policy
 by circuit-breaker probes and replaced by promoting the least-lagged
 replica, epoch fencing rejects a deposed primary's late writes, and
 partitioned replicas catch back up from a checkpoint snapshot + WAL tail.
-:mod:`repro.replication.chaos` verifies all of it under seeded kills and
-partitions; :mod:`repro.check.replcheck` statically vets group
-configurations (REPL001-REPL003).
+The ``replication`` scenario of :mod:`repro.chaos` verifies all of it
+under seeded kills and partitions; :mod:`repro.check.replcheck`
+statically vets group configurations (REPL001-REPL003).
 """
 
 from repro.replication.group import (

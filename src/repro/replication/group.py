@@ -41,7 +41,7 @@ from repro.errors import (
     StalenessBoundError,
 )
 from repro.faults import FaultInjector, FaultPlan, resolve_injector
-from repro.monet.bat import BAT
+from repro.monet.bat import BAT, compare_catalogs
 from repro.monet.kernel import MonetKernel
 from repro.replication.link import ReplicationLink
 from repro.replication.replica import Replica
@@ -541,8 +541,6 @@ class KernelGroup:
         first; a lagging replica reports its divergence, which is the
         point.
         """
-        from repro.durability.chaos import compare_catalogs
-
         with self._lock:
             expected = self._primary.snapshot()
             expected_procs = set(self._primary.procedures())

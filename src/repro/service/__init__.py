@@ -17,9 +17,9 @@ machinery between the two:
 * :mod:`repro.service.metrics` — the deterministic, replayable
   :class:`ServiceReport`.
 
-``python -m repro.service`` runs the seeded overload chaos scenario the
-CI job asserts on (burst+stall plan, zero lost WAL commits, bounded p99
-admission latency).
+The ``overload`` scenario of :mod:`repro.chaos` drives it to saturation
+(burst+stall plan, zero lost WAL commits, bounded p99 admission
+latency).
 """
 
 from repro.service.limiter import TokenBucket

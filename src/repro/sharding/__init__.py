@@ -22,12 +22,11 @@ answering through dual routing (the ``migrating``/``dual_read`` counters
 on the coverage report), and fences stale pre-cutover writes with
 :class:`repro.errors.FencedWriteError`.
 
-``python -m repro.sharding`` runs the seeded chaos scenarios
-(:mod:`repro.sharding.chaos`): shards are killed mid-scatter and a split
-runs under load, the degraded answers are checked against exact coverage
-reports, registration and migration are crashed at every kill point, and
-the surviving catalogs must converge byte-for-byte — twice, with
-identical reports, or the run fails.
+The ``shard-death`` and ``migration`` scenarios of :mod:`repro.chaos`
+kill shards mid-scatter and run a split under load, check the degraded
+answers against exact coverage reports, crash registration and migration
+at every kill point, and require the surviving catalogs to converge
+byte-for-byte — twice, with identical reports, or the run fails.
 """
 
 from repro.sharding.fleet import (

@@ -71,7 +71,6 @@ from repro.cobra.preprocessor import (
 )
 from repro.cobra.query import CoqlQuery, QueryExecutor, parse_coql
 from repro.cobra.vdbms import QueryResult
-from repro.durability.chaos import compare_catalogs
 from repro.durability.store import DurableStore
 from repro.durability.wal import JOURNAL_MAGIC, RecordLog, require_directory
 from repro.errors import (
@@ -91,6 +90,7 @@ from repro.errors import (
     UnknownConceptError,
 )
 from repro.faults import FaultInjector, FaultPlan, resolve_injector
+from repro.monet.bat import compare_catalogs
 from repro.monet.kernel import MonetKernel
 from repro.replication.group import GroupConfig, KernelGroup, Lease
 from repro.resilience import CircuitBreaker, Deadline, cancel_checkpoint

@@ -45,8 +45,8 @@ lost, so the document stays covered through the migration window. The
 (``migrating`` / ``dual_read``) so the degradation stays honest.
 
 Crash points: ``migration:planned|copied|cutover|retired`` fire after
-each phase's journal record (the kill sweep in
-:mod:`repro.sharding.chaos` crashes at every one), and
+each phase's journal record (the ``migration`` scenario of
+:mod:`repro.chaos` crashes at every one), and
 ``sharding.migrate:<video>`` fires per document inside the copy loop.
 The copy and catch-up loops call
 :func:`repro.resilience.cancel_checkpoint` at document/record

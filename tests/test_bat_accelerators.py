@@ -17,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durability.chaos import compare_catalogs
 from repro.hmm.parallel import HmmModule
 from repro.moa.rewrite import BulkModule
-from repro.monet.bat import BAT
+from repro.monet.bat import BAT, compare_catalogs
 from repro.monet.kernel import MonetKernel
 
 NAN = float("nan")
@@ -172,7 +171,7 @@ class TestMemoisedTailArray:
             names.tail_array()[0] = "b"
 
     def test_existing_consumers_do_not_write_through_it(self):
-        """moa/rewrite.py, hmm/parallel.py and durability/chaos.py read the
+        """moa/rewrite.py, hmm/parallel.py and compare_catalogs read the
         shared image; a write would raise on the read-only array and would
         show in the column."""
         left, right = BAT("void", "dbl"), BAT("void", "dbl")

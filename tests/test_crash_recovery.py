@@ -2,18 +2,20 @@
 
 import pytest
 
-from repro.cobra.catalog import DomainKnowledge
-from repro.cobra.model import RawVideo, VideoDocument, VideoObject
-from repro.cobra.vdbms import CobraVDBMS, DrainedFailures
-from repro.durability import DurableStore
-from repro.durability.chaos import (
+from repro.chaos import kill_sweep
+from repro.chaos.durability import (
     ABSENT,
     CRASH_SITES,
     DURABLE,
     NEUTRAL,
-    kill_point_sweep,
-    run_crash_site,
+    crash_site,
+    sweep,
 )
+from repro.chaos.harness import describe_section
+from repro.cobra.catalog import DomainKnowledge
+from repro.cobra.model import RawVideo, VideoDocument, VideoObject
+from repro.cobra.vdbms import CobraVDBMS, DrainedFailures
+from repro.durability import DurableStore
 from repro.errors import CobraError, SimulatedCrash
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, get_plan
 from repro.monet.kernel import MonetKernel
@@ -73,31 +75,32 @@ class TestKillPointSweep:
         # both the old and the new checkpoint state are acceptable, but the
         # store must recover to a committed catalog either way
         assert CRASH_SITES["checkpoint:replaced"] == NEUTRAL
-        result = run_crash_site(tmp_path, "checkpoint:replaced", fsync=False)
-        assert result.crashed
+        [result] = kill_sweep(tmp_path, ["checkpoint:replaced"], crash_site, False)
+        assert result.payload["crashed"]
         assert result.ok, result.failures
 
     def test_single_site_run_reports_the_killed_step(self, tmp_path):
-        result = run_crash_site(tmp_path, "wal.commit:mid", fsync=False)
-        assert result.crashed
+        [result] = kill_sweep(tmp_path, ["wal.commit:mid"], crash_site, False)
+        assert result.payload["crashed"]
         assert result.ok, result.failures
-        assert "txn" in result.crashed_step
-        assert result.report.transactions_discarded == 1
+        assert "txn" in result.payload["crashed_step"]
+        assert result.payload["transactions_discarded"] == 1
 
     def test_sweep_recovers_last_committed_state_at_every_site(self, tmp_path):
         # the acceptance bar: for every WAL/checkpoint crash point, kill +
         # recover yields exactly the last committed catalog — never a
         # partial transaction, never a lost committed mutation
-        summary = kill_point_sweep(tmp_path, fsync=False)
-        assert len(summary.results) == len(CRASH_SITES)
-        assert summary.ok, summary.describe()
-        assert all(r.crashed for r in summary.results)
+        reports = sweep(tmp_path, fsync=False)
+        assert len(reports) == len(CRASH_SITES)
+        assert all(report.ok for report in reports), describe_section(reports)
+        results = [report.payload for report in reports]
+        assert all(result["crashed"] for result in results)
         # uncommitted work is discarded, not surfaced
-        for result in summary.results:
-            if result.classification == ABSENT and "txn" in (
-                result.crashed_step or ""
+        for result in results:
+            if result["classification"] == ABSENT and "txn" in (
+                result["crashed_step"] or ""
             ):
-                assert result.report.transactions_committed == 0
+                assert result["transactions_committed"] == 0
 
 
 class TestDurableVdbms:

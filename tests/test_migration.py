@@ -6,6 +6,12 @@ import json
 
 import pytest
 
+from repro.chaos.harness import describe_section
+from repro.chaos.sharding import (
+    MIGRATION_KILL_SITES,
+    migration_sweep,
+    split_under_load,
+)
 from repro.check.diagnostics import Severity
 from repro.check.shardcheck import check_fleet_config
 from repro.errors import (
@@ -26,11 +32,6 @@ from repro.sharding import (
     ShardConfig,
     ShardCoverageReport,
     ShardedKernel,
-)
-from repro.sharding.chaos import (
-    MIGRATION_KILL_SITES,
-    migration_kill_sweep,
-    split_under_load_scenario,
 )
 from repro.synth.annotations import Interval
 
@@ -533,15 +534,15 @@ class TestCoverageRoundTrip:
 
 class TestSplitChaos:
     def test_scenario_converges_and_is_deterministic(self, tmp_path):
-        first = split_under_load_scenario(tmp_path / "a", fsync=False)
+        first = split_under_load(tmp_path / "a", fsync=False)
         assert first.ok, first.describe()
-        assert first.dual_read_coverage["dual_read"] == 1
-        assert first.dual_read_coverage["migrating"] == 1
-        assert first.lag_refusal == {"lag": 1, "floor": 0}
-        second = split_under_load_scenario(tmp_path / "b", fsync=False)
+        assert first.payload["dual_read_coverage"]["dual_read"] == 1
+        assert first.payload["dual_read_coverage"]["migrating"] == 1
+        assert first.payload["lag_refusal"] == {"lag": 1, "floor": 0}
+        second = split_under_load(tmp_path / "b", fsync=False)
         assert first.to_dict() == second.to_dict()
 
     def test_kill_sweep_recovers_every_site(self, tmp_path):
-        sweep = migration_kill_sweep(tmp_path, fsync=False)
-        assert sweep.ok, sweep.describe()
-        assert len(sweep.results) == len(MIGRATION_KILL_SITES)
+        sweep = migration_sweep(tmp_path, fsync=False)
+        assert all(report.ok for report in sweep), describe_section(sweep)
+        assert len(sweep) == len(MIGRATION_KILL_SITES)

@@ -5,6 +5,15 @@ import json
 
 import pytest
 
+from repro.chaos import kill_sweep
+from repro.chaos.harness import describe_section, section_dict
+from repro.chaos.replication import (
+    KILL_SWEEP_SITES,
+    PARTITION,
+    failover,
+    scenario,
+    sweep,
+)
 from repro.check.replcheck import check_group_config, parse_read_policy
 from repro.durability import DurableStore
 from repro.errors import (
@@ -22,11 +31,6 @@ from repro.replication import (
     Replica,
     ReplicaPosition,
     ReplicationLink,
-)
-from repro.replication.chaos import (
-    KILL_SWEEP_SITES,
-    partition_failover_scenario,
-    replication_kill_sweep,
 )
 from tests.test_durability import lap_bat
 
@@ -700,43 +704,54 @@ class TestGroupStatus:
 
 class TestChaosScenario:
     def test_scenario_converges_and_is_deterministic(self, tmp_path):
-        first = partition_failover_scenario(tmp_path / "a", fsync=False)
+        first = scenario(tmp_path / "a", fsync=False)
         assert first.ok, first.describe()
-        assert first.crashed and first.fence_held
-        assert first.epoch == 2 and first.promoted == "replica-0"
-        assert not first.fatal_txn_present  # wal.commit:mid is pre-marker
-        second = partition_failover_scenario(tmp_path / "b", fsync=False)
+        assert first.payload["crashed"] and first.payload["fence_held"]
+        assert first.payload["epoch"] == 2
+        assert first.payload["promoted"] == "replica-0"
+        # wal.commit:mid is pre-marker
+        assert not first.payload["fatal_txn_present"]
+        second = scenario(tmp_path / "b", fsync=False)
         assert first.to_dict() == second.to_dict()
 
     def test_durable_kill_site_keeps_the_fatal_transaction(self, tmp_path):
-        report = partition_failover_scenario(
-            tmp_path, kill_site="wal.commit:synced", fsync=False
+        [report] = kill_sweep(
+            tmp_path, ["wal.commit:synced"], failover, False, extra=(PARTITION,)
         )
         assert report.ok, report.describe()
-        assert report.fatal_txn_expected and report.fatal_txn_present
+        assert report.payload["fatal_txn_expected"]
+        assert report.payload["fatal_txn_present"]
 
     def test_kill_sweep_covers_every_commit_path_site(self, tmp_path):
-        summary = replication_kill_sweep(tmp_path, fsync=False)
-        assert summary.ok, summary.describe()
-        assert [r.kill_site for r in summary.results] == list(KILL_SWEEP_SITES)
-        assert all(r.crashed and r.fence_held for r in summary.results)
-        assert json.dumps(summary.to_dict())  # CI artifact is serializable
+        reports = sweep(tmp_path, fsync=False)
+        assert all(r.ok for r in reports), describe_section(reports)
+        results = [r.payload for r in reports]
+        assert [r["kill_site"] for r in results] == list(KILL_SWEEP_SITES)
+        assert all(r["crashed"] and r["fence_held"] for r in results)
+        # CI artifact is serializable
+        assert json.dumps(section_dict(reports))
 
 
 class TestCli:
     def test_cli_reports_convergence_and_exits_zero(self, tmp_path, capsys):
-        from repro.replication.__main__ import main
+        from repro.chaos.__main__ import main
 
-        out = tmp_path / "REPL_convergence.json"
+        out = tmp_path / "CHAOS_replication.json"
         code = main(
-            ["--dir", str(tmp_path / "scratch"), "--out", str(out), "--no-fsync"]
+            [
+                "replication",
+                "--dir", str(tmp_path / "scratch"),
+                "--out", str(out),
+                "--no-fsync",
+            ]
         )
         assert code == 0
-        assert "replication chaos: CONVERGED" in capsys.readouterr().out
+        assert "chaos: CONVERGED" in capsys.readouterr().out
         document = json.loads(out.read_text())
-        assert document["format"] == "repro-replication-chaos/1"
-        assert document["ok"] and document["deterministic"]
-        assert len(document["sweep"]["results"]) == len(KILL_SWEEP_SITES)
+        assert document["format"] == "repro-chaos/1"
+        section = document["scenarios"]["replication"]
+        assert section["ok"] and section["deterministic"]
+        assert len(section["sweep"]["results"]) == len(KILL_SWEEP_SITES)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Unit tests run against a minimal fake VDBMS (the service only touches
 ``faults``, ``kernel``, ``query`` and ``register_document``), which keeps
 queue/limiter/shed semantics observable and fast. The integration test at
-the bottom reruns the seeded overload chaos scenario from
-``python -m repro.service`` and asserts its determinism bar.
+the bottom reruns the ``overload`` scenario of :mod:`repro.chaos` and
+asserts its determinism bar.
 """
 
 import threading
@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos import overload
 from repro.errors import (
     MilCheckError,
     OverloadError,
@@ -33,7 +34,6 @@ from repro.service import (
     TokenBucket,
     percentile,
 )
-from repro.service.__main__ import run_scenario
 
 
 class FakeClock:
@@ -433,12 +433,19 @@ class TestOverloadChaosScenario:
     kernel — deterministic sheds, typed failures, real progress."""
 
     def test_seeded_burst_replays_exactly(self, tmp_path):
-        report, committed = run_scenario(tmp_path / "run1", capacity=8)
-        replay, _ = run_scenario(tmp_path / "run2", capacity=8)
-        assert report.records == replay.records
-        assert report.all_terminal
-        assert report.shed + report.rejected > 0, "overload controls never engaged"
-        assert report.completed > 0, "the service made no progress"
-        for record in report.by_status("failed"):
-            assert record.detail, "untyped failure"
-        assert committed, "no registration survived to the WAL"
+        assert overload.CAPACITY == 8
+        run = overload.scenario(tmp_path / "run1", fsync=False)
+        replay = overload.scenario(tmp_path / "run2", fsync=False)
+        assert run.ok, run.describe()
+        records = run.payload["report"]["records"]
+        assert records == replay.payload["report"]["records"]
+        statuses = [record["status"] for record in records]
+        assert set(statuses) <= TERMINAL_STATUSES
+        assert statuses.count("shed") + statuses.count("rejected") > 0, (
+            "overload controls never engaged"
+        )
+        assert "completed" in statuses, "the service made no progress"
+        for record in records:
+            if record["status"] == "failed":
+                assert record["detail"], "untyped failure"
+        assert run.payload["committed"], "no registration survived to the WAL"

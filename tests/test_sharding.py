@@ -8,6 +8,12 @@ import random
 
 import pytest
 
+from repro.chaos.harness import describe_section, section_dict
+from repro.chaos.sharding import (
+    PLACEMENT_KILL_SITES,
+    placement_sweep,
+    shard_death,
+)
 from repro.check.diagnostics import Severity
 from repro.check.shardcheck import check_fleet_config, check_scatter_source
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
@@ -26,11 +32,6 @@ from repro.sharding import (
     HashRing,
     ShardConfig,
     ShardedKernel,
-)
-from repro.sharding.chaos import (
-    PLACEMENT_KILL_SITES,
-    placement_kill_sweep,
-    shard_death_scenario,
 )
 from repro.synth.annotations import Interval
 
@@ -274,12 +275,13 @@ class TestCrashRecovery:
         recovered.close()
 
     def test_placement_kill_sweep_recovers_every_site(self, tmp_path):
-        summary = placement_kill_sweep(tmp_path, fsync=False)
-        assert summary.ok, summary.describe()
-        assert [r["site"] for r in summary.results] == list(
+        reports = placement_sweep(tmp_path, fsync=False)
+        assert all(r.ok for r in reports), describe_section(reports)
+        assert [r.payload["site"] for r in reports] == list(
             PLACEMENT_KILL_SITES
         )
-        assert json.dumps(summary.to_dict())  # CI artifact is serializable
+        # CI artifact is serializable
+        assert json.dumps(section_dict(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -649,30 +651,39 @@ class TestFailoverAndRebalance:
 
 class TestChaosScenario:
     def test_scenario_converges_and_is_deterministic(self, tmp_path):
-        first = shard_death_scenario(tmp_path / "a", fsync=False)
+        first = shard_death(tmp_path / "a", fsync=False)
         assert first.ok, first.describe()
-        assert first.dead == ["shard-1"]
-        assert first.fenced_retries == 1
-        assert first.epochs["shard-2"] == 2  # survived by in-shard failover
-        assert first.degraded_coverage["documents_covered"] == 2
-        second = shard_death_scenario(tmp_path / "b", fsync=False)
+        payload = first.payload
+        assert payload["dead"] == ["shard-1"]
+        assert payload["fenced_retries"] == 1
+        assert payload["epochs"]["shard-2"] == 2  # survived by in-shard failover
+        assert payload["degraded_coverage"]["documents_covered"] == 2
+        second = shard_death(tmp_path / "b", fsync=False)
         assert first.to_dict() == second.to_dict()
 
 
 class TestCli:
     def test_cli_reports_convergence_and_exits_zero(self, tmp_path, capsys):
-        from repro.sharding.__main__ import main
+        from repro.chaos.__main__ import main
 
-        out = tmp_path / "SHARD_convergence.json"
+        out = tmp_path / "CHAOS_shard-death.json"
         code = main(
-            ["--dir", str(tmp_path / "scratch"), "--out", str(out), "--no-fsync"]
+            [
+                "shard-death",
+                "migration",
+                "--dir", str(tmp_path / "scratch"),
+                "--out", str(out),
+                "--no-fsync",
+            ]
         )
         assert code == 0
-        assert "shard chaos: CONVERGED" in capsys.readouterr().out
+        assert "chaos: CONVERGED" in capsys.readouterr().out
         document = json.loads(out.read_text())
-        assert document["format"] == "repro-shard-chaos/2"
-        assert document["ok"] and document["deterministic"]
-        assert len(document["sweep"]["results"]) == len(PLACEMENT_KILL_SITES)
+        assert document["format"] == "repro-chaos/1"
+        assert document["ok"]
+        assert all(s["deterministic"] for s in document["scenarios"].values())
+        section = document["scenarios"]["shard-death"]
+        assert len(section["sweep"]["results"]) == len(PLACEMENT_KILL_SITES)
 
 
 # ---------------------------------------------------------------------------
