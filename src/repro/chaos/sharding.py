@@ -406,7 +406,6 @@ def split_under_load(base_dir: Path, fsync: bool) -> ChaosReport:
     )
     payload = {
         "remapped": [],
-        "mid_copy_coverage": {},
         "dual_read_coverage": {},
         "dual_read_records": 0,
         "lag_refusal": {},

@@ -12,16 +12,16 @@ the reproduction's three levels:
 * :mod:`repro.check.catalogcheck` — structural invariants of a BAT catalog
   (``CATnnn`` codes), run by crash recovery before a recovered catalog is
   opened;
-* :mod:`repro.check.flowcheck` — cross-level dataflow analysis: abstract
-  interpretation over a **type × range × rate** lattice, proving feature
+* :mod:`repro.check.flowcheck` — cross-level dataflow rules over the
+  **range × rate** facts of the shared abstract run, proving feature
   streams stay in [0, 1] at 10 Hz all the way into the evidence nodes
   (``FLOWnnn`` codes);
 * :mod:`repro.check.racecheck` — static lockset/ownership analysis of
   ``PARALLEL`` blocks and catalog writes (``RACEnnn`` codes);
-* :mod:`repro.check.costcheck` — abstract interpretation over a
-  **cardinality × selectivity × cost** lattice emitting plan-level perf
-  lints (``PERFnnn`` codes, advisory) and cost estimates consumed by the
-  Cobra preprocessor for plan choice;
+* :mod:`repro.check.costcheck` — plan-level perf lints over the
+  **cardinality × selectivity × cost** facts of the shared abstract run
+  (``PERFnnn`` codes, advisory), and the cost models the Cobra
+  preprocessor and the DBN extension consume;
 * :mod:`repro.check.fusecheck` — purity/effect inference partitioning
   plan bodies into certified fusion regions (``FUSEnnn`` codes,
   advisory), serialized as :class:`FusionPlan` artifacts attached to
@@ -58,9 +58,15 @@ the reproduction's three levels:
   :class:`EquivalenceCertificate` artifacts on :class:`MilPlan` and gate
   eligibility for compiled execution.
 
-Under the MIL-side passes sit three shared modules:
+Under the MIL-side passes sit four shared modules:
 :mod:`repro.check.environment` (the kernel facts a pass checks against and
 the entry points every checker class inherits),
+:mod:`repro.check.absint` (the one abstract interpreter: MIL's semantics —
+statements, calls, the BAT-method and bulk-operator tables — modelled once
+over milcheck's type × flowcheck's type/interval/rate × costcheck's
+rows/degree/sorted_tail/keyed_head/interval, each component in the
+variable model its pass was defined by, and the one value walk over Moa
+trees),
 :mod:`repro.check.effects` (the one read/declare/assign/write/append/
 commit/call event stream all effect questions are filters over) and
 :mod:`repro.check.pipeline` (the one ordered pass list) — see the pass
@@ -85,26 +91,30 @@ has the same table with more prose):
 ==  ==============  ========  ======  ====  =======  =======  =====================
 #   pass            codes     define  lint  service  scatter  reads from earlier
 ==  ==============  ========  ======  ====  =======  =======  =====================
-1   milcheck        MIL       x       x                       —
-2   flowcheck       FLOW      x       x                       fusion partition
-                                                              (FLOW002 gate)
+1   milcheck        MIL       x       x                       abstract run (type)
+2   flowcheck       FLOW      x       x                       abstract run (flow);
+                                                              fusion partition
+                                                              (FLOW002)
 3   racecheck       RACE      x       x                       —
-4   costcheck       PERF      x       x                       —
+4   costcheck       PERF      x       x                       abstract run (cost)
 5   fusecheck       FUSE      x       x                       fusion partition
 6   shardcheck      SHARD004          x              x        fusion partition
 7   servicecheck    SVC                     x                 —
-8   programcheck    CALL      x       x     x        x        local cost; summaries
+8   programcheck    CALL      x       x     x        x        abstract run (cost);
+                                                              summaries
 ==  ==============  ========  ======  ====  =======  =======  =====================
 
 ``define`` is ``MilInterpreter.define_proc`` (one parsed ``PROC``),
 ``lint`` is ``python -m repro.check``, ``service`` is
 ``QueryService.register_proc`` and ``scatter`` is ``ShardedKernel.run``
 (the last two then hand the source to the kernel, whose ``define`` stage
-runs per ``PROC``). Source is parsed once per stage. The *fusion
-partition* of a body and the *local cost* of a procedure are memoised on
-the environment (:meth:`Environment.once`), so whichever pass asks first
-computes them and the rest read the answer; programcheck additionally
-runs one summary-aware partition of its own. The CLI's built-in run adds
+runs per ``PROC``). Source is parsed once per stage. The *abstract run*
+of a definition (:func:`repro.check.absint.interpret`: its facts and its
+cost, per set of procedures calls resolve to) and the *fusion partition*
+of a body are memoised on the environment (:meth:`Environment.once`), so
+whichever pass asks first computes them and the rest read the answer —
+``define_proc`` interprets a definition once, not once per pass;
+programcheck additionally runs one summary-aware partition of its own. The CLI's built-in run adds
 the model lints and the Moa translation validation, which are not MIL
 passes.
 
@@ -112,23 +122,26 @@ Writing a MIL pass
 ------------------
 
 1. Subclass :class:`repro.check.environment.MilPass` and implement
-   ``_check_definition(definition, label)`` (plus ``_check_toplevel`` if
-   file-level statements matter); parsing, ``MIL000`` ownership, the
-   per-``PROC`` loop and ``MilProcedure`` unwrapping come with the base.
+   ``_check_definition(definition, label, procs)`` (plus
+   ``_check_toplevel`` if file-level statements matter); parsing,
+   ``MIL000`` ownership, the per-``PROC`` loop, the procedures calls
+   resolve to and ``MilProcedure`` unwrapping come with the base.
    Read kernel facts from ``self.env`` (``commands``, ``signatures``,
    ``globals_names``, ``procedures``).
 2. Never ``match`` on the tree's shape to find things: iterate
    :func:`repro.monet.mil.walk` (every node, pre-order) or
-   :func:`repro.monet.mil.children` (one level). Only an abstract
-   *evaluator* (milcheck types, flowcheck ranges, costcheck costs) owns a
-   ``match`` over expression nodes, because it computes a value per node.
+   :func:`repro.monet.mil.children` (one level). Only the abstract
+   interpreter (:mod:`repro.check.absint`) owns a ``match`` over
+   statements and expressions, because it computes a value per node; a
+   pass that needs values subclasses its ``InterpretedPass`` and writes
+   rules over the run's facts.
 3. For "what does this code read / declare / assign / mutate / commit /
    call", filter :func:`repro.check.effects.events` (ordered, evaluation
    order) — or :func:`repro.check.effects.shared_events` for what one
    ``PARALLEL`` branch exposes to its siblings.
 4. Reuse another pass's result through its checker built over the same
    environment (``FuseChecker(self.env).analyze_proc(definition)``,
-   ``CostChecker(self.env).estimate_proc(definition)``); memoise your own
+   ``interpret(self.env, definition).cost``); memoise your own
    reusable analysis with ``self.env.once(kind, node, compute)`` and
    label findings on the way out (:meth:`DiagnosticReport.labelled`).
 5. Add one row to :data:`repro.check.pipeline.PASSES` with the stages
@@ -146,11 +159,9 @@ from repro.check.callgraph import CallGraph, CallSite, collect_call_sites, finge
 from repro.check.catalogcheck import check_catalog
 from repro.check.costcheck import (
     CostChecker,
-    check_cost_source,
     check_moa_cost,
     estimate_extraction_cost,
     estimate_model_cost,
-    estimate_moa_cost,
 )
 from repro.check.diagnostics import (
     CheckMode,
@@ -164,40 +175,18 @@ from repro.check.equivcheck import (
     abstract_moa,
     validate_translation,
 )
-from repro.check.flowcheck import (
-    FlowChecker,
-    check_feature_set,
-    check_flow_source,
-    check_moa_flow,
-)
-from repro.check.fusecheck import (
-    Effects,
-    FuseChecker,
-    FusionPlan,
-    FusionRegion,
-    check_fuse_source,
-)
+from repro.check.flowcheck import FlowChecker, check_feature_set, check_moa_flow
+from repro.check.fusecheck import Effects, FuseChecker, FusionPlan, FusionRegion
 from repro.check.milcheck import MilChecker
-from repro.check.milcheck import check_proc as check_mil_proc
-from repro.check.milcheck import check_source as check_mil_source
 from repro.check.moacheck import MoaChecker
 from repro.check.moacheck import check_expr as check_moa_expr
 from repro.check.modelcheck import check_cpd, check_network, check_template
-from repro.check.programcheck import (
-    ProcSummary,
-    ProgramChecker,
-    SummaryCache,
-    check_program_source,
-)
-from repro.check.racecheck import RaceChecker, check_race_source
+from repro.check.programcheck import ProcSummary, ProgramChecker, SummaryCache
+from repro.check.racecheck import RaceChecker
 from repro.check.replcheck import check_group_config, parse_read_policy
 from repro.check.sanitize import KernelSanitizer
-from repro.check.shardcheck import check_fleet_config, check_scatter_source
-from repro.check.servicecheck import (
-    ServiceChecker,
-    check_service_proc,
-    check_service_source,
-)
+from repro.check.shardcheck import check_fleet_config
+from repro.check.servicecheck import ServiceChecker
 
 __all__ = [
     "CallGraph",
@@ -224,29 +213,18 @@ __all__ = [
     "abstract_mil",
     "abstract_moa",
     "check_catalog",
-    "check_cost_source",
     "check_cpd",
     "check_feature_set",
     "check_fleet_config",
-    "check_flow_source",
-    "check_fuse_source",
     "check_group_config",
-    "check_mil_proc",
-    "check_mil_source",
     "check_moa_cost",
     "check_moa_expr",
     "check_moa_flow",
     "check_network",
-    "check_program_source",
-    "check_race_source",
-    "check_scatter_source",
-    "check_service_proc",
-    "check_service_source",
     "check_template",
     "collect_call_sites",
     "estimate_extraction_cost",
     "estimate_model_cost",
-    "estimate_moa_cost",
     "fingerprint",
     "parse_read_policy",
     "validate_translation",

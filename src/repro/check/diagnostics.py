@@ -11,12 +11,21 @@ optional source/line location, and a human-readable message. A
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import difflib
 import enum
 from typing import Iterable, Iterator
 
 from repro.errors import DiagnosticError
 
-__all__ = ["Severity", "Diagnostic", "DiagnosticReport", "CheckMode"]
+__all__ = ["Severity", "Diagnostic", "DiagnosticReport", "CheckMode", "suggest"]
+
+
+def suggest(name: str, candidates: Iterable[str]) -> str:
+    """A `` (did you mean ...?)`` tail naming up to two close candidates."""
+    matches = difflib.get_close_matches(name, list(candidates), n=2)
+    if matches:
+        return " (did you mean " + ", ".join(repr(m) for m in matches) + "?)"
+    return ""
 
 
 class Severity(enum.IntEnum):

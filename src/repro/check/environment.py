@@ -7,7 +7,7 @@ defined procedures — normalised once. The interpreter hands one out through
 implicitly by passing the four values to a checker class.
 
 An environment also remembers analyses other passes reuse (the fusion
-partition of a body, the local cost of a procedure), so passes built over
+partition of a body, the abstract run of a procedure), so passes built over
 *the same* environment compute each of them once per definition no matter
 which pass asks first — see :meth:`Environment.once`.
 
@@ -109,8 +109,9 @@ class MilPass:
     arguments are normalised into a private one.
 
     A subclass implements :meth:`_check_definition` (and, when file-level
-    statements matter to it, :meth:`_check_toplevel`); one that needs every
-    ``PROC`` of a file in view at once overrides :meth:`check_program`.
+    statements matter to it, :meth:`_check_toplevel`); both are handed the
+    procedures calls resolve to. One that needs every ``PROC`` of a file in
+    view at once overrides :meth:`check_program`.
     """
 
     #: Whether a standalone :meth:`check_source` reports the ``MIL000`` for
@@ -141,25 +142,38 @@ class MilPass:
     def check_program(
         self, statements: list[Any], name: str = "<mil>"
     ) -> DiagnosticReport:
-        """Check parsed statements: every ``PROC``, then the file-level rest."""
+        """Check parsed statements: every ``PROC``, then the file-level rest.
+
+        Calls resolve to the environment's procedures and the file's.
+        """
+        procs = dict(self.env.procedures)
+        procs.update((s.name, s) for s in statements if isinstance(s, ProcDef))
         report = DiagnosticReport()
         for statement in statements:
             if isinstance(statement, ProcDef):
-                report.extend(self._check_definition(statement, name))
+                report.extend(self._check_definition(statement, name, procs))
         toplevel = [s for s in statements if not isinstance(s, ProcDef)]
         if toplevel:
-            report.extend(self._check_toplevel(toplevel, name))
+            report.extend(self._check_toplevel(toplevel, name, procs))
         return report
 
     def check_proc(
         self, definition: ProcDef | MilProcedure, source: str | None = None
     ) -> DiagnosticReport:
-        """Check one procedure; ``source`` labels the findings."""
+        """Check one procedure; ``source`` labels the findings. Calls
+        resolve to the environment's procedures, and to ``definition``
+        itself unless it redefines one of them."""
         definition = definition_of(definition)
-        return self._check_definition(definition, source or definition.name)
+        procs = dict(self.env.procedures)
+        procs.setdefault(definition.name, definition)
+        return self._check_definition(definition, source or definition.name, procs)
 
-    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+    def _check_definition(
+        self, definition: ProcDef, label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         raise NotImplementedError
 
-    def _check_toplevel(self, statements: list[Any], label: str) -> DiagnosticReport:
+    def _check_toplevel(
+        self, statements: list[Any], label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         return DiagnosticReport()

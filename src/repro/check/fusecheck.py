@@ -53,7 +53,6 @@ __all__ = [
     "FusionPlan",
     "FusionRegion",
     "IMPURE_COMMANDS",
-    "check_fuse_source",
 ]
 
 #: Kernel commands with effects beyond their return value: scheduler state,
@@ -185,10 +184,14 @@ class FuseChecker(MilPass):
     """
 
     # -- entry points ----------------------------------------------------
-    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+    def _check_definition(
+        self, definition: ProcDef, label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         return self._analyze(definition.body, definition.name, label)[1]
 
-    def _check_toplevel(self, statements: list[Any], label: str) -> DiagnosticReport:
+    def _check_toplevel(
+        self, statements: list[Any], label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         return self._analyze(statements, "<toplevel>", label)[1]
 
     def analyze_proc(
@@ -504,10 +507,3 @@ def branch_summary(branch: Any) -> tuple[set[str], set[str], set[str]]:
         elif event.kind == "assign":
             assigned.add(event.name)
     return touched, mutated, assigned
-
-
-def check_fuse_source(
-    source: str, name: str = "<mil>", *environment: Any, **named: Any
-) -> DiagnosticReport:
-    """Parse and fusion-check MIL source text (environment as for the class)."""
-    return FuseChecker(*environment, **named).check_source(source, name=name)

@@ -28,11 +28,10 @@ MOA009    error     set operator applied to a non-set shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-import difflib
 import inspect
 from typing import Any, Iterable, Mapping
 
-from repro.check.diagnostics import DiagnosticReport, Severity
+from repro.check.diagnostics import DiagnosticReport, Severity, suggest
 from repro.moa.algebra import (
     Aggregate,
     Apply,
@@ -110,13 +109,6 @@ def _merge(a: Any, b: Any) -> Any:
     return a if a == b else "any"
 
 
-def _suggest(name: str, candidates: Iterable[str]) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=2)
-    if matches:
-        return " (did you mean " + ", ".join(repr(m) for m in matches) + "?)"
-    return ""
-
-
 class MoaChecker:
     """Static validator for Moa expression trees.
 
@@ -166,7 +158,7 @@ class MoaChecker:
                     report.add(
                         "MOA001",
                         f"unbound Moa variable {name!r}"
-                        + _suggest(name, env),
+                        + suggest(name, env),
                         Severity.ERROR,
                         source=source,
                     )
@@ -179,7 +171,7 @@ class MoaChecker:
                         report.add(
                             "MOA008",
                             f"tuple has no field {name!r}"
-                            + _suggest(name, shape.field_names()),
+                            + suggest(name, shape.field_names()),
                             Severity.ERROR,
                             source=source,
                         )
@@ -283,7 +275,7 @@ class MoaChecker:
                                 "MOA008",
                                 f"nest key {key!r} is not a field of "
                                 f"{_shape_name(element)}"
-                                + _suggest(key, element.field_names()),
+                                + suggest(key, element.field_names()),
                                 Severity.ERROR,
                                 source=source,
                             )
@@ -304,7 +296,7 @@ class MoaChecker:
                         "MOA008",
                         f"unnest field {set_field!r} is not a field of "
                         f"{_shape_name(element)}"
-                        + _suggest(set_field, element.field_names()),
+                        + suggest(set_field, element.field_names()),
                         Severity.ERROR,
                         source=source,
                     )
@@ -379,7 +371,7 @@ class MoaChecker:
             report.add(
                 "MOA002",
                 f"unknown extension {node.extension!r}"
-                + _suggest(node.extension, self._extensions.names()),
+                + suggest(node.extension, self._extensions.names()),
                 Severity.ERROR,
                 source=source,
             )
@@ -389,7 +381,7 @@ class MoaChecker:
             report.add(
                 "MOA003",
                 f"extension {node.extension!r} has no operator "
-                f"{node.operator!r}" + _suggest(node.operator, operators),
+                f"{node.operator!r}" + suggest(node.operator, operators),
                 Severity.ERROR,
                 source=source,
             )

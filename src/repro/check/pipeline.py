@@ -14,7 +14,7 @@ stage        choke point                                     runs via
 A stage runs the passes that list it, in table order, all built over one
 :class:`~repro.check.environment.Environment`: the source is parsed once,
 and what one pass computes for a definition (the fusion partition, the
-local cost) is what the later ones read. The table, what each pass
+abstract run) is what the later ones read. The table, what each pass
 consumes, and how to add one are in the :mod:`repro.check` docstring.
 """
 

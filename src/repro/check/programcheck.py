@@ -52,20 +52,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.check.absint import interpret
 from repro.check.callgraph import CallGraph, CallSite, collect_call_sites, fingerprint
-from repro.check.costcheck import CostChecker
 from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.check.effects import CATALOG_COMMANDS, events, names
 from repro.check.environment import Environment, MilPass
 from repro.check.fusecheck import IMPURE_COMMANDS, FuseChecker, branch_summary
 from repro.check.servicecheck import CHECKPOINT_COMMANDS
-from repro.monet.mil import MIL_RECURSION_LIMIT, MilProcedure, Parallel, ProcDef, walk
+from repro.monet.mil import MIL_RECURSION_LIMIT, Parallel, ProcDef, walk
 
 __all__ = [
     "ProcSummary",
     "ProgramChecker",
     "SummaryCache",
-    "check_program_source",
 ]
 
 
@@ -227,7 +226,7 @@ class ProgramChecker(MilPass):
         for definition in defs:
             self._context.setdefault(definition.name, definition)
         for definition in defs:
-            report.extend(self.on_define(definition, source=name))
+            report.extend(self.check_proc(definition, source=name))
         return report
 
     def _sites(self, definition: ProcDef) -> tuple[CallSite, ...]:
@@ -240,13 +239,9 @@ class ProgramChecker(MilPass):
         return entry.summary if entry is not None else None
 
     # -- incremental define ----------------------------------------------
-    def on_define(
-        self, definition: ProcDef | MilProcedure, source: str | None = None
+    def _check_definition(
+        self, definition: ProcDef, src: str, procs: Mapping[str, ProcDef]
     ) -> DiagnosticReport:
-        """Analyze one (re)definition against the cached program state."""
-        return self.check_proc(definition, source)
-
-    def _check_definition(self, definition: ProcDef, src: str) -> DiagnosticReport:
         name = definition.name
         report = DiagnosticReport()
         fp = fingerprint(definition)
@@ -417,7 +412,10 @@ class ProgramChecker(MilPass):
             if event.kind in ("append", "write"):
                 note_write(event.name, append=event.kind == "append")
 
-        cost = self._estimate_cost(definition, summaries, calls)
+        # the callees' costs on top of this body's own (one run per body)
+        cost = interpret(self.env, definition).cost + sum(
+            summaries[callee].cost for callee in calls if callee in summaries
+        )
         return ProcSummary(
             name=definition.name,
             fingerprint=fp,
@@ -430,18 +428,6 @@ class ProgramChecker(MilPass):
             cost=cost,
             calls=tuple(calls),
         )
-
-    def _estimate_cost(
-        self,
-        definition: ProcDef,
-        summaries: Mapping[str, ProcSummary],
-        calls: list[str],
-    ) -> float:
-        local = CostChecker(self.env).estimate_proc(definition)
-        transitive = sum(
-            summaries[callee].cost for callee in calls if callee in summaries
-        )
-        return float(local) + float(transitive)
 
     def _region_calls(
         self, definition: ProcDef, summaries: Mapping[str, ProcSummary]
@@ -651,11 +637,3 @@ def _locals(definition: ProcDef) -> set[str]:
     return {p.ident for p in definition.params} | names(
         definition.body, ("declare",)
     )
-
-
-def check_program_source(
-    source: str, name: str = "<mil>", *environment: Any, **named: Any
-) -> DiagnosticReport:
-    """Parse MIL source and run the whole-program pass over its PROCs
-    (environment and ``cache`` as for :class:`ProgramChecker`)."""
-    return ProgramChecker(*environment, **named).check_source(source, name=name)

@@ -39,14 +39,14 @@ identity exists only at runtime — and is raised by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.check.effects import APPEND_METHODS, WRITE_METHODS, shared_events
 from repro.check.environment import MilPass
 from repro.monet.mil import Parallel, ProcDef, walk
 
-__all__ = ["RaceChecker", "check_race_source", "APPEND_METHODS", "WRITE_METHODS"]
+__all__ = ["RaceChecker", "APPEND_METHODS", "WRITE_METHODS"]
 
 
 @dataclass
@@ -78,17 +78,21 @@ class _BranchEffects:
 class RaceChecker(MilPass):
     """Lockset/ownership analysis of PARALLEL blocks in MIL programs."""
 
-    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
-        return self._check_toplevel(definition.body, label)
+    def _check_definition(
+        self, definition: ProcDef, label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
+        return self._check_toplevel(definition.body, label, procs)
 
-    def _check_toplevel(self, statements: list[Any], label: str) -> DiagnosticReport:
+    def _check_toplevel(
+        self, statements: list[Any], label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         report = DiagnosticReport()
         for node in walk(statements):
             match node:
                 case Parallel(body=body, line=line):
                     self._check_parallel(body, line, report, label)
                 case ProcDef(body=body):  # nested definition: walk() stops here
-                    report.extend(self._check_toplevel(body, label))
+                    report.extend(self._check_toplevel(body, label, procs))
         return report
 
     # -- PARALLEL analysis -----------------------------------------------
@@ -211,10 +215,3 @@ class RaceChecker(MilPass):
             if effect.kind in kinds:
                 return effect.line
         return branch.line
-
-
-def check_race_source(
-    source: str, name: str = "<mil>", *environment: Any, **named: Any
-) -> DiagnosticReport:
-    """Parse and race-check MIL source text (environment as for the class)."""
-    return RaceChecker(*environment, **named).check_source(source, name=name)

@@ -35,14 +35,14 @@ cancellable.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping
 
 from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.check.effects import ACCESSES, MUTATIONS, names
 from repro.check.environment import MilPass
-from repro.monet.mil import Call, Literal, MilProcedure, ProcDef, While, walk
+from repro.monet.mil import Call, Literal, ProcDef, While, walk
 
-__all__ = ["ServiceChecker", "check_service_proc", "check_service_source"]
+__all__ = ["ServiceChecker"]
 
 #: Calls recognised as cancellation checkpoints inside a WHILE body.
 CHECKPOINT_COMMANDS = frozenset({"cancelpoint"})
@@ -53,7 +53,9 @@ class ServiceChecker(MilPass):
 
     reports_syntax_errors = True
 
-    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+    def _check_definition(
+        self, definition: ProcDef, label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         report = DiagnosticReport()
         for node in walk(definition.body):
             match node:
@@ -71,7 +73,7 @@ class ServiceChecker(MilPass):
                             line=line,
                         )
                 case ProcDef():  # nested definition: walk() stops here
-                    report.extend(self._check_definition(node, label))
+                    report.extend(self._check_definition(node, label, procs))
         return report
 
 
@@ -93,15 +95,3 @@ def _has_checkpoint(body: list[Any]) -> bool:
         isinstance(node, Call) and node.func in CHECKPOINT_COMMANDS
         for node in walk(body)
     )
-
-
-def check_service_proc(
-    definition: ProcDef | MilProcedure, source: str | None = None
-) -> DiagnosticReport:
-    """Check one PROC for service execution (SVC001)."""
-    return ServiceChecker().check_proc(definition, source=source)
-
-
-def check_service_source(source: str, name: str = "<mil>") -> DiagnosticReport:
-    """Parse and service-check every PROC in a MIL program."""
-    return ServiceChecker().check_source(source, name=name)

@@ -6,7 +6,7 @@ pattern:
 * :func:`check_fleet_config` runs at :class:`repro.sharding.ShardedKernel`
   construction — misconfigurations that would silently mis-place writes or
   hide degraded answers are rejected before any document is registered;
-* :class:`ScatterChecker` (:func:`check_scatter_source`) runs when MIL
+* :class:`ScatterChecker` runs when MIL
   source is registered for scatter execution (``ShardedKernel.run``) and
   in the ``python -m repro.check`` CLI — see the pass table in
   :mod:`repro.check`.
@@ -49,7 +49,7 @@ Diagnostics:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.check.environment import MilPass
@@ -59,7 +59,7 @@ from repro.monet.mil import ProcDef
 if TYPE_CHECKING:  # structural only; no runtime import of sharding
     from repro.sharding.fleet import ShardConfig
 
-__all__ = ["ScatterChecker", "check_fleet_config", "check_scatter_source"]
+__all__ = ["ScatterChecker", "check_fleet_config"]
 
 _SOURCE = "sharded-fleet"
 
@@ -139,7 +139,9 @@ class ScatterChecker(MilPass):
     only needs the regions, so every environment value is optional.
     """
 
-    def _check_definition(self, definition: ProcDef, label: str) -> DiagnosticReport:
+    def _check_definition(
+        self, definition: ProcDef, label: str, procs: Mapping[str, ProcDef]
+    ) -> DiagnosticReport:
         report = DiagnosticReport()
         for region in FuseChecker(self.env).analyze_proc(definition).regions:
             if not region.certified or "parallel" not in region.path:
@@ -158,10 +160,3 @@ class ScatterChecker(MilPass):
                 end_line=region.end_line,
             )
         return report
-
-
-def check_scatter_source(
-    source: str, name: str = "<mil>", **environment: Any
-) -> DiagnosticReport:
-    """Parse MIL source and run :class:`ScatterChecker` over its PROCs."""
-    return ScatterChecker(**environment).check_source(source, name=name)

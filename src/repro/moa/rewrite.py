@@ -189,7 +189,7 @@ class MoaCompiler:
         :mod:`repro.check.moacheck` (free variables are allowed — they
         become the plan's input BATs).
         """
-        self._precheck(expr)
+        estimated_cost = self._precheck(expr)
         inputs: list[str] = []
         body_lines: list[str] = []
         temp_counter = [0]
@@ -255,11 +255,6 @@ class MoaCompiler:
         fusion_plan = getattr(
             self._kernel.interpreter.procedures.get(proc_name), "fusion_plan", None
         )
-        estimated_cost = None
-        if self._check != "off":
-            from repro.check.costcheck import estimate_moa_cost
-
-            estimated_cost = estimate_moa_cost(expr)
         return MilPlan(
             proc_name,
             source,
@@ -292,10 +287,13 @@ class MoaCompiler:
             report.raise_if_errors("Moa plan translation", MoaCheckError)
         return certificate
 
-    def _precheck(self, expr: Expr) -> None:
+    def _precheck(self, expr: Expr) -> float | None:
+        """Static checks of ``expr``; returns its estimated cost (``None``
+        when checking is off)."""
         if self._check == "off":
-            return
+            return None
         # imported lazily: repro.check.moacheck imports repro.moa.algebra
+        from repro.check.absint import MoaInterpreter
         from repro.check.costcheck import check_moa_cost
         from repro.check.flowcheck import check_moa_flow
         from repro.check.moacheck import MoaChecker
@@ -304,11 +302,13 @@ class MoaCompiler:
         report = MoaChecker(self._extensions, allow_free_vars=True).check(
             expr, source="<moa-plan>"
         )
-        report.extend(check_moa_flow(expr, source="<moa-plan>"))
-        report.extend(check_moa_cost(expr, source="<moa-plan>"))
+        run = MoaInterpreter().run(expr)
+        report.extend(check_moa_flow(run, source="<moa-plan>"))
+        report.extend(check_moa_cost(run, source="<moa-plan>"))
         self.diagnostics.extend(report)
         if self._check in ("error", "sanitize"):
             report.raise_if_errors("Moa plan", MoaCheckError)
+        return run.cost
 
     def execute(self, plan: MilPlan, **inputs: BAT) -> Any:
         """Run a compiled plan with the named input BATs."""

@@ -546,6 +546,10 @@ def parse(source: str) -> list[Any]:
 # ---------------------------------------------------------------------------
 
 
+#: ``getattr`` default telling a missing MIL method from a None-valued one.
+_NO_ATTRIBUTE = object()
+
+
 class _ReturnSignal(Exception):
     def __init__(self, value: Any):
         self.value = value
@@ -893,8 +897,8 @@ class MilInterpreter:
     def _dispatch_method(self, receiver: Any, method: str, args: list[Any]) -> Any:
         if method.startswith("_"):
             raise MilNameError(f"MIL cannot access private attribute {method!r}")
-        attr = getattr(receiver, method, None)
-        if attr is None:
+        attr = getattr(receiver, method, _NO_ATTRIBUTE)
+        if attr is _NO_ATTRIBUTE:  # not None: an attribute may hold None
             raise MilNameError(
                 f"{type(receiver).__name__} has no MIL method {method!r}"
             )

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.equivcheck import validate_translation
+from repro.check.absint import MoaInterpreter
 from repro.check.flowcheck import FlowChecker, check_feature_set, check_moa_flow
 from repro.check.programcheck import ProgramChecker
 from repro.check.racecheck import RaceChecker
@@ -114,7 +115,9 @@ def test_mil_badplan_yields_exactly_its_code(path, env):
 def test_json_badplan_yields_exactly_its_code(path):
     data = json.loads(path.read_text())
     if data["kind"] == "moa":
-        report = check_moa_flow(decode_expr(data["expr"]), source=path.name)
+        report = check_moa_flow(
+            MoaInterpreter().run(decode_expr(data["expr"])), source=path.name
+        )
     else:
         report = check_feature_set(
             data["streams"], duration=data.get("duration"), source=path.name

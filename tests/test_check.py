@@ -8,9 +8,9 @@ import pytest
 from repro.bayes.cpd import TabularCpd
 from repro.bayes.network import BayesianNetwork
 from repro.check import (
+    MilChecker,
     Severity,
     check_cpd,
-    check_mil_source,
     check_moa_expr,
     check_network,
     check_template,
@@ -54,9 +54,9 @@ MIL_SIGNATURES = {
 
 
 def mil_report(source):
-    return check_mil_source(
-        source, commands=set(MIL_SIGNATURES), signatures=MIL_SIGNATURES
-    )
+    return MilChecker(
+        commands=set(MIL_SIGNATURES), signatures=MIL_SIGNATURES
+    ).check_source(source)
 
 
 MIL_BAD_CASES = [

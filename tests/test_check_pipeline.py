@@ -1,36 +1,54 @@
 """The shared machinery under the MIL passes: walker, effect stream, pipeline.
 
-Three oracles guard the one-walker / one-effect-inference / one-pipeline
-structure of :mod:`repro.check`:
+These oracles guard the one-walker / one-interpreter / one-effect-inference /
+one-pipeline structure of :mod:`repro.check`:
 
 * ``tests/data/check_snapshot.json`` — every finding the CLI printed at
   the commit *before* the passes were rebuilt on shared code; the current
   tree must reproduce it exactly (corpus files added since may add
   findings, nothing else may change);
+* ``tests/data/check_generated.json`` — a digest of every finding (and
+  cost estimate) milcheck, flowcheck and costcheck gave seeded random
+  programs (:mod:`tests.milgen`) before they shared one abstract
+  interpreter: no finding may appear, disappear or change;
 * a reflection walk over the node dataclasses, which :func:`repro.monet.mil.walk`
   must match node for node;
-* call counters on the three analyses other passes reuse, pinning "once per
-  definition".
+* call counters on the analyses passes share, pinning "once per
+  definition": the abstract run of a MIL procedure, the fusion partition,
+  and the value walk of a compiled Moa expression;
+* the BAT-method table against the runtime ``BAT``: every row resolves
+  through the interpreter's method dispatch with an arity its signature
+  allows, and every other public method is listed as not modelled.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.check import pipeline
 from repro.check.__main__ import main
+from repro.check.absint import BAT_METHODS, Interpreter, MoaInterpreter, interpret
 from repro.check.costcheck import CostChecker
 from repro.check.effects import events, shared_events
+from repro.check.environment import Environment
 from repro.check.flowcheck import FlowChecker
 from repro.check.fusecheck import FuseChecker
+from repro.check.milcheck import MilChecker
+from repro.check.programcheck import ProgramChecker
+from repro.errors import MilCheckError, MilTypeError
 from repro.monet import mil
+from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.monet.mil import Call, ProcDef, parse, walk
+from tests import milgen
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOT = json.loads((REPO_ROOT / "tests" / "data" / "check_snapshot.json").read_text())
+GENERATED = json.loads((REPO_ROOT / "tests" / "data" / "check_generated.json").read_text())
 
 #: Corpus files added after the snapshot was taken: their findings are the
 #: only permitted additions.
@@ -63,6 +81,87 @@ def test_cli_reproduces_the_parent_snapshot(run, monkeypatch, capsys):
     else:
         assert document["checked"] == expected["checked"]
         assert not added
+
+
+INTERPRETED = (MilChecker, FlowChecker, CostChecker)
+
+
+def _environments():
+    from repro.cobra.vdbms import CobraVDBMS
+
+    kernel = CobraVDBMS(check="off").kernel
+    return {
+        "kernel": dict(
+            commands=kernel.command_names(),
+            signatures=kernel.command_signatures(),
+            globals_names=kernel.catalog_names(),
+            procedures=kernel.interpreter.procedures,
+        ),
+        "small": dict(
+            commands=set(milgen.SIGNATURES),
+            signatures=milgen.SIGNATURES,
+            globals_names=["gbat"],
+        ),
+    }
+
+
+def _outcome(source: str, name: str, values: dict) -> str:
+    """``count:digest`` of the sorted findings of a file (lint) and of each
+    of its PROCs (define), with each PROC's cost estimate."""
+
+    def line(d):
+        return f"{d.line}:{d.end_line}:{d.severity.name}:{d.code}:{d.source}:{d.message}"
+
+    lines = []
+    for checker in INTERPRETED:
+        report = checker(**values).check_source(source, name)
+        lines += [f"lint {checker.__name__} {line(d)}" for d in report]
+    for index, statement in enumerate(parse(source)):
+        if isinstance(statement, ProcDef):
+            env = Environment(**values)
+            for checker in INTERPRETED:
+                report = checker(env).check_proc(statement)
+                lines += [f"define {index} {checker.__name__} {line(d)}" for d in report]
+            lines.append(f"cost {index} {interpret(env, statement).cost!r}")
+    lines.sort()
+    return f"{len(lines)}:{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()[:16]}"
+
+
+@pytest.mark.parametrize("group", sorted(GENERATED))
+def test_generated_programs_keep_every_finding(group):
+    environment, generator = group.split("/")
+    values = _environments()[environment]
+    programs = getattr(milgen, f"{generator}_programs")(len(GENERATED[group]))
+    outcomes = {name: _outcome(source, name, values) for name, source in programs}
+    moved = sorted(name for name in outcomes if outcomes[name] != GENERATED[group][name])
+    assert not moved, f"findings moved in {len(moved)} programs: {moved[:10]}"
+
+
+def test_type_after_if_is_the_textually_last_store():
+    """milcheck types a variable by its last store in program text, so a
+    store in a branch decides what follows the IF."""
+    with pytest.raises(MilCheckError, match="MIL006"):
+        MonetKernel().run(
+            "PROC p(bit c) := { VAR b := new(void,int);"
+            "  IF (c) { b := new(int,int); } b.insert(1); }"
+        )
+
+
+def test_calls_resolve_per_context_whichever_pass_runs_first():
+    """A run answers for the procedures it resolved calls to: programcheck
+    (a definition's own context) first must not change milcheck's view of
+    the file, where the sibling PROC is known."""
+    source = (
+        "PROC a(BAT[void,dbl] x) : dbl := { RETURN b(x, 1); }\n"
+        "PROC b(BAT[void,dbl] x) : dbl := { RETURN x.max; }\n"
+    )
+    statements = parse(source)
+    alone = MilChecker().check_program(statements)
+    env = Environment()
+    ProgramChecker(env).check_program(statements)  # memoises a's run first
+    after = MilChecker(env).check_program(statements)
+    assert [str(d) for d in after] == [str(d) for d in alone]
+    assert [d.code for d in alone] == ["MIL005"]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +288,14 @@ def _count_calls(monkeypatch, cls, method):
 def test_define_proc_runs_each_analysis_once(monkeypatch):
     kernel = MonetKernel(check="warn")
     kernel.run("PROC inner(BAT[void,dbl] x) : dbl := { RETURN x.max; }")
-    flow = _count_calls(monkeypatch, FlowChecker, "_check_body")
-    cost = _count_calls(monkeypatch, CostChecker, "_cost_body")
+    runs = []
+    run_proc = Interpreter.run_proc
+
+    def counting(self, definition):
+        runs.append(definition.name)
+        return run_proc(self, definition)
+
+    monkeypatch.setattr(Interpreter, "run_proc", counting)
     fuse = _count_calls(monkeypatch, FuseChecker, "_partition_body")
     kernel.run(
         "PROC outer(BAT[void,dbl] x) : dbl := {"
@@ -199,12 +304,77 @@ def test_define_proc_runs_each_analysis_once(monkeypatch):
         "  RETURN top;"
         "}"
     )
-    assert len(flow) == 1
-    assert len(cost) == 1
+    # milcheck, flowcheck, costcheck and programcheck's local cost read
+    # one abstract run
+    assert runs == ["outer"]
     # the intraprocedural partition every pass shares, plus programcheck's
     # summary-aware one (a different question, so a different answer)
     assert sorted(fuse) == ["FuseChecker", "_ProgramFuseChecker"]
     assert kernel.interpreter.procedures["outer"].fusion_plan is not None
+
+
+def test_moa_compile_walks_the_expression_once(monkeypatch):
+    from repro.moa.algebra import Cmp, Const, Select, Var
+    from repro.moa.rewrite import MoaCompiler
+
+    walks = _count_calls(monkeypatch, MoaInterpreter, "run")
+    inner = Select("x", Cmp("<", Var("x"), Const(0.9)), Var("f"))
+    compiler = MoaCompiler(MonetKernel(), check="warn")
+    plan = compiler.compile(Select("x", Cmp(">", Var("x"), Const(0.5)), inner))
+    # FLOW005, PERF001/PERF002 and the estimate all come from the one walk
+    assert len(walks) == 1
+    assert [d.code for d in compiler.diagnostics if d.code.startswith("PERF")] == [
+        "PERF002"
+    ]
+    assert plan.estimated_cost is not None
+
+
+# ---------------------------------------------------------------------------
+# (d) the one BAT-method table against the runtime
+# ---------------------------------------------------------------------------
+
+#: Public BAT API the static analysis deliberately does not model: storage,
+#: versioning and accelerator internals no MIL plan calls. A new BAT method
+#: must land here or in ``BAT_METHODS``.
+NOT_MODELLED = {
+    "append_columns",
+    "appended_since",
+    "begin_lineage",
+    "columns",
+    "equals",
+    "from_columns",
+    "head_positions",
+    "holds_mutable_values",
+    "restore",
+    "tail_exists",
+    "tail_positions",
+    "tails_at",
+    "version",
+}
+
+
+def test_every_public_bat_method_is_modelled_or_listed():
+    public = {n for n in dir(BAT("void", "int")) if not n.startswith("_")}
+    assert public == set(BAT_METHODS) | NOT_MODELLED
+    assert not set(BAT_METHODS) & NOT_MODELLED
+
+
+@pytest.mark.parametrize("method", sorted(BAT_METHODS))
+def test_bat_method_rows_resolve_with_their_arity(method):
+    row = BAT_METHODS[method]
+    dispatch = MonetKernel().interpreter._dispatch_method
+    bat = BAT("void", "int")
+    if not callable(getattr(bat, method)):
+        # an attribute or property: read with no arguments, never called
+        assert (row.min_args, row.max_args) == (0, 0)
+        dispatch(bat, method, [])
+        with pytest.raises(MilTypeError):
+            dispatch(bat, method, [1])
+        return
+    with mock.patch.object(BAT, method, autospec=True) as stub:
+        for n in range(row.min_args, row.max_args + 1):
+            dispatch(bat, method, [object()] * n)  # autospec binds the signature
+        assert stub.call_count == row.max_args - row.min_args + 1
 
 
 def test_cli_parses_each_file_once(tmp_path, monkeypatch, capsys):

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.check.absint import MoaInterpreter, interpret
 from repro.check.costcheck import (
     DEFAULT_CARD,
     CostChecker,
     check_moa_cost,
     estimate_extraction_cost,
-    estimate_moa_cost,
     estimate_model_cost,
 )
 from repro.check.diagnostics import Severity
@@ -170,11 +170,12 @@ PROC scan(BAT[void,dbl] f) : any := {
 def test_estimate_proc_scales_with_cardinality(env):
     definition = parse(SCAN_PROC)[0]
     checker = CostChecker(**env)
-    default_cost = checker.estimate_proc(definition)
-    small_cost = checker.estimate_proc(
+    default_cost = interpret(checker.env, definition).cost
+    small_cost = interpret(
+        checker.env,
         definition,
         stats={"f": BatStats(rows=10, keyed_head=True, sorted_tail=False)},
-    )
+    ).cost
     assert default_cost == pytest.approx(DEFAULT_CARD)
     assert small_cost == pytest.approx(10.0)
     assert small_cost < default_cost
@@ -183,9 +184,13 @@ def test_estimate_proc_scales_with_cardinality(env):
 def test_measured_sorted_stats_trigger_perf005(env):
     """Runtime BatStats feed the access-path facts: a sorted input scans."""
     definition = parse(SCAN_PROC)[0]
-    report = CostChecker(**env).check_proc(
-        definition,
-        stats={"f": BatStats(rows=500, keyed_head=True, sorted_tail=True)},
+    checker = CostChecker(**env)
+    report = checker.findings(
+        interpret(
+            checker.env,
+            definition,
+            stats={"f": BatStats(rows=500, keyed_head=True, sorted_tail=True)},
+        )
     )
     assert [d.code for d in report] == ["PERF005"]
 
@@ -205,7 +210,7 @@ PROC looped(BAT[void,dbl] f) : any := {
     )[0]
     checker = CostChecker(**env)
     # one maggr scan (1 + rows) per assumed trip
-    assert checker.estimate_proc(looped) > 8 * DEFAULT_CARD
+    assert interpret(checker.env, looped).cost > 8 * DEFAULT_CARD
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +222,14 @@ def _select(source):
     return Select("x", Cmp(">", Var("x"), Const(0.5)), source)
 
 
+def _run(expr):
+    return MoaInterpreter().run(expr)
+
+
 def test_moa_nested_select_flags_perf002():
-    report = check_moa_cost(_select(_select(Var("f"))))
+    report = check_moa_cost(_run(_select(_select(Var("f")))))
     assert [d.code for d in report] == ["PERF002"]
-    assert [d.code for d in check_moa_cost(_select(Var("f")))] == []
+    assert [d.code for d in check_moa_cost(_run(_select(Var("f"))))] == []
 
 
 def test_moa_join_flags_perf001():
@@ -232,7 +241,7 @@ def test_moa_join_flags_perf001():
         Var("g"),
         Var("a"),
     )
-    assert [d.code for d in check_moa_cost(join)] == ["PERF001"]
+    assert [d.code for d in check_moa_cost(_run(join))] == ["PERF001"]
     # restricting one side first removes the quadratic blow-up
     restricted = Join(
         "a",
@@ -242,15 +251,13 @@ def test_moa_join_flags_perf001():
         Var("g"),
         Var("a"),
     )
-    assert [d.code for d in check_moa_cost(restricted)] == []
+    assert [d.code for d in check_moa_cost(_run(restricted))] == []
 
 
 def test_moa_cost_orders_plans():
     """The cheaper logical plan gets the lower estimate."""
     narrow_first = _select(_select(Var("f")))
-    assert estimate_moa_cost(_select(Var("f"))) < estimate_moa_cost(
-        narrow_first
-    )
+    assert _run(_select(Var("f"))).cost < _run(narrow_first).cost
 
 
 def test_compiled_plan_carries_cost_and_fusion_plan():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.__main__ import main as check_main
+from repro.check.absint import MoaInterpreter
 from repro.check.flowcheck import (
     FlowChecker,
     Interval,
@@ -193,7 +194,7 @@ class TestMoaFlow:
             "infer",
             [Map("x", Arith("*", Var("x"), Const(2.0)), Var("f1"))],
         )
-        report = check_moa_flow(expr)
+        report = check_moa_flow(MoaInterpreter().run(expr))
         assert [d.code for d in report] == ["FLOW005"]
 
     def test_select_keeps_element_range(self):
@@ -202,11 +203,11 @@ class TestMoaFlow:
             "infer",
             [Select("x", Cmp(">", Var("x"), Const(0.5)), Var("f1"))],
         )
-        assert not check_moa_flow(expr)
+        assert not check_moa_flow(MoaInterpreter().run(expr))
 
     def test_explicit_ranges_override_seeding(self):
         expr = Apply("hmm", "evaluate", [Var("raw")])
-        report = check_moa_flow(expr, ranges={"raw": (0.0, 255.0)})
+        report = check_moa_flow(MoaInterpreter({"raw": (0.0, 255.0)}).run(expr))
         assert [d.code for d in report] == ["FLOW005"]
 
     def test_non_evidence_extension_is_not_checked(self):
@@ -215,7 +216,7 @@ class TestMoaFlow:
             "features",
             [Map("x", Arith("*", Var("x"), Const(9.0)), Var("f1"))],
         )
-        assert not check_moa_flow(expr)
+        assert not check_moa_flow(MoaInterpreter().run(expr))
 
     def test_compiler_collects_flow_findings(self):
         from repro.moa.rewrite import MoaCompiler

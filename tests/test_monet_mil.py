@@ -92,6 +92,16 @@ class TestEvaluation:
         with pytest.raises(MilNameError):
             kernel.run("RETURN mystery;")
 
+    def test_none_valued_attribute_is_a_method(self, kernel):
+        # a transient BAT's name is None: still a MIL property, not a
+        # missing method (the static checker accepts it, so must the run)
+        kernel.run("PROC nm() : str := { VAR c := new(void, int); RETURN c.name; }")
+        assert kernel.run("RETURN nm();") is None
+        kernel.run('persist("speeds", new(void, dbl));')
+        assert kernel.run("RETURN speeds.name;") == "speeds"
+        with pytest.raises(MilNameError):
+            kernel.run("VAR b := new(void, int); RETURN b.nosuch;")
+
     def test_private_attribute_blocked(self, kernel):
         with pytest.raises(MilNameError):
             kernel.run("VAR b := new(void, int); RETURN b._head;")

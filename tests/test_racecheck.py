@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.racecheck import RaceChecker, check_race_source
+from repro.check.racecheck import RaceChecker
 from repro.errors import MilCheckError, SanitizerError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
@@ -45,10 +45,10 @@ def define_unchecked(kernel, source):
 class TestRaceChecker:
     def test_fig4_parallel_hmm_idiom_is_clean(self):
         source = (REPO_ROOT / "examples/procedures/parallel_hmm.mil").read_text()
-        assert not check_race_source(source)
+        assert not RaceChecker().check_source(source)
 
     def test_append_append_is_exempt(self):
-        report = check_race_source(
+        report = RaceChecker().check_source(
             """
             PROC p(BAT[str,flt] acc) : int := {
               PARALLEL {
@@ -62,7 +62,7 @@ class TestRaceChecker:
         assert not report, report.format()
 
     def test_write_write_on_one_bat(self):
-        report = check_race_source(
+        report = RaceChecker().check_source(
             """
             PROC p(BAT[void,dbl] b) : int := {
               PARALLEL {
@@ -76,7 +76,7 @@ class TestRaceChecker:
         assert [d.code for d in report] == ["RACE001"]
 
     def test_branch_local_bats_do_not_conflict(self):
-        report = check_race_source(
+        report = RaceChecker().check_source(
             """
             PROC p() : int := {
               PARALLEL {
@@ -90,7 +90,7 @@ class TestRaceChecker:
         assert not report, report.format()
 
     def test_single_branch_parallel_is_clean(self):
-        report = check_race_source(
+        report = RaceChecker().check_source(
             """
             PROC p(BAT[void,dbl] b) : int := {
               PARALLEL {
@@ -103,12 +103,12 @@ class TestRaceChecker:
         assert not report, report.format()
 
     def test_two_branch_persist_is_race001(self):
-        report = check_race_source(TWO_BRANCH_PERSIST)
+        report = RaceChecker().check_source(TWO_BRANCH_PERSIST)
         assert [d.code for d in report] == ["RACE001"]
 
     def test_race004_suppressed_when_race001_fires(self):
         # the conflicting persists must yield one finding, not three
-        report = check_race_source(TWO_BRANCH_PERSIST)
+        report = RaceChecker().check_source(TWO_BRANCH_PERSIST)
         assert "RACE004" not in report.codes()
 
     def test_constructor_mirrors_other_checkers(self):

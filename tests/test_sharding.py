@@ -15,7 +15,7 @@ from repro.chaos.sharding import (
     shard_death,
 )
 from repro.check.diagnostics import Severity
-from repro.check.shardcheck import check_fleet_config, check_scatter_source
+from repro.check.shardcheck import ScatterChecker, check_fleet_config
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
 from repro.cobra.preprocessor import choose_scatter_plan
 from repro.cobra.query import parse_coql
@@ -152,7 +152,7 @@ PROC fanout(BAT[void,dbl] f) : any := {
 """
 
     def test_shard004_decertifies_parallel_fusion_regions(self):
-        report = check_scatter_source(self.PARALLEL_SOURCE, name="<test>")
+        report = ScatterChecker().check_source(self.PARALLEL_SOURCE, name="<test>")
         codes = [d.code for d in report]
         assert codes == ["SHARD004", "SHARD004"]  # one per certified branch
         assert all(d.severity == Severity.WARNING for d in report)
