@@ -25,11 +25,11 @@ fused compiler would accelerate —
   held open in its copy phase, so every query pays the in-flight
   ownership merge and dual-read coverage accounting;
 * ``check_whole_program`` — cold + memoized whole-program analysis
-  (call-graph summaries, SCC propagation, program-level regions) over a
-  layered synthetic call graph, the overhead every registration pays;
+  (call-graph summaries, SCC propagation) over a layered synthetic call
+  graph, the overhead every registration pays;
 * ``equivcheck_certify`` — Moa→MIL translation validation of every
   built-in plan: compile, symbolically execute both sides, normalize,
-  certify
+  compare
 
 — and writes per-benchmark mean/min/max seconds plus derived rows/s into a
 ``BENCH_perf.json`` document (schema ``repro-bench-perf/1``). CI uploads
@@ -374,8 +374,7 @@ def bench_check_whole_program(rows: int, repeats: int) -> dict:
 
     Builds a layered program (``rows / 500`` procedures, each calling the
     previous layer) and measures a full ProgramChecker pass — summary
-    computation, SCC propagation, and program-level region partitioning —
-    followed by a fully-memoized re-run, so the measured number is the
+    computation and SCC propagation — followed by a fully-memoized re-run, so the measured number is the
     cold cost the registration choke points pay and the cache makes
     repeatable registrations cheap.
     """
@@ -413,10 +412,9 @@ def bench_equivcheck_certify(rows: int, repeats: int) -> dict:
     """Translation-validation cost: compile + certify every built-in plan.
 
     Measures the full ``MoaCompiler.compile`` path with checking on —
-    precheck, emission, symbolic execution of both sides, normalization,
-    certificate construction — for each plan in ``builtin_moa_plans()``.
-    The certificate is asserted present so the benchmark cannot silently
-    measure an uncertified path.
+    precheck, emission, symbolic execution of both sides, normalization —
+    for each plan in ``builtin_moa_plans()``. One EQ001 per plan is
+    asserted so the benchmark cannot silently measure an unvalidated path.
     """
     from repro.moa.rewrite import MoaCompiler, builtin_moa_plans
     from repro.monet.kernel import MonetKernel
@@ -427,8 +425,9 @@ def bench_equivcheck_certify(rows: int, repeats: int) -> dict:
     def certify() -> None:
         compiler = MoaCompiler(kernel, check="warn")
         for name, expr in plans.items():
-            plan = compiler.compile(expr)
-            assert plan.equivalence is not None, name
+            compiler.compile(expr)
+        eq001 = [d for d in compiler.diagnostics if d.code == "EQ001"]
+        assert len(eq001) == len(plans), [d.code for d in compiler.diagnostics]
 
     return _summary(_time(certify, repeats), len(plans))
 

@@ -22,10 +22,6 @@ the reproduction's three levels:
   **cardinality × selectivity × cost** facts of the shared abstract run
   (``PERFnnn`` codes, advisory), and the cost models the Cobra
   preprocessor and the DBN extension consume;
-* :mod:`repro.check.fusecheck` — purity/effect inference partitioning
-  plan bodies into certified fusion regions (``FUSEnnn`` codes,
-  advisory), serialized as :class:`FusionPlan` artifacts attached to
-  compiled procedures;
 * :mod:`repro.check.sanitize` — the runtime sanitizer armed by
   ``check="sanitize"``, enforcing the same FLOW/RACE invariants while
   plans execute;
@@ -38,25 +34,21 @@ the reproduction's three levels:
   and the ``bounded(ms)`` read policy must be satisfiable against the
   replicas' registered link lag;
 * :mod:`repro.check.shardcheck` — sharded-fleet checks run when a
-  :class:`repro.sharding.ShardedKernel` is constructed and when MIL is
-  registered for scatter execution (``SHARDnnn`` codes): writes must
-  route to the owning shard, replicated shards must fence, a coverage
-  floor should be declared, and fusion regions certified under one
-  kernel's BAT lock must be de-certified when scattered (SHARD004,
-  advisory like PERF/FUSE);
+  :class:`repro.sharding.ShardedKernel` is constructed (``SHARDnnn``
+  codes): writes must route to the owning shard, replicated shards must
+  fence, migrations must stay accounted and fenced, and a coverage floor
+  should be declared;
 * :mod:`repro.check.programcheck` (with :mod:`repro.check.callgraph`) —
-  whole-program interprocedural analysis: per-PROC effect/flow/cost
+  whole-program interprocedural analysis: per-PROC effect/cost
   summaries propagated bottom-up in SCC order over the call graph of all
   registered procedures, memoized by source fingerprint (``CALLnnn``
   codes): unresolved call targets, unbounded recursion without a
-  ``cancelpoint``, callees that commit inside a caller's certified
-  fusion region, and interprocedural ``PARALLEL`` races;
+  ``cancelpoint``, and interprocedural ``PARALLEL`` races;
 * :mod:`repro.check.equivcheck` — Moa→MIL translation validation:
   symbolic execution of both sides over an abstract BAT-algebra
   semantics, certifying every compiled plan equivalent to its source
-  expression (``EQnnn`` codes); EQ001 certificates are serialized as
-  :class:`EquivalenceCertificate` artifacts on :class:`MilPlan` and gate
-  eligibility for compiled execution.
+  expression (``EQnnn`` codes); ``MoaCompiler.compile`` refuses a plan
+  whose translation fails (EQ002).
 
 Under the MIL-side passes sit four shared modules:
 :mod:`repro.check.environment` (the kernel facts a pass checks against and
@@ -92,15 +84,11 @@ has the same table with more prose):
 #   pass            codes     define  lint  service  scatter  reads from earlier
 ==  ==============  ========  ======  ====  =======  =======  =====================
 1   milcheck        MIL       x       x                       abstract run (type)
-2   flowcheck       FLOW      x       x                       abstract run (flow);
-                                                              fusion partition
-                                                              (FLOW002)
+2   flowcheck       FLOW      x       x                       abstract run (flow)
 3   racecheck       RACE      x       x                       —
 4   costcheck       PERF      x       x                       abstract run (cost)
-5   fusecheck       FUSE      x       x                       fusion partition
-6   shardcheck      SHARD004          x              x        fusion partition
-7   servicecheck    SVC                     x                 —
-8   programcheck    CALL      x       x     x        x        abstract run (cost);
+5   servicecheck    SVC                     x                 —
+6   programcheck    CALL      x       x     x        x        abstract run (cost);
                                                               summaries
 ==  ==============  ========  ======  ====  =======  =======  =====================
 
@@ -110,13 +98,11 @@ has the same table with more prose):
 (the last two then hand the source to the kernel, whose ``define`` stage
 runs per ``PROC``). Source is parsed once per stage. The *abstract run*
 of a definition (:func:`repro.check.absint.interpret`: its facts and its
-cost, per set of procedures calls resolve to) and the *fusion partition*
-of a body are memoised on the environment (:meth:`Environment.once`), so
-whichever pass asks first computes them and the rest read the answer —
-``define_proc`` interprets a definition once, not once per pass;
-programcheck additionally runs one summary-aware partition of its own. The CLI's built-in run adds
-the model lints and the Moa translation validation, which are not MIL
-passes.
+cost, per set of procedures calls resolve to) is memoised on the
+environment (:meth:`Environment.once`), so whichever pass asks first
+computes it and the rest read the answer — ``define_proc`` interprets a
+definition once, not once per pass. The CLI's built-in run adds the model
+lints and the Moa translation validation, which are not MIL passes.
 
 Writing a MIL pass
 ------------------
@@ -139,9 +125,8 @@ Writing a MIL pass
    call", filter :func:`repro.check.effects.events` (ordered, evaluation
    order) — or :func:`repro.check.effects.shared_events` for what one
    ``PARALLEL`` branch exposes to its siblings.
-4. Reuse another pass's result through its checker built over the same
-   environment (``FuseChecker(self.env).analyze_proc(definition)``,
-   ``interpret(self.env, definition).cost``); memoise your own
+4. Reuse another pass's result through the same environment
+   (``interpret(self.env, definition).cost``); memoise your own
    reusable analysis with ``self.env.once(kind, node, compute)`` and
    label findings on the way out (:meth:`DiagnosticReport.labelled`).
 5. Add one row to :data:`repro.check.pipeline.PASSES` with the stages
@@ -169,14 +154,8 @@ from repro.check.diagnostics import (
     DiagnosticReport,
     Severity,
 )
-from repro.check.equivcheck import (
-    EquivalenceCertificate,
-    abstract_mil,
-    abstract_moa,
-    validate_translation,
-)
+from repro.check.equivcheck import abstract_mil, abstract_moa, validate_translation
 from repro.check.flowcheck import FlowChecker, check_feature_set, check_moa_flow
-from repro.check.fusecheck import Effects, FuseChecker, FusionPlan, FusionRegion
 from repro.check.milcheck import MilChecker
 from repro.check.moacheck import MoaChecker
 from repro.check.moacheck import check_expr as check_moa_expr
@@ -195,12 +174,7 @@ __all__ = [
     "CostChecker",
     "Diagnostic",
     "DiagnosticReport",
-    "Effects",
-    "EquivalenceCertificate",
     "FlowChecker",
-    "FuseChecker",
-    "FusionPlan",
-    "FusionRegion",
     "KernelSanitizer",
     "MilChecker",
     "MoaChecker",

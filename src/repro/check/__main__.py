@@ -18,21 +18,19 @@ Options:
 * ``--format text|json|sarif`` — ``text`` (default) prints one gcc-style
   line per diagnostic plus a summary; ``json`` and ``sarif`` print a single
   machine-readable document (SARIF 2.1.0 suits CI annotation uploads).
-* ``--strict`` — warnings also fail the build (exit 1).  Advisory families
-  (``PERF``/``FUSE`` performance-and-fusibility hints, plus the ``SHARD``
-  scatter-placement hints — SHARD004 informs where a plan may run, not
-  whether it is correct — and ``EQ003``, which reports that a plan fell
-  back to the interpreter, not that it is wrong) are exempt: they never
-  change the exit status, so ``--strict`` still fails only on
+* ``--strict`` — warnings also fail the build (exit 1).  Advisory findings
+  (``PERF`` performance hints, and ``EQ003``, which reports that a plan
+  fell back to the interpreter, not that it is wrong) are exempt: they
+  never change the exit status, so ``--strict`` still fails only on
   error-severity findings plus genuine correctness warnings, and seed
-  plans with perf hints keep CI green.  The error-severity SHARD findings
-  (SHARD001/SHARD003) are not warnings and fail the build like any other
-  error.
+  plans with perf hints keep CI green.
 * ``--baseline PATH`` — compare the run's diagnostics against a committed
   baseline (JSON mapping ``"CODE@source"`` to counts).  Any (code,
-  source) pair that appears more often than the baseline records fails
-  the build, advisory or not: a *new* finding on a built-in artifact is a
-  regression even when the family is informational.
+  source) pair whose count differs from the baseline fails the build,
+  advisory or not: more is a *new* finding on a built-in artifact, a
+  regression even when the family is informational; fewer is a stale
+  baseline row, which would otherwise mask a future regression up to its
+  slack.
 
 Exit status: 0 when no failing diagnostics were found, 1 when some were,
 2 on usage errors.
@@ -54,11 +52,10 @@ from repro.check.pipeline import check_source
 
 #: Diagnostic-code prefixes that are advisory: they inform (and land in
 #: reports/SARIF) but never fail the build, not even under ``--strict``.
-#: Only warning-severity findings consult this list, so SHARD's
-#: error-severity configuration findings still fail the build.  EQ003 is
-#: the exact-code entry: "unsupported construct, interpreter fallback" is
-#: a capability note, while EQ002 (error severity) stays fatal.
-ADVISORY_PREFIXES = ("PERF", "FUSE", "SHARD", "EQ003")
+#: Only warning-severity findings consult this list.  EQ003 is the
+#: exact-code entry: "unsupported construct, interpreter fallback" is a
+#: capability note, while EQ002 (error severity) stays fatal.
+ADVISORY_PREFIXES = ("PERF", "EQ003")
 
 _SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 _SARIF_LEVELS = {
@@ -96,9 +93,9 @@ def _check_builtin_mil(kernel) -> DiagnosticReport:
 def _check_builtin_moa(kernel) -> DiagnosticReport:
     """Compile every built-in Moa plan and validate the translation.
 
-    Each plan must come back with an EQ001 certificate; a missing
-    certificate surfaces as EQ002 (mis-translation, error) or EQ003
-    (unsupported construct, advisory) from the compiler's validator.
+    Each plan must come back EQ001; anything else surfaces as EQ002
+    (mis-translation, error) or EQ003 (unsupported construct, advisory)
+    from the compiler's validator.
     """
     from repro.moa.rewrite import MoaCompiler, builtin_moa_plans
 
@@ -246,18 +243,22 @@ def baseline_counts(report: DiagnosticReport) -> dict[str, int]:
 
 
 def _diff_baseline(report: DiagnosticReport, path: str) -> list[str]:
-    """Keys exceeding the committed baseline (new findings = regressions)."""
+    """Keys whose count differs from the committed baseline, either way:
+    above it is a new finding (regression), below it a stale row."""
     try:
         recorded = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        return [f"<unreadable baseline {path}: {exc}>"]
+        return [f"unreadable baseline {path}: {exc}"]
     counts = recorded.get("counts", recorded) if isinstance(recorded, dict) else {}
-    regressions: list[str] = []
-    for key, count in sorted(baseline_counts(report).items()):
-        allowed = int(counts.get(key, 0))
+    observed = baseline_counts(report)
+    problems: list[str] = []
+    for key in sorted(set(counts) | set(observed)):
+        count, allowed = observed.get(key, 0), int(counts.get(key, 0))
         if count > allowed:
-            regressions.append(f"{key} ({count} > baseline {allowed})")
-    return regressions
+            problems.append(f"baseline regression: {key} ({count} > baseline {allowed})")
+        elif count < allowed:
+            problems.append(f"stale baseline: {key} (baseline {allowed} > {count})")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
         if not d.code.startswith(ADVISORY_PREFIXES)
     ]
     if args.baseline:
-        regressions = _diff_baseline(report, args.baseline)
-        if regressions:
-            for item in regressions:
-                print(f"repro.check: baseline regression: {item}", file=sys.stderr)
+        problems = _diff_baseline(report, args.baseline)
+        if problems:
+            for item in problems:
+                print(f"repro.check: {item}", file=sys.stderr)
             return 1
     if errors or (args.strict and failing_warnings):
         return 1

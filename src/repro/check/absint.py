@@ -767,7 +767,6 @@ class DeadStore(NamedTuple):  # a store overwritten before any read
     ident: str
     store_line: int | None
     line: int | None
-    was_bat: bool
 
 
 class Resolved(NamedTuple):
@@ -886,7 +885,6 @@ class Interpreter:
         self.mil_procs = procs
         self.stats = stats or {}
         self.definition: ProcDef | None = None
-        self.body: list[Any] = []
         self.facts: list[Any] = []
         self.frames: list[float] = [0.0]
         self.returns = False
@@ -904,7 +902,7 @@ class Interpreter:
         return self.frames[0]
 
     def run_proc(self, definition: ProcDef) -> "Interpreter":
-        self.definition, self.body = definition, definition.body
+        self.definition = definition
         self.scope = self.scope.new_child()
         for param in definition.params:
             value = seed(param.type_name, self.stats.get(param.ident))
@@ -918,7 +916,7 @@ class Interpreter:
     def run_toplevel(self, statements: list[Any]) -> "Interpreter":
         """File-level statements: one block each in the global scope; the
         type component resolves their calls to commands only."""
-        self.body, self.mil_procs = statements, {}
+        self.mil_procs = {}
         for statement in statements:
             self._block([statement], False, False)
         return self
@@ -976,7 +974,7 @@ class Interpreter:
                 else:
                     if slot.pending is not None and not quiet:
                         self.facts.append(
-                            DeadStore(ident, slot.pending, line, slot.value.is_bat)
+                            DeadStore(ident, slot.pending, line)
                         )
                     slot.value, slot.assigned = val.flow, "yes"
                     slot.pending = None if quiet else line

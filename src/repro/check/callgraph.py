@@ -2,8 +2,8 @@
 
 The intraprocedural passes treat a ``CALL`` as a signature-shaped hole:
 flowcheck forgets what the callee returns, racecheck cannot see what the
-callee mutates, fusecheck conservatively marks every proc call impure. This
-module supplies the whole-program structure those passes lack:
+callee mutates. This module supplies the whole-program structure those
+passes lack:
 
 * :func:`collect_call_sites` — every :class:`~repro.monet.mil.Call` in a
   procedure body, annotated with its line, whether it is *conditional*

@@ -79,11 +79,11 @@ from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.check.effects import (
     ACCESSES,
     APPEND_METHODS,
+    IMPURE_COMMANDS,
     MUTATIONS,
     WRITE_METHODS,
     names,
 )
-from repro.check.fusecheck import IMPURE_COMMANDS
 from repro.monet.mil import Assign, Call, ExprStmt, MethodCall, Name, VarDecl
 
 __all__ = [

@@ -50,9 +50,11 @@ __all__ = [
     "ACCESSES",
     "APPEND_METHODS",
     "CATALOG_COMMANDS",
+    "IMPURE_COMMANDS",
     "MUTATIONS",
     "WRITE_METHODS",
     "Event",
+    "branch_summary",
     "events",
     "names",
     "shared_events",
@@ -66,6 +68,12 @@ WRITE_METHODS = frozenset({"delete", "replace"})
 
 #: Kernel commands that mutate the catalog (and auto-commit the WAL).
 CATALOG_COMMANDS = frozenset({"persist", "drop"})
+
+#: Kernel commands with effects beyond their return value: scheduler state,
+#: stdout, catalog allocation/commit, and cancellation checkpoints.
+IMPURE_COMMANDS = frozenset(
+    {"threadcnt", "print", "bat", "persist", "drop", "cancelpoint"}
+)
 
 #: Event kinds that evaluate a variable.
 ACCESSES = frozenset({"read", "append", "write"})
@@ -148,3 +156,19 @@ def shared_events(branch: Any) -> Iterator[Event]:
             event.kind != "call" and event.name not in local
         ):
             yield event
+
+
+def branch_summary(branch: Any) -> tuple[set[str], set[str], set[str]]:
+    """(touched, non-append-mutated, assigned) shared names of a branch."""
+    touched: set[str] = set()
+    mutated: set[str] = set()
+    assigned: set[str] = set()
+    for event in shared_events(branch):
+        if event.kind == "commit":
+            continue
+        touched.add(event.name)
+        if event.kind == "write":
+            mutated.add(event.name)
+        elif event.kind == "assign":
+            assigned.add(event.name)
+    return touched, mutated, assigned

@@ -6,10 +6,10 @@ defined procedures — normalised once. The interpreter hands one out through
 :meth:`repro.monet.mil.MilInterpreter.check_environment`; tests build one
 implicitly by passing the four values to a checker class.
 
-An environment also remembers analyses other passes reuse (the fusion
-partition of a body, the abstract run of a procedure), so passes built over
-*the same* environment compute each of them once per definition no matter
-which pass asks first — see :meth:`Environment.once`.
+An environment also remembers analyses other passes reuse (the abstract run
+of a procedure, its call sites), so passes built over *the same*
+environment compute each of them once per definition no matter which pass
+asks first — see :meth:`Environment.once`.
 
 :class:`MilPass` is the base of the checker classes: the constructor every
 one of them had, and the ``check_source`` / ``check_program`` /

@@ -16,20 +16,23 @@ constructor — ``Sel(op, value)``, ``MapOp(op, value)``, ``Agg(kind)``,
 Normalization quotients the terms by the laws that hold for multisets:
 adjacent selections commute (``σ_a ∘ σ_b = σ_b ∘ σ_a``), so maximal
 selection chains are sorted; numeric literals are canonicalized through
-``float``. Structural equality of the normal forms is the certificate.
+``float``. Structural equality of the normal forms is the proof.
+
+The verdict is the diagnostic itself: ``MoaCompiler.compile`` records it
+on ``MoaCompiler.diagnostics`` and, under ``check="error"``, refuses to
+register a plan that fails validation.
 
 Diagnostic codes:
 
 =======  ========  =====================================================
 code     severity  meaning
 =======  ========  =====================================================
-EQ001    info      certified equivalent — an :class:`EquivalenceCertificate`
-                   is attached to the :class:`~repro.moa.rewrite.MilPlan`
-                   (artifact ``repro.equivcert/1``, like ``FusionPlan``)
+EQ001    info      certified equivalent: both sides reduce to one normal
+                   form, which the message renders
 EQ002    error     validation failed: the emitted MIL denotes a different
                    term than the Moa expression (raised at
                    ``MoaCompiler.compile`` under ``check="error"``)
-EQ003    warning   unsupported construct on either side — no certificate,
+EQ003    warning   unsupported construct on either side — not validated,
                    interpreter fallback required (advisory: never fails
                    ``--strict``)
 =======  ========  =====================================================
@@ -38,7 +41,7 @@ EQ003    warning   unsupported construct on either side — no certificate,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.errors import MilSyntaxError
@@ -64,7 +67,6 @@ from repro.monet.mil import (
 )
 
 __all__ = [
-    "EquivalenceCertificate",
     "abstract_mil",
     "abstract_moa",
     "normalize",
@@ -145,7 +147,7 @@ def abstract_moa(expr: Expr) -> BatTerm:
 
     Exactly the compilable subset of :class:`MoaCompiler` is supported;
     anything else raises :class:`UnsupportedConstruct` (→ EQ003, the plan
-    falls back to logical-level evaluation and gets no certificate).
+    falls back to logical-level evaluation).
     """
     match expr:
         case Var(name=name):
@@ -284,7 +286,7 @@ def _canonical_value(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# normalization and certificates
+# normalization and validation
 # ---------------------------------------------------------------------------
 
 
@@ -321,7 +323,7 @@ def normalize(term: BatTerm) -> BatTerm:
 
 
 def render(term: BatTerm) -> str:
-    """Deterministic s-expression rendering (certificate payload)."""
+    """Deterministic s-expression rendering (diagnostic messages)."""
     match term:
         case InputBat(name=name):
             return name
@@ -337,60 +339,18 @@ def render(term: BatTerm) -> str:
             return repr(term)
 
 
-@dataclass(frozen=True)
-class EquivalenceCertificate:
-    """Proof token that a compiled plan denotes its Moa expression.
-
-    Attached to :class:`~repro.moa.rewrite.MilPlan` the way ``FusionPlan``
-    is; the Cobra preprocessor admits only certified plans to the future
-    compiled-execution path.
-    """
-
-    proc_name: str
-    #: Rendered normal form both sides reduced to.
-    normal_form: str
-    #: Rendered (un-normalized) denotations of each side.
-    moa_term: str
-    mil_term: str
-    inputs: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "artifact": "repro.equivcert/1",
-            "proc": self.proc_name,
-            "normal_form": self.normal_form,
-            "moa_term": self.moa_term,
-            "mil_term": self.mil_term,
-            "inputs": list(self.inputs),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EquivalenceCertificate":
-        if payload.get("artifact") != "repro.equivcert/1":
-            raise ValueError(
-                f"not an equivalence certificate: {payload.get('artifact')!r}"
-            )
-        return cls(
-            proc_name=str(payload["proc"]),
-            normal_form=str(payload["normal_form"]),
-            moa_term=str(payload["moa_term"]),
-            mil_term=str(payload["mil_term"]),
-            inputs=tuple(payload.get("inputs", ())),
-        )
-
-
 def validate_translation(
     expr: Expr,
     mil_source: str,
     proc_name: str,
     input_names: Iterable[str] = (),
     source: str = "<moa-plan>",
-) -> tuple[EquivalenceCertificate | None, DiagnosticReport]:
+) -> DiagnosticReport:
     """Certify that an emitted MIL plan denotes its Moa expression.
 
-    Returns ``(certificate, report)``: EQ001 + certificate on success,
-    EQ002 error + ``None`` on a real mismatch, EQ003 advisory + ``None``
-    when either side uses a construct the abstract semantics cannot model.
+    The report holds exactly one finding: EQ001 on success, EQ002 (error)
+    on a real mismatch, EQ003 (advisory) when either side uses a construct
+    the abstract semantics cannot model.
     """
     report = DiagnosticReport()
     try:
@@ -405,7 +365,7 @@ def validate_translation(
             Severity.WARNING,
             source=source,
         )
-        return None, report
+        return report
     moa_normal = normalize(moa_term)
     mil_normal = normalize(mil_term)
     if moa_normal != mil_normal:
@@ -417,19 +377,12 @@ def validate_translation(
             Severity.ERROR,
             source=source,
         )
-        return None, report
-    certificate = EquivalenceCertificate(
-        proc_name=proc_name,
-        normal_form=render(moa_normal),
-        moa_term=render(moa_term),
-        mil_term=render(mil_term),
-        inputs=tuple(input_names),
-    )
+        return report
     report.add(
         "EQ001",
         f"plan {proc_name}: certified equivalent to its Moa expression "
-        f"(normal form {certificate.normal_form})",
+        f"(normal form {render(moa_normal)})",
         Severity.INFO,
         source=source,
     )
-    return certificate, report
+    return report

@@ -40,11 +40,8 @@ FLOW006   error     sampling-rate violation in a feature set
 
 ``FLOW002`` is suppressed inside ``PARALLEL`` blocks and ``WHILE`` bodies:
 concurrent branches and loop-carried stores are not dead even when a later
-store textually follows.  It is also suppressed for BAT-typed stores whose
-store and overwrite both sit inside one certified fusion region
-(:mod:`repro.check.fusecheck`): the fused pipeline consumes the temporary
-internally, so the "dead" store never materializes — flagging it would
-push users to unfuse correct plans.  ``FLOW004`` only fires when both the
+store textually follows.  A BAT-typed dead store is flagged like any other:
+the interpreter materializes every store.  ``FLOW004`` only fires when both the
 declared and the inferred BAT column types are fully known — unlike the
 permissive widening of MIL006, it demands the exact atom at module
 boundaries.
@@ -73,7 +70,6 @@ from repro.check.absint import (
     point,
 )
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.check.fusecheck import FuseChecker
 
 __all__ = [
     "FEATURE_RANGE",
@@ -89,7 +85,6 @@ class FlowChecker(InterpretedPass):
 
     def findings(self, run: Interpreter) -> DiagnosticReport:
         report = DiagnosticReport()
-        spans: tuple[tuple[int, int], ...] | None = None
         for fact in run.facts:
             match fact:
                 case Nested(run=inner):
@@ -109,19 +104,14 @@ class FlowChecker(InterpretedPass):
                         line=line,
                     )
                 case DeadStore(ident=ident, store_line=store, line=line):
-                    # a BAT staged inside one certified fusion region never
-                    # materializes: its "dead" store is the pipeline's
-                    if spans is None:
-                        spans = FuseChecker(self.env).certified_spans(run.body)
-                    if not (fact.was_bat and any(a <= store and line <= b for a, b in spans)):
-                        report.add(
-                            "FLOW002",
-                            f"dead store to {ident!r}: value is overwritten at "
-                            f"line {line} before any read",
-                            Severity.WARNING,
-                            line=store,
-                            end_line=line,
-                        )
+                    report.add(
+                        "FLOW002",
+                        f"dead store to {ident!r}: value is overwritten at "
+                        f"line {line} before any read",
+                        Severity.WARNING,
+                        line=store,
+                        end_line=line,
+                    )
                 case Resolved(checked=signature, args=args) if signature is not None:
                     for index, actual in enumerate(arg.flow for arg in args):
                         self._boundary(fact.node, signature, index, actual, report)

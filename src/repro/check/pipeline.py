@@ -13,8 +13,8 @@ stage        choke point                                     runs via
 
 A stage runs the passes that list it, in table order, all built over one
 :class:`~repro.check.environment.Environment`: the source is parsed once,
-and what one pass computes for a definition (the fusion partition, the
-abstract run) is what the later ones read. The table, what each pass
+and what one pass computes for a definition (the abstract run) is what the
+later ones read. The table, what each pass
 consumes, and how to add one are in the :mod:`repro.check` docstring.
 """
 
@@ -26,12 +26,10 @@ from repro.check.costcheck import CostChecker
 from repro.check.diagnostics import DiagnosticReport
 from repro.check.environment import Environment, MilPass, parse_program
 from repro.check.flowcheck import FlowChecker
-from repro.check.fusecheck import FuseChecker
 from repro.check.milcheck import MilChecker
 from repro.check.programcheck import ProgramChecker, SummaryCache
 from repro.check.racecheck import RaceChecker
 from repro.check.servicecheck import ServiceChecker
-from repro.check.shardcheck import ScatterChecker
 from repro.monet.mil import ProcDef
 
 __all__ = ["PASSES", "check_definition", "check_source"]
@@ -44,8 +42,6 @@ PASSES: tuple[tuple[type[MilPass], frozenset[str]], ...] = (
     (FlowChecker, _EVERY_DEFINITION),  # FLOWnnn
     (RaceChecker, _EVERY_DEFINITION),  # RACEnnn
     (CostChecker, _EVERY_DEFINITION),  # PERFnnn
-    (FuseChecker, _EVERY_DEFINITION),  # FUSEnnn
-    (ScatterChecker, frozenset({"lint", "scatter"})),  # SHARD004
     (ServiceChecker, frozenset({"service"})),  # SVCnnn
     (ProgramChecker, frozenset({"define", "lint", "service", "scatter"})),  # CALLnnn
 )

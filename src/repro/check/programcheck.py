@@ -3,25 +3,16 @@
 Every earlier pass is intraprocedural: a ``CALL`` is a hole in their facts.
 This pass closes the hole. It builds the call graph over all registered
 procedures (:mod:`repro.check.callgraph`), computes one
-:class:`ProcSummary` per PROC — effects in the fusecheck vocabulary
-(commits / impure / parameter appends vs. writes / global writes), flow
-facts from flowcheck, a cost estimate from costcheck, and cancellation
-reachability in the servicecheck sense — and propagates summaries bottom-up
-in SCC order, iterating recursive components to a fixpoint, so the existing
-codes' concerns fire *across* call boundaries.
+:class:`ProcSummary` per PROC — parameter appends vs. writes, global
+writes, a cost estimate from costcheck, and cancellation reachability in
+the servicecheck sense — and propagates summaries bottom-up in SCC order,
+iterating recursive components to a fixpoint, so the existing codes'
+concerns fire *across* call boundaries.
 
 Summaries are memoized in a :class:`SummaryCache` keyed by the procedure's
 source :func:`~repro.check.callgraph.fingerprint`: repeated registrations
 of unchanged procs are cache hits, and redefining a proc invalidates (and
 re-analyzes) exactly its transitive callers.
-
-Fusion regions become *program-level* here: a call to a callee whose
-summary is pure no longer breaks a region the way intraprocedural
-fusecheck must assume — the region extends across the call. That extension
-is what CALL003 guards: when a callee is later redefined so that it commits
-a WAL transaction, every caller whose certified program-level region
-contains a call to it has a stale certificate, and the redefinition is
-rejected at the choke point.
 
 Diagnostic codes:
 
@@ -37,10 +28,6 @@ CALL002   error/warning  unbounded recursion: a call-graph cycle whose
                          ``MIL_RECURSION_LIMIT``), or a conditional cycle
                          with no reachable ``cancelpoint()`` (warning — the
                          depth guard is the only backstop)
-CALL003   error          a callee (transitively) commits a WAL transaction
-                         inside a caller's certified program-level fusion
-                         region — the redefinition invalidates the caller's
-                         certificate
 CALL004   error          a callee writes (non-append) a BAT that another
                          ``PARALLEL`` branch of the caller touches — an
                          interprocedural race invisible to racecheck
@@ -55,9 +42,8 @@ from typing import Any, Iterable, Mapping
 from repro.check.absint import interpret
 from repro.check.callgraph import CallGraph, CallSite, collect_call_sites, fingerprint
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.check.effects import CATALOG_COMMANDS, events, names
+from repro.check.effects import branch_summary, events, names
 from repro.check.environment import Environment, MilPass
-from repro.check.fusecheck import IMPURE_COMMANDS, FuseChecker, branch_summary
 from repro.check.servicecheck import CHECKPOINT_COMMANDS
 from repro.monet.mil import MIL_RECURSION_LIMIT, Parallel, ProcDef, walk
 
@@ -70,21 +56,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProcSummary:
-    """Transitive effect/flow/cost facts of one procedure.
+    """Transitive effect/cost facts of one procedure.
 
     ``param_appends``/``param_writes`` are parameter *indices*: callers map
     them back onto their own argument names at each call site. All fields
-    are transitive — a proc that calls ``persist`` three levels down still
-    has ``commits=True``.
+    are transitive — a proc whose callee's callee deletes from its first
+    argument has ``param_writes=(0,)``.
     """
 
     name: str
     fingerprint: str
-    #: Transitively commits a WAL transaction (``persist``/``drop``).
-    commits: bool = False
-    #: Residual impure calls reachable from the body (print, threadcnt, …)
-    #: — catalog commits are tracked separately in ``commits``.
-    impure: tuple[str, ...] = ()
     #: Parameter indices the proc (transitively) appends to.
     param_appends: tuple[int, ...] = ()
     #: Parameter indices the proc (transitively) mutates non-append.
@@ -98,19 +79,11 @@ class ProcSummary:
     #: Distinct procedure callees, in first-call order.
     calls: tuple[str, ...] = ()
 
-    @property
-    def pure(self) -> bool:
-        """Safe to fuse across a call: no commits, no residual impurity."""
-        return not self.commits and not self.impure
-
 
 @dataclass
 class _Entry:
     fingerprint: str
     summary: ProcSummary
-    #: Call sites to known procs inside certified program-level regions,
-    #: as ``(callee, line, start_line, end_line)`` — the CALL003 facts.
-    region_calls: tuple[tuple[str, int | None, int, int], ...]
     definition: ProcDef
 
 
@@ -153,42 +126,8 @@ class SummaryCache:
         )
 
 
-class _ProgramFuseChecker(FuseChecker):
-    """Fusecheck with summary-aware call classification.
-
-    Where intraprocedural fusecheck must treat every proc call as impure,
-    this variant consults the callee's :class:`ProcSummary`: a pure callee
-    is region-transparent (the region extends across the call), an impure
-    or committing callee stays a barrier.
-    """
-
-    def __init__(self, summaries: Mapping[str, ProcSummary], env: Environment):
-        super().__init__(env)
-        self._summaries = summaries
-
-    def certified_spans(self, body: list[Any]) -> tuple[tuple[int, int], ...]:
-        # not the environment's memoised partition: that one is the
-        # intraprocedural answer, this one changes with the summaries
-        regions, _ = self._partition_body(body)
-        return tuple((r.start_line, r.end_line) for r in regions if r.certified)
-
-    def _classify_call(
-        self, func: str, flags: dict[str, bool], impure: list[str]
-    ) -> None:
-        summary = self._summaries.get(func)
-        if summary is not None:
-            if summary.pure:
-                flags["bat"] = True  # a pure callee is fusible BAT work
-                return
-            if summary.commits:
-                flags["commit"] = True
-            impure.append(func)
-            return
-        super()._classify_call(func, flags, impure)
-
-
 class ProgramChecker(MilPass):
-    """Whole-program call-graph analysis (CALL001–CALL004).
+    """Whole-program call-graph analysis (CALL001, CALL002, CALL004).
 
     ``cache`` is the interpreter's persistent :class:`SummaryCache` (a
     fresh one is used when omitted).
@@ -214,15 +153,14 @@ class ProgramChecker(MilPass):
     ) -> DiagnosticReport:
         """Program-check the PROCs of parsed MIL source in define order.
 
-        Definitions are processed sequentially, so an in-file redefinition
-        that breaks an earlier caller's certificate (CALL003) is caught the
-        same way the interpreter's choke point catches it.
+        Definitions are processed sequentially, the way the interpreter's
+        choke point sees them: each one against the program as defined so
+        far.
         """
         report = DiagnosticReport()
         defs = [s for s in statements if isinstance(s, ProcDef)]
         # seed forward references with their FIRST definition only: a later
-        # in-file redefinition must stay invisible until its own define
-        # step, or the temporal CALL003 semantics would evaporate
+        # in-file redefinition stays invisible until its own define step
         for definition in defs:
             self._context.setdefault(definition.name, definition)
         for definition in defs:
@@ -258,7 +196,6 @@ class ProgramChecker(MilPass):
         self._check_recursion(name, report, src)
         self._check_parallel_races(definition, entry, report, src)
         if redefined:
-            self._check_stale_certificates(name, entry.summary, report, src)
             self._recompute_callers(name)
         return report
 
@@ -275,10 +212,7 @@ class ProgramChecker(MilPass):
             if nxt == summary:
                 break
             summary = nxt
-        region_calls = self._region_calls(
-            definition, {**summaries, name: summary}
-        )
-        return _Entry(fp, summary, region_calls, definition)
+        return _Entry(fp, summary, definition)
 
     def _resolve_summaries(self, pending: str) -> dict[str, ProcSummary]:
         """Summaries for the pending proc's callee closure, bottom-up.
@@ -339,10 +273,7 @@ class ProgramChecker(MilPass):
             if not changed:
                 break
         for n in component:
-            region_calls = self._region_calls(graph.procs[n], view)
-            self._cache.store(
-                n, _Entry(fps[n], view[n], region_calls, graph.procs[n])
-            )
+            self._cache.store(n, _Entry(fps[n], view[n], graph.procs[n]))
 
     def _summarize(
         self,
@@ -353,8 +284,6 @@ class ProgramChecker(MilPass):
         param_index = {p.ident: i for i, p in enumerate(definition.params)}
         locals_ = _locals(definition)
 
-        commits = False
-        impure: list[str] = []
         param_appends: set[int] = set()
         param_writes: set[int] = set()
         global_writes: list[str] = []
@@ -372,26 +301,14 @@ class ProgramChecker(MilPass):
 
         for site in self._sites(definition):
             func = site.callee
-            if func in CATALOG_COMMANDS:
-                commits = True
-                # persist("name", bat) mutates the catalog entry
-                continue
             if func in CHECKPOINT_COMMANDS:
                 has_cancelpoint = True
-                continue
-            if func in IMPURE_COMMANDS:
-                if func not in impure:
-                    impure.append(func)
                 continue
             callee = summaries.get(func)
             if callee is not None:
                 if func not in calls:
                     calls.append(func)
-                commits = commits or callee.commits
                 has_cancelpoint = has_cancelpoint or callee.has_cancelpoint
-                for item in callee.impure:
-                    if item not in impure:
-                        impure.append(item)
                 for index in callee.param_appends:
                     if index < len(site.arg_names) and site.arg_names[index]:
                         note_write(site.arg_names[index], append=True)
@@ -419,8 +336,6 @@ class ProgramChecker(MilPass):
         return ProcSummary(
             name=definition.name,
             fingerprint=fp,
-            commits=commits,
-            impure=tuple(impure),
             param_appends=tuple(sorted(param_appends)),
             param_writes=tuple(sorted(param_writes)),
             global_writes=tuple(global_writes),
@@ -428,27 +343,6 @@ class ProgramChecker(MilPass):
             cost=cost,
             calls=tuple(calls),
         )
-
-    def _region_calls(
-        self, definition: ProcDef, summaries: Mapping[str, ProcSummary]
-    ) -> tuple[tuple[str, int | None, int, int], ...]:
-        """Call sites to known procs inside certified program-level regions."""
-        spans = _ProgramFuseChecker(summaries, self.env).certified_spans(
-            definition.body
-        )
-        if not spans:
-            return ()
-        out: list[tuple[str, int | None, int, int]] = []
-        for site in self._sites(definition):
-            if site.callee not in summaries and site.callee not in self._context:
-                continue
-            if site.callee in self.env.commands:
-                continue
-            for start, end in spans:
-                if site.line is not None and start <= site.line <= end:
-                    out.append((site.callee, site.line, start, end))
-                    break
-        return tuple(out)
 
     # -- diagnostics -----------------------------------------------------
     def _check_unresolved(
@@ -587,32 +481,6 @@ class ProgramChecker(MilPass):
                         source=source,
                         line=block.line,
                     )
-
-    def _check_stale_certificates(
-        self,
-        name: str,
-        summary: ProcSummary,
-        report: DiagnosticReport,
-        source: str,
-    ) -> None:
-        """CALL003: a redefinition that now commits breaks caller regions."""
-        if not summary.commits:
-            return
-        for caller in self._cache.callers_of(name):
-            entry = self._cache.entries[caller]
-            for callee, line, start, end in entry.region_calls:
-                if callee != name:
-                    continue
-                report.add(
-                    "CALL003",
-                    f"callee {name!r} now commits a WAL transaction inside "
-                    f"PROC {caller}'s certified fusion region (lines "
-                    f"{start}-{end}) — the redefinition invalidates the "
-                    f"region's certificate",
-                    Severity.ERROR,
-                    source=source,
-                    line=line,
-                )
 
     def _recompute_callers(self, name: str) -> None:
         """Refresh transitive callers' summaries after a redefinition."""

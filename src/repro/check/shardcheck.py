@@ -1,15 +1,9 @@
-"""Static analysis of sharded-fleet configurations and scatter plans.
+"""Static analysis of sharded-fleet configurations.
 
-Two entry points, mirroring :mod:`repro.check.replcheck`'s choke-point
-pattern:
-
-* :func:`check_fleet_config` runs at :class:`repro.sharding.ShardedKernel`
-  construction — misconfigurations that would silently mis-place writes or
-  hide degraded answers are rejected before any document is registered;
-* :class:`ScatterChecker` runs when MIL
-  source is registered for scatter execution (``ShardedKernel.run``) and
-  in the ``python -m repro.check`` CLI — see the pass table in
-  :mod:`repro.check`.
+:func:`check_fleet_config` runs at :class:`repro.sharding.ShardedKernel`
+construction, mirroring :mod:`repro.check.replcheck`'s choke-point
+pattern: misconfigurations that would silently mis-place writes or hide
+degraded answers are rejected before any document is registered.
 
 Diagnostics:
 
@@ -26,13 +20,6 @@ Diagnostics:
   After a per-shard failover the deposed primary's late cross-shard write
   would be accepted into the new epoch: the same split-brain REPL002
   rejects, multiplied by the number of shards.
-* ``SHARD004`` (warning, advisory) — scatter fan-out carries certified
-  fusion regions inside ``PARALLEL`` branches. Those certifications rest
-  on :mod:`repro.check.racecheck` ownership facts that hold under *one*
-  kernel's BAT lock; scattering the branches across shards dissolves that
-  lock domain, so the fused pipelines must be de-certified (and the fused
-  compiler falls back to the interpreter) on the sharded path. Advisory
-  like PERF/FUSE: it informs plan placement, it never fails ``--strict``.
 * ``SHARD005`` (error) — online migration with coverage accounting
   disabled. During a split a document's rows live on two shards and the
   gather may answer it through a dual read; with
@@ -49,17 +36,14 @@ Diagnostics:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.check.diagnostics import DiagnosticReport, Severity
-from repro.check.environment import MilPass
-from repro.check.fusecheck import FuseChecker
-from repro.monet.mil import ProcDef
 
 if TYPE_CHECKING:  # structural only; no runtime import of sharding
     from repro.sharding.fleet import ShardConfig
 
-__all__ = ["ScatterChecker", "check_fleet_config"]
+__all__ = ["check_fleet_config"]
 
 _SOURCE = "sharded-fleet"
 
@@ -130,33 +114,3 @@ def check_fleet_config(
             source=_SOURCE,
         )
     return report
-
-
-class ScatterChecker(MilPass):
-    """SHARD004 over MIL procedures registered for scatter execution.
-
-    Reads the fusion partition fusecheck memoised on the environment; it
-    only needs the regions, so every environment value is optional.
-    """
-
-    def _check_definition(
-        self, definition: ProcDef, label: str, procs: Mapping[str, ProcDef]
-    ) -> DiagnosticReport:
-        report = DiagnosticReport()
-        for region in FuseChecker(self.env).analyze_proc(definition).regions:
-            if not region.certified or "parallel" not in region.path:
-                continue
-            report.add(
-                "SHARD004",
-                f"PROC {definition.name!r} fans out with a certified fusion "
-                f"region at {region.path} (lines {region.start_line}-"
-                f"{region.end_line}): its certification rests on ownership "
-                f"facts under one kernel's BAT lock, which scatter "
-                f"execution across shards dissolves — the region must run "
-                f"uncertified (interpreter fallback) on the sharded path",
-                Severity.WARNING,
-                source=label,
-                line=region.start_line,
-                end_line=region.end_line,
-            )
-        return report

@@ -95,12 +95,14 @@ class DbnExtension(MoaExtension):
     name = "dbn"
 
     def __init__(self, kernel: MonetKernel, check: str = "error"):
+        from repro.check.diagnostics import CheckMode
+
+        self._check = CheckMode.of(check)
         self._module = DbnModule()
         kernel.load_module(self._module)
         kernel.run(DBN_INFER_PROC)
         self._kernel = kernel
         self._templates: dict[str, DbnTemplate] = {}
-        self._check = check
         #: Model-lint diagnostics collected across registrations.
         self.diagnostics: list[Any] = []
         #: Per-model inference cost estimates recorded at registration.
@@ -119,13 +121,13 @@ class DbnExtension(MoaExtension):
 
     # ------------------------------------------------------------------
     def register(self, name: str, template: DbnTemplate) -> None:
-        if self._check != "off":
+        if self._check.checks:
             from repro.check.modelcheck import check_template
             from repro.errors import ModelCheckError
 
             report = check_template(template, source=name)
             self.diagnostics.extend(report)
-            if self._check in ("error", "sanitize"):
+            if self._check.raises:
                 report.raise_if_errors(f"DBN model {name!r}", ModelCheckError)
         template.validate()
         self._templates[name] = template

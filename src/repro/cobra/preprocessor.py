@@ -47,27 +47,7 @@ __all__ = [
     "QueryPreprocessor",
     "ScatterPlan",
     "choose_scatter_plan",
-    "eligible_for_compiled_execution",
 ]
-
-
-def eligible_for_compiled_execution(plan: Any) -> bool:
-    """Whether a compiled Moa plan may bypass the tree-walking interpreter.
-
-    The future vectorized/compiled MIL executor (ROADMAP item 1) is gated
-    on translation validation: a plan qualifies only when it carries an
-    EQ001 :class:`~repro.check.equivcheck.EquivalenceCertificate` proving
-    the emitted MIL denotes the Moa expression it replaced. Plans compiled
-    with ``check="off"`` or containing constructs outside the abstract BAT
-    algebra (EQ003) keep the interpreter fallback.
-    """
-    certificate = getattr(plan, "equivalence", None)
-    if certificate is None:
-        return False
-    payload = certificate.to_dict()
-    return payload.get("artifact") == "repro.equivcert/1" and bool(
-        payload.get("normal_form")
-    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.check.diagnostics import CheckMode
 from repro.check.flowcheck import check_feature_set
 from repro.check.modelcheck import check_template
 from repro.dbn.compiled import CompiledDbn
@@ -74,32 +75,34 @@ def _lint_model(
     template: DbnTemplate,
     node_to_feature: dict[str, str],
     name: str,
-    check: str = "error",
+    check: CheckMode,
 ) -> list:
     """Run the model linter on a freshly trained template.
 
     Returns the diagnostics; with ``check="error"`` error-severity findings
     raise :class:`repro.errors.ModelCheckError` before the model is used.
     """
-    if check == "off":
+    if not check.checks:
         return []
     report = check_template(template, node_to_feature=node_to_feature, source=name)
-    if check in ("error", "sanitize"):
+    if check.raises:
         report.raise_if_errors(f"fusion model {name}", ModelCheckError)
     return list(report)
 
 
-def _lint_features(features: FeatureSet, duration: float, name: str, check: str) -> list:
+def _lint_features(
+    features: FeatureSet, duration: float, name: str, check: CheckMode
+) -> list:
     """Flow-check training streams against the [0,1] × 10 Hz contract.
 
     Degraded inputs (dropped streams, recorded failures) are legitimately
     short or partial, so only pristine extractions are held to the FLOW005/
     FLOW006 invariants.
     """
-    if check == "off" or features.dropped or features.failures:
+    if not check.checks or features.dropped or features.failures:
         return []
     report = check_feature_set(features.streams, duration=duration, source=name)
-    if check in ("error", "sanitize"):
+    if check.raises:
         report.raise_if_errors(f"feature set of {name}", DiagnosticError)
     return list(report)
 
@@ -136,6 +139,7 @@ class AudioExperiment:
         check: str = "error",
         allow_missing: bool = False,
     ):
+        check = CheckMode.of(check)  # before training, not after
         self.structure = structure
         self.temporal = temporal
         self.config = config
@@ -253,6 +257,7 @@ class AvExperiment:
         check: str = "error",
         allow_missing: bool = False,
     ):
+        check = CheckMode.of(check)  # before training, not after
         self.include_passing = include_passing
         self.config = config
         self.allow_missing = allow_missing

@@ -144,16 +144,9 @@ class MilPlan:
     proc_name: str
     mil_source: str
     input_names: tuple[str, ...]
-    #: :class:`repro.check.fusecheck.FusionPlan` of the emitted procedure
-    #: (``None`` when the kernel compiled with ``check="off"``).
-    fusion_plan: Any = None
     #: Cost-model estimate of the source Moa expression, in abstract work
     #: units (``None`` when checking is off).
     estimated_cost: float | None = None
-    #: :class:`repro.check.equivcheck.EquivalenceCertificate` proving the
-    #: emitted MIL denotes the source expression (``None`` when checking is
-    #: off or the construct fell outside the abstract semantics, EQ003).
-    equivalence: Any = None
 
 
 class MoaCompiler:
@@ -173,12 +166,15 @@ class MoaCompiler:
         extensions: Any = None,
         check: str = "error",
     ):
+        # imported lazily: repro.check.moacheck imports repro.moa.algebra
+        from repro.check.diagnostics import CheckMode
+
+        self._check = CheckMode.of(check)
         self._kernel = kernel
         if not kernel.has_command("mselect"):
             kernel.load_module(BulkModule())
         self._counter = 0
         self._extensions = extensions
-        self._check = check
         #: Moa-level diagnostics collected across compilations.
         self.diagnostics: list[Any] = []
 
@@ -250,19 +246,9 @@ class MoaCompiler:
             f"  RETURN {result_var};\n"
             f"}}\n"
         )
-        equivalence = self._validate(expr, source, proc_name, inputs)
+        self._validate(expr, source, proc_name, inputs)
         self._kernel.run(source)
-        fusion_plan = getattr(
-            self._kernel.interpreter.procedures.get(proc_name), "fusion_plan", None
-        )
-        return MilPlan(
-            proc_name,
-            source,
-            tuple(inputs),
-            fusion_plan,
-            estimated_cost,
-            equivalence,
-        )
+        return MilPlan(proc_name, source, tuple(inputs), estimated_cost)
 
     def _emit_select(self, tmp: str, src: str, op: str, value: Any) -> str:
         """Emit one ``mselect`` step. Overridable so translation-validation
@@ -271,26 +257,25 @@ class MoaCompiler:
 
     def _validate(
         self, expr: Expr, source: str, proc_name: str, inputs: list[str]
-    ) -> Any:
+    ) -> None:
         """Translation validation (EQ001/EQ002/EQ003); runs before the plan
         is registered, so a non-equivalent plan never reaches the kernel."""
-        if self._check == "off":
-            return None
+        if not self._check.checks:
+            return
         from repro.check.equivcheck import validate_translation
         from repro.errors import MoaCheckError
 
-        certificate, report = validate_translation(
+        report = validate_translation(
             expr, source, proc_name, inputs, source="<moa-plan>"
         )
         self.diagnostics.extend(report)
-        if self._check in ("error", "sanitize"):
+        if self._check.raises:
             report.raise_if_errors("Moa plan translation", MoaCheckError)
-        return certificate
 
     def _precheck(self, expr: Expr) -> float | None:
         """Static checks of ``expr``; returns its estimated cost (``None``
         when checking is off)."""
-        if self._check == "off":
+        if not self._check.checks:
             return None
         # imported lazily: repro.check.moacheck imports repro.moa.algebra
         from repro.check.absint import MoaInterpreter
@@ -306,7 +291,7 @@ class MoaCompiler:
         report.extend(check_moa_flow(run, source="<moa-plan>"))
         report.extend(check_moa_cost(run, source="<moa-plan>"))
         self.diagnostics.extend(report)
-        if self._check in ("error", "sanitize"):
+        if self._check.raises:
             report.raise_if_errors("Moa plan", MoaCheckError)
         return run.cost
 

@@ -84,6 +84,10 @@ class MonetKernel:
         resilience: ResiliencePolicy | None = None,
         store: "DurableStore | str | Path | None" = None,
     ):
+        # imported lazily: the repro.check modules import this package
+        from repro.check.diagnostics import CheckMode
+
+        check = CheckMode.of(check)
         self._catalog: dict[str, BAT] = {}
         self._modules: dict[str, MonetModule] = {}
         self._executor = ParallelExecutor(threads=threads)
@@ -103,7 +107,7 @@ class MonetKernel:
         #: Module names the recovered state expects the caller to re-load.
         self.expected_modules: list[str] = []
         self._sanitizer = None
-        if check == "sanitize":
+        if check is CheckMode.SANITIZE:
             from repro.check.sanitize import KernelSanitizer
 
             self._sanitizer = KernelSanitizer(self)

@@ -278,9 +278,6 @@ class MilProcedure:
     """A parsed MIL procedure, callable through the interpreter."""
 
     definition: ProcDef
-    #: :class:`repro.check.fusecheck.FusionPlan` attached at define time
-    #: (``None`` when the procedure was registered with ``check="off"``).
-    fusion_plan: Any = None
 
     @property
     def name(self) -> str:
@@ -601,12 +598,15 @@ class MilInterpreter:
         on_statement: Callable[[], None] | None = None,
         on_define: Callable[["MilProcedure"], None] | None = None,
     ):
+        # imported lazily: the repro.check modules import this one
+        from repro.check.diagnostics import CheckMode
+
+        self._check = CheckMode.of(check)
         self._commands = commands
         self._globals = _Scope(globals_scope)
         self._procs: dict[str, MilProcedure] = {}
         self._run_parallel = run_parallel
         self._signatures = signatures if signatures is not None else {}
-        self._check = check
         #: Wraps kernel-command invocations (fault injection, retry,
         #: deadlines); default is a plain call.
         self._call_guard = call_guard or (lambda name, fn, args: fn(*args))
@@ -676,24 +676,23 @@ class MilInterpreter:
         """Register a PROC, statically checking it first.
 
         The ``define`` stage of the pass pipeline runs on every definition
-        (the ordered pass table is in the :mod:`repro.check` docstring), and
-        fusecheck's :class:`repro.check.fusecheck.FusionPlan` is attached
-        to the registered procedure. With ``check="error"`` (the default) or
-        ``check="sanitize"`` error-severity findings raise
-        :class:`repro.errors.MilCheckError` and the procedure is NOT
-        registered; ``check="warn"`` collects diagnostics without raising;
-        ``check="off"`` skips analysis. All findings land in
-        ``self.diagnostics``. ``check`` overrides the interpreter's mode
-        for this one definition (crash recovery replays WAL-logged PROCs
-        with ``check="off"`` because their modules may not be reloaded yet).
+        (the ordered pass table is in the :mod:`repro.check` docstring).
+        With ``check="error"`` (the default) or ``check="sanitize"``
+        error-severity findings raise :class:`repro.errors.MilCheckError`
+        and the procedure is NOT registered; ``check="warn"`` collects
+        diagnostics without raising; ``check="off"`` skips analysis. All
+        findings land in ``self.diagnostics``. ``check`` overrides the
+        interpreter's mode for this one definition (crash recovery replays
+        WAL-logged PROCs with ``check="off"`` because their modules may not
+        be reloaded yet).
         """
-        mode = self._check if check is None else check
+        # imported lazily: the repro.check modules import this one
+        from repro.check.diagnostics import CheckMode
+
+        mode = self._check if check is None else CheckMode.of(check)
         if isinstance(definition, MilProcedure):
             definition = definition.definition
-        fusion_plan = None
-        if mode != "off":
-            # imported lazily: the repro.check modules import this one
-            from repro.check.fusecheck import FuseChecker
+        if mode.checks:
             from repro.check.pipeline import check_definition
             from repro.check.programcheck import SummaryCache
             from repro.errors import MilCheckError
@@ -703,18 +702,18 @@ class MilInterpreter:
             # every registration
             if self.program_cache is None:
                 self.program_cache = SummaryCache()
-            environment = self.check_environment()
             report = check_definition(
-                environment, definition, source, cache=self.program_cache
+                self.check_environment(),
+                definition,
+                source,
+                cache=self.program_cache,
             )
-            # the partition the passes already computed, not a second run
-            fusion_plan = FuseChecker(environment).analyze_proc(definition)
             self.diagnostics.extend(report)
-            if mode in ("error", "sanitize"):
+            if mode.raises:
                 report.raise_if_errors(
                     f"PROC {definition.name}", MilCheckError
                 )
-        proc = MilProcedure(definition, fusion_plan=fusion_plan)
+        proc = MilProcedure(definition)
         self._procs[definition.name] = proc
         if self._on_define is not None:
             self._on_define(proc)

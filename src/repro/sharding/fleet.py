@@ -47,8 +47,9 @@ appends durably, then applies (:meth:`ShardedKernel._log`); reopening
 applies the log in order, then resolves what a crash left in doubt.
 
 Construction runs the :mod:`repro.check.shardcheck` static pass
-(SHARD001-SHARD003) under the configured check mode; MIL registered for
-scatter execution (:meth:`ShardedKernel.run`) additionally runs SHARD004.
+(SHARD001-SHARD003, SHARD005, SHARD006) under the configured check mode;
+MIL registered for scatter execution (:meth:`ShardedKernel.run`) runs the
+``scatter`` stage of the MIL pass pipeline.
 The transport is simulated in-process — shards are kernels, not sockets —
 which is exactly what makes every disaster here a seeded, replayable test.
 """
@@ -1147,13 +1148,11 @@ class ShardedKernel:
         """Define MIL source on every live shard for scatter execution.
 
         Runs the ``scatter`` stage of the pass pipeline first, against the
-        first live shard's kernel. SHARD004: certified fusion regions inside
-        ``PARALLEL`` branches are de-certified by scattering, and the
-        finding (advisory) lands on :attr:`diagnostics`. The whole-program
-        pass follows — ``scatter_call`` targets are cross-proc paths by
-        construction, so unresolved targets and uncancellable recursion
-        (``CALLnnn``) must be rejected before the source fans out to every
-        shard. With no live shard there is no kernel to resolve names
+        first live shard's kernel: the whole-program pass, because
+        ``scatter_call`` targets are cross-proc paths by construction, so
+        unresolved targets and uncancellable recursion (``CALLnnn``) must
+        be rejected before the source fans out to every shard. Its findings
+        land on :attr:`diagnostics`. With no live shard there is no kernel to resolve names
         against and nowhere to run yet: the source is only recorded for
         shards admitted later, whose kernels check it when they replay it.
         """

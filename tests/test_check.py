@@ -1,5 +1,6 @@
 """Static checkers: every diagnostic code fires on bad input, none on seed artifacts."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -440,3 +441,39 @@ class TestSeedArtifactsAreClean:
             node_to_feature=AUDIO_NODE_TO_FEATURE,
         )
         assert not report.has_errors()
+
+
+# ---------------------------------------------------------------------------
+# --baseline
+# ---------------------------------------------------------------------------
+
+
+class TestBaseline:
+    SOURCE = REPO_ROOT / "tests" / "data" / "badplans" / "flow002_dead_store.mil"
+
+    def run(self, tmp_path, capsys, counts):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"counts": counts}))
+        status = check_main([str(self.SOURCE), "--baseline", str(baseline)])
+        return status, capsys.readouterr().err
+
+    def test_matching_baseline_passes(self, tmp_path, capsys):
+        key = f"FLOW002@{self.SOURCE}"
+        assert self.run(tmp_path, capsys, {key: 1}) == (0, "")
+
+    def test_new_finding_is_a_regression(self, tmp_path, capsys):
+        status, err = self.run(tmp_path, capsys, {})
+        assert status == 1
+        assert "baseline regression: FLOW002@" in err
+
+    @pytest.mark.parametrize("stale", [{"FLOW002": 2}, {"FLOW002": 1, "FLOW003": 1}])
+    def test_stale_row_fails(self, tmp_path, capsys, stale):
+        counts = {f"{code}@{self.SOURCE}": n for code, n in stale.items()}
+        status, err = self.run(tmp_path, capsys, counts)
+        assert status == 1
+        assert "stale baseline: " in err
+
+    def test_committed_baseline_matches_the_builtins(self, capsys):
+        baseline = REPO_ROOT / "tests" / "data" / "check_baseline.json"
+        assert check_main(["--strict", "--baseline", str(baseline)]) == 0
+        capsys.readouterr()

@@ -10,12 +10,13 @@ one-pipeline structure of :mod:`repro.check`:
 * ``tests/data/check_generated.json`` — a digest of every finding (and
   cost estimate) milcheck, flowcheck and costcheck gave seeded random
   programs (:mod:`tests.milgen`) before they shared one abstract
-  interpreter: no finding may appear, disappear or change;
+  interpreter (re-captured once, when FLOW002 stopped skipping BAT stores
+  inside fusion regions): no finding may appear, disappear or change;
 * a reflection walk over the node dataclasses, which :func:`repro.monet.mil.walk`
   must match node for node;
 * call counters on the analyses passes share, pinning "once per
-  definition": the abstract run of a MIL procedure, the fusion partition,
-  and the value walk of a compiled Moa expression;
+  definition": the abstract run of a MIL procedure and the value walk of
+  a compiled Moa expression;
 * the BAT-method table against the runtime ``BAT``: every row resolves
   through the interpreter's method dispatch with an arity its signature
   allows, and every other public method is listed as not modelled.
@@ -36,7 +37,6 @@ from repro.check.costcheck import CostChecker
 from repro.check.effects import events, shared_events
 from repro.check.environment import Environment
 from repro.check.flowcheck import FlowChecker
-from repro.check.fusecheck import FuseChecker
 from repro.check.milcheck import MilChecker
 from repro.check.programcheck import ProgramChecker
 from repro.errors import MilCheckError, MilTypeError
@@ -55,6 +55,7 @@ GENERATED = json.loads((REPO_ROOT / "tests" / "data" / "check_generated.json").r
 ADDED_SINCE_SNAPSHOT = {
     "tests/data/badplans/program/call004_callee_write_in_expression.mil",
     "tests/data/badplans/program/clean_callee_read_in_expression.mil",
+    "tests/data/badplans/flow002_dead_bat_store.mil",
 }
 
 
@@ -296,7 +297,6 @@ def test_define_proc_runs_each_analysis_once(monkeypatch):
         return run_proc(self, definition)
 
     monkeypatch.setattr(Interpreter, "run_proc", counting)
-    fuse = _count_calls(monkeypatch, FuseChecker, "_partition_body")
     kernel.run(
         "PROC outer(BAT[void,dbl] x) : dbl := {"
         "  VAR a := x.select(0.1, 0.9);"
@@ -307,10 +307,6 @@ def test_define_proc_runs_each_analysis_once(monkeypatch):
     # milcheck, flowcheck, costcheck and programcheck's local cost read
     # one abstract run
     assert runs == ["outer"]
-    # the intraprocedural partition every pass shares, plus programcheck's
-    # summary-aware one (a different question, so a different answer)
-    assert sorted(fuse) == ["FuseChecker", "_ProgramFuseChecker"]
-    assert kernel.interpreter.procedures["outer"].fusion_plan is not None
 
 
 def test_moa_compile_walks_the_expression_once(monkeypatch):

@@ -23,7 +23,6 @@ from repro.check.costcheck import (
 )
 from repro.check.diagnostics import Severity
 from repro.check.flowcheck import FlowChecker
-from repro.check.fusecheck import FuseChecker
 from repro.check.milcheck import MilChecker
 from repro.check.racecheck import RaceChecker
 from repro.cobra.catalog import DomainKnowledge, ExtractionMethod
@@ -41,7 +40,7 @@ PERF_CORPUS = Path(__file__).resolve().parent / "data" / "badplans" / "perf"
 PERF_PLANS = sorted(PERF_CORPUS.glob("perf*.mil"))
 CLEAN_PLANS = sorted(PERF_CORPUS.glob("clean*.mil"))
 
-ALL_PASSES = (MilChecker, FlowChecker, RaceChecker, CostChecker, FuseChecker)
+ALL_PASSES = (MilChecker, FlowChecker, RaceChecker, CostChecker)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +130,7 @@ def test_corpus_diagnostics_deterministic(path, env):
 
 
 def test_strict_does_not_fail_on_advisory_perf(capsys):
-    """PERF/FUSE are hints: --strict over the perf corpus still exits 0."""
+    """PERF findings are hints: --strict over the perf corpus still exits 0."""
     from repro.check.__main__ import main
 
     assert main(["--strict", str(PERF_CORPUS)]) == 0
@@ -260,20 +259,16 @@ def test_moa_cost_orders_plans():
     assert _run(_select(Var("f"))).cost < _run(narrow_first).cost
 
 
-def test_compiled_plan_carries_cost_and_fusion_plan():
+def test_compiled_plan_carries_cost():
     from repro.moa.rewrite import MoaCompiler
 
     compiler = MoaCompiler(MonetKernel())
     plan = compiler.compile(_select(Var("f")))
     assert plan.estimated_cost == pytest.approx(DEFAULT_CARD)
-    assert plan.fusion_plan is not None
-    assert plan.fusion_plan.proc == plan.proc_name
-    assert len(plan.fusion_plan.certified) >= 1
 
     unchecked = MoaCompiler(MonetKernel(check="off"), check="off")
     off_plan = unchecked.compile(_select(Var("f")))
     assert off_plan.estimated_cost is None
-    assert off_plan.fusion_plan is None
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,69 @@ class TestCheckMode:
         assert CheckMode.WARN.checks and not CheckMode.OFF.checks
 
 
+def _interpreter(check):
+    from repro.monet.mil import MilInterpreter
+
+    return MilInterpreter({}, {}, run_parallel=lambda *a: [], check=check)
+
+
+def _kernel(check):
+    from repro.monet.kernel import MonetKernel
+
+    return MonetKernel(check=check)
+
+
+def _vdbms(check):
+    from repro.cobra.vdbms import CobraVDBMS
+
+    return CobraVDBMS(check=check)
+
+
+def _compiler(check):
+    from repro.moa.rewrite import MoaCompiler
+    from repro.monet.kernel import MonetKernel
+
+    return MoaCompiler(MonetKernel(check="off"), check=check)
+
+
+def _dbn(check):
+    from repro.cobra.extensions import DbnExtension
+    from repro.monet.kernel import MonetKernel
+
+    return DbnExtension(MonetKernel(check="off"), check=check)
+
+
+def _audio_experiment(check):
+    from repro.fusion.pipeline import AudioExperiment
+
+    return AudioExperiment(None, check=check)  # rejected before training
+
+
+def _av_experiment(check):
+    from repro.fusion.pipeline import AvExperiment
+
+    return AvExperiment(None, check=check)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _interpreter,
+        _kernel,
+        _vdbms,
+        _compiler,
+        _dbn,
+        _audio_experiment,
+        _av_experiment,
+    ],
+)
+@pytest.mark.parametrize("mode", ["eror", "Error", ""])
+def test_every_check_entry_point_rejects_an_unknown_mode(build, mode):
+    """A misspelled mode must not silently act as ``warn``."""
+    with pytest.raises(ValueError, match="unknown check mode"):
+        build(mode)
+
+
 # ---------------------------------------------------------------------------
 # locations
 # ---------------------------------------------------------------------------

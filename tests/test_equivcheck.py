@@ -1,21 +1,18 @@
-"""Moa→MIL translation validation: abstract semantics, EQnnn, certificates.
+"""Moa→MIL translation validation: abstract semantics and EQnnn.
 
 The validator must certify every built-in plan (including the Fig. 4
 ``parallelHmm``-path gate), catch a deliberately mutated rewrite (EQ002),
-decline gracefully on constructs outside the abstract algebra (EQ003),
-and gate compiled-execution eligibility on the certificate.
+and decline gracefully on constructs outside the abstract algebra (EQ003).
 """
 
 import pytest
 
 from repro.check.equivcheck import (
-    EquivalenceCertificate,
     abstract_mil,
     abstract_moa,
     normalize,
     validate_translation,
 )
-from repro.cobra.preprocessor import eligible_for_compiled_execution
 from repro.errors import MoaCheckError
 from repro.moa.algebra import Aggregate, Cmp, Const, Join, Select, Var
 from repro.moa.rewrite import MoaCompiler, builtin_moa_plans
@@ -63,7 +60,7 @@ class TestAbstraction:
         )
 
     def test_map_does_not_commute_with_select(self):
-        certificate, report = validate_translation(
+        report = validate_translation(
             Select("e", Cmp(">", Var("e"), Const(0.5)), Var("x")),
             (
                 "PROC p(BAT[void,dbl] x) : any := {\n"
@@ -75,7 +72,6 @@ class TestAbstraction:
             "p",
             ["x"],
         )
-        assert certificate is None
         assert [d.code for d in report] == ["EQ002"]
 
     def test_int_and_float_literals_are_quotiented(self):
@@ -86,9 +82,8 @@ class TestAbstraction:
             "  RETURN t0;\n"
             "}\n"
         )
-        certificate, report = validate_translation(expr, mil, "p", ["x"])
+        report = validate_translation(expr, mil, "p", ["x"])
         assert [d.code for d in report] == ["EQ001"]
-        assert certificate is not None
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +97,10 @@ class TestCompilerValidation:
         plans = builtin_moa_plans()
         assert "excitementGate" in plans  # the Fig. 4 parallelHmm path
         for name, expr in plans.items():
-            plan = compiler.compile(expr)
-            assert plan.equivalence is not None, name
-            assert plan.equivalence.to_dict()["artifact"] == "repro.equivcert/1"
-            assert eligible_for_compiled_execution(plan), name
+            before = len(compiler.diagnostics)
+            compiler.compile(expr)
+            codes = [d.code for d in compiler.diagnostics[before:]]
+            assert codes.count("EQ001") == 1, name
 
     def test_mutated_select_emission_trips_eq002(self, kernel):
         class MutatedCompiler(MoaCompiler):
@@ -123,16 +118,10 @@ class TestCompilerValidation:
                 return super()._emit_select(tmp, src, "<", value)
 
         compiler = MutatedCompiler(kernel, check="warn")
-        plan = compiler.compile(builtin_moa_plans()["excitementGate"])
-        assert plan.equivalence is None
-        assert not eligible_for_compiled_execution(plan)
-        assert "EQ002" in [d.code for d in compiler.diagnostics]
-
-    def test_check_off_plans_are_not_eligible(self, kernel):
-        compiler = MoaCompiler(kernel, check="off")
-        plan = compiler.compile(builtin_moa_plans()["excitementGate"])
-        assert plan.equivalence is None
-        assert not eligible_for_compiled_execution(plan)
+        compiler.compile(builtin_moa_plans()["excitementGate"])
+        codes = [d.code for d in compiler.diagnostics]
+        assert "EQ002" in codes
+        assert "EQ001" not in codes
 
     def test_certified_plan_still_computes_the_right_answer(self, kernel):
         from repro.monet.bat import BAT
@@ -146,7 +135,7 @@ class TestCompilerValidation:
 
 
 # ---------------------------------------------------------------------------
-# EQ003 and certificates
+# EQ003
 # ---------------------------------------------------------------------------
 
 
@@ -160,35 +149,17 @@ class TestFallbackAndCertificates:
             Var("right"),
             Var("a"),
         )
-        certificate, report = validate_translation(
+        report = validate_translation(
             join, "PROC p() : any := { RETURN 0; }", "p"
         )
-        assert certificate is None
         codes = [(d.code, d.severity.name) for d in report]
         assert codes == [("EQ003", "WARNING")]
 
     def test_unsupported_mil_construct_is_advisory(self):
-        certificate, report = validate_translation(
+        report = validate_translation(
             Aggregate("sum", Var("x")),
             "PROC p(BAT[void,dbl] x) : any := {\n  VAR t0 := x.sum();\n  RETURN t0;\n}\n",
             "p",
             ["x"],
         )
-        assert certificate is None
         assert [d.code for d in report] == ["EQ003"]
-
-    def test_certificate_round_trips_through_dict(self):
-        certificate, _ = validate_translation(
-            Aggregate("avg", Var("x")),
-            'PROC p(BAT[void,dbl] x) : any := {\n  VAR t0 := maggr(x, "avg");\n  RETURN t0;\n}\n',
-            "p",
-            ["x"],
-        )
-        payload = certificate.to_dict()
-        assert payload["artifact"] == "repro.equivcert/1"
-        restored = EquivalenceCertificate.from_dict(payload)
-        assert restored == certificate
-
-    def test_from_dict_rejects_foreign_artifacts(self):
-        with pytest.raises(ValueError):
-            EquivalenceCertificate.from_dict({"artifact": "repro.fusionplan/1"})

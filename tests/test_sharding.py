@@ -15,7 +15,7 @@ from repro.chaos.sharding import (
     shard_death,
 )
 from repro.check.diagnostics import Severity
-from repro.check.shardcheck import ScatterChecker, check_fleet_config
+from repro.check.shardcheck import check_fleet_config
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
 from repro.cobra.preprocessor import choose_scatter_plan
 from repro.cobra.query import parse_coql
@@ -138,30 +138,6 @@ class TestShardCheck:
 
     def test_bare_unfenced_fleet_is_clean(self):
         assert not list(check_fleet_config(ShardConfig(fencing=False), THREE))
-
-    #: Two pure branches, each a certified fusion region under one
-    #: kernel's BAT lock — exactly what scattering dissolves.
-    PARALLEL_SOURCE = """
-PROC fanout(BAT[void,dbl] f) : any := {
-  PARALLEL {
-    VAR a := f.select(0.1, 0.5);
-    VAR b := f.select(0.5, 0.9);
-  }
-  RETURN f;
-}
-"""
-
-    def test_shard004_decertifies_parallel_fusion_regions(self):
-        report = ScatterChecker().check_source(self.PARALLEL_SOURCE, name="<test>")
-        codes = [d.code for d in report]
-        assert codes == ["SHARD004", "SHARD004"]  # one per certified branch
-        assert all(d.severity == Severity.WARNING for d in report)
-
-    def test_shard004_lands_on_fleet_diagnostics(self, tmp_path):
-        fleet = make_fleet(tmp_path, shards=2)
-        fleet.run(self.PARALLEL_SOURCE)
-        assert "SHARD004" in [d.code for d in fleet.diagnostics]
-        fleet.close()
 
 
 # ---------------------------------------------------------------------------
