@@ -70,17 +70,11 @@ class CompoundEventDef:
         """All component combinations satisfying the constraints."""
         candidate_sets = []
         for component in self.components:
-            events = metadata.events(video_id=video_id, kind=component.kind)
+            oids = metadata.event_oids(video_id=video_id, kind=component.kind)
             if component.role is not None:
-                events = [
-                    e
-                    for e in events
-                    if metadata.object_label(
-                        e["video_id"], e["roles"].get(component.role)
-                    )
-                    == component.role_label
-                ]
-            candidate_sets.append(events)
+                keep = metadata.role_filter(component.role, component.role_label)
+                oids = keep(oids)
+            candidate_sets.append(metadata.events(oids=oids))
 
         matches: list[dict[str, Any]] = []
         def backtrack(index: int, chosen: dict[str, dict[str, Any]]) -> None:

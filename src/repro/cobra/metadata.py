@@ -10,7 +10,8 @@ kernel (fully decomposed storage): one void-headed BAT per attribute, so a
 row's position is its oid in every BAT of the group, plus two oid-headed
 BATs for the event roles. Lookups are column-at-a-time: equality filters
 are probes of the BATs' on-demand hash accelerators, the surviving oid
-lists are intersected, and a Python record is materialised only for an oid
+lists are intersected, a role condition reads one ``oid -> value`` map of
+the role BATs, and a Python record is materialised only for an oid
 that is actually returned (DESIGN.md, "BAT accelerators and the COQL
 execution path"). Nothing is cached here — the accelerators live on the
 BATs, so a store view can be rebuilt per read at no cost.
@@ -18,7 +19,7 @@ BATs, so a store view can be rebuilt per read at no cost.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -172,14 +173,16 @@ class MetadataStore:
 
         ``oids`` hands in an already filtered ascending oid list (the query
         executor's surviving candidates) in place of the filters; either
-        way a record — columns gathered positionally, roles through a head
-        probe on the role BATs — is built only for an oid that is returned.
+        way a record — columns gathered positionally, roles through one
+        batched head probe on the role BATs for the whole list — is built
+        only for an oid that is returned.
         """
         if oids is None:
             oids = self.event_oids(video_id, kind, min_confidence)
         columns = {
             attr: bat.tails_at(oids) for attr, bat in self._event_bats.items()
         }
+        roles = self._roles_of(oids)
         order = sorted(
             range(len(oids)),
             key=lambda i: (columns["video_id"][i], columns["start"][i]),
@@ -187,17 +190,53 @@ class MetadataStore:
         out: list[dict[str, Any]] = []
         for i in order:
             record = {attr: values[i] for attr, values in columns.items()}
-            record["roles"] = self.event_roles(oids[i])
+            record["roles"] = roles[i]
             record["interval"] = Interval(
                 record["start"], record["end"], record["kind"]
             )
             out.append(record)
         return out
 
+    def _roles_of(self, oids: list[int]) -> list[dict[str, str]]:
+        """Each event's ``role -> object id`` pairs, in role-BAT order: one
+        head probe of the oid-headed role BATs for the whole oid list, then
+        one positional gather per role BAT."""
+        rows = self._role_names.head_positions_many(oids)
+        flat = [position for positions in rows for position in positions]
+        names = self._role_names.tails_at(flat)
+        values = self._role_objects.tails_at(flat)
+        out: list[dict[str, str]] = []
+        start = 0
+        for positions in rows:
+            end = start + len(positions)
+            out.append(dict(zip(names[start:end], values[start:end])))
+            start = end
+        return out
+
     def has_events(self, video_id: str | None, kind: str) -> bool:
         """Existence probe: is :meth:`events` non-empty for this video
-        (``None`` = any video) and kind? Builds no record."""
-        return bool(self.event_oids(video_id, kind))
+        (``None`` = any video) and kind?
+
+        Walks the shorter of the kind's and the video's position lists,
+        checking the other attribute row by row, and stops at the first
+        row that is live under the listing floor (``confidence >= 0``; a
+        NaN confidence is listed, as in :meth:`event_oids`). Builds no
+        record and no intersection.
+        """
+        bats = self._event_bats
+        rows, check, wanted = bats["kind"].tail_positions(kind), None, None
+        if video_id is not None:
+            in_video = bats["video_id"].tail_positions(video_id)
+            if len(in_video) < len(rows):
+                rows, check, wanted = in_video, bats["kind"], kind
+            else:
+                check, wanted = bats["video_id"], video_id
+        confidence = bats["confidence"]
+        return any(
+            (check is None or check.fetch(oid)[1] == wanted)
+            and not confidence.fetch(oid)[1] < 0.0
+            for oid in rows
+        )
 
     def event_column(self, attr: str) -> np.ndarray:
         """One numeric event attribute (``start`` / ``end`` /
@@ -209,18 +248,53 @@ class MetadataStore:
         """The video each of the given events belongs to."""
         return self._event_bats["video_id"].tails_at(oids)
 
-    def event_roles(self, oid: int) -> dict[str, str]:
-        """One event's ``role -> object id`` pairs, in role-BAT order, by
-        a head probe on the oid-headed role BATs."""
-        positions = self._role_names.head_positions(oid)
-        if not positions:
-            return {}
+    def role_values(self, role: str) -> dict[int, str]:
+        """``event oid -> value of role`` for every event that has the role,
+        at once: one tail probe of the role-name BAT, then a positional
+        gather of those rows' heads (the event oids) and of the role-object
+        BAT. Of duplicate role names on one event the last pair wins, as in
+        the event's ``roles`` dict."""
+        positions = self._role_names.tail_positions(role)
         return dict(
             zip(
-                self._role_names.tails_at(positions),
+                self._role_names.heads_at(positions),
                 self._role_objects.tails_at(positions),
             )
         )
+
+    def role_filter(
+        self, role: str, label: str | None
+    ) -> Callable[[list[int]], list[int]]:
+        """A filter keeping the oids (in order) whose ``role`` value denotes
+        ``label`` in the event's own video.
+
+        A value denotes the label of that video's object with that id, or
+        itself when the video has no such object (roles may store bare
+        labels); an event without the role denotes ``None``. The role map
+        (:meth:`role_values`) is built once, here. Each video the filter
+        meets is resolved once, however many oid lists the filter is then
+        applied to: the values that denote ``label`` there come from one
+        probe of its objects. So a condition costs one role probe plus one
+        object probe per video, not per candidate.
+        """
+        values = self.role_values(role)
+        denoting: dict[str, set[str | None]] = {}  # video -> values
+
+        def keep(oids: list[int]) -> list[int]:
+            videos = self.event_video_ids(oids)
+            for video_id in set(videos).difference(denoting):
+                labels = self._object_labels(video_id)
+                hits = {value for value, name in labels.items() if name == label}
+                if label not in labels:
+                    hits.add(label)  # a bare label denotes itself
+                denoting[video_id] = hits
+            return [
+                oid
+                for oid, video_id in zip(oids, videos)
+                if values.get(oid) in denoting[video_id]
+            ]
+
+        return keep
 
     def objects(
         self,
@@ -240,22 +314,18 @@ class MetadataStore:
             for i in range(len(oids))
         ]
 
-    def object_label(self, video_id: str, object_id: str | None) -> str | None:
-        """The label a role value denotes in one video: the label of the
-        video's object with that id, or the value itself when there is no
-        such object (roles may store bare labels); ``None`` — the event
-        has no such role — stays ``None``. A hash probe on the object-id
-        BAT, checked against the video column."""
-        if object_id is None:
-            return None
+    def _object_labels(self, video_id: str) -> dict[str, str]:
+        """``object id -> label`` of one video's objects, the first object
+        of an id winning: a hash probe on the object video BAT and two
+        positional gathers."""
         bats = self._object_bats
-        positions = bats["object_id"].tail_positions(object_id)
-        for position, owner in zip(
-            positions, bats["video_id"].tails_at(positions)
+        positions = bats["video_id"].tail_positions(video_id)
+        labels: dict[str, str] = {}
+        for object_id, label in zip(
+            bats["object_id"].tails_at(positions), bats["label"].tails_at(positions)
         ):
-            if owner == video_id:
-                return bats["label"].fetch(position)[1]
-        return object_id
+            labels.setdefault(object_id, label)
+        return labels
 
 
 def _matching(bats: dict[str, BAT], **wanted: Any) -> list[int]:

@@ -197,46 +197,35 @@ class QueryExecutor:
 
     # ------------------------------------------------------------------
     def _apply(self, condition: Condition, oids: list[int]) -> list[int]:
+        """Narrow the candidates by one conjunct. Role conditions read one
+        role map per condition (:meth:`MetadataStore.role_filter`,
+        :meth:`MetadataStore.role_values`), never a probe per candidate."""
+        metadata = self._metadata
         if condition.kind == "role":
-            return self._with_role(
-                oids, condition.get("role"), condition.get("label")
-            )
+            role = condition.get("role")
+            return metadata.role_filter(role, condition.get("label"))(oids)
         if condition.kind == "position":
-            return self._with_role(
-                oids, f"p{condition.get('position')}", condition.get("label")
-            )
+            role = f"p{condition.get('position')}"
+            return metadata.role_filter(role, condition.get("label"))(oids)
         if condition.kind == "confidence":
-            confidence = self._metadata.event_column("confidence")
+            confidence = metadata.event_column("confidence")
             keep = confidence[oids] >= condition.get("minimum")
             return [oid for oid, kept in zip(oids, keep.tolist()) if kept]
         if condition.kind == "lap":
             lap = str(condition.get("lap"))
-            roles_of = self._metadata.event_roles
-            return [oid for oid in oids if roles_of(oid).get("lap") == lap]
+            laps = metadata.role_values("lap")
+            return [oid for oid in oids if laps.get(oid) == lap]
         if condition.kind == "temporal":
             return self._temporal(condition, oids)
         raise QuerySyntaxError(f"unknown condition kind {condition.kind!r}")
-
-    def _with_role(
-        self, oids: list[int], role: str, wanted: str | None
-    ) -> list[int]:
-        """The events whose ``role`` value denotes the label ``wanted``:
-        a head probe on the role BATs per candidate, then an object-id
-        probe to resolve the value to its label in the event's video."""
-        metadata = self._metadata
-        out = []
-        for oid, video_id in zip(oids, metadata.event_video_ids(oids)):
-            object_id = metadata.event_roles(oid).get(role)
-            if metadata.object_label(video_id, object_id) == wanted:
-                out.append(oid)
-        return out
 
     def _temporal(self, condition: Condition, oids: list[int]) -> list[int]:
         """Keep the candidates standing in ``relation`` to some event of
         the other kind in their own video — one interval join per video.
 
-        The other kind is fetched (and role-filtered) once per video and
-        sorted by start. Per candidate, :func:`partner_bounds` gives the
+        The other kind is fetched once per video and role-filtered through
+        one filter (one role map) for the whole condition, then sorted by
+        start. Per candidate, :func:`partner_bounds` gives the
         ranges a partner's endpoints must lie in: the start range is a
         bisected window of the sorted starts, the end range a float
         comparison inside it, and only what passes both reaches
@@ -246,6 +235,11 @@ class QueryExecutor:
         relation = condition.get("relation")
         other_kind = condition.get("other")
         role = condition.get("role")
+        with_role = (
+            None
+            if role is None
+            else metadata.role_filter(role, condition.get("label"))
+        )
         starts = metadata.event_column("start")
         ends = metadata.event_column("end")
         by_video: dict[str, list[int]] = {}
@@ -254,8 +248,8 @@ class QueryExecutor:
         kept: set[int] = set()
         for video_id, candidates in by_video.items():
             others = metadata.event_oids(video_id=video_id, kind=other_kind)
-            if role is not None:
-                others = self._with_role(others, role, condition.get("label"))
+            if with_role is not None:
+                others = with_role(others)
             if not others:
                 continue
             partners = sorted(

@@ -10,8 +10,9 @@ the paper's MIL snippets (``insert``, ``reverse``, ``find``, ``select``,
 Columns are Python lists; speed comes from Monet-style *accelerators* hung
 on the BAT and built on demand: a value -> ascending-positions hash per
 column (:meth:`BAT.tail_positions`, :meth:`BAT.head_positions`,
-:meth:`BAT.tail_exists`) and a memoised read-only numpy image of the tail
-column (:meth:`BAT.tail_array`). Inserts never touch them — appended rows
+:meth:`BAT.head_positions_many`, :meth:`BAT.tail_exists`) and a memoised
+read-only numpy image of the tail column (:meth:`BAT.tail_array`).
+Inserts never touch them — appended rows
 are caught up on the next probe — and every other mutation drops them, so
 the Cobra metadata store and the feature-extraction extensions get index-
 and column-shaped reads without a cache to size or invalidate by hand.
@@ -102,9 +103,10 @@ class BAT:
 
     BATs are safe for concurrent *inserts* from the MIL parallel block (a
     single mutex guards mutation). Accelerator probes
-    (:meth:`tail_positions`, :meth:`head_positions`, :meth:`tail_exists`,
-    :meth:`tail_array`) take the same mutex and are therefore snapshot-
-    consistent against concurrent inserts — the *watermark guarantee*: a
+    (:meth:`tail_positions`, :meth:`head_positions`,
+    :meth:`head_positions_many`, :meth:`tail_exists`, :meth:`tail_array`)
+    take the same mutex and are therefore snapshot-consistent against
+    concurrent inserts — the *watermark guarantee*: a
     probe sees every row that was complete when it started (in particular
     every row below a ``len()`` read beforehand) and returns no position at
     or beyond a ``len()`` read afterwards, because an accelerator covers
@@ -257,19 +259,21 @@ class BAT:
         best HMM score back to its model name via ``b.reverse.find``.
         """
         key = self._head_atom.coerce(head)
-        found = self._probe("head", key, build=False)
+        found = self._probe("head", [key], build=False)
         if found is None:
-            found = (i for i, h in enumerate(self._head) if _eq(h, key))
-        for position in found:
+            positions = (i for i, h in enumerate(self._head) if _eq(h, key))
+        else:
+            positions = found[0]
+        for position in positions:
             return self._tail[position]
         raise BatError(f"find: head {head!r} not present")
 
     def exist(self, head: Any) -> bool:
         key = self._head_atom.coerce(head)
-        found = self._probe("head", key, build=False)
+        found = self._probe("head", [key], build=False)
         if found is None:
             return any(_eq(h, key) for h in self._head)
-        return bool(found)
+        return bool(found[0])
 
     def fetch(self, position: int) -> tuple[Any, Any]:
         """Positional access (MIL ``b.fetch(i)``)."""
@@ -291,13 +295,16 @@ class BAT:
         self._tail_memo = None
         self._rewrites += 1
 
-    def _probe(self, side: str, key: Any, build: bool) -> list[int] | None:
-        """Ascending positions of ``key`` in the head or tail column, from
-        that column's hash caught up to the current length.
+    def _probe(
+        self, side: str, keys: list[Any], build: bool
+    ) -> list[list[int]] | None:
+        """Ascending positions of each key in the head or tail column, from
+        that column's hash caught up to the current length — one mutex
+        acquisition and one catch-up however many keys.
 
         ``None`` means "scan instead": the hash does not exist and
         ``build`` is false, or the column holds unhashable values. The
-        returned list is the caller's own.
+        returned lists are the caller's own.
         """
         with self._lock:
             index = self._hashes.get(side)
@@ -307,29 +314,41 @@ class BAT:
                 index = _Hash(self._head_atom if side == "head" else self._tail_atom)
             try:
                 index.catch_up(self._head if side == "head" else self._tail)
-                found = index.positions.get(_hash_key(key))
+                positions = index.positions
+                found = [positions.get(_hash_key(key)) for key in keys]
             except TypeError:  # unhashable values in an object column
                 self._hashes.pop(side, None)
                 return None
             self._hashes[side] = index
-            return list(found) if found else []
+            return [list(hits) if hits else [] for hits in found]
 
-    def _positions(self, side: str, key: Any) -> list[int]:
-        found = self._probe(side, key, build=True)
+    def _positions(self, side: str, keys: list[Any]) -> list[list[int]]:
+        found = self._probe(side, keys, build=True)
         if found is None:
             column = self._head if side == "head" else self._tail
-            found = [i for i, value in enumerate(column) if _eq(value, key)]
+            found = [
+                [i for i, value in enumerate(column) if _eq(value, key)]
+                for key in keys
+            ]
         return found
 
     def tail_positions(self, value: Any) -> list[int]:
         """Ascending positions whose tail equals ``value`` — the oid list
         of ``select(value)`` on a void-headed BAT, in O(matches) through
         the tail hash (built on first use)."""
-        return self._positions("tail", self._tail_atom.coerce(value))
+        return self._positions("tail", [self._tail_atom.coerce(value)])[0]
 
     def head_positions(self, value: Any) -> list[int]:
         """Ascending positions whose head equals ``value`` (head hash)."""
-        return self._positions("head", self._head_atom.coerce(value))
+        return self._positions("head", [self._head_atom.coerce(value)])[0]
+
+    def head_positions_many(self, values: Iterable[Any]) -> list[list[int]]:
+        """:meth:`head_positions` of every value, in order, from one probe
+        of the head hash: a whole oid list's rows of an oid-headed BAT for
+        one mutex acquisition and one catch-up, under the same watermark
+        guarantee."""
+        coerce = self._head_atom.coerce
+        return self._positions("head", [coerce(value) for value in values])
 
     def tail_exists(self, value: Any) -> bool:
         """:meth:`exist` on the tail side: does any tail equal ``value``?"""
@@ -341,6 +360,12 @@ class BAT:
         whole column."""
         tail = self._tail
         return [tail[position] for position in positions]
+
+    def heads_at(self, positions: Iterable[int]) -> list[Any]:
+        """Positional gather of head values: :meth:`tails_at` on the head
+        side, e.g. the event oids of a role BAT's probed rows."""
+        head = self._head
+        return [head[position] for position in positions]
 
     # ------------------------------------------------------------------
     # unary operators
@@ -539,13 +564,13 @@ class BAT:
         out = BAT(self.head_type if self.head_type != "void" else "oid", self.tail_type)
         if hi is _MISSING:
             key = self._tail_atom.coerce(lo)
-            found = self._probe("tail", key, build=False)
+            found = self._probe("tail", [key], build=False)
             if found is None:
                 pairs = [
                     (h, t) for h, t in zip(self._head, self._tail) if _eq(t, key)
                 ]
             else:
-                pairs = [(self._head[i], self._tail[i]) for i in found]
+                pairs = [(self._head[i], self._tail[i]) for i in found[0]]
         else:
             lo_v = self._tail_atom.coerce(lo)
             hi_v = self._tail_atom.coerce(hi)

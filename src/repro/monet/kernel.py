@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
@@ -110,17 +111,17 @@ class MonetKernel:
         if check is CheckMode.SANITIZE:
             from repro.check.sanitize import KernelSanitizer
 
-            self._sanitizer = KernelSanitizer(self)
+            self._sanitizer = KernelSanitizer(weakref.proxy(self))
         self._install_builtins()
         self._mil = MilInterpreter(
             commands=self._commands,
             globals_scope=_CatalogView(self._catalog),
-            run_parallel=self._run_parallel,
+            run_parallel=_weakly(self._run_parallel),
             signatures=self._signatures,
             check=check,
-            call_guard=self._guarded_command,
-            on_statement=self._deadline_tick,
-            on_define=self._on_proc_defined,
+            call_guard=_weakly(self._guarded_command),
+            on_statement=_weakly(self._deadline_tick),
+            on_define=_weakly(self._on_proc_defined),
         )
         self._store: DurableStore | None = None
         if store is not None:
@@ -581,8 +582,8 @@ class MonetKernel:
                 "flt": float,
                 "str": str,
                 "len": len,
-                "bat": self.bat,
-                "persist": self.persist,
+                "bat": _weakly(self.bat),
+                "persist": _weakly(self.persist),
                 "cancelpoint": _mil_cancelpoint,
             }
         )
@@ -635,6 +636,26 @@ class _CatalogView(dict):
         for key in self._bat_catalog:
             if not super().__contains__(key):
                 yield key
+
+
+def _weakly(method: Callable[..., Any]) -> Callable[..., Any]:
+    """``method`` of the kernel, bound without keeping the kernel alive.
+
+    The interpreter and the command table are owned by the kernel and call
+    back into it; holding its bound methods would make a kernel <-> interpreter
+    cycle, which only the cyclic collector frees. Through a weak binding, a
+    dropped kernel (and the catalog it holds) goes with its last reference.
+    """
+    ref = weakref.WeakMethod(method)
+    name = method.__name__
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        bound = ref()
+        if bound is None:
+            raise MonetError(f"{name}: the kernel this interpreter served is gone")
+        return bound(*args, **kwargs)
+
+    return call
 
 
 def _mil_print(*args: Any) -> None:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cobra.metadata import MetadataStore
 from repro.hmm.parallel import HmmModule
 from repro.moa.rewrite import BulkModule
 from repro.monet.bat import BAT, compare_catalogs
@@ -59,7 +60,10 @@ def assert_probes_match_a_fresh_scan(bat: BAT) -> None:
         assert bat.exist(head) == plain.exist(head) == bool(expected)
         if expected:
             assert same(bat.find(head), plain.find(head))
+    batch = [*HEADS, 7, *reversed(HEADS)]  # repeats and a head never stored
+    assert bat.head_positions_many(batch) == [bat.head_positions(h) for h in batch]
     assert same(bat.tails_at(range(len(bat))), plain.tails())
+    assert bat.heads_at(range(len(bat))) == plain.heads()
     array = bat.tail_array()
     assert not array.flags.writeable
     assert array.dtype == plain.tail_array().dtype
@@ -139,12 +143,60 @@ def test_unhashable_tails_fall_back_to_a_scan():
     assert not bat.tail_exists("y")
 
 
+def test_unhashable_heads_fall_back_to_a_scan_in_a_batched_probe():
+    bat = BAT("any", "int")
+    bat.insert([1, 2], 0).insert("x", 1).insert([1, 2], 2)
+    assert bat.head_positions_many([[1, 2], "x", "y"]) == [[0, 2], [1], []]
+
+
 def test_probe_result_belongs_to_the_caller():
     bat = BAT("void", "str")
     bat.insert("a").insert("b").insert("a")
     positions = bat.tail_positions("a")
     positions.append(99)
     assert bat.tail_positions("a") == [0, 2]
+    batch = bat.reverse().head_positions_many(["a", "a"])
+    batch[0].append(99)
+    assert batch[1] == [0, 2] == bat.reverse().head_positions("a")
+
+
+# one role row = (event oid, role name, value); names repeat on purpose
+role_rows = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(("driver", "p1", "lap")),
+        st.sampled_from(("d0", "d1", "HAKKINEN", "2")),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(role_rows, role_rows)
+def test_property_role_map_is_the_last_pair_of_each_event(first, later):
+    """``MetadataStore.role_values(role)`` equals ``dict(pairs of oid)
+    .get(role)`` per event — duplicate role names included, and for rows
+    appended after the role BATs' accelerators were first built."""
+    store = MetadataStore(MonetKernel(threads=1, check="off"))
+    names, objects = store._role_names, store._role_objects
+    written: list[tuple[int, str, str]] = []
+    for rows in (first, later):
+        for oid, role, value in rows:
+            names.insert(oid, role)
+            objects.insert(oid, value)
+        written.extend(rows)
+        for role in ("driver", "p1", "lap", "p9"):
+            pairs: dict[int, dict[str, str]] = {}
+            for oid, name, value in written:
+                pairs.setdefault(oid, {})[name] = value
+            expected = {
+                oid: roles[role] for oid, roles in pairs.items() if role in roles
+            }
+            assert store.role_values(role) == expected
+        oids = sorted({oid for oid, _, _ in written}) + [6]
+        assert names.head_positions_many(oids) == [
+            names.head_positions(oid) for oid in oids
+        ]
 
 
 class TestMemoisedTailArray:
@@ -190,9 +242,9 @@ class TestMemoisedTailArray:
 
 def test_probes_keep_the_watermark_guarantee_under_concurrent_inserts():
     """One writer, three probing readers (more threads than this box has
-    cores), a short switch interval. A reader must never see a position at
-    or beyond a length it reads afterwards, nor miss a row below a length
-    it read beforehand."""
+    cores), a short switch interval. A reader's probes — single-value and
+    batched alike — must never return a position at or beyond a length it
+    reads afterwards, nor miss a row below a length it read beforehand."""
     rows = 20_000
     bat = BAT("oid", "int")
     errors: list[str] = []
@@ -214,9 +266,15 @@ def test_probes_keep_the_watermark_guarantee_under_concurrent_inserts():
             before = len(bat)
             tails = bat.tail_positions(key)
             heads = bat.head_positions(key % 5)
+            batch = bat.head_positions_many([key % 5, (key + 1) % 5])
             array = bat.tail_array()
             after = len(bat)
-            for positions, modulus, wanted in ((tails, 7, key), (heads, 5, key % 5)):
+            for positions, modulus, wanted in (
+                (tails, 7, key),
+                (heads, 5, key % 5),
+                (batch[0], 5, key % 5),
+                (batch[1], 5, (key + 1) % 5),
+            ):
                 complete = list(range(wanted, before, modulus))
                 if positions[: len(complete)] != complete:
                     errors.append(f"missing a row below {before}: {positions[-3:]}")

@@ -340,6 +340,8 @@ NOT_MODELLED = {
     "equals",
     "from_columns",
     "head_positions",
+    "head_positions_many",
+    "heads_at",
     "holds_mutable_values",
     "restore",
     "tail_exists",

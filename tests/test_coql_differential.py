@@ -24,11 +24,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.cobra.query as query_module
+from repro.cobra.catalog import DomainKnowledge
 from repro.cobra.metadata import MetadataStore
 from repro.cobra.model import RawVideo, VideoDocument, VideoEvent, VideoObject
 from repro.cobra.query import QueryExecutor, parse_coql
+from repro.cobra.vdbms import CobraVDBMS
 from repro.durability.store import DurableStore
 from repro.errors import UnknownConceptError
+from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.replication.group import GroupConfig, KernelGroup
 from repro.rules.temporal import ALLEN_RELATIONS
@@ -381,3 +384,120 @@ def test_temporal_join_is_subquadratic_in_events_per_video(monkeypatch):
         # the oracle calls its own import of holds, so it is not counted
         assert got == ReferenceExecutor(ReferenceStore(kernel)).execute(parse_coql(text))
     assert counts[1] < 2.5 * counts[0] and counts[2] < 2.5 * counts[1], counts
+
+
+# ----------------------------------------------------------------------
+# role conditions are set-at-a-time: the BAT probes of a query do not grow
+# with its candidates
+# ----------------------------------------------------------------------
+ROLE_TEMPLATES = {
+    "role": ("RETRIEVE pit_stop WHERE ROLE driver = HAKKINEN", "driver"),
+    "position": ("RETRIEVE classification WHERE POSITION MONTOYA = 2", "p2"),
+    "lap": ("RETRIEVE classification WHERE LAP = 2", "lap"),
+    "temporal": (
+        "RETRIEVE highlight WHERE INTERSECTS driver_mention WITH ROLE driver = HAKKINEN",
+        "driver",
+    ),
+}
+#: Probes a query makes whatever its size: the candidate list, one role map
+#: per condition, the returned records' roles, and (temporal) the two-probe
+#: partner list of each of the two videos.
+FIXED_PROBES = 7
+
+
+@pytest.mark.parametrize("template", sorted(ROLE_TEMPLATES))
+def test_role_conditions_probe_per_condition_not_per_candidate(monkeypatch, template):
+    """300 -> 600 -> 1,200 events per video doubles the candidates of a
+    ``ROLE`` / ``POSITION`` / ``LAP`` / ``WITH ROLE`` condition and the
+    records it returns; the BAT probes — single-value or batched, both go
+    through ``BAT._probe`` — must stay the same number, bounded by the
+    conditions plus the distinct ``(video, value)`` pairs of the role. The
+    per-candidate executor probed the role BATs once or twice per candidate
+    and once more per returned record."""
+    text, role = ROLE_TEMPLATES[template]
+    probes = []
+    real_probe = BAT._probe
+
+    def counting_probe(self, *args, **kwargs):
+        probes.append(1)
+        return real_probe(self, *args, **kwargs)
+
+    monkeypatch.setattr(BAT, "_probe", counting_probe)
+    counts = []
+    for events_per_video in (300, 600, 1200):
+        kernel, store = dense_store(events_per_video)
+        probes.clear()
+        got = QueryExecutor(store).execute(parse_coql(text))
+        counts.append(len(probes))
+        listing = ReferenceStore(kernel)
+        assert got and got == ReferenceExecutor(listing).execute(parse_coql(text))
+        pairs = {
+            (record["video_id"], record["roles"][role])
+            for record in listing.events()
+            if role in record["roles"]
+        }
+        assert counts[-1] <= FIXED_PROBES + len(pairs), (counts, len(pairs))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+# ----------------------------------------------------------------------
+# the existence probe keeps the listing floor: confidence >= 0, NaN listed
+# ----------------------------------------------------------------------
+floor_confidences = st.sampled_from((-0.5, -0.0, 0.0, 0.7, float("nan")))
+floor_events = st.tuples(events, floor_confidences).map(
+    lambda pair: (*pair[0][:3], pair[1], pair[0][4])
+)
+floor_corpora = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(OBJECT_IDS), st.sampled_from(LABELS)),
+        st.lists(floor_events, max_size=20),
+    ),
+    min_size=1,
+    max_size=len(VIDEOS),
+)
+
+
+@SETTINGS
+@given(corpus=floor_corpora, late=st.tuples(st.integers(0, len(VIDEOS) - 1), floor_events))
+def test_has_events_matches_the_reference_listing(corpus, late):
+    kernel, store = memory_store(corpus)
+
+    def check() -> None:
+        listing = ReferenceStore(kernel)
+        for video_id in (None, *VIDEOS):
+            for kind in KINDS + ("overtake",):
+                want = listing.has_events(video_id, kind)
+                assert store.has_events(video_id, kind) == want, (video_id, kind)
+
+    check()
+    turn, spec = late
+    video_id = VIDEOS[turn % len(corpus)]
+    store.store_event(video_id, build_event(f"{video_id}/w", spec))
+    check()  # the probes catch up to the appended row
+
+
+@pytest.mark.parametrize(
+    "confidence, listed", [(None, False), (-0.5, False), (float("nan"), True), (0.0, True)]
+)
+def test_preprocessor_refuses_a_video_without_a_listed_event_of_the_kind(confidence, listed):
+    """A method-less domain cannot extract: a ``FROM ALL`` query over a
+    video with no listed event of the kind stops in the preprocessor."""
+    db = CobraVDBMS(threads=1, check="off")
+    db.register_domain(DomainKnowledge("bare"))
+    for video_id, kind, value in (("v0", "highlight", 0.8), ("v1", "fly_out", 0.8)):
+        document = VideoDocument(
+            raw=RawVideo(video_id, f"synthetic://{video_id}", 20.0, 10.0, 192, 144, 16000)
+        )
+        document.events["e0"] = VideoEvent("e0", kind, Interval(1.0, 2.0), value, {}, "dbn")
+        if video_id == "v1" and confidence is not None:
+            document.events["e1"] = VideoEvent(
+                "e1", "highlight", Interval(3.0, 4.0), confidence, {}, "dbn"
+            )
+        db.register_document(document, "bare")
+    assert len(db.query("RETRIEVE highlight FROM v0")) == 1
+    if listed:
+        records = db.query("RETRIEVE highlight").records
+        assert [record["video_id"] for record in records] == ["v0", "v1"]
+    else:
+        with pytest.raises(UnknownConceptError, match="for video 'v1'"):
+            db.query("RETRIEVE highlight")

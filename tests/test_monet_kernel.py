@@ -1,7 +1,9 @@
 """Kernel catalog, modules, parallel executor, multi-BAT operators."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -38,6 +40,36 @@ class TestCatalog:
         b.insert_bulk(None, [1, 2, 3])
         k.persist("nums", b)
         assert k.run("RETURN nums.count();") == 3
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("check", ["error", "sanitize"])
+    def test_a_dropped_kernel_is_freed_by_reference_counting(self, no_cyclic_gc, check):
+        kernel = MonetKernel(check=check)
+        kernel.persist("nums", BAT("void", "int").insert(1))
+        assert kernel.run("RETURN bat(\"nums\").count();") == 1
+        refs = weakref.ref(kernel), weakref.ref(kernel.bat("nums"))
+        del kernel
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_an_interpreter_outliving_its_kernel_refuses_to_run(self):
+        kernel = MonetKernel()
+        interpreter = kernel.interpreter
+        del kernel
+        gc.collect()
+        with pytest.raises(MonetError, match="kernel .* is gone"):
+            interpreter.run("x := bat(\"nums\");")
 
 
 class TestModules:

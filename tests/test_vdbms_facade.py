@@ -1,10 +1,14 @@
 """CobraVDBMS facade: extensions wiring, domains, DBN extension + module."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.cobra.catalog import DomainKnowledge
 from repro.cobra.extensions import DbnExtension, DbnModule, RuleExtension
-from repro.cobra.model import RawVideo, VideoDocument
+from repro.cobra.model import RawVideo, VideoDocument, VideoEvent
 from repro.cobra.vdbms import CobraVDBMS
 from repro.dbn.evidence import EvidenceSequence
 from repro.dbn.simulate import sample_sequence
@@ -13,6 +17,7 @@ from repro.errors import CobraError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.rules.engine import Fact, Pattern, Rule
+from repro.synth.annotations import Interval
 
 
 def single_evidence_template(seed=0) -> DbnTemplate:
@@ -48,6 +53,28 @@ class TestFacade:
         db = CobraVDBMS()
         with pytest.raises(CobraError):
             db.query("RETRIEVE highlight")
+
+    def test_a_closed_vdbms_is_freed_by_reference_counting(self):
+        db = CobraVDBMS()
+        db.register_domain(DomainKnowledge("bare"))
+        document = VideoDocument(
+            raw=RawVideo("v1", "synthetic://x", 10.0, 10.0, 192, 144, 16000)
+        )
+        document.events["e0"] = VideoEvent(
+            "e0", "highlight", Interval(1.0, 2.0), 0.9, {"driver": "HAKKINEN"}, "dbn"
+        )
+        db.register_document(document, "bare")
+        assert len(db.query("RETRIEVE highlight WHERE DRIVER = HAKKINEN")) == 1
+        db.close()
+        gc.collect()
+        gc.disable()  # from here on only reference counting frees objects
+        try:
+            refs = [weakref.ref(db), weakref.ref(db.kernel)]
+            refs.append(weakref.ref(db.kernel.bat("meta_role_name")))
+            del db
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestDbnExtension:
