@@ -6,6 +6,14 @@ format tag and a CRC32 over the canonically serialized body::
 
     {"format": 1, "crc": <crc32>, "body": {"seqno": ..., "catalog": ...}}
 
+The writer encodes the body once, with the C JSON encoder and sorted keys,
+takes the CRC over those bytes and writes the document around them in one
+``write``. The reader re-encodes the parsed body the same way to check
+the CRC, so it also accepts documents whose body keys are in any order —
+those written before the body was embedded canonically. Columns of
+numeric, bool and string atoms are serialized as they stand; only the
+other atoms' values are tagged (:mod:`repro.durability.wal`).
+
 Writing is crash-atomic: serialize to ``checkpoint.tmp``, fsync, rename
 over ``checkpoint``, fsync the directory. A reader therefore sees either
 the previous checkpoint or the new one, never a torn hybrid; the CRC guards
@@ -88,15 +96,16 @@ def write_checkpoint(
     directory = Path(directory)
     final = directory / CHECKPOINT_NAME
     temp = directory / (CHECKPOINT_NAME + ".tmp")
-    body = _body(checkpoint)
-    document = {
-        "format": CHECKPOINT_FORMAT,
-        "crc": zlib.crc32(_canonical(body)),
-        "body": body,
-    }
+    # the body is encoded once, canonically: the CRC is over these very
+    # bytes, and the document embeds them as they are
+    body = _canonical(_body(checkpoint))
+    header = '{"format": %d, "crc": %d, "body": ' % (
+        CHECKPOINT_FORMAT,
+        zlib.crc32(body),
+    )
     faults.on_call("checkpoint:before")
-    with open(temp, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, allow_nan=True)
+    with open(temp, "wb") as fh:
+        fh.write(b"".join((header.encode("ascii"), body, b"}")))
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())

@@ -12,14 +12,18 @@ registrations) are appended and fsynced individually. *Transactions* are
 group-committed: the kernel computes the catalog delta at commit time and
 the store writes ``begin`` + delta + ``commit`` as one batch, fsyncing
 after the commit marker — the WAL commit boundary of
-``MonetKernel.transaction()``.
+``MonetKernel.transaction()``. Opening that transaction copies nothing: a
+savepoint is each BAT's column lists and row count (the watermark), so a
+durable write costs the rows it wrote plus O(#BATs), however large the
+catalog already is.
 
 Record ops. A transaction logs what it changed, not what it touched: a
 BAT that only grew is one ``append`` record holding rows ``[at, len)``;
 ``persist`` — the full image — is the fallback for a BAT that is new,
 rebound under its name, or was deleted from, replaced in or restored, and
 what an auto-commit ``kernel.persist`` writes; ``drop``, ``proc`` and
-``module`` are as small as they sound. Checkpoints stay full snapshots.
+``module`` are as small as they sound. Checkpoints stay full snapshots,
+encoded in one pass (:func:`repro.durability.checkpoint.write_checkpoint`).
 ``at`` counts from what the *store* holds, not from where the transaction
 began: the store remembers the :meth:`BAT.version` of every image and
 delta it made durable (:meth:`DurableStore.rows_logged`), so a mutation
@@ -50,9 +54,18 @@ from __future__ import annotations
 import base64
 import pickle
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, MutableMapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    MutableMapping,
+    Sequence,
+)
 
 from repro.check.catalogcheck import check_catalog
 from repro.check.diagnostics import Diagnostic
@@ -70,11 +83,17 @@ from repro.durability.wal import (
     append_record,
     bat_from_payload,
     bat_to_payload,
-    decode_value,
+    decode_column,
     read_records,
     require_directory,
 )
-from repro.errors import CatalogCheckError, DurabilityError, WalCorruptionError
+from repro.errors import (
+    AtomTypeError,
+    BatError,
+    CatalogCheckError,
+    DurabilityError,
+    WalCorruptionError,
+)
 from repro.faults import FaultInjector, FaultPlan, resolve_injector
 from repro.monet.bat import BAT
 
@@ -110,23 +129,26 @@ def apply_record(
     Idempotent: ``persist`` carries a full image, ``drop`` tolerates
     absence, and ``append`` grows the BAT *in place* only when it holds
     exactly ``at`` rows — at least ``at + n`` rows means the delta is
-    already in it. Any other length, and any op this reader does not
-    know, raises ``error``.
+    already in it. Any other length, a value the BAT's atom types reject
+    (the BAT is left as it was), and any op this reader does not know
+    raise ``error``.
     """
     op = record["op"]
     if op == "persist":
         name = record["name"]
-        catalog[name] = bat_from_payload(record["bat"], name=name)
+        with _rebuilding(record, error):
+            catalog[name] = bat_from_payload(record["bat"], name=name)
     elif op == "append":
         name, at, tail = record["name"], record["at"], record["tail"]
         bat = catalog.get(name)
         rows = -1 if bat is None else len(bat)
         if rows == at:
-            bat.append_columns(
-                [decode_value(v) for v in record["head"]],
-                [decode_value(v) for v in tail],
-                record["next_oid"],
-            )
+            with _rebuilding(record, error):
+                bat.append_columns(
+                    decode_column(record["head"], bat.head_type),
+                    decode_column(tail, bat.tail_type),
+                    record["next_oid"],
+                )
         elif rows < at + len(tail):
             raise error(
                 f"append record for BAT {name!r} holds rows "
@@ -141,6 +163,19 @@ def apply_record(
         modules.add(record["name"])
     else:
         raise error(f"unknown record op {op!r}: refusing to skip it")
+
+
+@contextmanager
+def _rebuilding(record: dict[str, Any], error: type[Exception]) -> Iterator[None]:
+    """Rows the BAT's atom types reject (or that do not pair up) are a
+    damaged record: ``error``, never a stray kernel exception."""
+    try:
+        yield
+    except (AtomTypeError, BatError) as exc:
+        raise error(
+            f"{record['op']} record for BAT {record['name']!r} holds rows "
+            f"that do not rebuild: {exc}"
+        ) from exc
 
 
 def replay(

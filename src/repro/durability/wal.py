@@ -8,7 +8,9 @@ One framing serves every journal in the repo. File layout::
 Payloads are JSON dictionaries with an ``op`` field. Values that JSON
 cannot carry natively (opaque ``any``-atom objects, pickled MIL
 ``ProcDef`` ASTs) are tagged ``{"__pickle__": <base64>}``; everything else
-stays human-readable for ``python -m repro.durability inspect``.
+stays human-readable for ``python -m repro.durability inspect``. Which
+columns may hold a tag is decided by their atom type, on write and on
+read alike: the numeric, bool and string atoms never do.
 
 :class:`RecordLog` is the writer: a persistent handle, one fsync per
 record, four named kill points around the two halves of each record so the
@@ -70,6 +72,7 @@ __all__ = [
     "append_record",
     "bat_from_payload",
     "bat_to_payload",
+    "decode_column",
     "decode_record",
     "decode_value",
     "encode_record",
@@ -115,11 +118,32 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+#: Atoms whose coerced values already are JSON scalars (``int``, ``float``,
+#: ``str``, ``bool``): their columns are written and read as they stand.
+#: Only the other atoms' columns go through :func:`encode_value` and
+#: :func:`decode_value` — so a tagged pickle in a ``str`` or ``dbl`` column
+#: reaches the atom's coercion as the dict it is, and is rejected there.
+_JSON_NATIVE_ATOMS = frozenset({"oid", "void", "int", "flt", "dbl", "str", "bit", "chr"})
+
+
+def _encode_column(values: list[Any], atom: str) -> list[Any]:
+    if atom in _JSON_NATIVE_ATOMS:
+        return values
+    return [encode_value(v) for v in values]
+
+
+def decode_column(values: list[Any], atom: str) -> list[Any]:
+    """The stored values of one serialized column of atom type ``atom``."""
+    if atom in _JSON_NATIVE_ATOMS:
+        return values
+    return [decode_value(v) for v in values]
+
+
 def _rows_payload(bat: BAT, start: int) -> dict[str, Any]:
     heads, tails, next_oid = bat.columns(start)
     return {
-        "head": [encode_value(v) for v in heads],
-        "tail": [encode_value(v) for v in tails],
+        "head": _encode_column(heads, bat.head_type),
+        "tail": _encode_column(tails, bat.tail_type),
         "next_oid": next_oid,
     }
 
@@ -138,11 +162,12 @@ def append_record(name: str, bat: BAT, at: int) -> dict[str, Any]:
 
 
 def bat_from_payload(payload: dict[str, Any], name: str | None = None) -> BAT:
+    head_type, tail_type = payload["head_type"], payload["tail_type"]
     return BAT.from_columns(
-        payload["head_type"],
-        payload["tail_type"],
-        [decode_value(v) for v in payload["head"]],
-        [decode_value(v) for v in payload["tail"]],
+        head_type,
+        tail_type,
+        decode_column(payload["head"], head_type),
+        decode_column(payload["tail"], tail_type),
         next_oid=payload.get("next_oid", 0),
         name=name,
     )

@@ -54,6 +54,16 @@ def _copy_column(values: list[Any], atom: Atom) -> list[Any]:
         return [_copy.deepcopy(v) for v in values]
     return list(values)
 
+
+def _truncated(live: list[Any], saved: list[Any], rows: int) -> list[Any]:
+    """A column rolled back to its first ``rows`` saved values: the live
+    list cut back in place while it still is the saved one (it has only
+    grown since), else a new list of the saved prefix."""
+    if live is saved:
+        del live[rows:]
+        return live
+    return saved[:rows]
+
 #: Sentinel distinguishing ``select(v)`` from ``select(lo, hi)``.
 _MISSING = object()
 
@@ -206,25 +216,30 @@ class BAT:
         return self
 
     def insert_bulk(self, heads: Iterable[Any] | None, tails: Iterable[Any]) -> "BAT":
-        """Bulk insert; ``heads=None`` auto-assigns dense oids (void head)."""
-        tails = list(tails)
+        """Bulk insert; ``heads=None`` auto-assigns dense oids (void head).
+
+        Every value is coerced before any row lands, so a value its atom
+        rejects leaves the BAT as it was."""
+        if heads is None and self.head_type != "void":
+            raise BatError("bulk insert without heads needs a void head")
+        coerce = self._tail_atom.coerce
+        tails = [coerce(t) for t in tails]
         if heads is None:
-            if self.head_type != "void":
-                raise BatError("bulk insert without heads needs a void head")
             with self._lock:
                 start = self._next_oid
                 self._head.extend(range(start, start + len(tails)))
                 self._next_oid = start + len(tails)
-                self._tail.extend(self._tail_atom.coerce(t) for t in tails)
+                self._tail.extend(tails)
             return self
-        heads = list(heads)
+        coerce = self._head_atom.coerce
+        heads = [coerce(h) for h in heads]
         if len(heads) != len(tails):
             raise BatError(
                 f"bulk insert arity mismatch: {len(heads)} heads, {len(tails)} tails"
             )
         with self._lock:
-            self._head.extend(self._head_atom.coerce(h) for h in heads)
-            self._tail.extend(self._tail_atom.coerce(t) for t in tails)
+            self._head.extend(heads)
+            self._tail.extend(tails)
         return self
 
     def delete(self, head: Any) -> "BAT":
@@ -238,13 +253,18 @@ class BAT:
         return self
 
     def replace(self, head: Any, tail: Any) -> "BAT":
-        """Replace the tail of the first association with the given head."""
+        """Replace the tail of the first association with the given head.
+
+        The tail column is a new list, as after ``delete``: a column list
+        only ever changes by growing (:meth:`_savepoint` relies on it)."""
         key = self._head_atom.coerce(head)
         value = self._tail_atom.coerce(tail)
         with self._lock:
             for i, h in enumerate(self._head):
                 if h == key:
-                    self._tail[i] = value
+                    tail_column = list(self._tail)
+                    tail_column[i] = value
+                    self._tail = tail_column
                     self._drop_accelerators()
                     return self
         raise BatError(f"replace: head {head!r} not present")
@@ -443,8 +463,9 @@ class BAT:
         """Roll this BAT back to a snapshot copy, in place.
 
         In-place so that holders of a reference (the metadata store, MIL
-        globals) see the rollback; the kernel's catalog rollback relies on
-        this. The snapshot must have the same atom types.
+        globals) see the rollback; a transaction rolls a BAT of mutable
+        values back through this (:meth:`_roll_back`). The snapshot must
+        have the same atom types.
         """
         if (snapshot.head_type, snapshot.tail_type) != (
             self.head_type,
@@ -462,6 +483,58 @@ class BAT:
             self._next_oid = snapshot._next_oid
             self._drop_accelerators()
         return self
+
+    def _savepoint(self) -> Any:
+        """What :meth:`_roll_back` needs to return this BAT to now.
+
+        A column list only ever grows in place — ``delete``, ``replace``,
+        ``restore`` and a rollback install new lists — so the lists
+        themselves, the row count, the oid counter and the version are
+        enough: O(1), nothing copied. A BAT of mutable values is saved as
+        a :meth:`copy`, because an in-place change to a stored value
+        bumps nothing.
+        """
+        if self.holds_mutable_values:
+            return self.copy(name=self.name)
+        with self._lock:
+            return (
+                self._head,
+                self._tail,
+                len(self._head),
+                self._next_oid,
+                self._lineage,
+                self._rewrites,
+            )
+
+    def _roll_back(self, savepoint: Any) -> None:
+        """Return to a :meth:`_savepoint`, in place, so holders of a
+        reference see the rollback. Untouched since, the BAT is left
+        alone; otherwise a column still on its saved list is truncated to
+        the saved row count, a rewritten one takes the saved list's
+        prefix, and — as after :meth:`restore` — accelerators are dropped
+        and the rewrite counter bumped.
+
+        Savepoints nest: a rollback only ever cuts a list back to a row
+        count at least that of any savepoint taken before it.
+        """
+        if isinstance(savepoint, BAT):
+            self.restore(savepoint)
+            return
+        head, tail, rows, next_oid, lineage, rewrites = savepoint
+        with self._lock:
+            if (
+                self._head is head
+                and self._tail is tail
+                and len(head) == rows
+                and self._next_oid == next_oid
+                and self._lineage is lineage
+                and self._rewrites == rewrites
+            ):
+                return
+            self._head = _truncated(self._head, head, rows)
+            self._tail = _truncated(self._tail, tail, rows)
+            self._next_oid = next_oid
+            self._drop_accelerators()
 
     def equals(self, other: "BAT") -> bool:
         """Structural equality: same atom types, columns, and oid counter.

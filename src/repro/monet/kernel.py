@@ -64,6 +64,11 @@ class MonetKernel:
     retried with exponential backoff and recoveries are recorded as
     :class:`FailureReport` entries on :attr:`failures`.
 
+    ``transaction()`` scopes are savepoints by watermark: entry records
+    each BAT's column lists and row count — O(#BATs), nothing copied but
+    BATs of mutable values — and a rollback cuts grown columns back to
+    those counts in place.
+
     ``store`` opts into durability: pass a directory path (or a configured
     :class:`repro.durability.DurableStore`) and the kernel recovers the
     catalog, PROC definitions, and expected module list from it at startup,
@@ -71,7 +76,8 @@ class MonetKernel:
     the WAL commit boundary: what the catalog gained over what the store
     holds — the rows appended to a BAT that only grew, the whole BAT
     otherwise — is group-committed (fsynced) when the outermost transaction
-    exits cleanly.
+    exits cleanly. A durable write therefore costs the rows it wrote plus
+    O(#BATs), not the catalog.
     The :class:`RecoveryReport` of the startup recovery is on
     :attr:`recovery`; modules named in :attr:`expected_modules` must be
     re-loaded by the caller (module code cannot be serialized).
@@ -99,8 +105,9 @@ class MonetKernel:
         #: Structured FailureReports (retries, rollbacks) in event order.
         self.failures: list[FailureReport] = []
         self._active_deadline: Deadline | None = None
-        #: Savepoint stack: snapshot per open ``transaction()`` scope.
-        self._txn_stack: list[dict[str, BAT]] = []
+        #: Savepoint stack, one per open ``transaction()``: name -> (BAT,
+        #: :meth:`BAT._savepoint`).
+        self._txn_stack: list[dict[str, tuple[BAT, Any]]] = []
         self._txn_owner: int | None = None
         self._in_recovery = False
         #: RecoveryReport of the startup recovery (None without a store).
@@ -191,41 +198,41 @@ class MonetKernel:
         return self._catalog
 
     # ------------------------------------------------------------------
-    # snapshot / rollback
+    # snapshot / savepoints
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, BAT]:
-        """A deep copy of the catalog (names -> copied BATs)."""
+        """A deep copy of the catalog (names -> copied BATs), for
+        comparison: replication and fleet convergence checks, chaos
+        oracles and tests hold it against a catalog later. Transactions
+        do not use it (see :meth:`transaction`)."""
         return {name: bat.copy(name=name) for name, bat in self._catalog.items()}
 
-    def restore(self, snapshot: dict[str, BAT]) -> None:
-        """Roll the catalog back to a snapshot.
-
-        BATs that survive under the same name and types are restored *in
-        place*, so holders of a reference (the metadata store, MIL globals)
-        observe the rollback; BATs created after the snapshot are dropped,
-        and dropped/replaced ones are reinstated from their copies.
-        """
-        for name in list(self._catalog):
-            if name not in snapshot:
-                del self._catalog[name]
-        for name, saved in snapshot.items():
-            live = self._catalog.get(name)
-            if (
-                live is None
-                or (live.head_type, live.tail_type)
-                != (saved.head_type, saved.tail_type)
-            ):
-                self._catalog[name] = saved.copy(name=name)
-            else:
-                live.restore(saved)
+    def _roll_back(self, saved: dict[str, tuple[BAT, Any]]) -> None:
+        """Return the catalog to a savepoint (each name's BAT and its
+        :meth:`BAT._savepoint`, see :meth:`transaction`): names bound since
+        are dropped, and every saved BAT object is rolled back in place
+        (holders of a reference — the metadata store, MIL globals — see
+        it) and bound under its name again."""
+        for name in [name for name in self._catalog if name not in saved]:
+            del self._catalog[name]
+        for name, (bat, savepoint) in saved.items():
+            bat._roll_back(savepoint)
+            bat.name = name
+            self._catalog[name] = bat
 
     @contextmanager
-    def transaction(self) -> Iterator[dict[str, BAT]]:
-        """Catalog snapshot/rollback scope — and the WAL commit boundary.
+    def transaction(self) -> Iterator[None]:
+        """Catalog savepoint/rollback scope — and the WAL commit boundary.
 
-        On any exception the catalog is restored to its state at entry, so
-        a failed MIL ``PROC`` or preprocessor run cannot leave half-written
-        BATs behind; the exception then propagates, annotated.
+        On any exception the catalog is rolled back to its state at entry,
+        so a failed MIL ``PROC`` or preprocessor run cannot leave
+        half-written BATs behind; the exception then propagates, annotated.
+
+        Entry costs O(#BATs) and copies nothing: a savepoint records each
+        BAT's column lists and row count (columns only grow in place), and
+        a rollback truncates a grown BAT back to its count — see
+        :meth:`BAT._savepoint`. BATs of mutable values are the exception
+        and are copied at entry.
 
         Scopes nest as savepoints: an inner exception rolls back only the
         inner scope's changes. With a durable store, the catalog delta is
@@ -242,16 +249,16 @@ class MonetKernel:
                 "a transaction is already active on another thread; "
                 "concurrent transactions are not supported"
             )
-        saved = self.snapshot()
+        saved = {name: (bat, bat._savepoint()) for name, bat in self._catalog.items()}
         self._txn_stack.append(saved)
         self._txn_owner = me
         try:
-            yield saved
+            yield
         except BaseException as exc:
             self._txn_stack.pop()
             if not self._txn_stack:
                 self._txn_owner = None
-            self.restore(saved)
+            self._roll_back(saved)
             self.failures.append(
                 FailureReport.from_exception(
                     "kernel.transaction", exc, "rolled-back",
@@ -265,7 +272,7 @@ class MonetKernel:
                 and not isinstance(exc, SimulatedCrash)
             ):
                 self._store.log_abort()
-            annotate(exc, f"catalog rolled back to snapshot of {len(saved)} BAT(s)")
+            annotate(exc, f"catalog rolled back to its savepoint of {len(saved)} BAT(s)")
             raise
         self._txn_stack.pop()
         if self._txn_stack:
@@ -275,25 +282,25 @@ class MonetKernel:
             self._store.commit(self._catalog_delta(saved))
             self._maybe_checkpoint()
 
-    def _catalog_delta(self, saved: dict[str, BAT]) -> list[tuple]:
+    def _catalog_delta(self, saved: dict[str, tuple[BAT, Any]]) -> list[tuple]:
         """What one WAL commit batch carries: per BAT, the rows it gained
         since the store last logged it when it has only grown since, and
         its full image when the store cannot vouch for any row (a BAT that
         is new, rebound, or was rewritten); then the drops.
 
         A BAT of mutable values is never vouched for, so it is logged in
-        full whenever it differs from ``saved``, its copy from transaction
-        entry.
+        full whenever it differs from the copy its name's BAT was saved as
+        at transaction entry.
         """
         delta: list[tuple] = []
         for name, bat in self._catalog.items():
             at = self._store.rows_logged(name, bat)
             if at is None:
-                old = saved.get(name)
+                _, entry_copy = saved.get(name, (None, None))
                 if not (
                     bat.holds_mutable_values
-                    and old is not None
-                    and old.equals(bat)
+                    and isinstance(entry_copy, BAT)
+                    and entry_copy.equals(bat)
                 ):
                     delta.append(("persist", name, bat))
             elif at < len(bat):

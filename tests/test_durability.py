@@ -1,6 +1,10 @@
 """Durability: WAL codec, checkpoints, recovery edge cases, durable kernel."""
 
+import base64
+import json
 import math
+import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from repro.durability import (
     Checkpoint,
     DurableStore,
     WriteAheadLog,
+    apply_record,
     read_checkpoint,
     read_records,
     write_checkpoint,
@@ -27,13 +32,15 @@ from repro.durability.wal import (
     encode_value,
 )
 from repro.errors import (
+    AtomTypeError,
     MonetError,
     RecoveryError,
+    ReplicationError,
     SimulatedCrash,
     WalCorruptionError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.monet.bat import BAT
+from repro.monet.bat import BAT, compare_catalogs
 from repro.monet.kernel import MonetKernel
 
 
@@ -75,6 +82,86 @@ class TestCodec:
         assert back.equals(bat)
         assert back.name == "laps"
         assert np.array_equal(back.tail_array(), bat.tail_array())
+
+    @pytest.mark.parametrize("tail_type", ["str", "dbl", "int", "bit"])
+    def test_a_tag_in_a_native_column_is_rejected_not_unpickled(
+        self, tail_type, monkeypatch
+    ):
+        # a JSON-native column never holds a tag; one found there is
+        # damage, and the atom's coercion rejects it as the dict it is
+        monkeypatch.setattr(
+            pickle, "loads", lambda *a: pytest.fail("unpickled a native column")
+        )
+        payload = {
+            "head_type": "void",
+            "tail_type": tail_type,
+            "head": [0],
+            "tail": [_tag(1)],
+            "next_oid": 1,
+        }
+        with pytest.raises(AtomTypeError):
+            bat_from_payload(payload)
+
+    def test_only_non_native_columns_are_tagged(self):
+        objects = BAT.from_columns("void", "any", [0], [{"k": 1}], next_oid=1)
+        assert bat_to_payload(objects)["tail"] == [encode_value({"k": 1})]
+        strings = BAT.from_columns("void", "str", [0], ['{"__pickle__": 1}'])
+        payload = bat_to_payload(strings)
+        assert payload["tail"] == ['{"__pickle__": 1}']
+        assert bat_from_payload(payload).equals(strings)
+
+    def test_replay_rejects_a_tagged_value_in_a_native_column(self):
+        catalog = {"laps": lap_bat("laps")}
+        record = {
+            "op": "append",
+            "name": "laps",
+            "at": 3,
+            "head": [3],
+            "tail": [_tag(78.0)],
+            "next_oid": 4,
+        }
+        with pytest.raises(WalCorruptionError, match="laps"):
+            apply_record(record, catalog, {}.__setitem__, set())
+        assert catalog["laps"].equals(lap_bat())  # left as it was
+        persist = {
+            "op": "persist",
+            "name": "names",
+            "bat": {
+                "head_type": "void",
+                "tail_type": "str",
+                "head": [0],
+                "tail": [_tag("x")],
+                "next_oid": 1,
+            },
+        }
+        with pytest.raises(ReplicationError):
+            apply_record(persist, catalog, {}.__setitem__, set(), error=ReplicationError)
+        assert "names" not in catalog
+
+    def test_recovery_surfaces_a_tagged_native_value_as_wal_corruption(
+        self, tmp_path
+    ):
+        store = DurableStore(tmp_path / "s", fsync=False)
+        store.open()
+        store.log_persist("laps", lap_bat())
+        store._wal.append(
+            {
+                "op": "append",
+                "name": "laps",
+                "at": 3,
+                "head": [3],
+                "tail": [_tag(78.0)],
+                "next_oid": 4,
+            }
+        )
+        store.close()
+        with pytest.raises(WalCorruptionError, match="do not rebuild"):
+            DurableStore(tmp_path / "s", fsync=False).recover()
+
+
+def _tag(value):
+    """``value`` as the WAL tags what JSON cannot carry."""
+    return {"__pickle__": base64.b64encode(pickle.dumps(value)).decode("ascii")}
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +270,100 @@ class TestCheckpoint:
         target.write_text(target.read_text().replace('"seqno": 1', '"seqno": 2'))
         with pytest.raises(RecoveryError, match="CRC"):
             read_checkpoint(tmp_path)
+
+    def test_one_edited_body_byte_fails_the_crc(self, tmp_path):
+        write_checkpoint(
+            tmp_path, Checkpoint(seqno=1, catalog={"laps": lap_bat()}), fsync=False
+        )
+        target = tmp_path / "checkpoint"
+        data = target.read_bytes()
+        at = data.index(b"77.9") + 3
+        target.write_bytes(data[:at] + b"8" + data[at + 1 :])  # 77.9 -> 77.8
+        with pytest.raises(RecoveryError, match="CRC"):
+            read_checkpoint(tmp_path)
+
+    def test_the_body_is_written_canonically_once(self, tmp_path):
+        write_checkpoint(
+            tmp_path, Checkpoint(seqno=2, catalog={"laps": lap_bat()}), fsync=False
+        )
+        text = (tmp_path / "checkpoint").read_text()
+        body = json.loads(text)["body"]
+        assert text.startswith('{"format": 1, "crc": ')
+        assert text.endswith(
+            '"body": ' + json.dumps(body, sort_keys=True, allow_nan=True) + "}"
+        )
+
+    def test_a_checkpoint_in_the_insertion_ordered_layout_reads_back(
+        self, tmp_path
+    ):
+        # the layout written before the body was embedded canonically:
+        # json.dump of the whole document, body keys in insertion order
+        blob = base64.b64encode(pickle.dumps({"k": [1]})).decode("ascii")
+        body = {
+            "seqno": 3,
+            "catalog": {
+                "laps": {
+                    "head_type": "void",
+                    "tail_type": "dbl",
+                    "head": [0, 1, 2],
+                    "tail": [78.1, float("nan"), float("inf")],
+                    "next_oid": 3,
+                },
+                "models": {
+                    "head_type": "void",
+                    "tail_type": "any",
+                    "head": [0, 1],
+                    "tail": [{"__pickle__": blob}, 7],
+                    "next_oid": 2,
+                },
+            },
+            "procs": {},
+            "modules": ["dbn"],
+        }
+        document = {
+            "format": 1,
+            "crc": zlib.crc32(
+                json.dumps(body, sort_keys=True, allow_nan=True).encode("utf-8")
+            ),
+            "body": body,
+        }
+        with open(tmp_path / "checkpoint", "w", encoding="utf-8") as fh:
+            json.dump(document, fh, allow_nan=True)
+        text = (tmp_path / "checkpoint").read_text()
+        assert text.index('"seqno"') < text.index('"catalog"')  # not sorted
+        back = read_checkpoint(tmp_path)
+        assert back.seqno == 3 and back.modules == ["dbn"]
+        expected = {
+            "laps": BAT.from_columns(
+                "void", "dbl", [0, 1, 2], [78.1, math.nan, math.inf], next_oid=3
+            ),
+            "models": BAT.from_columns("void", "any", [0, 1], [{"k": [1]}, 7], next_oid=2),
+        }
+        assert compare_catalogs(expected, back.catalog) == []
+
+    def test_special_floats_and_tagged_values_round_trip(self, tmp_path):
+        catalog = {
+            "floats": BAT.from_columns(
+                "void",
+                "dbl",
+                [0, 1, 2, 3],
+                [math.nan, math.inf, -math.inf, -0.0],
+                next_oid=4,
+            ),
+            "flags": BAT.from_columns("int", "bit", [-1, 5], [True, False]),
+            "letters": BAT.from_columns("oid", "chr", [4, 2], ["é", "\n"]),
+            "objects": BAT.from_columns(
+                "void",
+                "any",
+                [0, 1, 2, 3],
+                [{"nested": {1, 2}}, ("tuple", 1), None, 2.5],
+                next_oid=4,
+            ),
+        }
+        write_checkpoint(tmp_path, Checkpoint(seqno=1, catalog=catalog), fsync=False)
+        back = read_checkpoint(tmp_path).catalog
+        assert compare_catalogs(catalog, back) == []
+        assert back["objects"].tails()[:2] == [{"nested": {1, 2}}, ("tuple", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +666,13 @@ class TestDurableKernel:
         bat.insert({"mutable": [1, 2]})
         kernel.persist("state", bat)
         saved = kernel.snapshot()
-        bat.tails()[0]["mutable"].append(3)
-        assert saved["state"].tails()[0]["mutable"] == [1, 2]
-        kernel.restore(saved)
-        assert kernel.bat("state").tails()[0]["mutable"] == [1, 2]
+        with pytest.raises(MonetError):
+            with kernel.transaction():
+                bat.tails()[0]["mutable"].append(3)
+                assert saved["state"].tails()[0]["mutable"] == [1, 2]
+                raise MonetError("roll back")
+        assert kernel.bat("state") is bat
+        assert bat.tails()[0]["mutable"] == [1, 2]
 
     def test_bat_copy_deep_copies_object_tails(self):
         bat = BAT("void", "any")
