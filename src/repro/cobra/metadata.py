@@ -8,8 +8,12 @@ dynamic feature/semantic extractions in the query time." (§2)
 Events and objects are decomposed into aligned BAT groups on the Monet
 kernel (fully decomposed storage): one void-headed BAT per attribute, so a
 row's position is its oid in every BAT of the group, plus two oid-headed
-BATs for the event roles. Lookups are column-at-a-time: equality filters
-are probes of the BATs' on-demand hash accelerators, the surviving oid
+BATs for the event roles. Writes are column-at-a-time, like the paper's
+off-line population: a document, or a batch of late events, lands as one
+``insert_bulk`` per BAT (:meth:`MetadataStore.append_events`), so a
+registration costs at most thirteen bulk appends however many rows it
+carries. Lookups are column-at-a-time too: equality filters are probes
+of the BATs' on-demand hash accelerators, the surviving oid
 lists are intersected, a role condition reads one ``oid -> value`` map of
 the role BATs, and a Python record is materialised only for an oid
 that is actually returned (DESIGN.md, "BAT accelerators and the COQL
@@ -19,7 +23,7 @@ BATs, so a store view can be rebuilt per read at no cost.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -86,18 +90,22 @@ class MetadataStore:
     # ingestion
     # ------------------------------------------------------------------
     def register_document(self, document: VideoDocument) -> None:
+        """Land the document's objects and events, then keep its handle.
+
+        The handle is recorded only once the rows have landed: a rejected
+        value raises with no handle kept, so — once the enclosing
+        transaction has rolled the rows back — the corrected document can
+        be registered again.
+        """
         video_id = document.raw.video_id
         if video_id in self._documents:
             raise CobraError(f"video {video_id!r} already registered")
+        # rows already there were recovered from a durable store:
+        # re-registering the document only restores the Python-side handle
+        if not self._has_rows_for(video_id):
+            self._store_objects(video_id, document.objects.values())
+            self.append_events(video_id, document.events.values())
         self._documents[video_id] = document
-        if self._has_rows_for(video_id):
-            # the BATs were recovered from a durable store: re-registering
-            # the document only restores the Python-side handle
-            return
-        for video_object in document.objects.values():
-            self._store_object(video_id, video_object)
-        for event in document.events.values():
-            self._store_event(video_id, event)
 
     def _has_rows_for(self, video_id: str) -> bool:
         return self._event_bats["video_id"].tail_exists(
@@ -107,26 +115,56 @@ class MetadataStore:
     def store_event(self, video_id: str, event: VideoEvent) -> None:
         """Add one (possibly freshly extracted) event to the metadata."""
         self.document(video_id)  # raises on unknown video
-        self._store_event(video_id, event)
+        self.append_events(video_id, [event])
 
-    def _store_event(self, video_id: str, event: VideoEvent) -> None:
-        oid = self._event_bats["event_id"].count()
-        self._event_bats["event_id"].insert(event.event_id)
-        self._event_bats["video_id"].insert(video_id)
-        self._event_bats["kind"].insert(event.kind)
-        self._event_bats["start"].insert(float(event.interval.start))
-        self._event_bats["end"].insert(float(event.interval.end))
-        self._event_bats["confidence"].insert(float(event.confidence))
-        self._event_bats["source"].insert(event.source)
-        for role, object_id in event.roles.items():
-            self._role_names.insert(oid, role)
-            self._role_objects.insert(oid, object_id)
+    def append_events(self, video_id: str, events: Iterable[VideoEvent]) -> None:
+        """Append events of ``video_id`` as rows, a column at a time: one
+        ``insert_bulk`` per event BAT and, when any event has roles, per
+        role BAT, the role rows headed by their events' oids in event order.
 
-    def _store_object(self, video_id: str, video_object: VideoObject) -> None:
-        self._object_bats["object_id"].insert(video_object.object_id)
-        self._object_bats["video_id"].insert(video_id)
-        self._object_bats["category"].insert(video_object.category)
-        self._object_bats["label"].insert(video_object.label)
+        The one event writer. It does not ask for the document handle, so
+        a shard's metadata view — which holds none for documents it only
+        stores rows of — writes through it too. A value an atom rejects
+        leaves that BAT as it was, but not the BATs before it: run it in a
+        transaction, whose rollback realigns them.
+        """
+        events = list(events)
+        bats = self._event_bats
+        base = bats["event_id"].count()
+        bats["event_id"].insert_bulk(None, [event.event_id for event in events])
+        bats["video_id"].insert_bulk(None, [video_id] * len(events))
+        bats["kind"].insert_bulk(None, [event.kind for event in events])
+        bats["start"].insert_bulk(
+            None, [float(event.interval.start) for event in events]
+        )
+        bats["end"].insert_bulk(None, [float(event.interval.end) for event in events])
+        bats["confidence"].insert_bulk(
+            None, [float(event.confidence) for event in events]
+        )
+        bats["source"].insert_bulk(None, [event.source for event in events])
+        oids: list[int] = []
+        for oid, event in enumerate(events, base):
+            oids.extend([oid] * len(event.roles))
+        if not oids:
+            return  # extracted events carry no roles: two calls saved
+        self._role_names.insert_bulk(
+            oids, [role for event in events for role in event.roles]
+        )
+        self._role_objects.insert_bulk(
+            oids, [value for event in events for value in event.roles.values()]
+        )
+
+    def _store_objects(
+        self, video_id: str, video_objects: Iterable[VideoObject]
+    ) -> None:
+        """Append objects of ``video_id``: one ``insert_bulk`` per object
+        BAT."""
+        video_objects = list(video_objects)
+        bats = self._object_bats
+        bats["object_id"].insert_bulk(None, [o.object_id for o in video_objects])
+        bats["video_id"].insert_bulk(None, [video_id] * len(video_objects))
+        bats["category"].insert_bulk(None, [o.category for o in video_objects])
+        bats["label"].insert_bulk(None, [o.label for o in video_objects])
 
     # ------------------------------------------------------------------
     # lookups

@@ -308,9 +308,9 @@ class QueryPreprocessor:
         events = self._resilience.retry.call(
             attempt, site=site, deadline=deadline, on_retry=on_retry
         )
-        self._store_events(video_id, document, events)
+        self._record_events(video_id, document, events)
 
-    def _store_events(self, video_id: str, document: Any, events: list) -> None:
+    def _record_events(self, video_id: str, document: Any, events: list) -> None:
         """Persist extracted events; atomic when a kernel is attached.
 
         The kernel transaction rolls back the event BATs; the in-memory

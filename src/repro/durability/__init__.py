@@ -8,7 +8,8 @@ classic recoverability stack:
   length framed, fsynced, named crash points) under the write-ahead log
   and the sharded fleet's placement journal, and the WAL's batch grammar;
 * :mod:`repro.durability.checkpoint` — atomic (write-temp, fsync, rename)
-  full-catalog checkpoints that truncate the log;
+  full-catalog checkpoints that truncate the log, encoding only the rows
+  appended since the previous one;
 * :mod:`repro.durability.store` — the :class:`DurableStore` façade tying
   the two together, with :meth:`DurableStore.recover` rebuilding the last
   committed state and reporting recovery-time metrics, and

@@ -8,7 +8,11 @@ format tag and a CRC32 over the canonically serialized body::
 
 The writer encodes the body once, with the C JSON encoder and sorted keys,
 takes the CRC over those bytes and writes the document around them in one
-``write``. The reader re-encodes the parsed body the same way to check
+``write``. It encodes a BAT at a time, and a :class:`CheckpointEncoder`
+kept from the previous checkpoint re-encodes only the rows a BAT gained
+since: a checkpoint's encoding costs what was appended, while its bytes —
+still a full image — stay exactly those of the whole body encoded at once.
+The reader re-encodes the parsed body the same way to check
 the CRC, so it also accepts documents whose body keys are in any order —
 those written before the body was embedded canonically. Columns of
 numeric, bool and string atoms are serialized as they stand; only the
@@ -27,16 +31,27 @@ import json
 import os
 import pickle
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.durability.wal import bat_from_payload, bat_to_payload, fsync_directory
+from repro.durability.wal import (
+    bat_from_payload,
+    bat_to_payload,
+    fsync_directory,
+    rows_payload,
+)
 from repro.errors import RecoveryError
 from repro.faults import FaultInjector
 from repro.monet.bat import BAT
 
-__all__ = ["CHECKPOINT_NAME", "Checkpoint", "read_checkpoint", "write_checkpoint"]
+__all__ = [
+    "CHECKPOINT_NAME",
+    "Checkpoint",
+    "CheckpointEncoder",
+    "read_checkpoint",
+    "write_checkpoint",
+]
 
 CHECKPOINT_NAME = "checkpoint"
 CHECKPOINT_FORMAT = 1
@@ -72,8 +87,81 @@ def _body(checkpoint: Checkpoint) -> dict[str, Any]:
     }
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, allow_nan=True)
+
+
 def _canonical(body: Mapping[str, Any]) -> bytes:
-    return json.dumps(body, sort_keys=True, allow_nan=True).encode("utf-8")
+    return _dumps(body).encode("utf-8")
+
+
+def _items(values: list[Any]) -> str:
+    """A JSON list's encoding without its brackets."""
+    return _dumps(values)[1:-1]
+
+
+def _joined(items: str, more: str) -> str:
+    return f"{items}, {more}" if items and more else items or more
+
+
+#: ``_canonical(bat_to_payload(bat))``, its two columns' items spliced in.
+_BAT_TEMPLATE = (
+    '{"head": [%s], "head_type": %s, "next_oid": %s, "tail": [%s], "tail_type": %s}'
+)
+#: How ``_canonical(_body(...))`` begins: ``"catalog"`` is its first key.
+_CATALOG_OPEN = '{"catalog": {'
+
+
+class CheckpointEncoder:
+    """Encodes checkpoint bodies, re-encoding only rows appended since
+    the last body it encoded.
+
+    It remembers, per BAT name, the :meth:`BAT.version` it encoded and
+    the encoded items of both columns. A BAT that has only grown since
+    (:meth:`BAT.appended_since`) has rows ``[at, len)`` encoded and
+    appended after the remembered items; any other — new, rebound,
+    rewritten, rolled back, or of mutable values — is encoded whole. The
+    result is byte for byte ``_canonical(_body(checkpoint))``, and a fresh
+    encoder (a reopened store) simply encodes everything.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[str, tuple[tuple[object, int, int], str, str]] = {}
+
+    def encode(self, checkpoint: Checkpoint) -> bytes:
+        memo: dict[str, tuple[tuple[object, int, int], str, str]] = {}
+        bats = []
+        for name in sorted(checkpoint.catalog):
+            bat = checkpoint.catalog[name]
+            # lineage and rewrites read before the rows, as for a WAL delta
+            lineage, rewrites, _ = bat.version()
+            remembered = self._memo.get(name)
+            at = None if remembered is None else bat.appended_since(remembered[0])
+            if at is None:
+                at, head, tail = 0, "", ""
+            else:
+                _, head, tail = remembered
+            rows = rows_payload(bat, at)
+            head = _joined(head, _items(rows["head"]))
+            tail = _joined(tail, _items(rows["tail"]))
+            memo[name] = ((lineage, rewrites, at + len(rows["tail"])), head, tail)
+            bats.append(
+                f"{_dumps(name)}: "
+                + _BAT_TEMPLATE
+                % (
+                    head,
+                    _dumps(bat.head_type),
+                    _dumps(rows["next_oid"]),
+                    tail,
+                    _dumps(bat.tail_type),
+                )
+            )
+        self._memo = memo
+        # everything but the catalog, encoded around an empty one
+        frame = _dumps(_body(replace(checkpoint, catalog={})))
+        return (
+            _CATALOG_OPEN + ", ".join(bats) + frame[len(_CATALOG_OPEN) :]
+        ).encode("utf-8")
 
 
 def write_checkpoint(
@@ -81,6 +169,7 @@ def write_checkpoint(
     checkpoint: Checkpoint,
     faults: FaultInjector | None = None,
     fsync: bool = True,
+    encoder: CheckpointEncoder | None = None,
 ) -> Path:
     """Atomically install ``checkpoint`` as ``<directory>/checkpoint``.
 
@@ -91,6 +180,11 @@ def write_checkpoint(
     may surface either checkpoint, both of which must recover),
     ``checkpoint:renamed`` (rename durable on the directory entry, caller
     has not yet truncated the WAL). All four leave a recoverable store.
+
+    ``encoder`` is the :class:`CheckpointEncoder` that encoded the
+    previous checkpoint of the same catalog, so that only rows appended
+    since are encoded; without one, every BAT is encoded whole. The
+    bytes are the same either way.
     """
     faults = faults if faults is not None else FaultInjector.disabled()
     directory = Path(directory)
@@ -98,7 +192,7 @@ def write_checkpoint(
     temp = directory / (CHECKPOINT_NAME + ".tmp")
     # the body is encoded once, canonically: the CRC is over these very
     # bytes, and the document embeds them as they are
-    body = _canonical(_body(checkpoint))
+    body = (encoder or CheckpointEncoder()).encode(checkpoint)
     header = '{"format": %d, "crc": %d, "body": ' % (
         CHECKPOINT_FORMAT,
         zlib.crc32(body),

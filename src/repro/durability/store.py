@@ -23,7 +23,8 @@ BAT that only grew is one ``append`` record holding rows ``[at, len)``;
 rebound under its name, or was deleted from, replaced in or restored, and
 what an auto-commit ``kernel.persist`` writes; ``drop``, ``proc`` and
 ``module`` are as small as they sound. Checkpoints stay full snapshots,
-encoded in one pass (:func:`repro.durability.checkpoint.write_checkpoint`).
+but the store's :class:`~repro.durability.checkpoint.CheckpointEncoder`
+re-encodes only the rows each BAT gained since the last one.
 ``at`` counts from what the *store* holds, not from where the transaction
 began: the store remembers the :meth:`BAT.version` of every image and
 delta it made durable (:meth:`DurableStore.rows_logged`), so a mutation
@@ -71,6 +72,7 @@ from repro.check.catalogcheck import check_catalog
 from repro.check.diagnostics import Diagnostic
 from repro.durability.checkpoint import (
     Checkpoint,
+    CheckpointEncoder,
     checkpoint_from_state,
     pickle_definition,
     read_checkpoint,
@@ -307,6 +309,8 @@ class DurableStore:
         self._modules: set[str] = set()
         #: BAT name -> the version of the BAT whose rows the store holds
         self._logged: dict[str, tuple[object, int, int]] = {}
+        #: remembers the last checkpoint's encoded rows per BAT
+        self._encoder = CheckpointEncoder()
         self._opened = False
 
     # ------------------------------------------------------------------
@@ -459,10 +463,12 @@ class DurableStore:
     ) -> int:
         """Serialize the full state atomically, then truncate the WAL.
 
-        Crash-safe at every step: until the rename the old checkpoint +
-        full WAL are authoritative; after the rename the new checkpoint
-        subsumes the WAL, whose replay is idempotent until truncation.
-        Returns the new checkpoint seqno.
+        Encoding costs the rows appended since the previous checkpoint
+        (the store's :class:`CheckpointEncoder`); the bytes are the whole
+        body's. Crash-safe at every step: until the rename the old
+        checkpoint + full WAL are authoritative; after the rename the new
+        checkpoint subsumes the WAL, whose replay is idempotent until
+        truncation. Returns the new checkpoint seqno.
         """
         self._require_open()
         self._seqno += 1
@@ -472,7 +478,13 @@ class DurableStore:
             definitions or {},
             set(modules) | self._modules,
         )
-        write_checkpoint(self.path, snapshot, faults=self.faults, fsync=self._fsync)
+        write_checkpoint(
+            self.path,
+            snapshot,
+            faults=self.faults,
+            fsync=self._fsync,
+            encoder=self._encoder,
+        )
         self._logged = {
             name: bat.version() for name, bat in snapshot.catalog.items()
         }

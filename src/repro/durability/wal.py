@@ -79,6 +79,7 @@ __all__ = [
     "encode_value",
     "fsync_directory",
     "read_records",
+    "rows_payload",
 ]
 
 MAGIC = b"REPROWAL2\n"
@@ -139,7 +140,9 @@ def decode_column(values: list[Any], atom: str) -> list[Any]:
     return [decode_value(v) for v in values]
 
 
-def _rows_payload(bat: BAT, start: int) -> dict[str, Any]:
+def rows_payload(bat: BAT, start: int = 0) -> dict[str, Any]:
+    """Rows ``[start, len)`` of ``bat`` and its oid counter, serialized:
+    ``{"head": [...], "tail": [...], "next_oid": n}``."""
     heads, tails, next_oid = bat.columns(start)
     return {
         "head": _encode_column(heads, bat.head_type),
@@ -152,13 +155,13 @@ def bat_to_payload(bat: BAT) -> dict[str, Any]:
     return {
         "head_type": bat.head_type,
         "tail_type": bat.tail_type,
-        **_rows_payload(bat, 0),
+        **rows_payload(bat),
     }
 
 
 def append_record(name: str, bat: BAT, at: int) -> dict[str, Any]:
     """The row delta of a BAT that only grew: rows ``[at, len)``."""
-    return {"op": "append", "name": name, "at": at, **_rows_payload(bat, at)}
+    return {"op": "append", "name": name, "at": at, **rows_payload(bat, at)}
 
 
 def bat_from_payload(payload: dict[str, Any], name: str | None = None) -> BAT:

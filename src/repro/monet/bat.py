@@ -16,6 +16,13 @@ Inserts never touch them — appended rows
 are caught up on the next probe — and every other mutation drops them, so
 the Cobra metadata store and the feature-extraction extensions get index-
 and column-shaped reads without a cache to size or invalidate by hand.
+
+Writes are cheapest a column at a time too: :meth:`BAT.insert_bulk`,
+:meth:`BAT.from_columns` and :meth:`BAT.append_columns` check a whole
+column's value types once and take a column that already holds the atom's
+stored type (``int``, ``float`` or ``str``; no negative oid) as it stands,
+coercing value by value only otherwise — with the same results and the
+same errors as :meth:`BAT.insert` would give row by row.
 """
 
 from __future__ import annotations
@@ -53,6 +60,24 @@ def _copy_column(values: list[Any], atom: Atom) -> list[Any]:
     if _holds_mutable_values(atom):
         return [_copy.deepcopy(v) for v in values]
     return list(values)
+
+
+#: The one Python type every stored value of these atoms has: a column of
+#: nothing else needs no coercion (an oid/void column also no negative).
+_EXACT_TYPES = {"int": int, "oid": int, "void": int, "flt": float, "dbl": float, "str": str}
+
+
+def _coerced(atom: Atom, values: Iterable[Any]) -> list[Any]:
+    """A new list of ``values`` in the atom's stored form, a column at a
+    time: taken as it stands when every value already has the atom's
+    exact stored type, else ``atom.coerce`` value by value."""
+    values = list(values)
+    exact = _EXACT_TYPES.get(atom.name)
+    if exact is not None and set(map(type, values)) <= {exact}:
+        if exact is not int or atom.name == "int" or not values or min(values) >= 0:
+            return values
+    coerce = atom.coerce
+    return [coerce(v) for v in values]
 
 
 def _truncated(live: list[Any], saved: list[Any], rows: int) -> list[Any]:
@@ -219,11 +244,12 @@ class BAT:
         """Bulk insert; ``heads=None`` auto-assigns dense oids (void head).
 
         Every value is coerced before any row lands, so a value its atom
-        rejects leaves the BAT as it was."""
+        rejects leaves the BAT as it was. Coercion is a column at a time:
+        a column whose values all have the atom's stored type already
+        lands as it stands."""
         if heads is None and self.head_type != "void":
             raise BatError("bulk insert without heads needs a void head")
-        coerce = self._tail_atom.coerce
-        tails = [coerce(t) for t in tails]
+        tails = _coerced(self._tail_atom, tails)
         if heads is None:
             with self._lock:
                 start = self._next_oid
@@ -231,8 +257,7 @@ class BAT:
                 self._next_oid = start + len(tails)
                 self._tail.extend(tails)
             return self
-        coerce = self._head_atom.coerce
-        heads = [coerce(h) for h in heads]
+        heads = _coerced(self._head_atom, heads)
         if len(heads) != len(tails):
             raise BatError(
                 f"bulk insert arity mismatch: {len(heads)} heads, {len(tails)} tails"
@@ -583,14 +608,14 @@ class BAT:
     ) -> "BAT":
         """Rebuild a BAT from serialized columns (the recovery path).
 
-        Values are re-coerced through the atom types, so a damaged log
-        record that decodes to ill-typed values raises
-        :class:`repro.errors.AtomTypeError` here instead of corrupting the
-        catalog silently.
+        Values are re-coerced through the atom types, a column at a time
+        as in :meth:`insert_bulk`, so a damaged log record that decodes to
+        ill-typed values raises :class:`repro.errors.AtomTypeError` here
+        instead of corrupting the catalog silently.
         """
         out = cls(head_type, tail_type, name=name)
-        out._head = [out._head_atom.coerce(h) for h in head]
-        out._tail = [out._tail_atom.coerce(t) for t in tail]
+        out._head = _coerced(out._head_atom, head)
+        out._tail = _coerced(out._tail_atom, tail)
         if len(out._head) != len(out._tail):
             raise BatError(
                 f"column length mismatch rebuilding {name or '<transient>'}: "

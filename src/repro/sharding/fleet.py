@@ -1302,8 +1302,8 @@ class ShardedKernel:
                             pruned_document(handle[0], detail)
                         )
                     else:
-                        view._store_event(
-                            video_id, event_from_payload(detail)
+                        view.append_events(
+                            video_id, [event_from_payload(detail)]
                         )
                 expected = {
                     bat_name: bat

@@ -652,7 +652,7 @@ class MigrationCoordinator:
         def write(kernel: "MonetKernel") -> None:
             view = shard.view()
             with kernel.transaction():
-                view._store_event(video_id, event)
+                view.append_events(video_id, [event])
 
         fleet._fenced_apply(shard, write)
 
