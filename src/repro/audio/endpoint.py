@@ -22,6 +22,7 @@ import numpy as np
 from repro.audio.features import cepstrum, short_time_energy
 from repro.audio.filters import ENDPOINT_BAND, BandSplit
 from repro.audio.signal import AudioSignal, clip_statistics
+from repro.errors import SignalError
 
 __all__ = ["EndpointConfig", "EndpointResult", "detect_speech"]
 
@@ -84,9 +85,15 @@ def detect_speech(
     detection". A caller that filters the same track itself passes its
     ``bands`` (a :class:`BandSplit` of ``signal``) so the spectrum and the
     band are computed once between them.
+
+    Raises:
+        SignalError: ``bands`` splits a signal other than ``signal``.
     """
     config = config or EndpointConfig()
-    bands = bands or BandSplit(signal)
+    if bands is None:
+        bands = BandSplit(signal)
+    elif bands.signal is not signal:
+        raise SignalError("bands must be a BandSplit of the signal being classified")
     filtered = bands.band(*config.band)
 
     ste = short_time_energy(filtered)

@@ -84,12 +84,13 @@ def extract_excitement_features(
     detector and the features below share one :class:`BandSplit`.
     """
     bands = BandSplit(signal)
+    # The excitement band is needed for its STE alone: take that first and
+    # let the band go before the endpoint band is filtered.
+    ste = short_time_energy(bands.band(*EXCITEMENT_BAND))
+    bands.drop(*EXCITEMENT_BAND)
     endpoint = detect_speech(signal, endpoint_config, bands)
-
-    high = bands.band(*EXCITEMENT_BAND)
     low = bands.band(*ENDPOINT_BAND)
 
-    ste = short_time_energy(high)
     ste_stats = clip_statistics(signal, ste)
     pitch = pitch_track(low)
     pitch_stats = clip_statistics(signal, pitch)

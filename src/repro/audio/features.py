@@ -13,7 +13,11 @@ Implements the feature set of §5.2:
 * **Pause rate** — fraction of silent frames per clip, "intended to
   determine the quantity of speech in an audio clip".
 
-All functions are vectorized over frames.
+All functions are vectorized over frames. The framed passes over a whole
+track (STE, mel log energies, pitch) take a block of frame rows at a time,
+so what they hold beyond their input and output is one block's windows
+and spectra; every row is computed as in a whole-track pass, so the
+results do not depend on the block.
 """
 
 from __future__ import annotations
@@ -36,9 +40,23 @@ __all__ = [
 ]
 
 
-#: Frame rows per block of :func:`pitch_track`'s autocorrelation (~25 MB of
+#: Frame rows per block of :func:`pitch_track`'s autocorrelation (~11 MB of
 #: windows, spectra and autocorrelations at 16 kHz).
-PITCH_BLOCK_ROWS = 1024
+PITCH_BLOCK_ROWS = 256
+
+#: Frame rows per block of the framed STE and mel passes (~2.6 MB of
+#: windowed frames, ~4 MB of spectra at 16 kHz). Keep it at a few hundred
+#: rows or more: on fewer rows BLAS may multiply by the mel filterbank with
+#: a small-matrix kernel whose sums round differently.
+FRAME_BLOCK_ROWS = 2048
+
+
+def _row_blocks(count: int, rows: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` blocks of ``rows`` rows out of ``count``; the last block
+    takes the remainder, so no block is shorter than ``rows`` unless the
+    whole is."""
+    bounds = [i * rows for i in range(max(count // rows, 1))] + [count]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def short_time_energy(signal: AudioSignal, window: str = "hamming") -> np.ndarray:
@@ -49,7 +67,10 @@ def short_time_energy(signal: AudioSignal, window: str = "hamming") -> np.ndarra
     """
     frames = signal.frames()
     w = window_function(window, frames.shape[1])
-    return np.mean((frames * w) ** 2, axis=1)
+    energy = np.empty(frames.shape[0])
+    for lo, hi in _row_blocks(frames.shape[0], FRAME_BLOCK_ROWS):
+        energy[lo:hi] = np.mean((frames[lo:hi] * w) ** 2, axis=1)
+    return energy
 
 
 def pitch_track(
@@ -74,10 +95,11 @@ def pitch_track(
     if not 0 < fmin < fmax:
         raise SignalError(f"bad pitch range [{fmin}, {fmax}]")
     base = signal.frames()
+    rows = base.shape[0]
     fs = signal.sample_rate
     # Pitch needs more than one period in view: analyse a 30 ms window
-    # centred on each 10 ms frame (previous + current + next frame).
-    padded = np.vstack([base[:1], base, base[-1:]])
+    # centred on each 10 ms frame (previous + current + next frame; the
+    # first and last frame stand in for their missing neighbours).
     n = 3 * base.shape[1]
     lag_min = max(int(fs / fmax), 1)
     lag_max = min(int(fs / fmin), n - 1)
@@ -88,13 +110,14 @@ def pitch_track(
         )
     size = 1 << int(np.ceil(np.log2(2 * n)))
     overlap = (n - np.arange(n)).astype(np.float64)
-    pitch = np.empty(base.shape[0])
+    pitch = np.empty(rows)
     # Every row's autocorrelation is independent of the others, so the
     # windows, spectra and autocorrelations exist for one block of rows at
     # a time instead of for the whole track.
-    for lo in range(0, base.shape[0], PITCH_BLOCK_ROWS):
-        hi = min(lo + PITCH_BLOCK_ROWS, base.shape[0])
-        frames = np.hstack([padded[lo:hi], padded[lo + 1 : hi + 1], padded[lo + 2 : hi + 2]])
+    for lo in range(0, rows, PITCH_BLOCK_ROWS):
+        hi = min(lo + PITCH_BLOCK_ROWS, rows)
+        near = base[np.clip(np.arange(lo - 1, hi + 1), 0, rows - 1)]
+        frames = np.hstack([near[:-2], near[1:-1], near[2:]])
         centered = frames - frames.mean(axis=1, keepdims=True)
         # Autocorrelation via FFT, per frame; unbiased normalization so long
         # lags (low pitch) compete fairly with short lags.
@@ -156,10 +179,13 @@ def mel_log_energies(
     frames = signal.frames()
     w = window_function(window, frames.shape[1])
     n_fft = 1 << int(np.ceil(np.log2(frames.shape[1])))
-    spectra = np.abs(np.fft.rfft(frames * w, n=n_fft, axis=1)) ** 2
     bank = mel_filterbank(n_filters, n_fft, signal.sample_rate)
-    energies = spectra @ bank.T
-    return np.log(np.maximum(energies, 1e-12))
+    log_energies = np.empty((frames.shape[0], n_filters))
+    for lo, hi in _row_blocks(frames.shape[0], FRAME_BLOCK_ROWS):
+        spectra = np.abs(np.fft.rfft(frames[lo:hi] * w, n=n_fft, axis=1)) ** 2
+        energies = spectra @ bank.T
+        log_energies[lo:hi] = np.log(np.maximum(energies, 1e-12))
+    return log_energies
 
 
 def cepstrum(log_energies: np.ndarray, n_coefficients: int = 12) -> np.ndarray:

@@ -9,11 +9,14 @@ edges here default to those values.
 Filtering is done with an FFT brick-wall band-pass — simple, linear-phase
 and exactly reproducible, which matters more for a reproduction than
 matched roll-off. The forward transform does not depend on the band, so a
-:class:`BandSplit` takes it once per track.
+:class:`BandSplit` takes it once per track. A band is one contiguous run of
+bins, so no per-bin frequency array or mask is kept; what stays at the
+length of the track is the spectrum and the bands still wanted.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +50,10 @@ class BandSplit:
     transforms the signal once, inverts once per distinct band and frames
     each band's mel log energies once; the results are what separate
     ``bandpass`` / ``mfcc`` calls would return.
+
+    What it holds at the length of the track is the spectrum and the bands
+    not yet dropped (:meth:`drop`); a band's masked copy of the spectrum
+    lives only while that band is inverted.
     """
 
     def __init__(self, signal: AudioSignal):
@@ -58,10 +65,18 @@ class BandSplit:
     def _spectrum(self) -> np.ndarray:
         return np.fft.rfft(self.signal.samples)
 
-    @cached_property
-    def _freqs(self) -> np.ndarray:
-        signal = self.signal
-        return np.fft.rfftfreq(signal.samples.shape[0], d=1.0 / signal.sample_rate)
+    def _bins(self, low_hz: float, high_hz: float) -> tuple[int, int]:
+        """The bins ``[first, stop)`` whose frequency lies in [low_hz,
+        high_hz]. Bin ``k`` is at ``k * (1 / (n * d))``, the float
+        ``np.fft.rfftfreq`` computes; that is non-decreasing in ``k``, so
+        the bins passing the comparison are one contiguous run, found by
+        bisection on that same comparison."""
+        n = self.signal.samples.shape[0]
+        step = 1.0 / (n * (1.0 / self.signal.sample_rate))
+        bins = range(n // 2 + 1)
+        first = bisect.bisect_left(bins, low_hz, key=lambda k: k * step)
+        stop = bisect.bisect_right(bins, high_hz, key=lambda k: k * step)
+        return first, stop
 
     def band(self, low_hz: float, high_hz: float) -> AudioSignal:
         """The signal with spectral content outside [low_hz, high_hz] zeroed.
@@ -72,7 +87,7 @@ class BandSplit:
 
         Returns:
             An :class:`AudioSignal` with the same length and sample rate,
-            shared by every caller asking for this band.
+            shared by every caller asking for this band until it is dropped.
         """
         key = (float(low_hz), float(high_hz))
         if key not in self._bands:
@@ -84,10 +99,19 @@ class BandSplit:
                 raise SignalError(
                     f"band edge {high_hz} Hz exceeds Nyquist {nyquist} Hz"
                 )
-            mask = (self._freqs >= low_hz) & (self._freqs <= high_hz)
-            filtered = np.fft.irfft(self._spectrum * mask, n=signal.samples.shape[0])
+            # ``spectrum * mask`` for a boolean mask that is True on
+            # [first, stop): the same products, signed zeros included
+            first, stop = self._bins(low_hz, high_hz)
+            masked = np.multiply(self._spectrum, False)
+            np.multiply(self._spectrum[first:stop], True, out=masked[first:stop])
+            filtered = np.fft.irfft(masked, n=signal.samples.shape[0])
             self._bands[key] = AudioSignal(filtered, signal.sample_rate)
         return self._bands[key]
+
+    def drop(self, low_hz: float, high_hz: float) -> None:
+        """Forget a band (its mel log energies stay): the next
+        :meth:`band` call for it filters it again."""
+        self._bands.pop((float(low_hz), float(high_hz)), None)
 
     def mel_log_energies(self, low_hz: float, high_hz: float) -> np.ndarray:
         """Framed mel log energies of one band (see

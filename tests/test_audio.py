@@ -11,6 +11,7 @@ from repro.audio.features import (
     frame_entropy,
     cepstrum,
     mel_filterbank,
+    mel_log_energies,
     mfcc,
     pause_rate,
     pitch_track,
@@ -122,6 +123,36 @@ class TestFilters:
             )
 
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 160, 1601, 16000, 22051])
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 22050])
+    def test_band_is_the_rfftfreq_mask(self, n, sample_rate):
+        """A band's bins are the ones ``rfftfreq`` puts inside it, edges on
+        a bin's frequency included, and the band is the inverse of
+        ``spectrum * mask`` byte for byte."""
+        samples = np.random.default_rng(n).standard_normal(n)
+        signal = AudioSignal(samples, sample_rate)
+        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+        spectrum = np.fft.rfft(samples)
+        edges = [0.0, 882.0, 2205.0, float(freqs[len(freqs) // 3]), float(freqs[-1])]
+        bands = BandSplit(signal)
+        for low in edges:
+            for high in edges:
+                if not low < high:
+                    continue
+                mask = (freqs >= low) & (freqs <= high)
+                first, stop = bands._bins(low, high)
+                assert np.array_equal(np.flatnonzero(mask), np.arange(first, stop))
+                expected = np.fft.irfft(spectrum * mask, n=n)
+                assert bands.band(low, high).samples.tobytes() == expected.tobytes()
+
+    def test_dropped_band_is_filtered_again(self, rng):
+        bands = BandSplit(speechlike(140, rng=rng))
+        high = bands.band(882, 2205)
+        bands.drop(882, 2205)
+        again = bands.band(882, 2205)
+        assert again is not high and np.array_equal(again.samples, high.samples)
+
+
 class TestFeatures:
     def test_ste_scales_with_amplitude(self):
         quiet = short_time_energy(tone(200, amplitude=0.1)).mean()
@@ -150,6 +181,20 @@ class TestFeatures:
         for rows in (1, 7, whole.shape[0] + 5):
             monkeypatch.setattr("repro.audio.features.PITCH_BLOCK_ROWS", rows)
             assert np.array_equal(pitch_track(sig), whole)
+
+    def test_frame_passes_do_not_depend_on_the_row_block(self, rng, monkeypatch):
+        """STE and mel log energies frame the track a block of rows at a
+        time; the last block takes the remainder. STE is per-row arithmetic
+        and holds at any block; the mel product stays at a few hundred rows
+        (BLAS may use a different small-matrix kernel below that)."""
+        sig = bandpass(speechlike(140, 12.0, rng), 0, 882)  # 1200 frames
+        ste, mel = short_time_energy(sig), mel_log_energies(sig)
+        for rows in (1, 7, 1199, 1201):
+            monkeypatch.setattr("repro.audio.features.FRAME_BLOCK_ROWS", rows)
+            assert np.array_equal(short_time_energy(sig), ste)
+        for rows in (401, 599, 1200):
+            monkeypatch.setattr("repro.audio.features.FRAME_BLOCK_ROWS", rows)
+            assert np.array_equal(mel_log_energies(sig), mel)
 
     def test_mel_filterbank_shape_and_coverage(self):
         bank = mel_filterbank(24, 256, FS)
@@ -200,6 +245,16 @@ class TestEndpoint:
         segments = detect_speech(sig).segments()
         assert segments
         assert segments[0][0] == pytest.approx(1.0, abs=0.3)
+
+    def test_bands_of_another_signal_rejected(self, rng):
+        signal = speechlike(150, 1.0, rng)
+        other = AudioSignal(signal.samples.copy(), FS)
+        with pytest.raises(SignalError, match="BandSplit"):
+            detect_speech(signal, bands=BandSplit(other))
+        shared = BandSplit(signal)
+        assert np.array_equal(
+            detect_speech(signal, bands=shared).is_speech, detect_speech(signal).is_speech
+        )
 
     def test_paper_thresholds_are_defaults(self):
         config = EndpointConfig()

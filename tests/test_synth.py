@@ -1,5 +1,7 @@
 """Synthetic race substrate: timelines, annotations, audio, video."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SynthesisError
 from repro.synth.annotations import GroundTruth, Interval, merge_intervals, raster
-from repro.synth.audio_synth import smooth_slots, synthesize_audio
+from repro.synth.audio_synth import SlotEnvelope, _Engine, smooth_slots, synthesize_audio
 from repro.synth.grandprix import BELGIAN_GP, GERMAN_GP, USA_GP
 from repro.synth.race import RaceSpec, generate_timeline
 from repro.synth.text_synth import draw_overlay
@@ -137,6 +139,16 @@ class TestAudioSynth:
             if word in F1_KEYWORDS and all(p is not None for p in phones):
                 assert tuple(phones) == F1_KEYWORDS[word]
 
+    @pytest.mark.parametrize("duration", [200.04, 200.05])
+    def test_duration_between_slots(self, duration):
+        """The slot count rounds down, so the track runs past its last
+        0.1 s slot; the envelopes hold that slot over the extra samples."""
+        audio = synthesize_audio(generate_timeline(replace(SPEC, duration=duration)))
+        samples = audio.signal.samples
+        assert samples.shape == (int(duration * 16000),)
+        assert len(audio.phone_slots) == 2000
+        assert np.isfinite(samples).all() and np.abs(samples).max() <= 1.0
+
     def test_excitement_louder_than_neutral(self):
         timeline = generate_timeline(SPEC)
         audio = synthesize_audio(timeline)
@@ -211,6 +223,72 @@ class TestSmoothSlots:
         assert np.array_equal(
             smooth_slots(values, 10, 1000, 4), full_smoothing(values, 10, 1000, 4)
         )
+
+
+class TestSlotEnvelope:
+    """A ``SlotEnvelope`` read in blocks of any size is the full box
+    convolution of its slots, with the last slot held over any samples
+    past them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 0.35]),
+                st.floats(0.0, 1.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        samples_per_slot=st.integers(1, 24),
+        width=st.integers(1, 30),
+        extra=st.integers(-23, 40),
+        block=st.integers(1, 60),
+    )
+    # blocks shorter than the kernel, and a held tail longer than it
+    @example(values=[0.3, 0.9, 0.1], samples_per_slot=16, width=12, extra=25, block=5)
+    # a held tail inside the last window of a step
+    @example(values=[0.0, 1.0], samples_per_slot=8, width=8, extra=2, block=3)
+    def test_blocks_equal_full_convolution(
+        self, values, samples_per_slot, width, extra, block
+    ):
+        n = len(values) * samples_per_slot + max(extra, 1 - samples_per_slot)
+        slots = np.minimum(np.arange(n) // samples_per_slot, len(values) - 1)
+        held = np.asarray(values, dtype=np.float64)[slots]
+        if n < width:
+            with pytest.raises(SynthesisError):
+                SlotEnvelope(np.array(values), samples_per_slot, n, width)
+            return
+        envelope = SlotEnvelope(np.array(values), samples_per_slot, n, width)
+        blocks = [envelope.block(lo, min(lo + block, n)) for lo in range(0, n, block)]
+        expected = np.convolve(held, np.ones(width) / width, mode="same")
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def whole_track_engine(rng, n, sample_rate):
+    """The engine as one whole-track expression: the oracle for ``_Engine``."""
+    engine_noise = rng.standard_normal(n)
+    engine_noise = np.convolve(engine_noise, np.ones(8) / 8, mode="same")
+    t = np.arange(n) / sample_rate
+    rpm = 110.0 + 60.0 * np.sin(2 * np.pi * 0.05 * t + rng.uniform(0, np.pi))
+    engine_phase = 2 * np.pi * np.cumsum(rpm) / sample_rate
+    return 0.05 * engine_noise + 0.04 * np.sin(engine_phase) + 0.02 * np.sin(
+        2 * engine_phase
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 8, 1601, 5000])
+def test_engine_blocks_equal_the_whole_track(block):
+    """Blocks shorter than the 8-tap noise smoothing read their neighbours'
+    noise; the generator is left where the whole-track draws leave it."""
+    n, sample_rate = 5000, 16000
+    oracle_rng = np.random.default_rng(9)
+    expected = whole_track_engine(oracle_rng, n, sample_rate)
+    rng = np.random.default_rng(9)
+    engine = _Engine(rng, n, sample_rate)
+    rendered = [engine.render(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    assert np.concatenate(rendered).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestVideoSynth:
