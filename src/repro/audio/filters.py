@@ -8,16 +8,15 @@ edges here default to those values.
 
 Filtering is done with an FFT brick-wall band-pass — simple, linear-phase
 and exactly reproducible, which matters more for a reproduction than
-matched roll-off. The forward transform does not depend on the band, so a
-:class:`BandSplit` takes it once per track. A band is one contiguous run of
-bins, so no per-bin frequency array or mask is kept; what stays at the
-length of the track is the spectrum and the bands still wanted.
+matched roll-off. A band is one contiguous run of bins, so no per-bin
+frequency array or mask is kept: each band takes the track's spectrum,
+zeroes the bins outside the band in place, inverts it and lets it go. What
+stays at the length of the track is the bands still wanted.
 """
 
 from __future__ import annotations
 
 import bisect
-from functools import cached_property
 
 import numpy as np
 
@@ -43,27 +42,22 @@ SPEECH_BAND_LIMIT = 2500.0
 
 
 class BandSplit:
-    """One track's spectrum and what the front end derives from it per band.
+    """What the front end derives from one track per band.
 
     The endpoint detector and the excited-speech features filter the same
     signal, two of their three bands being the same one. A ``BandSplit``
-    transforms the signal once, inverts once per distinct band and frames
-    each band's mel log energies once; the results are what separate
-    ``bandpass`` / ``mfcc`` calls would return.
+    filters once per distinct band and frames each band's mel log energies
+    once; the results are what separate ``bandpass`` / ``mfcc`` calls would
+    return.
 
-    What it holds at the length of the track is the spectrum and the bands
-    not yet dropped (:meth:`drop`); a band's masked copy of the spectrum
-    lives only while that band is inverted.
+    What it holds at the length of the track is the bands not yet dropped
+    (:meth:`drop`); a spectrum lives only while its band is filtered.
     """
 
     def __init__(self, signal: AudioSignal):
         self.signal = signal
         self._bands: dict[tuple[float, float], AudioSignal] = {}
         self._mel: dict[tuple[float, float], np.ndarray] = {}
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        return np.fft.rfft(self.signal.samples)
 
     def _bins(self, low_hz: float, high_hz: float) -> tuple[int, int]:
         """The bins ``[first, stop)`` whose frequency lies in [low_hz,
@@ -100,11 +94,14 @@ class BandSplit:
                     f"band edge {high_hz} Hz exceeds Nyquist {nyquist} Hz"
                 )
             # ``spectrum * mask`` for a boolean mask that is True on
-            # [first, stop): the same products, signed zeros included
+            # [first, stop), in place: the same products, signed zeros
+            # included (so the whole spectrum goes to ``irfft``, not the band)
             first, stop = self._bins(low_hz, high_hz)
-            masked = np.multiply(self._spectrum, False)
-            np.multiply(self._spectrum[first:stop], True, out=masked[first:stop])
-            filtered = np.fft.irfft(masked, n=signal.samples.shape[0])
+            spectrum = np.fft.rfft(signal.samples)
+            spectrum[:first] *= False
+            spectrum[first:stop] *= True
+            spectrum[stop:] *= False
+            filtered = np.fft.irfft(spectrum, n=signal.samples.shape[0])
             self._bands[key] = AudioSignal(filtered, signal.sample_rate)
         return self._bands[key]
 

@@ -9,6 +9,7 @@ modules can extend with new abstract data types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -59,9 +60,12 @@ def _coerce_oid(value: Any) -> int:
 
 def _coerce_float(value: Any) -> float:
     try:
-        return float(value)
+        converted = float(value)
     except (TypeError, ValueError) as exc:
         raise AtomTypeError(f"cannot store {value!r} as float atom") from exc
+    # A float atom has one nil: the log and checkpoints keep no NaN's sign
+    # or payload, so neither may the live column.
+    return converted if converted == converted else math.nan
 
 
 def _coerce_str(value: Any) -> str:

@@ -20,14 +20,16 @@ and column-shaped reads without a cache to size or invalidate by hand.
 Writes are cheapest a column at a time too: :meth:`BAT.insert_bulk`,
 :meth:`BAT.from_columns` and :meth:`BAT.append_columns` check a whole
 column's value types once and take a column that already holds the atom's
-stored type (``int``, ``float`` or ``str``; no negative oid) as it stands,
-coercing value by value only otherwise — with the same results and the
-same errors as :meth:`BAT.insert` would give row by row.
+stored type (``int``, ``float`` or ``str``; no negative oid) as it stands
+(a float column with every NaN made the atom's one nil), coercing value by
+value only otherwise — with the same results and the same errors as
+:meth:`BAT.insert` would give row by row.
 """
 
 from __future__ import annotations
 
 import copy as _copy
+import math
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -74,6 +76,13 @@ def _coerced(atom: Atom, values: Iterable[Any]) -> list[Any]:
     values = list(values)
     exact = _EXACT_TYPES.get(atom.name)
     if exact is not None and set(map(type, values)) <= {exact}:
+        if exact is float:
+            # every NaN becomes the atom's one nil, as ``atom.coerce`` makes
+            # it; the sum is NaN if any value is (or inf meets -inf)
+            total = sum(values)
+            if total != total:
+                values = [v if v == v else math.nan for v in values]
+            return values
         if exact is not int or atom.name == "int" or not values or min(values) >= 0:
             return values
     coerce = atom.coerce

@@ -116,7 +116,7 @@ class FormulaOneSystem:
                 fps=race.video.fps,
                 width=race.video.width,
                 height=race.video.height,
-                audio_sample_rate=race.signal.sample_rate,
+                audio_sample_rate=race.audio.sample_rate,
             )
         )
         for name, values in data.features.streams.items():

@@ -3,7 +3,7 @@ rendered video with overlays, and full ground-truth annotations — the
 documented stand-in for the paper's three digitized 2001 Grands Prix."""
 
 from repro.synth.annotations import GroundTruth, Interval, merge_intervals, raster
-from repro.synth.audio_synth import RaceAudio, synthesize_audio
+from repro.synth.audio_synth import RaceAudio, SoundtrackPlan, plan_soundtrack, synthesize_audio
 from repro.synth.grandprix import (
     BELGIAN_GP,
     GERMAN_GP,
@@ -17,7 +17,7 @@ from repro.synth.video_synth import RaceVideoRenderer, render_video
 
 __all__ = [
     "GroundTruth", "Interval", "merge_intervals", "raster",
-    "RaceAudio", "synthesize_audio",
+    "RaceAudio", "SoundtrackPlan", "plan_soundtrack", "synthesize_audio",
     "BELGIAN_GP", "GERMAN_GP", "USA_GP", "SyntheticRace", "synthesize_race",
     "RaceEvent", "RaceSpec", "RaceTimeline", "generate_timeline",
     "draw_overlay",

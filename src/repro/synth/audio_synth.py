@@ -14,12 +14,19 @@ time into the one output array: the slot envelopes, phases, engine noise
 and mix exist for a block only, the sparse bursts (crowd, flutter, surges)
 are drawn up front and held for the stretches they cover. Every sample
 equals the whole-track computation bit for bit, whatever the block size.
+
+A soundtrack is planned first and rendered after: :func:`plan_soundtrack`
+makes the draws that are not samples (speech plan, excitement and hype
+intensities, phone plan) and keeps the components as they stand before
+their first block; :meth:`SoundtrackPlan.render` renders the track from
+copies of them, the same samples every time. A race keeps the plan and
+renders on demand; :func:`synthesize_audio` does both at once.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +36,14 @@ from repro.errors import SynthesisError
 from repro.synth.annotations import Interval, raster
 from repro.synth.race import RaceTimeline
 
-__all__ = ["RaceAudio", "SlotEnvelope", "synthesize_audio", "smooth_slots"]
+__all__ = [
+    "RaceAudio",
+    "SlotEnvelope",
+    "SoundtrackPlan",
+    "plan_soundtrack",
+    "synthesize_audio",
+    "smooth_slots",
+]
 
 #: Neutral and excited announcer pitch (Hz).
 NEUTRAL_PITCH = 135.0
@@ -56,10 +70,61 @@ class RaceAudio:
     speech_intervals: list[Interval]
 
 
-def synthesize_audio(
-    timeline: RaceTimeline, sample_rate: int = 16000
-) -> RaceAudio:
-    """Render the soundtrack of a race timeline."""
+@dataclass(frozen=True, eq=False)
+class SoundtrackPlan:
+    """A race's soundtrack short of its samples: everything drawn from the
+    seeded generator except what the render draws, at the length of the
+    0.1 s slots rather than of the track.
+
+    Attributes:
+        timeline: the race the soundtrack accompanies.
+        sample_rate: samples per second of the rendered track.
+        phone_slots: true phone per 0.1 s slot (None = no speech).
+        speech_intervals: when the announcer is talking at all.
+    """
+
+    timeline: RaceTimeline
+    sample_rate: int
+    phone_slots: list[str | None]
+    speech_intervals: list[Interval]
+    # The components as they stand before their first block, and the
+    # generator where the bursts are drawn: a render takes copies, so a
+    # plan renders the same samples every time.
+    _speech: _Speech = field(repr=False)
+    _engine: _Engine = field(repr=False)
+    _bursts: np.random.Generator = field(repr=False)
+
+    def render(self) -> AudioSignal:
+        """The mixed track, rendered one block at a time."""
+        speech, engine, rng = copy.deepcopy((self._speech, self._engine, self._bursts))
+        timeline, sample_rate = self.timeline, self.sample_rate
+        duration = timeline.duration
+        n = int(duration * sample_rate)
+        n_slots = int(round(duration / PHONE_SECONDS))
+        samples_per_slot = int(sample_rate * PHONE_SECONDS)
+        crowd = _crowd(rng, timeline, n, sample_rate)
+        flutter = _flutter(rng, duration, n_slots, samples_per_slot, n, sample_rate)
+        surges = _surges(rng, duration, n, sample_rate)
+
+        # Every sample is the same sum, added in the same order, whatever the
+        # block: ((((speech + engine) + crowd) + flutter) + surges).
+        samples = np.empty(n)
+        peak = 0.0
+        for a in range(0, n, SYNTH_BLOCK_SAMPLES):
+            b = min(a + SYNTH_BLOCK_SAMPLES, n)
+            block = samples[a:b]
+            speech.render(a, b, out=block)
+            block += engine.render(a, b)
+            for bursts in (crowd, flutter, surges):
+                block += bursts.render(a, b)
+            peak = max(peak, np.abs(block).max())
+        if peak > 1.0:
+            samples /= peak * 1.05
+        return AudioSignal(samples, sample_rate)
+
+
+def plan_soundtrack(timeline: RaceTimeline, sample_rate: int = 16000) -> SoundtrackPlan:
+    """Draw the soundtrack of a race timeline, short of rendering it."""
     rng = np.random.default_rng(timeline.spec.seed + 1)
     duration = timeline.duration
     n = int(duration * sample_rate)
@@ -94,34 +159,33 @@ def synthesize_audio(
         hype_mask[lo:hi] = np.maximum(hype_mask[lo:hi], float(rng.uniform(0.6, 0.95)))
 
     # The components are set up in the order the seeded generator has always
-    # been drawn from; while the blocks are rendered only the engine's copy
-    # of it is drawn, and the phone plan draws from it last.
+    # been drawn from. The bursts are drawn here only to move the generator
+    # past them (the render draws them again from a copy), and the phone
+    # plan draws from it last.
     samples_per_slot = int(sample_rate * PHONE_SECONDS)
     speech = _Speech(speech_mask, excited_mask, hype_mask, samples_per_slot, n, sample_rate)
     engine = _Engine(rng, n, sample_rate)
-    crowd = _crowd(rng, timeline, n, sample_rate)
-    flutter = _flutter(rng, duration, n_slots, samples_per_slot, n, sample_rate)
-    surges = _surges(rng, duration, n, sample_rate)
-
-    # Every sample is the same sum, added in the same order, whatever the
-    # block: ((((speech + engine) + crowd) + flutter) + surges).
-    samples = np.empty(n)
-    peak = 0.0
-    for a in range(0, n, SYNTH_BLOCK_SAMPLES):
-        b = min(a + SYNTH_BLOCK_SAMPLES, n)
-        block = samples[a:b]
-        speech.render(a, b, out=block)
-        block += engine.render(a, b)
-        for bursts in (crowd, flutter, surges):
-            block += bursts.render(a, b)
-        peak = max(peak, np.abs(block).max())
-    if peak > 1.0:
-        samples /= peak * 1.05
+    bursts = copy.deepcopy(rng)
+    _crowd(rng, timeline, n, sample_rate)
+    _flutter(rng, duration, n_slots, samples_per_slot, n, sample_rate)
+    _surges(rng, duration, n, sample_rate)
 
     phone_slots = _phone_plan(rng, timeline, speech_mask, n_slots)
-    return RaceAudio(
-        AudioSignal(samples, sample_rate), phone_slots, speech_intervals
+    return SoundtrackPlan(
+        timeline, sample_rate, phone_slots, speech_intervals, speech, engine, bursts
     )
+
+
+def synthesize_audio(
+    timeline: RaceTimeline | SoundtrackPlan, sample_rate: int = 16000
+) -> RaceAudio:
+    """Render the soundtrack of a race timeline — or of a plan already
+    drawn for one, at the plan's sample rate."""
+    if isinstance(timeline, SoundtrackPlan):
+        plan = timeline
+    else:
+        plan = plan_soundtrack(timeline, sample_rate)
+    return RaceAudio(plan.render(), plan.phone_slots, plan.speech_intervals)
 
 
 class SlotEnvelope:

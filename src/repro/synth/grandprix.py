@@ -15,18 +15,24 @@ experimentally relevant differences:
 Race durations default to 600 s rather than the 90-minute broadcasts so a
 full evaluation runs on a laptop; every rate-dependent algorithm sees
 exactly the same 10 Hz evidence cadence the paper uses.
+
+A :class:`SyntheticRace` holds the broadcast as recipes, not buffers: the
+frames are rendered from the timeline as the stream is read, and the
+soundtrack from its plan when ``race.signal`` is read (only audio the
+fault injector corrupted is held, since it cannot be rendered again).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.audio.signal import AudioSignal
 from repro.faults import resolve_injector
 from repro.synth.annotations import GroundTruth
-from repro.synth.audio_synth import RaceAudio, synthesize_audio
+from repro.synth.audio_synth import SoundtrackPlan, plan_soundtrack, synthesize_audio
 from repro.synth.race import RaceSpec, RaceTimeline, generate_timeline
 from repro.synth.video_synth import RaceVideoRenderer
 from repro.video.frames import FrameStream
@@ -78,13 +84,22 @@ USA_GP = RaceSpec(
 
 @dataclass
 class SyntheticRace:
-    """Everything one digitized race provides to the pipeline."""
+    """Everything one digitized race provides to the pipeline.
+
+    Neither the picture nor the soundtrack is held: ``video`` renders
+    frames from the timeline as they are read, and :attr:`signal` renders
+    the samples from ``audio``, the soundtrack's plan, when asked.
+    """
 
     spec: RaceSpec
     timeline: RaceTimeline
-    audio: RaceAudio
+    audio: SoundtrackPlan
     video: FrameStream
     truth: GroundTruth
+    #: Samples the fault injector corrupted: they cannot be rendered again,
+    #: so they are held.
+    corrupted_signal: AudioSignal | None = None
+    _rendered: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -96,7 +111,15 @@ class SyntheticRace:
 
     @property
     def signal(self) -> AudioSignal:
-        return self.audio.signal
+        """The soundtrack: the same object while anyone holds it, rendered
+        again (the same samples) once nobody does."""
+        if self.corrupted_signal is not None:
+            return self.corrupted_signal
+        signal = self._rendered() if self._rendered is not None else None
+        if signal is None:
+            signal = synthesize_audio(self.audio).signal
+            self._rendered = weakref.ref(signal)
+        return signal
 
 
 def synthesize_race(
@@ -125,15 +148,13 @@ def synthesize_race(
             (interval, [injector.corrupt_text("synth.text", word) for word in words])
             for interval, words in timeline.overlays
         ]
-    audio = synthesize_audio(timeline, sample_rate=sample_rate)
+    audio = plan_soundtrack(timeline, sample_rate=sample_rate)
+    corrupted = None
     if injector.enabled:
-        samples = injector.corrupt_array("synth.audio", audio.signal.samples)
-        if samples is not audio.signal.samples:
-            audio = RaceAudio(
-                AudioSignal(np.clip(samples, -1.0, 1.0), audio.signal.sample_rate),
-                audio.phone_slots,
-                audio.speech_intervals,
-            )
+        signal = synthesize_audio(audio).signal
+        samples = injector.corrupt_array("synth.audio", signal.samples)
+        if samples is not signal.samples:
+            corrupted = AudioSignal(np.clip(samples, -1.0, 1.0), signal.sample_rate)
     renderer = RaceVideoRenderer(
         timeline, height=frame_height, width=frame_width, fps=fps
     )
@@ -148,6 +169,7 @@ def synthesize_race(
         audio=audio,
         video=video,
         truth=truth,
+        corrupted_signal=corrupted,
     )
 
 
