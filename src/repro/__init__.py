@@ -3,10 +3,11 @@
 A from-scratch Python implementation of "Extending a DBMS to Support
 Content-Based Video Retrieval: A Formula 1 Case Study" (EDBT workshops,
 2002): a Monet-style binary-relational kernel, the Moa object algebra, the
-Cobra video data model with dynamic feature/semantic extraction, discrete
-BN/DBN/HMM engines, the paper's audio/visual/text feature extractors, a
-synthetic Formula 1 substrate standing in for the digitized races, the
-DBN fusion experiments, and the retrieval front-end.
+Cobra video data model with dynamic feature/semantic extraction, the
+discrete DBN and HMM engines (on the factors and CPDs of ``repro.bayes``),
+the paper's audio/visual/text feature extractors, a synthetic Formula 1
+substrate standing in for the digitized races, the DBN fusion experiments,
+and the retrieval front-end.
 
 Quick start::
 

@@ -54,9 +54,6 @@ class EndpointResult:
     ste_score: np.ndarray
     mfcc_score: np.ndarray
 
-    def speech_ratio(self) -> float:
-        return float(self.is_speech.mean())
-
     def segments(self, clip_seconds: float = 0.1) -> list[tuple[float, float]]:
         """Contiguous speech runs as (start_s, end_s) intervals."""
         out: list[tuple[float, float]] = []

@@ -142,9 +142,6 @@ class PhoneLattice:
     def __len__(self) -> int:
         return self.posteriors.shape[0]
 
-    def phone_score(self, slot: int, phone: str) -> float:
-        return float(self.posteriors[slot, _PHONE_INDEX[phone]])
-
 
 @dataclass
 class KeywordHit:

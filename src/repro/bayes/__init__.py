@@ -1,20 +1,12 @@
-"""Discrete Bayesian networks: factors, structure, inference, learning."""
+"""Discrete Bayesian-network building blocks: factors, CPDs and the DAG.
+
+The DBN engines in :mod:`repro.dbn` are built from these; exact inference
+by variable elimination and MLE/EM learning on static networks are the
+tests' oracle (``tests/reference_bn.py``), not part of the system.
+"""
 
 from repro.bayes.cpd import TabularCpd
 from repro.bayes.factor import Factor
 from repro.bayes.graph import Dag
-from repro.bayes.inference import VariableElimination, min_fill_order
-from repro.bayes.learn import EmResult, ExpectationMaximization, mle
-from repro.bayes.network import BayesianNetwork
 
-__all__ = [
-    "TabularCpd",
-    "Factor",
-    "Dag",
-    "VariableElimination",
-    "min_fill_order",
-    "EmResult",
-    "ExpectationMaximization",
-    "mle",
-    "BayesianNetwork",
-]
+__all__ = ["TabularCpd", "Factor", "Dag"]

@@ -74,34 +74,7 @@ class TabularCpd:
         cards = [self.cardinality, *self.parent_cards]
         return Factor(scope, cards, self.table)
 
-    def probability(self, state: int, parent_states: Mapping[Node, int] | None = None) -> float:
-        """Look up P(variable=state | parents=parent_states)."""
-        if not 0 <= state < self.cardinality:
-            raise CpdError(f"state {state} out of range for {self.variable!r}")
-        index: list[int] = [state]
-        given = parent_states or {}
-        for parent, card in zip(self.parents, self.parent_cards):
-            if parent not in given:
-                raise CpdError(f"missing parent state for {parent!r}")
-            ps = given[parent]
-            if not 0 <= ps < card:
-                raise CpdError(f"state {ps} out of range for parent {parent!r}")
-            index.append(ps)
-        return float(self.table[tuple(index)])
-
     # ------------------------------------------------------------------
-    @staticmethod
-    def uniform(
-        variable: Node,
-        cardinality: int,
-        parents: Sequence[Node] = (),
-        parent_cards: Sequence[int] = (),
-    ) -> "TabularCpd":
-        shape = (cardinality, *[int(c) for c in parent_cards])
-        return TabularCpd(
-            variable, cardinality, np.full(shape, 1.0 / cardinality), parents, parent_cards
-        )
-
     @staticmethod
     def random(
         variable: Node,
@@ -117,15 +90,6 @@ class TabularCpd:
         raw = rng.gamma(concentration, size=shape)
         raw /= raw.sum(axis=0, keepdims=True)
         return TabularCpd(variable, cardinality, raw, parents, parent_cards)
-
-    def perturbed(self, rng: np.random.Generator, amount: float = 0.1) -> "TabularCpd":
-        """Return a noise-perturbed copy (for EM restarts)."""
-        noise = rng.uniform(0, amount, size=self.table.shape)
-        raw = self.table + noise
-        raw /= raw.sum(axis=0, keepdims=True)
-        return TabularCpd(
-            self.variable, self.cardinality, raw, self.parents, self.parent_cards
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.parents:

@@ -1,14 +1,14 @@
 """Discrete factors: the workhorse of all probabilistic inference here.
 
 A factor is a non-negative table over a set of named discrete variables.
-Bayesian-network CPDs, DBN transition models, interface beliefs, and
-Boyen–Koller cluster marginals are all represented as factors; inference is
-factor multiplication, reduction by evidence, and marginalization.
+CPDs are viewed as factors, and the compiled DBN engine builds its step
+tables from them by factor multiplication, reduction by evidence and axis
+alignment (:mod:`repro.dbn.compiled`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class Factor:
         return list(self._variables)
 
     @property
-    def cardinalities(self) -> list[int]:
-        return list(self._cards)
-
-    @property
     def values(self) -> np.ndarray:
         return self._values
 
@@ -109,23 +105,6 @@ class Factor:
     def __mul__(self, other: "Factor") -> "Factor":
         return self.multiply(other)
 
-    def marginalize(self, variables: Iterable[str]) -> "Factor":
-        """Sum out the given variables."""
-        drop = set(variables)
-        axes = tuple(i for i, v in enumerate(self._variables) if v in drop)
-        missing = drop - set(self._variables)
-        if missing:
-            raise InferenceError(f"cannot marginalize absent variables {missing}")
-        keep = [v for v in self._variables if v not in drop]
-        cards = [self._cards[self._variables.index(v)] for v in keep]
-        return Factor(keep, cards, self._values.sum(axis=axes))
-
-    def keep(self, variables: Iterable[str]) -> "Factor":
-        """Marginalize down TO the given variables (order preserved)."""
-        wanted = list(variables)
-        out = self.marginalize([v for v in self._variables if v not in wanted])
-        return out.transpose(wanted)
-
     def transpose(self, order: Sequence[str]) -> "Factor":
         """Reorder axes to the given variable order."""
         order = list(order)
@@ -155,55 +134,10 @@ class Factor:
         cards = [self._cards[self._variables.index(v)] for v in keep]
         return Factor(keep, cards, self._values[tuple(index)])
 
-    def weight(self, variable: str, likelihood: Sequence[float]) -> "Factor":
-        """Multiply in soft (virtual) evidence on one variable.
-
-        ``likelihood[s]`` scales all entries with ``variable = s`` — Pearl's
-        virtual-evidence mechanism, used for the paper's probabilistic
-        feature values in [0, 1].
-        """
-        axis = self._axis(variable)
-        lik = np.asarray(likelihood, dtype=np.float64)
-        if lik.shape != (self._cards[axis],):
-            raise InferenceError(
-                f"likelihood for {variable!r} needs {self._cards[axis]} entries"
-            )
-        shape = [1] * len(self._variables)
-        shape[axis] = self._cards[axis]
-        return Factor(self._variables, self._cards, self._values * lik.reshape(shape))
-
-    def normalize(self) -> "Factor":
-        """Scale so the table sums to one."""
-        total = float(self._values.sum())
-        if total <= 0:
-            raise InferenceError("cannot normalize a zero factor")
-        return Factor(self._variables, self._cards, self._values / total)
-
-    def total(self) -> float:
-        return float(self._values.sum())
-
-    # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    @staticmethod
-    def uniform(variables: Sequence[str], cardinalities: Sequence[int]) -> "Factor":
-        shape = [int(c) for c in cardinalities]
-        size = int(np.prod(shape))
-        return Factor(variables, shape, np.full(shape, 1.0 / size))
-
     @staticmethod
     def unit() -> "Factor":
         """The multiplicative identity: a scalar factor of 1."""
         return Factor([], [], 1.0)
-
-    def is_scalar(self) -> bool:
-        return not self._variables
-
-    def almost_equal(self, other: "Factor", atol: float = 1e-9) -> bool:
-        if sorted(self._variables, key=repr) != sorted(other._variables, key=repr):
-            return False
-        aligned = other.transpose(self._variables)
-        return bool(np.allclose(self._values, aligned._values, atol=atol))
 
 
 def _expand(factor: Factor, union: list[str], cards: list[int]) -> np.ndarray:

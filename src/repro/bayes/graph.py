@@ -1,14 +1,13 @@
 """Directed acyclic graphs for Bayesian networks.
 
-A minimal DAG with the queries inference and learning need: parents,
-children, topological order, ancestors, and cycle rejection at edge-insert
-time. Node names are arbitrary hashables (strings in practice; DBN slices
-use ``("EA", t)`` tuples).
+A minimal DAG, the intra-slice graph of a DBN template: parents, edges,
+topological order, and cycle rejection at edge-insert time. Node names are
+arbitrary hashables (strings in practice).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.errors import GraphStructureError
 
@@ -59,52 +58,12 @@ class Dag:
         return False
 
     # ------------------------------------------------------------------
-    def nodes(self) -> list[Node]:
-        return list(self._parents)
-
-    def has_node(self, node: Node) -> bool:
-        return node in self._parents
-
     def parents(self, node: Node) -> list[Node]:
         self._require(node)
         return list(self._parents[node])
 
-    def children(self, node: Node) -> list[Node]:
-        self._require(node)
-        return list(self._children[node])
-
-    def roots(self) -> list[Node]:
-        return [n for n, ps in self._parents.items() if not ps]
-
-    def leaves(self) -> list[Node]:
-        return [n for n, cs in self._children.items() if not cs]
-
     def edges(self) -> list[tuple[Node, Node]]:
         return [(p, c) for c, ps in self._parents.items() for p in ps]
-
-    def ancestors(self, node: Node) -> set[Node]:
-        self._require(node)
-        out: set[Node] = set()
-        stack = list(self._parents[node])
-        while stack:
-            current = stack.pop()
-            if current in out:
-                continue
-            out.add(current)
-            stack.extend(self._parents[current])
-        return out
-
-    def descendants(self, node: Node) -> set[Node]:
-        self._require(node)
-        out: set[Node] = set()
-        stack = list(self._children[node])
-        while stack:
-            current = stack.pop()
-            if current in out:
-                continue
-            out.add(current)
-            stack.extend(self._children[current])
-        return out
 
     def topological_order(self) -> list[Node]:
         """Kahn's algorithm; deterministic given insertion order."""
@@ -121,20 +80,6 @@ class Dag:
         if len(order) != len(self._parents):
             raise GraphStructureError("graph contains a cycle")
         return order
-
-    def subgraph(self, nodes: Iterable[Node]) -> "Dag":
-        wanted = set(nodes)
-        missing = wanted - set(self._parents)
-        if missing:
-            raise GraphStructureError(f"subgraph of unknown nodes {missing}")
-        out = Dag()
-        for node in self._parents:
-            if node in wanted:
-                out.add_node(node)
-        for parent, child in self.edges():
-            if parent in wanted and child in wanted:
-                out.add_edge(parent, child)
-        return out
 
     def _require(self, node: Node) -> None:
         if node not in self._parents:

@@ -146,7 +146,6 @@ from repro.check.costcheck import (
     CostChecker,
     check_moa_cost,
     estimate_extraction_cost,
-    estimate_model_cost,
 )
 from repro.check.diagnostics import (
     CheckMode,
@@ -159,7 +158,7 @@ from repro.check.flowcheck import FlowChecker, check_feature_set, check_moa_flow
 from repro.check.milcheck import MilChecker
 from repro.check.moacheck import MoaChecker
 from repro.check.moacheck import check_expr as check_moa_expr
-from repro.check.modelcheck import check_cpd, check_network, check_template
+from repro.check.modelcheck import check_cpd, check_template
 from repro.check.programcheck import ProcSummary, ProgramChecker, SummaryCache
 from repro.check.racecheck import RaceChecker
 from repro.check.replcheck import check_group_config, parse_read_policy
@@ -194,11 +193,9 @@ __all__ = [
     "check_moa_cost",
     "check_moa_expr",
     "check_moa_flow",
-    "check_network",
     "check_template",
     "collect_call_sites",
     "estimate_extraction_cost",
-    "estimate_model_cost",
     "fingerprint",
     "parse_read_policy",
     "validate_translation",

@@ -386,9 +386,9 @@ def _scalar(type_name: str, interval: Interval = TOP) -> Value:
     return Value(type_name, FlowVal(type_name, interval), CostVal(interval=interval))
 
 
-def seed(type_name: str | None, stats: Any = None) -> Value:
+def seed(type_name: str | None) -> Value:
     """A parameter's value: ``BAT[void,*]`` parameters are feature streams
-    by the fusion contract; ``stats`` are measured ``BatStats``."""
+    by the fusion contract."""
     inferred = named_type(type_name)
     if not isinstance(inferred, BatT):
         return Value(inferred, FlowVal(inferred), CostVal())
@@ -397,14 +397,7 @@ def seed(type_name: str | None, stats: Any = None) -> Value:
     return Value(
         inferred,
         FlowVal(inferred, feature, FEATURE_RATE) if series else FlowVal(inferred),
-        CostVal(
-            True,
-            DEFAULT_CARD if stats is None else max(float(stats.rows), 1.0),
-            1,
-            stats is not None and stats.sorted_tail,
-            series or (stats is not None and stats.keyed_head),
-            feature,
-        ),
+        CostVal(bat=True, rows=DEFAULT_CARD, degree=1, keyed_head=series, interval=feature),
     )
 
 
@@ -861,8 +854,7 @@ def _effect_free(node: Any) -> bool:
 class Interpreter:
     """One abstract run over a procedure body (or file-level statements).
 
-    ``procs`` are the procedures calls resolve to; ``stats`` are measured
-    ``BatStats`` per parameter. After :meth:`run_proc` /
+    ``procs`` are the procedures calls resolve to. After :meth:`run_proc` /
     :meth:`run_toplevel` the instance *is* the run:
 
     * ``facts`` — what the walk observed, in evaluation order;
@@ -873,17 +865,11 @@ class Interpreter:
     * ``reads`` — every name the flow component read.
     """
 
-    def __init__(
-        self,
-        env: Any,
-        procs: Mapping[str, ProcDef],
-        stats: Mapping[str, Any] | None = None,
-    ):
+    def __init__(self, env: Any, procs: Mapping[str, ProcDef]):
         self.env = env
         self.procs = procs
         #: The procedures the type component resolves calls to.
         self.mil_procs = procs
-        self.stats = stats or {}
         self.definition: ProcDef | None = None
         self.facts: list[Any] = []
         self.frames: list[float] = [0.0]
@@ -905,7 +891,7 @@ class Interpreter:
         self.definition = definition
         self.scope = self.scope.new_child()
         for param in definition.params:
-            value = seed(param.type_name, self.stats.get(param.ident))
+            value = seed(param.type_name)
             self.scope[param.ident] = Local(value.type, definition.line, param=True)
             self.flow_env[param.ident] = Slot(value.flow)
             self.cost_env[param.ident] = value.cost
@@ -1196,21 +1182,17 @@ def interpret(
     env: Any,
     definition: ProcDef,
     procs: Mapping[str, ProcDef] | None = None,
-    stats: Mapping[str, Any] | None = None,
 ) -> Interpreter:
     """The run of ``definition``, at most once per environment and procs.
 
     ``procs`` are the procedures calls resolve to — the environment's and
     the file's when the definition is checked as part of a file; by
     default the environment's, plus the definition itself unless it
-    redefines one. ``stats`` (measured ``BatStats`` per parameter) make a
-    one-off run.
+    redefines one.
     """
     if procs is None:
         procs = dict(env.procedures)
         procs.setdefault(definition.name, definition)
-    if stats:
-        return Interpreter(env, procs, stats).run_proc(definition)
     runs = env.once("absint", definition, dict)
     # the run holds ``procs``, so the definitions the key names stay alive
     key = frozenset((name, id(proc)) for name, proc in procs.items())

@@ -7,8 +7,7 @@ branches copy and join and a ``WHILE`` body updates in place. Every value
 carries
 
 * *cardinality* — an estimated row count.  BAT-typed procedure parameters
-  seed at :data:`DEFAULT_CARD` rows (or measured :class:`BatStats` when the
-  caller has live BATs); ``new()`` allocations seed small.
+  seed at :data:`DEFAULT_CARD` rows; ``new()`` allocations seed small.
 * *selectivity* — the fraction of rows a selection keeps.  When the
   interval facts are available (feature streams seed at ``[0, 1]``) the
   predicate's overlap with the value interval gives the estimate; otherwise
@@ -50,7 +49,7 @@ the ``cost`` of a procedure's run (programcheck's summaries),
 :class:`~repro.check.absint.MoaInterpreter` run for Moa expression trees
 (used by :class:`repro.moa.rewrite.MoaCompiler`),
 :func:`estimate_extraction_cost` for the Cobra preprocessor's method
-choice, and :func:`estimate_model_cost` for DBN registration.
+choice.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ __all__ = [
     "QUALITY_TOLERANCE",
     "check_moa_cost",
     "estimate_extraction_cost",
-    "estimate_model_cost",
 ]
 
 #: The preprocessor prefers cheaper methods within this quality band.
@@ -108,8 +106,7 @@ _SORTED_SCAN = (
 
 
 class CostChecker(InterpretedPass):
-    """Work rules over the shared run; the run's ``cost`` is the estimate
-    (``interpret(env, definition, stats=...)`` for measured statistics)."""
+    """Work rules over the shared run; the run's ``cost`` is the estimate."""
 
     def findings(self, run: Interpreter) -> DiagnosticReport:
         report = DiagnosticReport()
@@ -297,24 +294,3 @@ def estimate_extraction_cost(method: Any, document: Any) -> float:
     if rows == 0.0:
         rows = DEFAULT_CARD
     return 1.0 + float(getattr(method, "cost", 1.0)) * rows
-
-
-def estimate_model_cost(template: Any) -> float:
-    """Per-step inference cost estimate of a DBN template.
-
-    Exact interface inference over a two-slice DBN is linear in the joint
-    hidden state space per step: the product of the hidden-node
-    cardinalities, squared by the transition.  Stored by
-    :meth:`repro.cobra.extensions.DbnExtension.register` so plan choice
-    can weigh models against each other.
-    """
-    try:
-        nodes = template.nodes()
-        observed = set(template.observed_nodes())
-    except Exception:  # pragma: no cover - duck-typed templates
-        return 1.0
-    hidden_states = 1.0
-    for name in nodes:
-        if name not in observed:
-            hidden_states *= float(template.cardinality(name))
-    return max(hidden_states * hidden_states, 1.0)

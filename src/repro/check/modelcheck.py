@@ -1,7 +1,6 @@
-"""Static linting of Bayesian networks and DBN templates.
+"""Static linting of CPDs and DBN templates.
 
 Goes beyond the structural checks of
-:meth:`repro.bayes.network.BayesianNetwork.validate` and
 :meth:`repro.dbn.template.DbnTemplate.validate`: probability tables are
 checked for column stochasticity within a tolerance and for unreachable
 (zero-probability) child states, inter-slice edges are sanity-checked
@@ -15,7 +14,7 @@ code       severity  meaning
 =========  ========  ====================================================
 MODEL001   error     CPD column not stochastic (negative or sum != 1)
 MODEL002   warning   child state with zero probability everywhere
-MODEL003   error     node lacks a CPD (BN) or initial/transition CPD (DBN)
+MODEL003   error     node lacks its initial or transition CPD
 MODEL004   error     CPD parents/cardinalities drifted from the structure
 MODEL005   warning   inter-slice edge originates or lands on an evidence
                      node (legal, but usually a modelling mistake)
@@ -36,7 +35,7 @@ from repro.check.diagnostics import DiagnosticReport, Severity
 from repro.errors import CpdError, GraphStructureError
 from repro.fusion.discretize import KNOWN_FEATURES
 
-__all__ = ["check_cpd", "check_network", "check_template"]
+__all__ = ["check_cpd", "check_template"]
 
 #: Column sums farther than this from 1.0 are MODEL001 errors.
 STOCHASTIC_TOLERANCE = 1e-6
@@ -102,53 +101,6 @@ def check_cpd(
                     Severity.WARNING,
                     source=source,
                 )
-    return report
-
-
-def check_network(
-    network: Any, source: str | None = None
-) -> DiagnosticReport:
-    """Lint a :class:`repro.bayes.network.BayesianNetwork`."""
-    report = DiagnosticReport()
-    cpds: dict[Any, Any] = {}
-    for node in network.nodes():
-        try:
-            cpds[node] = network.cpd(node)
-        except GraphStructureError:
-            report.add(
-                "MODEL003",
-                f"node {node!r} lacks a CPD",
-                Severity.ERROR,
-                source=source,
-            )
-    for node, cpd in cpds.items():
-        structural = sorted(map(str, network.dag.parents(node)))
-        declared = sorted(map(str, cpd.parents))
-        if structural != declared:
-            report.add(
-                "MODEL004",
-                f"node {node!r}: CPD parents {declared} differ from "
-                f"graph parents {structural}",
-                Severity.ERROR,
-                source=source,
-            )
-        for parent, card in zip(cpd.parents, cpd.parent_cards):
-            if parent in cpds and cpds[parent].cardinality != card:
-                report.add(
-                    "MODEL004",
-                    f"node {node!r}: parent {parent!r} declared with "
-                    f"cardinality {card}, its CPD has "
-                    f"{cpds[parent].cardinality}",
-                    Severity.ERROR,
-                    source=source,
-                )
-        check_cpd(
-            node, cpd.table, cpd.cardinality, source=source, report=report
-        )
-    try:
-        network.dag.topological_order()
-    except GraphStructureError as exc:
-        report.add("MODEL007", str(exc), Severity.ERROR, source=source)
     return report
 
 

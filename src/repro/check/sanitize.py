@@ -90,11 +90,6 @@ class KernelSanitizer:
         tagged = [tag(t, label) for t, label in zip(thunks, resolved)]
         return run(tagged, resolved)
 
-    def current_branch(self) -> str | None:
-        """Label of the PARALLEL branch this thread is running, if any."""
-        branch = getattr(self._local, "branch", None)
-        return branch[0] if branch is not None else None
-
     # ------------------------------------------------------------------
     # catalog ownership
     # ------------------------------------------------------------------

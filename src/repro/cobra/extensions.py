@@ -105,11 +105,6 @@ class DbnExtension(MoaExtension):
         self._templates: dict[str, DbnTemplate] = {}
         #: Model-lint diagnostics collected across registrations.
         self.diagnostics: list[Any] = []
-        #: Per-model inference cost estimates recorded at registration.
-        self._model_costs: dict[str, float] = {}
-
-    def monet_module(self) -> MonetModule:
-        return self._module
 
     def operators(self) -> dict[str, Any]:
         return {
@@ -132,17 +127,6 @@ class DbnExtension(MoaExtension):
         template.validate()
         self._templates[name] = template
         self._module.register_model(name, template)
-        # record the static cost estimate so plan choice can weigh models
-        from repro.check.costcheck import estimate_model_cost
-
-        self._model_costs[name] = estimate_model_cost(template)
-
-    def model_cost(self, name: str) -> float:
-        """Per-step inference cost estimate recorded at registration."""
-        try:
-            return self._model_costs[name]
-        except KeyError:
-            raise CobraError(f"no DBN template named {name!r}") from None
 
     def template(self, name: str) -> DbnTemplate:
         try:

@@ -175,9 +175,6 @@ class MetadataStore:
         except KeyError:
             raise CobraError(f"unknown video {video_id!r}") from None
 
-    def video_ids(self) -> list[str]:
-        return sorted(self._documents)
-
     def event_oids(
         self,
         video_id: str | None = None,

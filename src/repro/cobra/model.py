@@ -65,12 +65,6 @@ class FeatureTrack:
         if self.values.ndim != 1:
             raise CobraError(f"feature track {self.name!r} must be 1-D")
 
-    def at_time(self, seconds: float) -> float:
-        index = int(seconds / self.step_seconds)
-        if not 0 <= index < self.values.shape[0]:
-            raise CobraError(f"time {seconds} outside track {self.name!r}")
-        return float(self.values[index])
-
 
 @dataclass
 class VideoObject:
@@ -153,12 +147,6 @@ class VideoDocument:
         return event
 
     # ------------------------------------------------------------------
-    def events_of_kind(self, kind: str) -> list[VideoEvent]:
-        return sorted(
-            (e for e in self.events.values() if e.kind == kind),
-            key=lambda e: e.interval.start,
-        )
-
     def object_by_label(self, label: str) -> VideoObject:
         for video_object in self.objects.values():
             if video_object.label == label:

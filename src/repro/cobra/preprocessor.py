@@ -67,10 +67,6 @@ class ScatterPlan:
     fan_out_cost: float
     sequential_cost: float
 
-    @property
-    def scattered(self) -> bool:
-        return self.mode == "fan-out"
-
 
 def choose_scatter_plan(
     query: CoqlQuery, shard_costs: "dict[str, float]"
@@ -125,6 +121,14 @@ class PreprocessReport:
         """True when the answer comes from less metadata than requested."""
         return bool(self.dropped)
 
+    def merge(self, other: "PreprocessReport") -> "PreprocessReport":
+        """Fold in the report of the same query over other videos."""
+        self.available += [k for k in other.available if k not in self.available]
+        self.extracted += other.extracted
+        self.dropped += other.dropped
+        self.failures += other.failures
+        return self
+
 
 class QueryPreprocessor:
     """Metadata-availability analysis + dynamic extraction dispatch.
@@ -162,10 +166,14 @@ class QueryPreprocessor:
         return kinds
 
     def prepare(
-        self, query: CoqlQuery, deadline: Deadline | None = None
+        self,
+        query: CoqlQuery,
+        videos: list[str],
+        deadline: Deadline | None = None,
     ) -> PreprocessReport:
         """Ensure all metadata a query needs exists, extracting on demand.
 
+        ``videos`` are the query's targets among this domain's videos.
         For every required kind and every target video: if events of the
         kind are absent, pick the best applicable extraction method (the
         cheapest estimated plan within the top quality band — see
@@ -175,9 +183,6 @@ class QueryPreprocessor:
         reported) instead of aborting the whole query.
         """
         report = PreprocessReport(self.required_kinds(query))
-        videos = (
-            [query.video] if query.video is not None else self._metadata.video_ids()
-        )
         for kind in report.required_kinds:
             for video_id in videos:
                 cancel_checkpoint(f"preprocess:{kind}")

@@ -46,9 +46,7 @@ class DrainedFailures:
     """Failure reports plus the circuit-breaker panel, drained together.
 
     ``breakers`` maps each extraction method that has a breaker to its
-    current state (``closed`` / ``open`` / ``half-open``) — the operator
-    view needed to decide which extractors to :meth:`CobraVDBMS
-    .reset_breaker`.
+    current state (``closed`` / ``open`` / ``half-open``).
     """
 
     failures: list[FailureReport] = field(default_factory=list)
@@ -59,10 +57,6 @@ class DrainedFailures:
 
     def __iter__(self):
         return iter(self.failures)
-
-    @property
-    def open_breakers(self) -> list[str]:
-        return [name for name, state in self.breakers.items() if state != "closed"]
 
 
 @dataclass
@@ -144,6 +138,7 @@ class CobraVDBMS:
         )
         self.catalog = KnowledgeCatalog()
         self._domain_of_video: dict[str, str] = {}
+        self._videos_of_domain: dict[str, list[str]] = {}
         self._compound_defs: dict[str, CompoundEventDef] = {}
         #: Per-extraction-method circuit breakers, persisted across queries
         #: so a flapping extractor's failure history is not forgotten.
@@ -191,6 +186,7 @@ class CobraVDBMS:
             with self.kernel.transaction():
                 self.metadata.register_document(document)
         self._domain_of_video[document.raw.video_id] = domain
+        self._videos_of_domain.setdefault(domain, []).append(document.raw.video_id)
 
     def document(self, video_id: str) -> VideoDocument:
         return self.metadata.document(video_id)
@@ -232,12 +228,17 @@ class CobraVDBMS:
     def _preprocess(
         self, query: CoqlQuery, deadline: Deadline | None = None
     ) -> PreprocessReport:
+        """Each domain's knowledge prepares that domain's videos only; the
+        reports merge into one."""
         if query.video is not None:
-            domains = [self._domain_of(query.video)]
+            targets = {self._domain_of(query.video): [query.video]}
         else:
-            domains = sorted(set(self._domain_of_video.values()))
+            targets = {
+                domain: sorted(videos)
+                for domain, videos in sorted(self._videos_of_domain.items())
+            }
         report: PreprocessReport | None = None
-        for domain in domains:
+        for domain, videos in targets.items():
             preprocessor = QueryPreprocessor(
                 self.metadata,
                 self.catalog.domain(domain),
@@ -246,7 +247,8 @@ class CobraVDBMS:
                 faults=self.faults,
                 breakers=self._breakers,
             )
-            report = preprocessor.prepare(query, deadline)
+            prepared = preprocessor.prepare(query, videos, deadline)
+            report = prepared if report is None else report.merge(prepared)
         if report is None:
             raise CobraError("no videos registered")
         return report
@@ -273,15 +275,6 @@ class CobraVDBMS:
             name: breaker.state
             for name, breaker in sorted(self._breakers.items())
         }
-
-    def reset_breaker(self, method: str) -> None:
-        """Operator re-arm of one extraction method's circuit breaker."""
-        try:
-            self._breakers[method].reset()
-        except KeyError:
-            raise CobraError(
-                f"no circuit breaker for extraction method {method!r}"
-            ) from None
 
     def checkpoint(self) -> int:
         """Fold the durable kernel's WAL into a fresh checkpoint."""

@@ -1,6 +1,7 @@
 """Dynamic Bayesian networks: 2-TBN templates, compiled inference
-(interface filtering/smoothing with optional Boyen-Koller clustering),
-EM learning, unrolling, and sampling."""
+(interface filtering/smoothing with optional Boyen-Koller clustering) and
+EM learning. Unrolling and sampling are the tests' oracle
+(``tests/reference_bn.py``)."""
 
 from repro.dbn.compiled import (
     CompiledDbn,
@@ -10,9 +11,7 @@ from repro.dbn.compiled import (
 )
 from repro.dbn.evidence import EvidenceSequence
 from repro.dbn.learn import DbnEmResult, dbn_em
-from repro.dbn.simulate import sample_sequence
-from repro.dbn.template import DbnTemplate, at_slice, prev
-from repro.dbn.unroll import unroll
+from repro.dbn.template import DbnTemplate, prev
 
 __all__ = [
     "CompiledDbn",
@@ -22,9 +21,6 @@ __all__ = [
     "EvidenceSequence",
     "DbnEmResult",
     "dbn_em",
-    "sample_sequence",
     "DbnTemplate",
-    "at_slice",
     "prev",
-    "unroll",
 ]

@@ -46,10 +46,6 @@ class DbnEmResult:
     def iterations(self) -> int:
         return len(self.log_likelihoods)
 
-    @property
-    def final_log_likelihood(self) -> float:
-        return self.log_likelihoods[-1] if self.log_likelihoods else float("-inf")
-
 
 def dbn_em(
     template: DbnTemplate,

@@ -31,17 +31,12 @@ from repro.bayes.cpd import TabularCpd
 from repro.bayes.graph import Dag
 from repro.errors import CpdError, GraphStructureError
 
-__all__ = ["DbnTemplate", "prev", "at_slice"]
+__all__ = ["DbnTemplate", "prev"]
 
 
 def prev(name: str) -> str:
     """Label a previous-slice node in parent lists ('EA' -> 'EA[t-1]')."""
     return f"{name}[t-1]"
-
-
-def at_slice(name: str, t: int) -> str:
-    """Concrete unrolled node name ('EA', 3) -> 'EA@3'."""
-    return f"{name}@{t}"
 
 
 class DbnTemplate:
@@ -98,10 +93,6 @@ class DbnTemplate:
         self._require(name)
         return self._cards[name]
 
-    def is_observed(self, name: str) -> bool:
-        self._require(name)
-        return name in self._observed
-
     def hidden_nodes(self) -> list[str]:
         """Non-evidence nodes, in declaration order (the belief interface)."""
         return [n for n in self._cards if n not in self._observed]
@@ -151,20 +142,6 @@ class DbnTemplate:
         self._transition_cpds[name] = TabularCpd(
             name, self._cards[name], table, parents, cards
         )
-
-    def set_tied_cpd(self, name: str, table: np.ndarray | Sequence) -> None:
-        """Set the same table as initial AND transition CPD.
-
-        Only valid for nodes with no inter-parents (same parent set in both
-        slices) — typically the evidence nodes.
-        """
-        if self.inter_parents(name):
-            raise CpdError(
-                f"node {name!r} has inter-parents; initial and transition "
-                f"tables differ in shape, set them separately"
-            )
-        self.set_initial_cpd(name, table)
-        self.set_transition_cpd(name, table)
 
     def initial_cpd(self, name: str) -> TabularCpd:
         self._require(name)

@@ -345,10 +345,6 @@ class DurableStore:
     def wal_size(self) -> int:
         return self._wal.size()
 
-    @property
-    def records_since_checkpoint(self) -> int:
-        return self._records_in_wal
-
     def wants_checkpoint(self) -> bool:
         return (
             self.auto_checkpoint is not None

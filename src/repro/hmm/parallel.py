@@ -157,9 +157,6 @@ class HmmExtension(MoaExtension):
     def servers(self) -> list[HmmServer]:
         return list(self._servers)
 
-    def monet_module(self) -> MonetModule:
-        return self._module
-
     def operators(self) -> dict[str, Any]:
         return {
             "train": self.train,

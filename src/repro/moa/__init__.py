@@ -1,8 +1,8 @@
 """Moa object algebra (the paper's logical level).
 
-Structure primitives (set/tuple/object), an expression algebra with an
-evaluator, the extension registry the four Cobra extensions plug into, and
-the Moa -> MIL rewriting used to push bulk work down to the kernel.
+An expression algebra over sets, tuples and objects with an evaluator,
+the extension registry the four Cobra extensions plug into, and the
+Moa -> MIL rewriting used to push bulk work down to the kernel.
 """
 
 from repro.moa.algebra import (
@@ -29,7 +29,6 @@ from repro.moa.algebra import (
 )
 from repro.moa.extension import ExtensionRegistry, MoaExtension
 from repro.moa.rewrite import BulkModule, MilPlan, MoaCompiler
-from repro.moa.types import Atomic, MoaType, ObjectOf, SetOf, TupleOf, typecheck
 
 __all__ = [
     "Aggregate", "Apply", "Arith", "BoolOp", "Cmp", "Const", "Expr", "Field",
@@ -37,5 +36,4 @@ __all__ = [
     "The", "Unnest", "Var", "evaluate",
     "ExtensionRegistry", "MoaExtension",
     "BulkModule", "MilPlan", "MoaCompiler",
-    "Atomic", "MoaType", "ObjectOf", "SetOf", "TupleOf", "typecheck",
 ]

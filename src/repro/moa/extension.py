@@ -22,7 +22,6 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import MoaError, MoaNameError
 from repro.faults import resolve_injector
-from repro.monet.module import MonetModule
 
 __all__ = ["MoaExtension", "ExtensionRegistry"]
 
@@ -36,10 +35,6 @@ class MoaExtension:
     def operators(self) -> dict[str, Callable[..., Any]]:
         """Return the operator table (operator name -> callable)."""
         raise NotImplementedError
-
-    def monet_module(self) -> MonetModule | None:
-        """Physical-level counterpart module, if the extension has one."""
-        return None
 
 
 class ExtensionRegistry:

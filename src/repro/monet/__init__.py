@@ -14,7 +14,6 @@ from repro.monet.bat import BAT, new_bat
 from repro.monet.kernel import MonetKernel
 from repro.monet.mil import MilInterpreter, parse, tokenize
 from repro.monet.module import MonetModule, command
-from repro.monet.operators import decompose, group_count, project, reconstruct
 from repro.monet.parallel import ParallelExecutor
 
 __all__ = [
@@ -29,9 +28,5 @@ __all__ = [
     "tokenize",
     "MonetModule",
     "command",
-    "decompose",
-    "group_count",
-    "project",
-    "reconstruct",
     "ParallelExecutor",
 ]

@@ -123,11 +123,6 @@ class Replica:
         self.snapshots_installed += 1
 
     @property
-    def commits_applied(self) -> int:
-        """Transaction batches whose commit marker arrived and applied."""
-        return self._batches.committed
-
-    @property
     def has_pending(self) -> bool:
         """Whether an uncommitted transaction batch is buffered."""
         return self._batches.open

@@ -161,10 +161,6 @@ class CancellationToken(Deadline):
     def cancelled(self) -> bool:
         return self._cancelled
 
-    @property
-    def cancel_reason(self) -> str:
-        return self._cancel_reason
-
     def check(self, site: str = "") -> None:
         """Raise :class:`RequestCancelled` when cancelled, else defer to the
         deadline check (:class:`TimeoutExpired` when the budget is spent)."""

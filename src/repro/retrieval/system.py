@@ -14,7 +14,6 @@ import numpy as np
 from repro.cobra.catalog import DomainKnowledge, ExtractionMethod
 from repro.cobra.model import FeatureTrack, RawVideo, VideoDocument, VideoObject
 from repro.cobra.vdbms import CobraVDBMS, QueryResult
-from repro.errors import CobraError
 from repro.fusion.audio_networks import AUDIO_NODE_TO_FEATURE
 from repro.fusion.av_network import av_node_to_feature
 from repro.fusion.discretize import DiscretizationConfig, hard_evidence
@@ -147,12 +146,12 @@ class FormulaOneSystem:
             roles: dict[str, str] = {}
             if event.kind == "classification":
                 for driver, position in event.positions.items():
-                    roles[f"p{position}"] = self._object_id(document, driver)
+                    roles[f"p{position}"] = document.object_by_label(driver).object_id
                 if event.lap is not None:
                     roles["lap"] = str(event.lap)
             elif event.kind in ("pit_stop", "winner", "driver_info"):
                 if event.drivers:
-                    roles["driver"] = self._object_id(document, event.drivers[0])
+                    roles["driver"] = document.object_by_label(event.drivers[0]).object_id
             elif event.kind == "lap" and event.lap is not None:
                 roles["lap"] = str(event.lap)
             document.new_event(event.kind, interval, 1.0, roles, source="text")
@@ -162,16 +161,9 @@ class FormulaOneSystem:
                     "driver_mention",
                     interval,
                     1.0,
-                    {"driver": self._object_id(document, driver)},
+                    {"driver": document.object_by_label(driver).object_id},
                     source="text",
                 )
-
-    @staticmethod
-    def _object_id(document: VideoDocument, label: str) -> str:
-        for video_object in document.objects.values():
-            if video_object.label == label:
-                return video_object.object_id
-        raise CobraError(f"no driver object labelled {label!r}")
 
     # ------------------------------------------------------------------
     # dynamic extraction callbacks

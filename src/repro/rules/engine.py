@@ -9,7 +9,7 @@ without re-touching the video.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 from typing import Any, Callable, Iterable, Mapping
 
@@ -36,9 +36,6 @@ class Fact:
             if key == name:
                 return value
         return default
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(self.fields)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={v!r}" for k, v in self.fields)

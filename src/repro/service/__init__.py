@@ -9,9 +9,9 @@ machinery between the two:
 * :mod:`repro.service.limiter` — token-bucket rate limiting;
 * :mod:`repro.service.pool` — bulkhead worker lanes on
   :class:`repro.monet.parallel.ParallelExecutor`;
-* :mod:`repro.service.token` — the :class:`CancellationToken` carried
-  from admission down to MIL statement dispatch (defined in
-  :mod:`repro.resilience`, re-exported here);
+* :class:`repro.resilience.CancellationToken` — carried from admission
+  down to MIL statement dispatch; it lives in :mod:`repro.resilience` so
+  the low layers can checkpoint against it without importing this package;
 * :mod:`repro.service.service` — :class:`QueryService`: submit, execute,
   and drain;
 * :mod:`repro.service.metrics` — the deterministic, replayable
@@ -32,17 +32,10 @@ from repro.service.metrics import (
 from repro.service.pool import BulkheadPool
 from repro.service.queue import AdmissionQueue, Priority
 from repro.service.service import QueryService, Request, ServiceConfig, Ticket
-from repro.service.token import (
-    CancellationToken,
-    cancel_checkpoint,
-    cancel_scope,
-    current_token,
-)
 
 __all__ = [
     "AdmissionQueue",
     "BulkheadPool",
-    "CancellationToken",
     "Priority",
     "QueryService",
     "Request",
@@ -52,8 +45,5 @@ __all__ = [
     "TERMINAL_STATUSES",
     "Ticket",
     "TokenBucket",
-    "cancel_checkpoint",
-    "cancel_scope",
-    "current_token",
     "percentile",
 ]

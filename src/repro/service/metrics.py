@@ -97,9 +97,6 @@ class ServiceReport:
             out[record.status] = out.get(record.status, 0) + 1
         return out
 
-    def by_status(self, status: str) -> list[RequestRecord]:
-        return [r for r in self.records if r.status == status]
-
     @property
     def completed(self) -> int:
         return sum(1 for r in self.records if r.status == "completed")

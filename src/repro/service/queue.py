@@ -124,13 +124,9 @@ class AdmissionQueue:
                     return entry
         return None
 
-    def pop_lane(self, lane: str) -> Any | None:
-        """The most urgent queued entry bound for ``lane``, or None."""
-        with self._lock:
-            return self._pop_locked(lane)
-
     def pop_lane_wait(self, lane: str, timeout: float) -> Any | None:
-        """Blocking :meth:`pop_lane` for worker threads; None on timeout."""
+        """The most urgent queued entry bound for ``lane``, waiting up to
+        ``timeout`` seconds for one; None on timeout."""
         with self._not_empty:
             entry = self._pop_locked(lane)
             if entry is not None:

@@ -209,10 +209,6 @@ class QueryService:
     def draining(self) -> bool:
         return self._draining
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.synth.grandprix import (
 )
 from repro.synth.race import RaceEvent, RaceSpec, RaceTimeline, generate_timeline
 from repro.synth.text_synth import draw_overlay
-from repro.synth.video_synth import RaceVideoRenderer, render_video
+from repro.synth.video_synth import RaceVideoRenderer
 
 __all__ = [
     "GroundTruth", "Interval", "merge_intervals", "raster",
@@ -21,5 +21,5 @@ __all__ = [
     "BELGIAN_GP", "GERMAN_GP", "USA_GP", "SyntheticRace", "synthesize_race",
     "RaceEvent", "RaceSpec", "RaceTimeline", "generate_timeline",
     "draw_overlay",
-    "RaceVideoRenderer", "render_video",
+    "RaceVideoRenderer",
 ]

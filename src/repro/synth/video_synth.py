@@ -30,7 +30,7 @@ from repro.synth.text_synth import draw_overlay
 from repro.video.flyout import DUST_RGB, SAND_RGB
 from repro.video.frames import FrameStream
 
-__all__ = ["RaceVideoRenderer", "render_video"]
+__all__ = ["RaceVideoRenderer"]
 
 #: Length of each DVE wipe bracketing a replay, seconds.
 DVE_SECONDS = 0.8
@@ -269,8 +269,3 @@ class RaceVideoRenderer:
 
 def _during(event, t: float) -> bool:
     return event.time <= t < event.time + event.duration
-
-
-def render_video(timeline: RaceTimeline, **kwargs) -> FrameStream:
-    """Convenience: build a renderer and return its stream."""
-    return RaceVideoRenderer(timeline, **kwargs).stream()

@@ -21,7 +21,7 @@ from repro.video.histogram import color_histogram, histogram_difference
 from repro.video.motion import frame_difference, motion_histogram, passing_score
 from repro.video.replay import DveDetector, ReplaySegmenter, wipe_band_score
 from repro.video.semaphore import SemaphoreTracker, red_rectangle, semaphore_score
-from repro.video.shots import Shot, ShotDetector, detect_shots
+from repro.video.shots import Shot, ShotDetector
 
 __all__ = [
     "VISUAL_FEATURE_NAMES", "VisualFeatures", "extract_visual_features",
@@ -32,5 +32,5 @@ __all__ = [
     "frame_difference", "motion_histogram", "passing_score",
     "DveDetector", "ReplaySegmenter", "wipe_band_score",
     "SemaphoreTracker", "red_rectangle", "semaphore_score",
-    "Shot", "ShotDetector", "detect_shots",
+    "Shot", "ShotDetector",
 ]

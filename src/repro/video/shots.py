@@ -20,7 +20,7 @@ import numpy as np
 from repro.video.frames import FrameStream
 from repro.video.histogram import color_histogram, histogram_difference
 
-__all__ = ["ShotDetector", "Shot", "detect_shots"]
+__all__ = ["ShotDetector", "Shot"]
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,3 @@ class ShotDetector:
             for a, b in zip(boundaries[:-1], boundaries[1:])
             if b > a
         ]
-
-
-def detect_shots(stream: FrameStream, **kwargs) -> list[Shot]:
-    """Convenience wrapper: run a :class:`ShotDetector` with given options."""
-    return ShotDetector(**kwargs).shots(stream)

@@ -6,14 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bayes.cpd import TabularCpd
-from repro.bayes.network import BayesianNetwork
 from repro.check import (
     MilChecker,
     Severity,
     check_cpd,
     check_moa_expr,
-    check_network,
     check_template,
 )
 from repro.check.__main__ import main as check_main
@@ -295,55 +292,37 @@ class TestModelChecker:
         assert "MODEL004" in report.codes()
 
     def test_model003_network_node_without_cpd(self):
-        net = BayesianNetwork()
-        net.add_cpd(
-            TabularCpd(
-                "Wet", 2, [[0.9, 0.1], [0.1, 0.9]],
-                parents=["Rain"], parent_cards=[2],
-            )
-        )
-        assert "MODEL003" in check_network(net).codes()
+        template = _observed_pair_template()
+        template.randomize(np.random.default_rng(0))
+        template.add_node("X", 2)
+        template.set_initial_cpd("X", [0.5, 0.5])
+        report = check_template(template)
+        assert "MODEL003" in report.codes()
+        assert any("'X' has no transition CPD" in d.message for d in report)
 
-    def test_model004_network_parent_cardinality_drift(self):
-        net = BayesianNetwork()
-        net.add_cpd(TabularCpd("Rain", 3, [0.2, 0.3, 0.5]))
-        net.add_cpd(
-            TabularCpd(
-                "Wet", 2, [[0.9, 0.1], [0.1, 0.9]],
-                parents=["Rain"], parent_cards=[2],
-            )
-        )
-        assert "MODEL004" in check_network(net).codes()
+    def test_model004_network_parent_drift(self):
+        template = _observed_pair_template()
+        template.add_node("X", 3)
+        template.randomize(np.random.default_rng(0))
+        template.add_intra_edge("X", "O")  # after O's CPDs were drawn
+        assert "MODEL004" in check_template(template).codes()
 
     def test_valid_network_is_clean(self):
-        net = BayesianNetwork()
-        net.add_cpd(TabularCpd("Rain", 2, [0.8, 0.2]))
-        net.add_cpd(
-            TabularCpd(
-                "Wet", 2, [[0.9, 0.1], [0.1, 0.9]],
-                parents=["Rain"], parent_cards=[2],
-            )
-        )
-        assert len(check_network(net)) == 0
+        template = _observed_pair_template()
+        template.set_initial_cpd("H", [0.8, 0.2])
+        template.set_transition_cpd("H", [[0.9, 0.2], [0.1, 0.8]])
+        template.set_initial_cpd("O", [[0.9, 0.1], [0.1, 0.9]])
+        template.set_transition_cpd("O", [[0.9, 0.1], [0.1, 0.9]])
+        assert len(check_template(template)) == 0
 
     def test_model007_cyclic_structure(self):
-        class _CyclicDag:
-            def parents(self, node):
-                return []
+        # add_intra_edge rejects a cycle, so only a template whose graph
+        # changed behind the API can reach the check
+        class _CyclicTemplate(DbnTemplate):
+            def validate(self):
+                raise GraphStructureError("graph contains a cycle")
 
-            def topological_order(self):
-                raise GraphStructureError("cycle detected: a -> b -> a")
-
-        class _CyclicNetwork:
-            dag = _CyclicDag()
-
-            def nodes(self):
-                return []
-
-            def cpd(self, node):  # pragma: no cover - nodes() is empty
-                raise GraphStructureError("no cpd")
-
-        assert "MODEL007" in check_network(_CyclicNetwork()).codes()
+        assert "MODEL007" in check_template(_CyclicTemplate()).codes()
 
     def test_model003_template_missing_cpds(self):
         template = _observed_pair_template()

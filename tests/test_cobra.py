@@ -46,20 +46,9 @@ def store():
 
 
 class TestModel:
-    def test_feature_track_lookup(self):
-        track = FeatureTrack("f1", np.linspace(0, 1, 50))
-        assert track.at_time(2.0) == pytest.approx(track.values[20])
-        with pytest.raises(CobraError):
-            track.at_time(100.0)
-
     def test_event_ids_unique(self):
         doc = make_document()
         assert len(set(doc.events)) == len(doc.events)
-
-    def test_events_of_kind_sorted(self):
-        doc = make_document()
-        events = doc.events_of_kind("fly_out")
-        assert len(events) == 1
 
     def test_duplicate_feature_rejected(self):
         doc = make_document()
@@ -213,18 +202,18 @@ class TestPreprocessor:
         calls = []
         pre = QueryPreprocessor(store, self._knowledge(calls))
         query = parse_coql("RETRIEVE excited_speech FROM race1")
-        report = pre.prepare(query)
+        report = pre.prepare(query, ["race1"])
         assert report.ran_extraction
         assert calls == ["race1"]
         # metadata now present: second prepare does nothing
-        report2 = pre.prepare(query)
+        report2 = pre.prepare(query, ["race1"])
         assert not report2.ran_extraction
         assert calls == ["race1"]
 
     def test_no_method_raises(self, store):
         pre = QueryPreprocessor(store, DomainKnowledge("empty"))
         with pytest.raises(UnknownConceptError):
-            pre.prepare(parse_coql("RETRIEVE unicorn FROM race1"))
+            pre.prepare(parse_coql("RETRIEVE unicorn FROM race1"), ["race1"])
 
     def test_method_selection_by_quality(self, store):
         order = []

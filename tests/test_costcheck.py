@@ -19,7 +19,6 @@ from repro.check.costcheck import (
     CostChecker,
     check_moa_cost,
     estimate_extraction_cost,
-    estimate_model_cost,
 )
 from repro.check.diagnostics import Severity
 from repro.check.flowcheck import FlowChecker
@@ -33,7 +32,6 @@ from repro.cobra.query import parse_coql
 from repro.moa.algebra import Cmp, Const, Join, Select, Var
 from repro.monet.kernel import MonetKernel
 from repro.monet.mil import parse
-from repro.monet.operators import BatStats
 from repro.synth.annotations import Interval
 
 PERF_CORPUS = Path(__file__).resolve().parent / "data" / "badplans" / "perf"
@@ -157,41 +155,6 @@ def test_sarif_covers_perf_codes(capsys):
 # ---------------------------------------------------------------------------
 # cost estimation
 # ---------------------------------------------------------------------------
-
-SCAN_PROC = """
-PROC scan(BAT[void,dbl] f) : any := {
-  VAR a := f.select(0.2, 0.9);
-  RETURN a;
-}
-"""
-
-
-def test_estimate_proc_scales_with_cardinality(env):
-    definition = parse(SCAN_PROC)[0]
-    checker = CostChecker(**env)
-    default_cost = interpret(checker.env, definition).cost
-    small_cost = interpret(
-        checker.env,
-        definition,
-        stats={"f": BatStats(rows=10, keyed_head=True, sorted_tail=False)},
-    ).cost
-    assert default_cost == pytest.approx(DEFAULT_CARD)
-    assert small_cost == pytest.approx(10.0)
-    assert small_cost < default_cost
-
-
-def test_measured_sorted_stats_trigger_perf005(env):
-    """Runtime BatStats feed the access-path facts: a sorted input scans."""
-    definition = parse(SCAN_PROC)[0]
-    checker = CostChecker(**env)
-    report = checker.findings(
-        interpret(
-            checker.env,
-            definition,
-            stats={"f": BatStats(rows=500, keyed_head=True, sorted_tail=True)},
-        )
-    )
-    assert [d.code for d in report] == ["PERF005"]
 
 
 def test_while_multiplies_and_parallel_takes_longest_branch(env):
@@ -331,7 +294,7 @@ def test_preprocessor_picks_cheaper_estimated_plan():
     store = MetadataStore(MonetKernel())
     store.register_document(doc)
     report = QueryPreprocessor(store, knowledge).prepare(
-        parse_coql("RETRIEVE thing FROM race1")
+        parse_coql("RETRIEVE thing FROM race1"), ["race1"]
     )
     assert report.extracted == [("thing", "short_scan")]
     assert calls == ["short_scan"]
@@ -363,7 +326,7 @@ def test_preprocessor_quality_band_still_wins():
     store = MetadataStore(MonetKernel())
     store.register_document(_doc_with_tracks())
     report = QueryPreprocessor(store, knowledge).prepare(
-        parse_coql("RETRIEVE thing FROM race1")
+        parse_coql("RETRIEVE thing FROM race1"), ["race1"]
     )
     assert report.extracted == [("thing", "slow_good")]
 
@@ -377,37 +340,3 @@ def test_extraction_cost_estimate_shape():
     # no prerequisites: a raw-media pass over every track
     raw = ExtractionMethod("raw", ("thing",), lambda d: [], cost=1.0)
     assert estimate_extraction_cost(raw, doc) == pytest.approx(1.0 + 5050)
-
-
-# ---------------------------------------------------------------------------
-# DBN model cost
-# ---------------------------------------------------------------------------
-
-
-def test_model_cost_squares_hidden_state_space():
-    from repro.dbn.template import DbnTemplate
-
-    template = DbnTemplate()
-    template.add_node("H", 3)
-    template.add_node("G", 2)
-    template.add_node("O", 2, observed=True)
-    assert estimate_model_cost(template) == pytest.approx(36.0)
-    assert estimate_model_cost(object()) == 1.0
-
-
-def test_dbn_extension_records_model_cost():
-    from repro.cobra.extensions import DbnExtension
-    from repro.dbn.template import DbnTemplate
-    from repro.errors import CobraError
-
-    kernel = MonetKernel()
-    ext = DbnExtension(kernel, check="off")
-    template = DbnTemplate()
-    template.add_node("H", 2)
-    template.add_node("O", 2, observed=True)
-    template.add_intra_edge("H", "O")
-    template.randomize(np.random.default_rng(0))
-    ext.register("small", template)
-    assert ext.model_cost("small") == pytest.approx(4.0)
-    with pytest.raises(CobraError):
-        ext.model_cost("missing")

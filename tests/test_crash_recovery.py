@@ -16,7 +16,7 @@ from repro.cobra.catalog import DomainKnowledge
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
 from repro.cobra.vdbms import CobraVDBMS, DrainedFailures
 from repro.durability import DurableStore
-from repro.errors import CobraError, SimulatedCrash
+from repro.errors import SimulatedCrash
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, get_plan
 from repro.monet.kernel import MonetKernel
 from repro.resilience import CircuitBreaker
@@ -174,11 +174,4 @@ class TestBreakerOperations:
         drained = db.drain_failures()
         assert isinstance(drained, DrainedFailures)
         assert drained.breakers["audio_dbn"] == CircuitBreaker.OPEN
-        assert drained.open_breakers == ["audio_dbn"]
         assert len(drained) == 0  # no failure reports pending
-        db.reset_breaker("audio_dbn")
-        assert db.breaker_states()["audio_dbn"] == CircuitBreaker.CLOSED
-
-    def test_reset_unknown_breaker_raises(self):
-        with pytest.raises(CobraError):
-            CobraVDBMS().reset_breaker("ghost")

@@ -595,7 +595,7 @@ class TestDurableKernel:
         kernel.persist("laps", lap_bat())
         seqno = kernel.checkpoint()
         assert seqno == 1
-        assert kernel.store.records_since_checkpoint == 0
+        assert kernel.store._records_in_wal == 0
         kernel.persist("after", lap_bat())
         kernel.close()
         revived = MonetKernel(store=tmp_path / "s")
@@ -608,7 +608,7 @@ class TestDurableKernel:
         kernel = MonetKernel(store=store)
         for i in range(4):
             kernel.persist(f"b{i}", lap_bat())
-        assert store.records_since_checkpoint < 3
+        assert store._records_in_wal < 3
         assert read_checkpoint(store.path) is not None
         kernel.close()
 

@@ -100,8 +100,8 @@ class TestAvNetwork:
 
     def test_observed_hidden_marks(self):
         t = av_dbn(observed_hidden=("Highlight",))
-        assert t.is_observed("Highlight")
-        assert not t.is_observed("Start")
+        assert "Highlight" in t.observed_nodes()
+        assert "Start" not in t.observed_nodes()
 
 
 class TestDiscretization:

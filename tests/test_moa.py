@@ -26,7 +26,6 @@ from repro.moa.algebra import (
 )
 from repro.moa.extension import ExtensionRegistry, MoaExtension
 from repro.moa.rewrite import MoaCompiler
-from repro.moa.types import Atomic, ObjectOf, SetOf, TupleOf, typecheck
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 
@@ -35,37 +34,6 @@ CARS = [
     {"driver": "HAKKINEN", "speed": 310.0, "team": "mclaren"},
     {"driver": "BARRICHELLO", "speed": 290.0, "team": "ferrari"},
 ]
-
-
-class TestTypes:
-    def test_atomic_validates_registry(self):
-        with pytest.raises(MoaTypeError):
-            Atomic("not_a_type")
-
-    def test_typecheck_atomic(self):
-        typecheck(3, Atomic("int"))
-        with pytest.raises(MoaTypeError):
-            typecheck("x", Atomic("int"))
-
-    def test_bool_is_not_int(self):
-        with pytest.raises(MoaTypeError):
-            typecheck(True, Atomic("int"))
-
-    def test_set_of_tuple(self):
-        t = SetOf(TupleOf({"speed": Atomic("dbl")}))
-        typecheck([{"speed": 1.0}], t)
-        with pytest.raises(MoaTypeError):
-            typecheck([{"nope": 1.0}], t)
-
-    def test_object_requires_oid(self):
-        obj = ObjectOf("Car", TupleOf({"speed": Atomic("dbl")}))
-        typecheck({"oid": 1, "speed": 2.0}, obj)
-        with pytest.raises(MoaTypeError):
-            typecheck({"speed": 2.0}, obj)
-
-    def test_describe(self):
-        t = SetOf(TupleOf({"a": Atomic("int")}))
-        assert t.describe() == "SET<TUPLE<a: int>>"
 
 
 class TestEvaluation:

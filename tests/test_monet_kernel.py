@@ -11,7 +11,6 @@ from repro.errors import MonetError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.monet.module import MonetModule, command
-from repro.monet.operators import decompose, group_count, project, reconstruct
 from repro.monet.parallel import ParallelExecutor
 
 
@@ -191,35 +190,3 @@ class TestParallelExecutor:
 
     def test_empty_run(self):
         assert ParallelExecutor().run([]) == []
-
-
-class TestMultiBatOperators:
-    RECORDS = [
-        {"name": "SCHUMACHER", "position": 1},
-        {"name": "HAKKINEN", "position": 2},
-    ]
-    SCHEMA = {"name": "str", "position": "int"}
-
-    def test_decompose_reconstruct_roundtrip(self):
-        bats = decompose(self.RECORDS, self.SCHEMA)
-        assert reconstruct(bats) == self.RECORDS
-
-    def test_decompose_shares_heads(self):
-        bats = decompose(self.RECORDS, self.SCHEMA)
-        assert bats["name"].heads() == bats["position"].heads()
-
-    def test_missing_attribute(self):
-        from repro.errors import BatError
-
-        with pytest.raises(BatError):
-            decompose([{"name": "X"}], self.SCHEMA)
-
-    def test_project_by_oid(self):
-        bats = decompose(self.RECORDS, self.SCHEMA)
-        assert project(bats, [1]) == [self.RECORDS[1]]
-
-    def test_group_count(self):
-        b = BAT("void", "str")
-        for v in ("a", "b", "a"):
-            b.insert(v)
-        assert group_count(b) == {"a": 2, "b": 1}

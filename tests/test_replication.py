@@ -264,7 +264,7 @@ class TestPumpAndApply:
             replica = group.replica(name)
             assert replica.lag_records == 0
             assert "bestLap" in replica.kernel.procedures()
-            assert replica.commits_applied == 1
+            assert replica._batches.committed == 1
         group.close()
 
     def test_uncommitted_batch_stays_pending_across_pumps(self, tmp_path):

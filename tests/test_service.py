@@ -20,7 +20,7 @@ from repro.errors import (
     ReproError,
     RequestCancelled,
 )
-from repro.faults import FaultInjector, get_plan
+from repro.faults import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.monet.kernel import MonetKernel
 from repro.service import (
@@ -136,9 +136,9 @@ class TestAdmissionQueue:
         queue = AdmissionQueue(4)
         queue.push(entry(Priority.BATCH, lane="batch", tag="b"))
         queue.push(entry(Priority.INTERACTIVE, lane="interactive", tag="i"))
-        assert queue.pop_lane("batch").tag == "b"
-        assert queue.pop_lane("batch") is None
-        assert queue.pop_lane("interactive").tag == "i"
+        assert queue.pop_lane_wait("batch", 0).tag == "b"
+        assert queue.pop_lane_wait("batch", 0) is None
+        assert queue.pop_lane_wait("interactive", 0).tag == "i"
 
 
 class TestTokenBucket:
@@ -260,7 +260,7 @@ class TestBurstShedding:
         report = service.run_until_idle()
         assert ticket.result() == "result:q"
         assert report.counts() == {"completed": 2, "rejected": 2}
-        for record in report.by_status("rejected"):
+        for record in (r for r in report.records if r.status == "rejected"):
             assert record.detail == "queue-full"
             assert record.clone_of == 0
 

@@ -150,7 +150,7 @@ class TestScatterPlan:
         query = parse_coql("RETRIEVE fly_out FROM race1")
         plan = choose_scatter_plan(query, {"shard-0": 500.0, "shard-1": 500.0})
         assert plan.mode == "shard-local"
-        assert not plan.scattered
+        assert plan.mode != "fan-out"
 
     def test_small_shards_gather_sequentially(self):
         """The PERF006 situation: per-branch overhead exceeds the
@@ -166,7 +166,7 @@ class TestScatterPlan:
             query, {"shard-0": 200.0, "shard-1": 200.0, "shard-2": 200.0}
         )
         assert plan.mode == "fan-out"
-        assert plan.scattered
+        assert plan.mode == "fan-out"
         assert plan.fan_out_cost < plan.sequential_cost
         assert plan.shards == ("shard-0", "shard-1", "shard-2")
 

@@ -6,18 +6,18 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.cobra.catalog import DomainKnowledge
+from repro.cobra.catalog import DomainKnowledge, ExtractionMethod
 from repro.cobra.extensions import DbnExtension, DbnModule, RuleExtension
 from repro.cobra.model import RawVideo, VideoDocument, VideoEvent
 from repro.cobra.vdbms import CobraVDBMS
 from repro.dbn.evidence import EvidenceSequence
-from repro.dbn.simulate import sample_sequence
 from repro.dbn.template import DbnTemplate
 from repro.errors import CobraError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.rules.engine import Fact, Pattern, Rule
 from repro.synth.annotations import Interval
+from tests.reference_bn import sample_sequence
 
 
 def single_evidence_template(seed=0) -> DbnTemplate:
@@ -75,6 +75,51 @@ class TestFacade:
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+class TestDomains:
+    """Each domain's knowledge runs on its own videos (§2: domain
+    independence by separating domain knowledge and techniques)."""
+
+    @staticmethod
+    def two_domain_vdbms():
+        db = CobraVDBMS(check="off")
+        ran = []
+        for domain, video_id in (("f1", "race1"), ("news", "news1")):
+            def extract(document, name=f"m_{domain}"):
+                video = document.raw.video_id
+                ran.append((name, video))
+                return [
+                    VideoEvent(f"{video}-h", "highlight", Interval(1.0, 2.0), 0.9, {}, name)
+                ]
+
+            db.register_domain(
+                DomainKnowledge(
+                    domain,
+                    methods=[ExtractionMethod(f"m_{domain}", ("highlight",), extract)],
+                )
+            )
+            document = VideoDocument(
+                raw=RawVideo(video_id, "synthetic://x", 10.0, 10.0, 192, 144, 16000)
+            )
+            db.register_document(document, domain)
+        return db, ran
+
+    def test_each_domain_extracts_only_its_own_videos(self):
+        db, ran = self.two_domain_vdbms()
+        result = db.query("RETRIEVE highlight")
+        assert sorted(ran) == [("m_f1", "race1"), ("m_news", "news1")]
+        assert result.report.extracted == [("highlight", "m_f1"), ("highlight", "m_news")]
+        assert sorted(r["video_id"] for r in result.records) == ["news1", "race1"]
+        ran.clear()
+        again = db.query("RETRIEVE highlight")
+        assert ran == [] and again.report.available == ["highlight"]
+
+    def test_a_video_query_runs_its_own_domain_only(self):
+        db, ran = self.two_domain_vdbms()
+        result = db.query("RETRIEVE highlight FROM news1")
+        assert ran == [("m_news", "news1")]
+        assert result.report.extracted == [("highlight", "m_news")]
 
 
 class TestDbnExtension:
