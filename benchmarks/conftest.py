@@ -16,11 +16,30 @@ import pytest
 from repro.fusion.pipeline import AudioExperiment, AvExperiment, RaceData, prepare_race
 from repro.synth.grandprix import BELGIAN_GP, GERMAN_GP, USA_GP
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results.json"
+#: Where :func:`record_result` writes: the ``--results PATH`` option, or
+#: nowhere, so a bench run never rewrites the tracked ``results.json``.
+RESULTS_PATH: pathlib.Path | None = None
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--results",
+        metavar="PATH",
+        help="accumulate the measured numbers as JSON in PATH "
+        "(benchmarks/results.json to refresh the committed record)",
+    )
+
+
+def pytest_configure(config):
+    global RESULTS_PATH
+    path = config.getoption("--results")
+    RESULTS_PATH = pathlib.Path(path) if path else None
 
 
 def record_result(key: str, value) -> None:
-    """Accumulate measured numbers into benchmarks/results.json."""
+    """Accumulate measured numbers into the ``--results`` file, if any."""
+    if RESULTS_PATH is None:
+        return
     data = {}
     if RESULTS_PATH.exists():
         data = json.loads(RESULTS_PATH.read_text())

@@ -98,8 +98,9 @@ try:
 except OverloadError as error:
     print(f"late submission refused: {error.reason}")
 
-# 6. Degraded answers. A service fronting a sharded fleet
-#    (QueryService(db, fleet=...)) keeps answering when shards die:
+# 6. Degraded answers. The service fronts a sharded fleet through the same
+#    door as one kernel (QueryService(fleet)) and keeps answering when
+#    shards die:
 #    the gather returns a partial result instead of raising, and the
 #    coverage report says exactly how partial. Check result.degraded /
 #    result.degradations() before trusting a fleet answer — a completed
@@ -114,7 +115,7 @@ with tempfile.TemporaryDirectory() as scratch:
         config=ShardConfig(min_coverage=0.25, fsync=False),
         faults=FaultInjector(get_plan("shard-death")),
     )
-    fleet_service = QueryService(CobraVDBMS(check="off"), fleet=fleet)
+    fleet_service = QueryService(fleet)
     for index in range(6):
         fleet_service.submit_register(make_document(f"race{index}"), "f1")
     fleet_service.run_until_idle()

@@ -26,8 +26,9 @@ the reproduction's three levels:
   ``check="sanitize"``, enforcing the same FLOW/RACE invariants while
   plans execute;
 * :mod:`repro.check.servicecheck` — service-readiness checks run when a
-  PROC is registered with :class:`repro.service.QueryService` (``SVCnnn``
-  codes): unbounded ``WHILE`` loops must carry a ``cancelpoint()``;
+  PROC is registered for service execution, on whatever topology
+  :class:`repro.service.QueryService` fronts (``SVCnnn`` codes): unbounded
+  ``WHILE`` loops must carry a ``cancelpoint()``;
 * :mod:`repro.check.replcheck` — replication-topology checks run when a
   :class:`repro.replication.KernelGroup` is constructed (``REPLnnn``
   codes): writes must route to the primary, epoch fencing must be on,
@@ -93,10 +94,12 @@ has the same table with more prose):
 ==  ==============  ========  ======  ====  =======  =======  =====================
 
 ``define`` is ``MilInterpreter.define_proc`` (one parsed ``PROC``),
-``lint`` is ``python -m repro.check``, ``service`` is
-``QueryService.register_proc`` and ``scatter`` is ``ShardedKernel.run``
-(the last two then hand the source to the kernel, whose ``define`` stage
-runs per ``PROC``). Source is parsed once per stage. The *abstract run*
+``lint`` is ``python -m repro.check``, ``service`` is the ``register_proc``
+of a service topology (``CobraVDBMS`` or ``ShardedKernel``, through
+:func:`repro.check.pipeline.check_service_source`) and ``scatter`` is
+``ShardedKernel.run`` (the last two then hand the source to the kernel(s),
+whose ``define`` stage runs per ``PROC``). Source is parsed once per
+stage. The *abstract run*
 of a definition (:func:`repro.check.absint.interpret`: its facts and its
 cost, per set of procedures calls resolve to) is memoised on the
 environment (:meth:`Environment.once`), so whichever pass asks first

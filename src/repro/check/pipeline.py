@@ -7,7 +7,7 @@ stage        choke point                                     runs via
 ===========  ==============================================  ========
 ``define``   ``MilInterpreter.define_proc``                  :func:`check_definition`
 ``lint``     ``python -m repro.check``                       :func:`check_source`
-``service``  ``QueryService.register_proc``                  :func:`check_source`
+``service``  ``register_proc`` of a service topology          :func:`check_service_source`
 ``scatter``  ``ShardedKernel.run``                           :func:`check_source`
 ===========  ==============================================  ========
 
@@ -20,7 +20,7 @@ consumes, and how to add one are in the :mod:`repro.check` docstring.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.check.costcheck import CostChecker
 from repro.check.diagnostics import DiagnosticReport
@@ -30,9 +30,10 @@ from repro.check.milcheck import MilChecker
 from repro.check.programcheck import ProgramChecker, SummaryCache
 from repro.check.racecheck import RaceChecker
 from repro.check.servicecheck import ServiceChecker
-from repro.monet.mil import ProcDef
+from repro.errors import MilCheckError
+from repro.monet.mil import ProcDef, parse
 
-__all__ = ["PASSES", "check_definition", "check_source"]
+__all__ = ["PASSES", "check_definition", "check_service_source", "check_source"]
 
 _EVERY_DEFINITION = frozenset({"define", "lint"})
 
@@ -98,3 +99,20 @@ def check_source(
     for checker in checkers:
         report.extend(checker.check_program(statements, name=name))
     return report
+
+
+def check_service_source(kernel: Any, source: str) -> list[str]:
+    """The ``service`` stage over ``source`` against ``kernel``'s procedures.
+
+    A service lane cannot preempt a PROC, so an uncancellable loop
+    (``SVC001``) is rejected here, and so are cross-proc holes
+    (``CALLnnn``). Raises :class:`MilCheckError` on an error finding;
+    otherwise returns the names of the PROCs ``source`` defines, for the
+    caller to run on its kernel(s). A fresh summary cache: a rejected
+    registration leaves nothing on the interpreter's live one.
+    """
+    env = kernel.interpreter.check_environment()
+    report = check_source(env, source, "<service proc>", stage="service")
+    if report.has_errors():
+        raise MilCheckError("PROC rejected for service execution", report.sorted())
+    return [s.name for s in parse(source) if isinstance(s, ProcDef)]

@@ -1,7 +1,8 @@
 """Service-readiness checks for MIL procedures (``SVCnnn`` codes).
 
 A PROC registered for *service* execution (see
-:meth:`repro.service.QueryService.register_proc`) runs on a shared worker
+:meth:`repro.service.QueryService.register_proc`, which hands it to the
+topology's ``register_proc``) runs on a shared worker
 lane under cooperative cancellation: the interpreter checkpoints between
 statements, but a hand-written ``WHILE`` whose condition never changes
 inside the loop can still spin forever *between* service-visible

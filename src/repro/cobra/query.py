@@ -105,6 +105,16 @@ def parse_coql(text: str) -> CoqlQuery:
     def label(token: str) -> str:
         return token[1:-1] if token.startswith('"') else token
 
+    def number(kind: type) -> Any:
+        token = take()
+        try:
+            return kind(token)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a number"
+            raise QuerySyntaxError(
+                f"expected {wanted} at token {pos - 1}, found {token!r}"
+            ) from None
+
     take("RETRIEVE")
     query = CoqlQuery(kind=take().lower())
     if peek() is not None and peek().upper() == "FROM":
@@ -131,16 +141,16 @@ def parse_coql(text: str) -> CoqlQuery:
             driver = label(take()).upper()
             take("=")
             query.conditions.append(
-                Condition.of("position", label=driver, position=int(take()))
+                Condition.of("position", label=driver, position=number(int))
             )
         elif token == "CONFIDENCE":
             take(">=")
             query.conditions.append(
-                Condition.of("confidence", minimum=float(take()))
+                Condition.of("confidence", minimum=number(float))
             )
         elif token == "LAP":
             take("=")
-            query.conditions.append(Condition.of("lap", lap=int(take())))
+            query.conditions.append(Condition.of("lap", lap=number(int)))
         elif token in _RELATIONS:
             other = take().lower()
             role = None

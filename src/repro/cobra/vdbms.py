@@ -8,7 +8,6 @@ store and the extensions' MEL modules.
 
 from __future__ import annotations
 
-from contextlib import nullcontext as _null_scope
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -182,7 +181,7 @@ class CobraVDBMS:
         the transaction back, so no partial document is ever visible.
         """
         self.catalog.domain(domain)  # raises if unknown
-        with cancel_scope(token) if token is not None else _null_scope():
+        with cancel_scope(token):
             with self.kernel.transaction():
                 self.metadata.register_document(document)
         self._domain_of_video[document.raw.video_id] = domain
@@ -210,7 +209,7 @@ class CobraVDBMS:
         parsed = parse_coql(coql) if isinstance(coql, str) else coql
         self.kernel.drain_failures()  # don't attribute stale faults here
         deadline = token if token is not None else self.resilience.query_deadline()
-        with cancel_scope(token) if token is not None else _null_scope():
+        with cancel_scope(token):
             report = self._preprocess(parsed, deadline)
             try:
                 records = QueryExecutor(self.metadata).execute(parsed)
@@ -224,6 +223,21 @@ class CobraVDBMS:
                 records = []
         failures = list(report.failures) + self.kernel.drain_failures()
         return QueryResult(parsed, records, report, failures=failures)
+
+    def call(self, name: str, args: tuple = (), token: CancellationToken | None = None) -> Any:
+        """Call a MIL PROC defined through :meth:`register_proc`."""
+        with cancel_scope(token):
+            return self.kernel.call(name, list(args), deadline=token)
+
+    def register_proc(self, mil_source: str) -> list[str]:
+        """Define MIL PROCs that pass the ``service`` check stage (see
+        :func:`repro.check.pipeline.check_service_source`); returns their
+        names."""
+        from repro.check.pipeline import check_service_source
+
+        names = check_service_source(self.kernel, mil_source)
+        self.kernel.run(mil_source)
+        return names
 
     def _preprocess(
         self, query: CoqlQuery, deadline: Deadline | None = None
@@ -279,6 +293,15 @@ class CobraVDBMS:
     def checkpoint(self) -> int:
         """Fold the durable kernel's WAL into a fresh checkpoint."""
         return self.kernel.checkpoint()
+
+    def flush(self) -> int | None:
+        """The drain's last step: checkpoint a durable kernel (returns the
+        seqno); an in-memory one has nothing to flush (None)."""
+        return self.checkpoint() if self.kernel.store is not None else None
+
+    def status(self) -> None:
+        """One kernel has no shards or replicas to report on."""
+        return None
 
     def close(self) -> None:
         """Release the durable store (no-op for an in-memory kernel)."""

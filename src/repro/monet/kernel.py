@@ -258,29 +258,37 @@ class MonetKernel:
             self._txn_stack.pop()
             if not self._txn_stack:
                 self._txn_owner = None
-            self._roll_back(saved)
-            self.failures.append(
-                FailureReport.from_exception(
-                    "kernel.transaction", exc, "rolled-back",
-                    detail=f"catalog restored to {len(saved)} BAT(s)",
-                )
-            )
-            if (
-                self._store is not None
-                and not self._txn_stack
-                and not self._in_recovery
-                and not isinstance(exc, SimulatedCrash)
-            ):
-                self._store.log_abort()
-            annotate(exc, f"catalog rolled back to its savepoint of {len(saved)} BAT(s)")
+            self._abandon(saved, exc, log_abort=not isinstance(exc, SimulatedCrash))
             raise
         self._txn_stack.pop()
         if self._txn_stack:
             return  # inner savepoint released; the outermost scope commits
         self._txn_owner = None
         if self._store is not None and not self._in_recovery:
-            self._store.commit(self._catalog_delta(saved))
+            try:
+                self._store.commit(self._catalog_delta(saved))
+            except BaseException as exc:
+                # no commit marker, so recovery drops the batch and so does
+                # the catalog; no abort marker behind a write the log failed
+                self._abandon(saved, exc, log_abort=False)
+                raise
             self._maybe_checkpoint()
+
+    def _abandon(
+        self, saved: dict[str, tuple[BAT, Any]], exc: BaseException, log_abort: bool
+    ) -> None:
+        """Roll the catalog back to ``saved`` and record why; ``log_abort``
+        writes the audit marker when the outermost scope ends durably."""
+        self._roll_back(saved)
+        self.failures.append(
+            FailureReport.from_exception(
+                "kernel.transaction", exc, "rolled-back",
+                detail=f"catalog restored to {len(saved)} BAT(s)",
+            )
+        )
+        if log_abort and self._store is not None and not (self._txn_stack or self._in_recovery):
+            self._store.log_abort()
+        annotate(exc, f"catalog rolled back to its savepoint of {len(saved)} BAT(s)")
 
     def _catalog_delta(self, saved: dict[str, tuple[BAT, Any]]) -> list[tuple]:
         """What one WAL commit batch carries: per BAT, the rows it gained

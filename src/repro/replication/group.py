@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.check.diagnostics import CheckMode, Diagnostic
 from repro.errors import (
@@ -41,7 +41,7 @@ from repro.errors import (
     StalenessBoundError,
 )
 from repro.faults import FaultInjector, FaultPlan, resolve_injector
-from repro.monet.bat import BAT, compare_catalogs
+from repro.monet.bat import compare_catalogs
 from repro.monet.kernel import MonetKernel
 from repro.replication.link import ReplicationLink
 from repro.replication.replica import Replica
@@ -121,33 +121,6 @@ class GroupStatus:
     failovers: tuple[FailoverEvent, ...]
     replicas: tuple[ReplicaStatus, ...]
     reads: tuple[tuple[str, int], ...]
-
-    def describe(self) -> str:
-        lines = [
-            f"kernel group: epoch {self.epoch}, primary {self.primary} "
-            f"({'healthy' if self.primary_healthy else 'DOWN'}), "
-            f"{self.fenced_writes} fenced write(s)"
-        ]
-        for status in self.replicas:
-            flags = []
-            if status.partitioned:
-                flags.append("partitioned")
-            if status.has_pending:
-                flags.append("pending txn")
-            suffix = f" [{', '.join(flags)}]" if flags else ""
-            lines.append(
-                f"  {status.name}: lag {status.lag_records} record(s), "
-                f"staleness {status.staleness_ms:.1f}ms, "
-                f"{status.records_applied} applied, "
-                f"{status.snapshots_installed} snapshot(s){suffix}"
-            )
-        for event in self.failovers:
-            lines.append(
-                f"  failover -> epoch {event.epoch}: {event.promoted} "
-                f"promoted over {event.deposed} "
-                f"(lag {event.promoted_lag} record(s))"
-            )
-        return "\n".join(lines)
 
 
 @dataclass

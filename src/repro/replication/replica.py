@@ -12,18 +12,18 @@ promotion, exactly as recovery discards an uncommitted batch.
 
 An ``append`` record grows the replica's BAT *in place*, so the
 accelerators queries built on it survive a pump and only catch up on the
-new rows. Reads are nevertheless served through a fresh
-:class:`repro.cobra.metadata.MetadataStore` per query: a ``persist``
-record (the full-image fallback) *replaces* the BAT object in the
-catalog, so a cached metadata view would silently keep serving the old
-BATs.
+new rows. A reader must nevertheless build a fresh
+:class:`repro.cobra.metadata.MetadataStore` over :attr:`Replica.kernel`
+per read: a ``persist`` record (the full-image fallback) *replaces* the
+BAT object in the catalog, so a cached metadata view would silently keep
+serving the old BATs.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Callable
 
 from repro.durability.checkpoint import Checkpoint
 from repro.durability.store import replay
@@ -32,9 +32,6 @@ from repro.errors import ReplicationError
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
 from repro.replication.link import ReplicaPosition, Shipment
-
-if TYPE_CHECKING:  # imported lazily: cobra layers on monet
-    from repro.cobra.metadata import MetadataStore
 
 __all__ = ["Replica"]
 
@@ -146,22 +143,6 @@ class Replica:
             return 0.0
         now = self._clock() if now is None else now
         return max(0.0, (now - self._caught_up_at) * 1000.0)
-
-    # ------------------------------------------------------------------
-    # serving reads
-    # ------------------------------------------------------------------
-    def read_view(self) -> "MetadataStore":
-        """A fresh metadata view over the applied state (never cached:
-        applying a ``persist`` replaces the underlying BAT object)."""
-        from repro.cobra.metadata import MetadataStore
-
-        return MetadataStore(self.kernel)
-
-    def query(self, coql_source: str) -> list[dict[str, Any]]:
-        """Execute one read-only COQL query against the applied state."""
-        from repro.cobra.query import QueryExecutor, parse_coql
-
-        return QueryExecutor(self.read_view()).execute(parse_coql(coql_source))
 
     def catalog(self) -> dict[str, BAT]:
         """Deep copy of the applied catalog (for convergence checks)."""

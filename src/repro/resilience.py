@@ -35,9 +35,8 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import (
     CircuitOpenError,
@@ -185,18 +184,33 @@ def current_token() -> CancellationToken | None:
     return _CURRENT_TOKEN.get()
 
 
-@contextmanager
-def cancel_scope(token: CancellationToken | None) -> Iterator[CancellationToken | None]:
+def cancel_scope(token: CancellationToken | None) -> "_CancelScope":
     """Install ``token`` as the ambient cancellation token for this context.
 
     ``ParallelExecutor`` propagates the context into worker threads, so
-    checkpoints inside PARALLEL branches observe the same token.
+    checkpoints inside PARALLEL branches observe the same token. ``None``
+    installs nothing: the enclosing scope's token, if any, stays in force.
     """
-    handle = _CURRENT_TOKEN.set(token)
-    try:
-        yield token
-    finally:
-        _CURRENT_TOKEN.reset(handle)
+    return _CancelScope(token)
+
+
+class _CancelScope:
+    # A plain class rather than a @contextmanager generator: it wraps every
+    # query and registration, where the generator measurably raised the
+    # ingest benchmark's peak memory.
+    __slots__ = ("_token", "_handle")
+
+    def __init__(self, token: CancellationToken | None):
+        self._token = token
+
+    def __enter__(self) -> CancellationToken | None:
+        if self._token is not None:
+            self._handle = _CURRENT_TOKEN.set(self._token)
+        return self._token
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._token is not None:
+            _CURRENT_TOKEN.reset(self._handle)
 
 
 def cancel_checkpoint(site: str = "") -> None:

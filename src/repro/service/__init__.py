@@ -2,7 +2,10 @@
 
 The paper's prototype answers one query at a time for one researcher; a
 production deployment faces traffic. This package adds the overload
-machinery between the two:
+machinery between the two, in front of one :class:`Topology` — a
+:class:`repro.cobra.vdbms.CobraVDBMS` or a
+:class:`repro.sharding.ShardedKernel` (one shard with replicas is the
+replicated single kernel):
 
 * :mod:`repro.service.queue` — bounded admission queue with priority
   classes (interactive vs. batch) and the shed-oldest policy;
@@ -13,7 +16,7 @@ machinery between the two:
   down to MIL statement dispatch; it lives in :mod:`repro.resilience` so
   the low layers can checkpoint against it without importing this package;
 * :mod:`repro.service.service` — :class:`QueryService`: submit, execute,
-  and drain;
+  and drain, over the :class:`Topology` protocol;
 * :mod:`repro.service.metrics` — the deterministic, replayable
   :class:`ServiceReport`.
 
@@ -31,7 +34,7 @@ from repro.service.metrics import (
 )
 from repro.service.pool import BulkheadPool
 from repro.service.queue import AdmissionQueue, Priority
-from repro.service.service import QueryService, Request, ServiceConfig, Ticket
+from repro.service.service import QueryService, Request, ServiceConfig, Ticket, Topology
 
 __all__ = [
     "AdmissionQueue",
@@ -45,5 +48,6 @@ __all__ = [
     "TERMINAL_STATUSES",
     "Ticket",
     "TokenBucket",
+    "Topology",
     "percentile",
 ]

@@ -10,7 +10,6 @@ of the same scenario produce *equal* reports; wall-clock measurements
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,20 +70,15 @@ class ServiceReport:
     """
 
     records: tuple[RequestRecord, ...]
-    #: Durable-store checkpoint written by the drain, or None.
+    #: The checkpoint the drain's flush wrote to a durable kernel's store;
+    #: None in memory, for a fleet (one log per shard) or before a drain.
     checkpoint_seqno: int | None = None
     #: Queue-wait per executed request (seconds), in seq order.
     admission_latencies: tuple[float, ...] = field(default=(), compare=False)
-    #: Status of the attached replicated kernel group at report time (a
-    #: :class:`repro.replication.GroupStatus` — epoch, per-replica lag,
-    #: failovers, fenced writes; its wall-clock staleness readings are
-    #: excluded from equality by that type itself), or None when the
-    #: service fronts a single kernel.
-    replication: Any = None
-    #: Status of the attached sharded fleet at report time (a
-    #: :class:`repro.sharding.FleetStatus` — per-shard document counts,
-    #: dead shards, epochs, fenced retries; fully deterministic), or None
-    #: when the service fronts a single kernel or one replicated group.
+    #: The topology's ``status()`` at report time: a
+    #: :class:`repro.sharding.FleetStatus` (per-shard document counts,
+    #: dead shards, epochs, failovers, fenced retries; fully
+    #: deterministic) for a fleet, None for one kernel.
     sharding: Any = None
 
     def __len__(self) -> int:
@@ -128,10 +122,6 @@ class ServiceReport:
             )
         if self.checkpoint_seqno is not None:
             lines.append(f"  drain checkpoint: seqno {self.checkpoint_seqno}")
-        if self.replication is not None:
-            lines.extend(
-                "  " + line for line in self.replication.describe().splitlines()
-            )
         if self.sharding is not None:
             lines.extend(
                 "  " + line for line in self.sharding.describe().splitlines()
@@ -144,27 +134,14 @@ class ServiceReport:
         Fleet query records carry their per-gather coverage payload
         (round-trippable through
         :meth:`repro.sharding.ShardCoverageReport.from_dict`); the
-        attached replication/sharding statuses serialize through their
-        own ``to_dict`` when they have one, ``dataclasses.asdict``
-        otherwise. Wall-clock latencies are excluded, matching equality.
+        topology status serializes through its own ``to_dict``.
+        Wall-clock latencies are excluded, matching equality.
         """
         return {
             "records": [record.to_dict() for record in self.records],
             "checkpoint_seqno": self.checkpoint_seqno,
-            "replication": _jsonable(self.replication),
-            "sharding": _jsonable(self.sharding),
+            "sharding": None if self.sharding is None else self.sharding.to_dict(),
         }
-
-
-def _jsonable(status: Any) -> Any:
-    if status is None:
-        return None
-    to_dict = getattr(status, "to_dict", None)
-    if callable(to_dict):
-        return to_dict()
-    if dataclasses.is_dataclass(status):
-        return dataclasses.asdict(status)
-    return repr(status)  # pragma: no cover - no such status type today
 
 
 def percentile(values: tuple[float, ...] | list[float], q: float) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import ReproError
 from repro.monet.parallel import ParallelExecutor
 
 __all__ = ["BulkheadPool"]
@@ -26,27 +25,16 @@ class BulkheadPool:
     """Named lanes, each a fixed-width :class:`ParallelExecutor`."""
 
     def __init__(self, lanes: Mapping[str, int]):
-        if not lanes:
-            raise ReproError("a bulkhead pool needs at least one lane")
-        self._widths: dict[str, int] = {}
-        self._executors: dict[str, ParallelExecutor] = {}
-        for name, width in lanes.items():
-            if width < 1:
-                raise ReproError(f"lane {name!r} width must be >= 1, got {width}")
-            self._widths[name] = width
-            self._executors[name] = ParallelExecutor(threads=width)
+        self._widths = dict(lanes)
+        self._executors = {
+            name: ParallelExecutor(threads=width) for name, width in lanes.items()
+        }
 
     def lanes(self) -> list[str]:
         return sorted(self._widths)
 
-    def has_lane(self, name: str) -> bool:
-        return name in self._widths
-
     def width(self, name: str) -> int:
-        try:
-            return self._widths[name]
-        except KeyError:
-            raise ReproError(f"no bulkhead lane named {name!r}") from None
+        return self._widths[name]
 
     def run_batch(
         self,
@@ -55,6 +43,4 @@ class BulkheadPool:
         labels: Sequence[str] | None = None,
     ) -> list[Any]:
         """Run a batch of total thunks on one lane's executor."""
-        if lane not in self._executors:
-            raise ReproError(f"no bulkhead lane named {lane!r}")
         return self._executors[lane].run(thunks, labels)

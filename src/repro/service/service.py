@@ -1,8 +1,12 @@
-"""The overload-safe query service in front of :class:`CobraVDBMS`.
+"""The overload-safe query service in front of one :class:`Topology`.
 
 The paper's prototype serves one interactive client; the service layer is
-what stands between that prototype and real traffic. Every request passes
-through the same pipeline:
+what stands between that prototype and real traffic. It fronts exactly one
+object through one small surface (:class:`Topology`): a
+:class:`repro.cobra.vdbms.CobraVDBMS`, in memory or durable, or a
+:class:`repro.sharding.ShardedKernel` — a one-shard fleet with
+``ShardConfig(replication=N)`` is the replicated single kernel. Every
+request passes through the same pipeline:
 
 1. **admission** — synchronous, under one lock: the drain gate, the
    token-bucket rate limiter, then the bounded priority queue (with the
@@ -27,8 +31,8 @@ Two execution modes:
 
 Shutdown semantics: admissions stop immediately (``reason="draining"``),
 in-flight and queued work is finished while the drain deadline lasts,
-whatever remains is cancelled/shed with typed errors, and the durable
-store — when attached — is flushed through the kernel's WAL checkpoint so
+whatever remains is cancelled/shed with typed errors, and the topology is
+flushed (:meth:`Topology.flush`: WAL checkpoints, replica shipping) so
 nothing admitted-and-completed can be lost.
 """
 
@@ -36,29 +40,62 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 from repro.errors import (
-    MilCheckError,
     OverloadError,
     ReproError,
     RequestCancelled,
     TimeoutExpired,
 )
-from repro.monet.mil import ProcDef, parse
-from repro.resilience import CancellationToken, Deadline, cancel_scope
+from repro.resilience import CancellationToken, Deadline
 from repro.service.limiter import TokenBucket
 from repro.service.metrics import RequestRecord, ServiceReport
 from repro.service.pool import BulkheadPool
 from repro.service.queue import AdmissionQueue, Priority
 
-__all__ = ["ServiceConfig", "Request", "Ticket", "QueryService"]
+if TYPE_CHECKING:
+    from repro.cobra.vdbms import QueryResult
+    from repro.faults import FaultInjector
 
-#: Default bulkhead widths. Width 1 keeps lanes strictly serial, which is
-#: what the deterministic-report acceptance bar requires; raise widths for
-#: read-only workloads that want intra-lane parallelism.
+__all__ = ["ServiceConfig", "Request", "Ticket", "QueryService", "Topology"]
+
+#: Bulkhead lane name -> worker width. Width 1 keeps lanes strictly
+#: serial, which is what the deterministic-report acceptance bar requires.
 DEFAULT_LANES: Mapping[str, int] = {"interactive": 1, "batch": 1}
+
+
+class Topology(Protocol):
+    """Everything :class:`QueryService` calls on the one object it fronts;
+    :class:`repro.cobra.vdbms.CobraVDBMS` and
+    :class:`repro.sharding.ShardedKernel` implement it. Each call runs
+    with ``token`` as the ambient cancellation token."""
+
+    faults: "FaultInjector"  # consulted for burst faults on every arrival
+
+    def query(self, coql: str, token: CancellationToken | None = None) -> "QueryResult":
+        """A sharded answer carries its ``coverage``."""
+
+    def register_document(
+        self, document: Any, domain: str, token: CancellationToken | None = None
+    ) -> str | None:
+        """Returns the owning shard, when there are shards."""
+
+    def call(self, name: str, args: tuple = (), token: CancellationToken | None = None) -> Any:
+        """Call a PROC defined through :meth:`register_proc`."""
+
+    def register_proc(self, mil_source: str) -> list[str]:
+        """Define PROCs that pass the ``service`` check stage (SVC001,
+        CALLnnn) against the topology's own kernel(s); returns their names."""
+
+    def flush(self) -> int | None:
+        """Make everything acknowledged durable and converged; returns the
+        seqno of the checkpoint written when the topology has one log,
+        else None."""
+
+    def status(self) -> Any:
+        """The report's ``sharding`` block; None for one kernel."""
 
 
 @dataclass(frozen=True)
@@ -76,9 +113,6 @@ class ServiceConfig:
         shed_policy: ``"oldest"`` evicts the oldest least-urgent queued
             request to admit a newcomer under saturation; ``"reject"``
             refuses the newcomer instead.
-        lanes: bulkhead lane name -> worker width.
-        checkpoint_on_drain: flush the durable store (WAL checkpoint) as
-            the final drain step.
     """
 
     queue_capacity: int = 8
@@ -87,8 +121,6 @@ class ServiceConfig:
     rate_limit: float | None = None
     rate_burst: int = 4
     shed_policy: str = "oldest"
-    lanes: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_LANES))
-    checkpoint_on_drain: bool = True
 
     def __post_init__(self) -> None:
         if self.shed_policy not in ("oldest", "reject"):
@@ -165,32 +197,15 @@ class QueryService:
 
     def __init__(
         self,
-        vdbms: Any,
+        topology: Topology,
         config: ServiceConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
-        group: Any | None = None,
-        fleet: Any | None = None,
     ):
-        self._db = vdbms
+        self._topology = topology
         self._config = config or ServiceConfig()
         self._clock = clock
-        #: Optional repro.replication.KernelGroup fronting the vdbms
-        #: kernel: queries route through its read policy and the report
-        #: carries its status (epoch, lag, failovers, fenced writes).
-        self._group = group
-        #: Optional repro.sharding.ShardedKernel: queries scatter-gather
-        #: across the fleet (degraded answers carry their coverage on the
-        #: request record), registrations route to the owning shard, and
-        #: the report carries the fleet status. Mutually exclusive with
-        #: ``group`` — a fleet already replicates per shard.
-        self._fleet = fleet
-        if group is not None and fleet is not None:
-            raise ReproError(
-                "pass either group= (one replicated kernel group) or "
-                "fleet= (a sharded fleet of groups), not both"
-            )
         self._queue = AdmissionQueue(self._config.queue_capacity)
-        self._pool = BulkheadPool(self._config.lanes)
+        self._pool = BulkheadPool(DEFAULT_LANES)
         self._limiter = (
             TokenBucket(self._config.rate_limit, self._config.rate_burst, clock=clock)
             if self._config.rate_limit is not None
@@ -202,7 +217,7 @@ class QueryService:
         self._draining = False
         self._stop = threading.Event()
         self._workers: list[threading.Thread] = []
-        self._checkpoint_seqno: int | None = None
+        self._checkpoint: int | None = None
         self._service_procs: set[str] = set()
 
     @property
@@ -235,8 +250,6 @@ class QueryService:
     def _submit(
         self, kind: str, payload: Any, priority: Priority, lane: str
     ) -> Ticket:
-        if not self._pool.has_lane(lane):
-            raise ReproError(f"service has no lane {lane!r}")
         with self._lock:
             if self._draining:
                 raise OverloadError(
@@ -247,7 +260,7 @@ class QueryService:
             # through the same admission pipeline (and may shed or be
             # rejected) so overload scenarios are replayable without a
             # thousand real clients.
-            extra = self._db.faults.burst_count(f"service.submit:{kind}")
+            extra = self._topology.faults.burst_count(f"service.submit:{kind}")
             request = self._admit(kind, payload, priority, lane, clone_of=None)
             for _ in range(extra):
                 try:
@@ -288,33 +301,29 @@ class QueryService:
                     reason="rate-limited",
                     retry_after=retry_after,
                 )
-                self._finish_rejected(request, error)
+                self._refuse(request, error)
                 raise error
         try:
             victim = self._queue.push(
                 request, shed_oldest=self._config.shed_policy == "oldest"
             )
         except OverloadError as error:
-            self._finish_rejected(request, error)
+            self._refuse(request, error)
             raise
         if victim is not None:
             self._mark_shed(victim, "shed")
         return request
 
-    def _finish_rejected(self, request: Request, error: OverloadError) -> None:
-        request.status = "rejected"
+    def _refuse(self, request: Request, error: OverloadError, status: str = "rejected") -> None:
+        """End a request that never ran: rejected at admission, or shed."""
+        request.status = status
         request.detail = error.reason
         request.error = error
         request.finished_at = self._clock()
 
     def _mark_shed(self, victim: Request, reason: str) -> None:
-        error = OverloadError(
-            f"request #{victim.seq} shed under {reason} policy", reason=reason
-        )
-        victim.status = "shed"
-        victim.detail = reason
-        victim.error = error
-        victim.finished_at = self._clock()
+        error = OverloadError(f"request #{victim.seq} shed under {reason} policy", reason=reason)
+        self._refuse(victim, error, status="shed")
         victim.token.cancel(f"shed ({reason})")
 
     # ------------------------------------------------------------------
@@ -323,30 +332,15 @@ class QueryService:
     def register_proc(self, mil_source: str) -> list[str]:
         """Define MIL PROCs for service execution.
 
-        Beyond the kernel's own static checks, service registration runs
-        the SVC001 pass: an unbounded ``WHILE`` with no ``cancelpoint()``
-        is rejected, because a service lane cannot preempt it. The
-        whole-program pass runs alongside it: long-lived service procs are
-        exactly where cross-proc holes accumulate, so unresolved call
-        targets (CALL001), uncancellable recursion (CALL002), and the
-        other ``CALLnnn`` violations are rejected here too.
+        Beyond the kernel's own static checks, the topology runs the
+        ``service`` check stage: an unbounded ``WHILE`` with no
+        ``cancelpoint()`` is rejected (SVC001), because a service lane
+        cannot preempt it, and so are unresolved call targets,
+        uncancellable recursion and the other ``CALLnnn`` violations —
+        long-lived service procs are exactly where cross-proc holes
+        accumulate.
         """
-        from repro.check.pipeline import check_source
-
-        # a fresh summary cache: a rejected registration must not leave
-        # entries behind on the interpreter's live one
-        report = check_source(
-            self._db.kernel.interpreter.check_environment(),
-            mil_source,
-            "<service proc>",
-            stage="service",
-        )
-        if report.has_errors():
-            raise MilCheckError(
-                "PROC rejected for service execution", report.sorted()
-            )
-        self._db.kernel.run(mil_source)
-        names = [s.name for s in parse(mil_source) if isinstance(s, ProcDef)]
+        names = self._topology.register_proc(mil_source)
         self._service_procs.update(names)
         return names
 
@@ -361,25 +355,18 @@ class QueryService:
         order so the schedule — and the report — is reproducible.
         """
         while True:
-            batches = self._take_lane_batches()
+            batches: dict[str, list[Request]] = {}
+            for entry in self._queue.drain():
+                batches.setdefault(entry.lane, []).append(entry)
             if not batches:
                 return self.report()
             for lane in sorted(batches):
                 entries = batches[lane]
                 self._pool.run_batch(
                     lane,
-                    [self._executor_thunk(e) for e in entries],
+                    [lambda e=e: self._execute(e) for e in entries],
                     labels=[f"request #{e.seq}" for e in entries],
                 )
-
-    def _take_lane_batches(self) -> dict[str, list[Request]]:
-        batches: dict[str, list[Request]] = {}
-        for entry in self._queue.drain():
-            batches.setdefault(entry.lane, []).append(entry)
-        return batches
-
-    def _executor_thunk(self, request: Request) -> Callable[[], None]:
-        return lambda: self._execute(request)
 
     def _execute(self, request: Request) -> None:
         """Run one request to a terminal status; never raises.
@@ -395,16 +382,13 @@ class QueryService:
             request.token.check(f"service.start:{request.kind}")
             request.result = self._dispatch(request)
             request.status = "completed"
-        except RequestCancelled as exc:
-            request.status = "cancelled"
-            request.detail = type(exc).__name__
-            request.error = exc
-        except TimeoutExpired as exc:
-            request.status = "timed-out"
-            request.detail = type(exc).__name__
-            request.error = exc
         except Exception as exc:  # noqa: BLE001 - recorded, typed, never silent
-            request.status = "failed"
+            if isinstance(exc, RequestCancelled):
+                request.status = "cancelled"
+            elif isinstance(exc, TimeoutExpired):
+                request.status = "timed-out"
+            else:
+                request.status = "failed"
             request.detail = type(exc).__name__
             request.error = exc
         finally:
@@ -413,49 +397,31 @@ class QueryService:
                 self._running.discard(request.seq)
 
     def _dispatch(self, request: Request) -> Any:
+        token = request.token
         if request.kind == "query":
-            if self._fleet is not None:
-                # scatter-gather across the fleet; the coverage achieved
-                # (shards answered / targeted, corpus fraction) lands on
-                # the record, so a degraded-but-served answer is visible
-                # in the report, not silent
-                result = self._fleet.query(request.payload)
-                coverage = result.coverage
+            result = self._topology.query(request.payload, token=token)
+            coverage = result.coverage
+            if coverage is not None:
+                # a sharded answer: the coverage achieved lands on the
+                # record, so a degraded-but-served answer is visible in
+                # the report, not silent; the full report rides along as
+                # JSON-round-trip material (ShardCoverageReport.from_dict)
                 request.detail = (
                     f"gather@{len(coverage.answered)}/"
                     f"{len(coverage.targeted)} "
                     f"coverage={coverage.fraction:.3f}"
                 )
-                # the full report rides the record too — JSON-round-trip
-                # material for artifacts (ShardCoverageReport.from_dict),
-                # including the migrating/dual_read counters a mid-split
-                # gather reports
                 request.coverage = coverage.to_dict()
-                return result
-            if self._group is not None:
-                # the group's read policy picks the node; a replica read
-                # executes on the replica's applied state, primary reads
-                # stay on the vdbms path. The routed node lands on the
-                # record so reports expose the read fan-out.
-                routed = self._group.route_read()
-                request.detail = f"read@{routed.node}"
-                if not routed.is_primary:
-                    with cancel_scope(request.token):
-                        return routed.replica.query(request.payload)
-            return self._db.query(request.payload, token=request.token)
+            return result
         if request.kind == "register":
             document, domain = request.payload
-            if self._fleet is not None:
-                shard = self._fleet.register_document(document, domain)
+            shard = self._topology.register_document(document, domain, token=token)
+            if shard is not None:
                 request.detail = f"placed@{shard}"
-                return shard
-            return self._db.register_document(document, domain, token=request.token)
+            return shard
         if request.kind == "proc":
             name, args = request.payload
-            with cancel_scope(request.token):
-                if self._fleet is not None:
-                    return self._fleet.scatter_call(name, args)
-                return self._db.kernel.call(name, args, deadline=request.token)
+            return self._topology.call(name, args, token=token)
         raise ReproError(f"unknown request kind {request.kind!r}")
 
     # ------------------------------------------------------------------
@@ -501,22 +467,7 @@ class QueryService:
             self._drain_threaded(deadline)
         else:
             self._drain_sync(deadline)
-        if self._fleet is not None:
-            # flush and converge every shard: each live shard checkpoints
-            # its WAL and ships its replicas, so the drained fleet is as
-            # durable as a drained single kernel
-            if self._config.checkpoint_on_drain:
-                self._fleet.checkpoint()
-            self._fleet.pump()
-        elif (
-            self._config.checkpoint_on_drain
-            and getattr(self._db.kernel, "store", None) is not None
-        ):
-            self._checkpoint_seqno = self._db.kernel.checkpoint()
-        if self._group is not None:
-            # converge the replicas on the drained (checkpointed) state so
-            # the final report shows the group caught up, not mid-flight
-            self._group.pump()
+        self._checkpoint = self._topology.flush()
         return self.report()
 
     def _drain_sync(self, deadline: Deadline) -> None:
@@ -565,12 +516,7 @@ class QueryService:
         )
         return ServiceReport(
             records=tuple(request.record() for request in requests),
-            checkpoint_seqno=self._checkpoint_seqno,
+            checkpoint_seqno=self._checkpoint,
             admission_latencies=latencies,
-            replication=(
-                self._group.status() if self._group is not None else None
-            ),
-            sharding=(
-                self._fleet.status() if self._fleet is not None else None
-            ),
+            sharding=self._topology.status(),
         )

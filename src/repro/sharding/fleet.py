@@ -94,7 +94,13 @@ from repro.faults import FaultInjector, FaultPlan, resolve_injector
 from repro.monet.bat import compare_catalogs
 from repro.monet.kernel import MonetKernel
 from repro.replication.group import GroupConfig, KernelGroup, Lease
-from repro.resilience import CircuitBreaker, Deadline, cancel_checkpoint
+from repro.resilience import (
+    CancellationToken,
+    CircuitBreaker,
+    Deadline,
+    cancel_checkpoint,
+    cancel_scope,
+)
 from repro.sharding.migration import (
     COPIED,
     CUTOVER,
@@ -643,7 +649,10 @@ class ShardedKernel:
     # two-phase registration
     # ------------------------------------------------------------------
     def register_document(
-        self, document: VideoDocument, domain: str = "default"
+        self,
+        document: VideoDocument,
+        domain: str = "default",
+        token: CancellationToken | None = None,
     ) -> str:
         """Place and register one document; returns the owning shard.
 
@@ -653,15 +662,18 @@ class ShardedKernel:
         registered one rolls forward). Re-registering a recovered document
         only restores the Python-side handle, mirroring
         :meth:`repro.cobra.metadata.MetadataStore.register_document`.
+        ``token`` is checked before the journal sees the document and
+        stays ambient while its rows are written.
         """
         video_id = document.raw.video_id
-        with self._lock:
+        with cancel_scope(token), self._lock:
+            cancel_checkpoint(f"sharding.register:{video_id}")
             if video_id in self._placements:
                 # recovered placement: restore the handle, write nothing
                 self._documents[video_id] = (document, domain)
                 return self._placements[video_id]
             if self.config.write_routing == "owner":
-                target = self.ring.owner(video_id, exclude=self.dead_shards())
+                target = self.owner_of(video_id)
             else:
                 # SHARD001 rejects this routing; honoring it under
                 # check="off"/"warn" demonstrates the hazard it names
@@ -817,7 +829,7 @@ class ShardedKernel:
         self,
         coql: str | CoqlQuery,
         min_coverage: float | None = None,
-        token: Any = None,
+        token: CancellationToken | None = None,
     ) -> QueryResult:
         """Scatter a COQL query to the owning shards; gather with partial-
         result semantics.
@@ -827,11 +839,13 @@ class ShardedKernel:
         answered and what fraction of the documents the query targets (the
         one a ``FROM video`` names, else all) the records cover; below the
         floor the gather raises
-        :class:`repro.errors.InsufficientCoverageError` instead.
+        :class:`repro.errors.InsufficientCoverageError` instead. ``token``
+        is checked before each shard sub-request; its expiry or cancellation
+        raises instead of counting as a lost shard.
         """
         parsed = parse_coql(coql) if isinstance(coql, str) else coql
         floor = self._resolve_floor(min_coverage)
-        with self._lock:
+        with cancel_scope(token), self._lock:
             targets, plan = self._plan_gather(parsed)
             buckets = _GatherBuckets()
             shard_rows: dict[str, list[dict[str, Any]]] = {}
@@ -914,16 +928,18 @@ class ShardedKernel:
         ]
         return records, set(served_via), dual_read
 
-    def scatter_call(
+    def call(
         self,
         proc: str,
         args: tuple = (),
+        token: CancellationToken | None = None,
         min_coverage: float | None = None,
     ) -> GatherResult:
         """Call a MIL PROC on every live shard; gather per-shard values
-        under the same partial-failure semantics as :meth:`query`."""
+        under the same partial-failure and cancellation semantics as
+        :meth:`query`."""
         floor = self._resolve_floor(min_coverage)
-        with self._lock:
+        with cancel_scope(token), self._lock:
             targets = self.live_shards()
             buckets = _GatherBuckets()
             values: dict[str, Any] = {}
@@ -989,6 +1005,8 @@ class ShardedKernel:
         """One shard sub-request: breaker, transport faults, deadline,
         hedging, and crash handling. Returns the shard's value, or None
         when the shard was lost (its name lands in the right bucket)."""
+        site = f"sharding.transport:{name}"
+        cancel_checkpoint(site)
         shard = self._shards[name]
         if shard.dead:
             buckets.dead.append(name)
@@ -998,7 +1016,19 @@ class ShardedKernel:
         except CircuitOpenError:
             buckets.shed.append(name)
             return None
-        site = f"sharding.transport:{name}"
+        try:
+            return self._ask_shard(shard, buckets, thunk, site)
+        except BaseException:
+            # no verdict on the shard (the caller gave up, or an error the
+            # gather does not classify): give a half-open probe slot back
+            shard.breaker.release_probe()
+            raise
+
+    def _ask_shard(
+        self, shard: _Shard, buckets: "_GatherBuckets", thunk: Callable[[_Shard], Any], site: str
+    ) -> Any:
+        """:meth:`_gather_one` past the breaker: records each outcome it classifies."""
+        name = shard.name
         deadline = (
             Deadline(self.config.shard_deadline, clock=self._clock)
             if self.config.shard_deadline is not None
@@ -1028,7 +1058,7 @@ class ShardedKernel:
                 buckets.dead.append(name)
             return None
         except (_RequestLost, DeadlineExceeded):
-            shard.breaker.record_failure()
+            self._blame(shard, site)
             buckets.timed_out.append(name)
             return None
         except TransientError:
@@ -1038,11 +1068,11 @@ class ShardedKernel:
                     value = self._backup_attempt(shard, thunk)
                     hedged = True
                 except (TransientError, ReplicationError, MonetError):
-                    shard.breaker.record_failure()
+                    self._blame(shard, site)
                     buckets.timed_out.append(name)
                     return None
             else:
-                shard.breaker.record_failure()
+                self._blame(shard, site)
                 buckets.timed_out.append(name)
                 return None
         shard.breaker.record_success()
@@ -1050,6 +1080,11 @@ class ShardedKernel:
         if hedged:
             buckets.hedged.append(name)
         return value
+
+    def _blame(self, shard: _Shard, site: str) -> None:
+        """Count a lost sub-request against the shard, unless the caller gave up first (raises)."""
+        cancel_checkpoint(site)
+        shard.breaker.record_failure()
 
     def _shard_read(
         self, shard: _Shard, parsed: CoqlQuery
@@ -1149,7 +1184,7 @@ class ShardedKernel:
 
         Runs the ``scatter`` stage of the pass pipeline first, against the
         first live shard's kernel: the whole-program pass, because
-        ``scatter_call`` targets are cross-proc paths by construction, so
+        :meth:`call` targets are cross-proc paths by construction, so
         unresolved targets and uncancellable recursion (``CALLnnn``) must
         be rejected before the source fans out to every shard. Its findings
         land on :attr:`diagnostics`. With no live shard there is no kernel to resolve names
@@ -1175,10 +1210,27 @@ class ShardedKernel:
                     report.raise_if_errors(
                         "scatter MIL registration", ShardingCheckError
                     )
-            for name in live:
-                self._fenced_apply(self._shards[name], lambda k: k.run(mil_source))
-            # shards added later replay the same sources (_admit_shard)
-            self._mil_sources.append(mil_source)
+            self._define_on_shards(mil_source)
+
+    def register_proc(self, mil_source: str) -> list[str]:
+        """:meth:`run` under the ``service`` check stage (SVC001 + CALLnnn,
+        :func:`repro.check.pipeline.check_service_source`) instead of the
+        ``scatter`` one; returns the PROCs' names."""
+        from repro.check.pipeline import check_service_source
+
+        with self._lock:
+            live = self.live_shards()
+            if not live:
+                raise ShardingError("no live shard to define service PROCs on")
+            names = check_service_source(self._shards[live[0]].kernel, mil_source)
+            self._define_on_shards(mil_source)
+            return names
+
+    def _define_on_shards(self, mil_source: str) -> None:
+        for name in self.live_shards():
+            self._fenced_apply(self._shards[name], lambda k: k.run(mil_source))
+        # shards added later replay the same sources (_admit_shard)
+        self._mil_sources.append(mil_source)
 
     # ------------------------------------------------------------------
     # failure handling + rebalance
@@ -1261,13 +1313,15 @@ class ShardedKernel:
                 if group is not None:
                     group.pump(rounds=rounds)
 
-    def checkpoint(self) -> dict[str, int]:
-        """WAL checkpoint on every live shard; shard -> seqno."""
+    def flush(self) -> None:
+        """WAL checkpoint on every live shard, then ship the replicas, so
+        a drained fleet is as durable as a drained kernel and its replicas
+        have caught up. Returns None: there is no one log whose seqno
+        would stand for the fleet's."""
         with self._lock:
-            return {
-                name: self._shards[name].kernel.checkpoint()
-                for name in self.live_shards()
-            }
+            for name in self.live_shards():
+                self._shards[name].kernel.checkpoint()
+            self.pump()
 
     def convergence_report(self) -> list[str]:
         """Byte-for-byte divergence of every live shard's metadata.

@@ -393,13 +393,10 @@ def test_cli_parses_each_file_once(tmp_path, monkeypatch, capsys):
 
 def test_all_four_choke_points_run_the_one_pass_list(tmp_path, monkeypatch, capsys):
     """Emptying the table disarms every choke point: there is no second list."""
+    from repro.cobra.vdbms import CobraVDBMS
     from repro.service import QueryService
     from repro.sharding import ShardedKernel
     from repro.sharding.fleet import ShardConfig
-
-    class Vdbms:
-        def __init__(self):
-            self.kernel = MonetKernel()
 
     bad = "PROC spin() : int := { VAR go := 1; WHILE (go > 0) { ghost(); } RETURN 1; }"
     path = tmp_path / "bad.mil"
@@ -411,7 +408,9 @@ def test_all_four_choke_points_run_the_one_pass_list(tmp_path, monkeypatch, caps
         monkeypatch.setattr(pipeline, "PASSES", ())
         MonetKernel().run(bad)  # MIL004 + CALL001 otherwise
         assert main([str(path)]) == 0
-        assert QueryService(Vdbms()).register_proc(bad) == ["spin"]  # SVC001 otherwise
+        for topology in (CobraVDBMS(check="off"), fleet):
+            service = QueryService(topology)
+            assert service.register_proc(bad) == ["spin"]  # SVC001 otherwise
         fleet.run(bad)
         assert fleet.diagnostics == []
     finally:

@@ -33,6 +33,7 @@ from repro.durability.wal import (
 )
 from repro.errors import (
     AtomTypeError,
+    DurabilityError,
     MonetError,
     RecoveryError,
     ReplicationError,
@@ -636,6 +637,42 @@ class TestDurableKernel:
         kernel.close()
         revived = MonetKernel(store=tmp_path / "s")
         assert revived.catalog_names() == ["outer"]
+        revived.close()
+
+    def test_a_failed_commit_rolls_the_catalog_back(self, tmp_path):
+        kernel = MonetKernel(store=tmp_path / "s")
+        kernel.persist("kept", lap_bat())
+        kernel.store.close()
+        with pytest.raises(DurabilityError):
+            with kernel.transaction():
+                kernel.persist("lost", lap_bat())
+        assert kernel.catalog_names() == ["kept"]
+        [failure] = kernel.drain_failures()
+        assert (failure.site, failure.error, failure.action) == (
+            "kernel.transaction",
+            "DurabilityError",
+            "rolled-back",
+        )
+
+    def test_a_commit_killed_mid_batch_leaves_no_abort_marker(self, tmp_path):
+        faults = FaultInjector(
+            FaultPlan(
+                seed=1,
+                name="kill-commit",
+                specs=(FaultSpec(site="wal.commit:mid", kind="kill", max_triggers=1),),
+            )
+        )
+        store = DurableStore(tmp_path / "s", faults=faults, fsync=False)
+        kernel = MonetKernel(store=store)
+        kernel.persist("kept", lap_bat())
+        with pytest.raises(SimulatedCrash):
+            with kernel.transaction():
+                kernel.persist("lost", lap_bat())
+        assert kernel.catalog_names() == ["kept"]
+        store.close()
+        revived = MonetKernel(store=tmp_path / "s")
+        assert revived.catalog_names() == ["kept"]
+        assert revived.recovery.aborts_seen == 0
         revived.close()
 
     def test_cross_thread_transaction_rejected(self):

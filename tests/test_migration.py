@@ -508,12 +508,11 @@ class TestCoverageRoundTrip:
         assert ShardCoverageReport.from_dict(payload) == report
 
     def test_service_report_carries_the_gather_coverage(self, tmp_path):
-        from repro.cobra.vdbms import CobraVDBMS
         from repro.service import QueryService
 
         fleet = make_fleet(tmp_path)
         populate(fleet, vids=["race0", "race1"])
-        service = QueryService(CobraVDBMS(check="off"), fleet=fleet)
+        service = QueryService(fleet)
         service.submit_query("RETRIEVE fly_out")
         service.run_until_idle()
         report = service.shutdown()

@@ -249,13 +249,10 @@ class TestCallCodes:
 
 class TestChokePoints:
     def test_service_registration_rejects_call_errors(self):
+        from repro.cobra.vdbms import CobraVDBMS
         from repro.service import QueryService
 
-        class Vdbms:
-            def __init__(self):
-                self.kernel = MonetKernel()
-
-        service = QueryService(Vdbms())
+        service = QueryService(CobraVDBMS(check="off"))
         with pytest.raises(MilCheckError) as err:
             service.register_proc("PROC spin(int n) : int := { RETURN spin(n); }")
         assert "CALL002" in [d.code for d in err.value.diagnostics]

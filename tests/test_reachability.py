@@ -16,6 +16,7 @@ followed in full. A module only tests import belongs under ``tests/``.
 from __future__ import annotations
 
 import ast
+import re
 from functools import cache
 from pathlib import Path
 
@@ -204,3 +205,149 @@ def test_the_walk_sees_lazy_imports_and_skips_type_checking_ones():
     assert "repro.bayes" in walk.reached
     assert "repro.bayes.cpd" not in walk.reached  # a re-export nobody took
     assert "repro.replication.group" not in walk.reached
+
+
+# ---------------------------------------------------------------------------
+# def level: every function is something reached code names
+# ---------------------------------------------------------------------------
+
+#: Defs no reached non-test code names yet. It may only shrink: a def that
+#: gains a caller, or goes, leaves this list too. First the per-frame and
+#: whole-signal oracles of the chunked kernels and test-only helpers
+#: (ROADMAP item 13), then the entry points tests drive runtime code through.
+ORPHANS_ALLOWED = {
+    "repro.audio.features:frame_entropy",
+    "repro.audio.features:mfcc",
+    "repro.audio.features:zero_crossing_rate",
+    "repro.audio.filters:bandpass",
+    "repro.check.moacheck:check_expr",
+    "repro.cobra.catalog:KnowledgeCatalog.domains",
+    "repro.dbn.compiled:project_onto_clusters",
+    "repro.faults.plans:install_global",
+    "repro.fusion.discretize:soft_evidence",
+    "repro.hmm.algorithms:viterbi",
+    "repro.monet.bat:new_bat",
+    "repro.synth.audio_synth:smooth_slots",
+    "repro.video.flyout:dust_fraction",
+    "repro.video.flyout:sand_fraction",
+    "repro.video.motion:frame_difference",
+    "repro.video.motion:motion_histogram",
+    "repro.video.replay:wipe_band_score",
+    "repro.video.semaphore:semaphore_score",
+    # test entry points
+    "repro.check.diagnostics:DiagnosticReport.codes",
+    "repro.monet.bat:BAT.head_positions",
+    "repro.monet.kernel:MonetKernel.command_names",
+    "repro.monet.kernel:MonetKernel.command_signatures",
+    "repro.monet.kernel:MonetKernel.register_command",
+    "repro.sharding.fleet:ShardCoverageReport.from_dict",
+    "repro.sharding.fleet:ShardedKernel.mark_dead",
+    "repro.sharding.fleet:ShardedKernel.migrate_document",
+    "repro.sharding.ring:HashRing.successors",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring constants in ``tree``: prose, not code."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def _exports(tree: ast.AST) -> set[int]:
+    """ids of the string constants listed in an ``__all__``."""
+    return {
+        id(element)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in ast.walk(node.value)
+    }
+
+
+def _mentions(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` uses: names, attributes, and the words of its
+    string constants (MIL calls PROCs and commands by name). Importing or
+    exporting a name is not a use; docstrings are prose."""
+    skipped = _docstrings(tree) | _exports(tree)
+    words: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skipped:
+                words.update(_WORD.findall(node.value))
+    return words
+
+
+def _defs(tree: ast.Module, module: str):
+    """``module:qualname`` and bare name of every def, except dunders and
+    the members of a ``Protocol`` (declarations, not code)."""
+
+    def walk(body, prefix):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                if any(_dotted(base) in ("Protocol", "typing.Protocol") for base in stmt.bases):
+                    continue
+                yield from walk(stmt.body, f"{prefix}{stmt.name}.")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                    yield f"{module}:{prefix}{stmt.name}", stmt.name
+                yield from walk(stmt.body, f"{prefix}{stmt.name}.")
+            else:
+                for field in ("body", "orelse", "finalbody"):
+                    yield from walk(getattr(stmt, field, []), prefix)
+
+    yield from walk(tree.body, "")
+
+
+def orphaned_defs() -> set[str]:
+    """The defs under ``src/repro`` whose name no reached non-test code
+    (a reached module, a benchmark, an example) mentions."""
+    walk = Walk()
+    sources = []
+    for directory in ("benchmarks", "examples"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            walk.follow(_tree(path), "__main__")
+            sources.append(_tree(path))
+    for name in MODULES:
+        if name.endswith(".__main__"):
+            walk.reach(name)
+    sources.extend(_tree(MODULES[name]) for name in sorted(walk.reached))
+    mentioned = set().union(*map(_mentions, sources))
+    return {
+        qualified
+        for module, path in MODULES.items()
+        for qualified, name in _defs(_tree(path), module)
+        if name not in mentioned
+    }
+
+
+def test_every_def_is_named_by_reached_code():
+    assert sorted(orphaned_defs()) == sorted(ORPHANS_ALLOWED)
+
+
+def test_the_def_scan_skips_docstrings_dunders_and_protocol_members():
+    tree = ast.parse(
+        "from typing import Protocol\n"
+        "class Surface(Protocol):\n"
+        "    def declared(self): ...\n"
+        "class Thing:\n"
+        "    def __len__(self): return 0\n"
+        "    def used(self): return 'spelled()'\n"
+        "    def lonely(self):\n"
+        "        '''Only prose names used and spelled here.'''\n"
+        "Thing().used()\n"
+    )
+    defs = dict(_defs(tree, "m"))
+    assert sorted(defs) == ["m:Thing.lonely", "m:Thing.used"]
+    assert {"spelled", "used"} <= _mentions(tree)
+    assert "lonely" not in _mentions(tree)

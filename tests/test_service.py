@@ -1,10 +1,10 @@
 """The overload-safe query service: admission, shedding, drain, replay.
 
-Unit tests run against a minimal fake VDBMS (the service only touches
-``faults``, ``kernel``, ``query`` and ``register_document``), which keeps
-queue/limiter/shed semantics observable and fast. The integration test at
-the bottom reruns the ``overload`` scenario of :mod:`repro.chaos` and
-asserts its determinism bar.
+Unit tests run against a minimal fake topology (it implements
+:class:`repro.service.Topology`, the only surface the service touches),
+which keeps queue/limiter/shed semantics observable and fast. The
+integration test at the bottom reruns the ``overload`` scenario of
+:mod:`repro.chaos` and asserts its determinism bar.
 """
 
 import threading
@@ -14,11 +14,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.chaos import overload
+from repro.check.pipeline import check_service_source
+from repro.cobra.vdbms import QueryResult
 from repro.errors import (
     MilCheckError,
     OverloadError,
     ReproError,
     RequestCancelled,
+    TimeoutExpired,
 )
 from repro.faults import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -45,7 +48,8 @@ class FakeClock:
 
 
 class FakeVdbms:
-    """The minimal surface QueryService drives, with observable call order."""
+    """A one-kernel :class:`Topology` whose queries answer with their own
+    text (``result.query``), with observable call order."""
 
     def __init__(self, faults: FaultInjector | None = None):
         self.faults = faults or FaultInjector.disabled()
@@ -56,13 +60,27 @@ class FakeVdbms:
         if token is not None:
             token.check("fake.query")
         self.calls.append(("query", coql))
-        return f"result:{coql}"
+        return QueryResult(coql, [], None)
 
     def register_document(self, document, domain, token=None):
         if token is not None:
             token.check("fake.register")
         self.calls.append(("register", document))
-        return document
+        return None
+
+    def call(self, name, args=(), token=None):
+        return self.kernel.call(name, list(args), deadline=token)
+
+    def register_proc(self, mil_source):
+        names = check_service_source(self.kernel, mil_source)
+        self.kernel.run(mil_source)
+        return names
+
+    def flush(self):
+        return None
+
+    def status(self):
+        return None
 
 
 class SlowFakeVdbms(FakeVdbms):
@@ -171,7 +189,7 @@ class TestServiceAdmission:
         report = service.run_until_idle()
         assert [r.status for r in report.records] == ["completed", "rejected"]
         assert report.records[1].detail == "queue-full"
-        assert ticket.result() == "result:RETRIEVE a FROM b"
+        assert ticket.result().query == "RETRIEVE a FROM b"
 
     def test_interactive_displaces_queued_batch_under_shed_oldest(self):
         service = QueryService(
@@ -258,7 +276,7 @@ class TestBurstShedding:
         )
         ticket = service.submit_query("q")  # 4 arrivals against capacity 2
         report = service.run_until_idle()
-        assert ticket.result() == "result:q"
+        assert ticket.result().query == "q"
         assert report.counts() == {"completed": 2, "rejected": 2}
         for record in (r for r in report.records if r.status == "rejected"):
             assert record.detail == "queue-full"
@@ -320,6 +338,27 @@ class TestDrain:
         service.shutdown(deadline=1.0)
 
 
+class TestBudgets:
+    def test_an_over_budget_query_times_out_and_batch_work_keeps_its_own(self):
+        clock = FakeClock()
+        service = QueryService(
+            SlowFakeVdbms(clock),
+            ServiceConfig(interactive_budget=0.5, batch_budget=5.0),
+            clock=clock,
+        )
+        urgent = service.submit_query("slow", priority=Priority.INTERACTIVE)
+        batch = service.submit_query("slow too", priority=Priority.BATCH)
+        report = service.run_until_idle()
+        # each query burns 1.0s of fake clock: over the interactive
+        # budget, within the batch one
+        assert urgent.status == "timed-out"
+        assert report.records[0].detail == "TimeoutExpired"
+        with pytest.raises(TimeoutExpired):
+            urgent.result()
+        assert batch.status == "completed"
+        assert batch.result().query == "slow too"
+
+
 SPIN_FOREVER = """
 PROC spin() : int := {
   VAR stop := 0;
@@ -351,11 +390,12 @@ PROC hop(int n) : int := {
 
 class TestRegisterProc:
     def test_unbounded_while_without_cancelpoint_is_rejected(self):
-        service = QueryService(FakeVdbms())
+        db = FakeVdbms()
+        service = QueryService(db)
         with pytest.raises(MilCheckError) as err:
             service.register_proc(SPIN_FOREVER)
         assert any(d.code == "SVC001" for d in err.value.diagnostics)
-        assert not service._db.kernel.has_command("spin")
+        assert not db.kernel.has_command("spin")
 
     @pytest.mark.parametrize(
         "loop_body, rejected",

@@ -500,7 +500,7 @@ class TestGather:
     def test_scatter_call_gathers_per_shard_values(self, tmp_path):
         fleet = self._loaded_fleet(tmp_path)
         fleet.run("PROC two() : int := { RETURN 2; }")
-        gathered = fleet.scatter_call("two")
+        gathered = fleet.call("two")
         assert gathered.coverage.complete
         assert gathered.values == {name: 2 for name in THREE}
         fleet.close()
@@ -669,11 +669,10 @@ class TestCli:
 
 class TestServiceIntegration:
     def test_service_routes_through_the_fleet(self, tmp_path):
-        from repro.cobra.vdbms import CobraVDBMS
         from repro.service import QueryService
 
         fleet = make_fleet(tmp_path)
-        service = QueryService(CobraVDBMS(check="off"), fleet=fleet)
+        service = QueryService(fleet)
         for vid in ("race0", "race1", "race2"):
             service.submit_register(make_document(vid), "f1")
         service.run_until_idle()
@@ -690,14 +689,4 @@ class TestServiceIntegration:
         assert final.sharding is not None
         assert final.sharding.documents == 3
         assert "sharded fleet" in final.describe()
-        fleet.close()
-
-    def test_group_and_fleet_are_mutually_exclusive(self, tmp_path):
-        from repro.cobra.vdbms import CobraVDBMS
-        from repro.errors import ReproError
-        from repro.service import QueryService
-
-        fleet = make_fleet(tmp_path / "fleet", shards=2)
-        with pytest.raises(ReproError, match="not both"):
-            QueryService(CobraVDBMS(check="off"), group=object(), fleet=fleet)
         fleet.close()
