@@ -31,14 +31,11 @@ the reproduction's three levels:
   ``WHILE`` loops must carry a ``cancelpoint()``;
 * :mod:`repro.check.replcheck` — replication-topology checks run when a
   :class:`repro.replication.KernelGroup` is constructed (``REPLnnn``
-  codes): writes must route to the primary, epoch fencing must be on,
-  and the ``bounded(ms)`` read policy must be satisfiable against the
+  codes): the ``bounded(ms)`` read policy must be satisfiable against the
   replicas' registered link lag;
 * :mod:`repro.check.shardcheck` — sharded-fleet checks run when a
   :class:`repro.sharding.ShardedKernel` is constructed (``SHARDnnn``
-  codes): writes must route to the owning shard, replicated shards must
-  fence, migrations must stay accounted and fenced, and a coverage floor
-  should be declared;
+  codes): a coverage floor should be declared;
 * :mod:`repro.check.programcheck` (with :mod:`repro.check.callgraph`) —
   whole-program interprocedural analysis: per-PROC effect/cost
   summaries propagated bottom-up in SCC order over the call graph of all

@@ -1,18 +1,13 @@
 """Static analysis of kernel-group (replication) configurations.
 
 Run at :class:`repro.replication.KernelGroup` construction — the same
-choke-point pattern as :mod:`repro.check.servicecheck`: misconfigurations
-that would silently corrupt or diverge a replicated group are rejected
-before any record ships.
+choke-point pattern as :mod:`repro.check.servicecheck`: a read policy the
+replicas can never satisfy is rejected before any record ships. Writes
+always go to the primary and always pass the epoch fence, so neither is
+configurable and neither needs a check.
 
 Diagnostics:
 
-* ``REPL001`` (error) — write routing targets a replica. Replicas are
-  read-only WAL appliers; a write accepted off-primary forks the lineage
-  and can never converge.
-* ``REPL002`` (error) — epoch fencing disabled. Without fencing, a deposed
-  primary's late writes are accepted after failover (the classic
-  split-brain transition).
 * ``REPL003`` — the ``bounded(ms)`` staleness bound versus each replica's
   registered steady-state link lag: a warning per replica whose registered
   lag exceeds the bound (bounded reads will never route to it), an error
@@ -64,31 +59,10 @@ def parse_read_policy(policy: str) -> tuple[str, float | None]:
 def check_group_config(
     config: "GroupConfig", replicas: Iterable[str]
 ) -> DiagnosticReport:
-    """REPL001-REPL003 over one group configuration and its replica set."""
+    """REPL003 over one group configuration and its replica set."""
     report = DiagnosticReport()
     names = sorted(replicas)
     mode, bound = parse_read_policy(config.read_policy)
-
-    if config.write_routing != "primary":
-        report.add(
-            "REPL001",
-            f"write routing targets {config.write_routing!r}: replicas are "
-            f"read-only WAL appliers, so a write routed off-primary forks "
-            f"the lineage and the group can never converge",
-            Severity.ERROR,
-            source=_SOURCE,
-        )
-
-    if not config.fencing:
-        report.add(
-            "REPL002",
-            "epoch fencing is disabled: after a failover the deposed "
-            "primary's late writes would be accepted into the new epoch "
-            "(unfenced epoch transition / split-brain)",
-            Severity.ERROR,
-            source=_SOURCE,
-        )
-
     if mode == "bounded" and bound is not None:
         registered = dict(config.registered_lag_ms)
         over = [

@@ -68,8 +68,8 @@ class TimeoutExpired(DeadlineExceeded, TransientError):
 
     Transient — the same operation may well succeed under a fresh budget —
     so :meth:`repro.resilience.FailureReport.from_exception` classifies it
-    as retryable; but :class:`repro.resilience.RetryPolicy` excludes it by
-    default (``give_up_on``) because retrying under the *same* exhausted
+    as retryable; but :class:`repro.resilience.RetryPolicy` never retries
+    it (``GIVE_UP_ON``) because retrying under the *same* exhausted
     deadline cannot help. Carries ``site`` (where the check fired) and
     ``overshoot`` (seconds past the deadline when it was noticed).
     """
@@ -458,17 +458,16 @@ class ReplicationCheckError(DiagnosticError, ReplicationError):
     """Static analysis rejected a kernel-group configuration.
 
     Raised at :class:`repro.replication.KernelGroup` construction when the
-    REPL diagnostic family finds error-severity misconfigurations (writes
-    routed to a replica, fencing disabled, an unsatisfiable staleness
-    bound)."""
+    REPL diagnostic family finds an error-severity misconfiguration (an
+    unsatisfiable staleness bound)."""
 
 
 class ShardingCheckError(DiagnosticError, ShardingError):
-    """Static analysis rejected a sharded-fleet configuration.
+    """Static analysis rejected MIL registered on a sharded fleet.
 
-    Raised at :class:`repro.sharding.ShardedKernel` construction when the
-    SHARD diagnostic family finds error-severity misconfigurations (writes
-    routed off the owning shard, unfenced replicated shards)."""
+    Raised by :meth:`repro.sharding.ShardedKernel.run` when the ``scatter``
+    stage of the MIL pass pipeline finds error-severity findings in source
+    registered for scatter execution."""
 
 
 class ModelCheckError(DiagnosticError, InferenceError):

@@ -527,7 +527,7 @@ class MonetKernel:
             if token is None:
                 return fn(*args)  # fast path: nothing to guard
             # Token-only path: checkpoint, but skip the retry machinery —
-            # cancellation and timeouts are in give_up_on anyway.
+            # cancellation and timeouts are in GIVE_UP_ON anyway.
             token.check(site)
             return fn(*args)
 

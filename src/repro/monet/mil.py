@@ -22,6 +22,7 @@ in the kernel commands (Python callables registered by MEL-style modules).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import operator
 import re
 import threading
 from typing import Any, Callable, Iterator, Sequence
@@ -546,6 +547,20 @@ def parse(source: str) -> list[Any]:
 #: ``getattr`` default telling a missing MIL method from a None-valued one.
 _NO_ATTRIBUTE = object()
 
+#: MIL's binary operators (AND/OR short-circuit, so they are not here).
+_BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
 
 class _ReturnSignal(Exception):
     def __init__(self, value: Any):
@@ -918,25 +933,15 @@ class MilInterpreter:
             )
         left = self._eval(left_node, scope)
         right = self._eval(right_node, scope)
-        match op:
-            case "+":
-                return left + right
-            case "-":
-                return left - right
-            case "*":
-                return left * right
-            case "/":
-                return left / right
-            case "=":
-                return left == right
-            case "!=":
-                return left != right
-            case "<":
-                return left < right
-            case ">":
-                return left > right
-            case "<=":
-                return left <= right
-            case ">=":
-                return left >= right
-        raise MilTypeError(f"unknown operator {op!r}")
+        apply = _BINARY_OPERATORS.get(op)
+        if apply is None:
+            raise MilTypeError(f"unknown operator {op!r}")
+        try:
+            return apply(left, right)
+        except (TypeError, ArithmeticError) as exc:
+            # Python's own operand errors (a BAT compared with a number,
+            # division by zero, str + int) are MIL type errors
+            raise MilTypeError(
+                f"operator {op!r} cannot apply to {type(left).__name__} and "
+                f"{type(right).__name__}: {exc}"
+            ) from None

@@ -12,7 +12,8 @@ replica, epoch fencing rejects a deposed primary's late writes, and
 partitioned replicas catch back up from a checkpoint snapshot + WAL tail.
 The ``replication`` scenario of :mod:`repro.chaos` verifies all of it
 under seeded kills and partitions; :mod:`repro.check.replcheck`
-statically vets group configurations (REPL001-REPL003).
+statically vets the read policy against the replicas' registered lag
+(REPL003).
 """
 
 from repro.replication.group import (

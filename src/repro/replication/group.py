@@ -18,9 +18,10 @@ once it opens, the least-lagged reachable replica is promoted through the
 normal durability path (its applied state becomes a fresh checkpointed
 store) and the survivors re-seed from the new lineage on their next pump.
 
-Construction runs the :mod:`repro.check.replcheck` static pass (REPL001-
-REPL003) under the configured check mode, mirroring how the query service
-vets its own configuration.
+Writes always go to the primary and always pass the epoch fence; a breaker
+that opens always promotes. Construction runs the :mod:`repro.check.replcheck`
+static pass (REPL003) under the configured check mode, mirroring how the
+query service vets its own configuration.
 """
 
 from __future__ import annotations
@@ -68,20 +69,14 @@ class GroupConfig:
     """
 
     read_policy: str = "primary"
-    #: Reject writes presented under a stale epoch (REPL002 when off).
-    fencing: bool = True
     #: Consecutive failed probes before the breaker opens -> failover.
     failure_threshold: int = 2
     #: Breaker open -> half-open delay (seconds).
     recovery_timeout: float = 30.0
-    #: Where writes route; anything but "primary" is REPL001.
-    write_routing: str = "primary"
     #: Declared steady-state link lag per replica name (milliseconds).
     registered_lag_ms: Mapping[str, float] = field(default_factory=dict)
     #: Strictness of the REPL static pass: error | warn | off.
     check: str = "error"
-    #: Promote automatically when the probe breaker opens.
-    auto_failover: bool = True
     #: fsync discipline for stores created by promotion.
     fsync: bool = True
 
@@ -199,7 +194,7 @@ class KernelGroup:
         if len(set(names)) != len(names):
             raise ReplicationError(f"duplicate replica names in {names}")
 
-        # static vetting of the configuration (REPL001-REPL003)
+        # static vetting of the configuration (REPL003)
         from repro.check.replcheck import check_group_config, parse_read_policy
 
         self._policy = parse_read_policy(self.config.read_policy)
@@ -396,11 +391,9 @@ class KernelGroup:
         A stale-epoch lease (held across a failover — the deposed primary's
         "late write") raises :class:`FencedWriteError` and is counted, so
         the convergence report can assert zero such writes were accepted.
-        With ``fencing=False`` (flagged REPL002) the check is skipped —
-        the hazard the diagnostic exists to reject.
         """
         with self._lock:
-            if self.config.fencing and lease.epoch != self._epoch:
+            if lease.epoch != self._epoch:
                 self._fenced_writes += 1
                 raise FencedWriteError(
                     f"write by {lease.holder!r} rejected by epoch fence",
@@ -420,8 +413,7 @@ class KernelGroup:
         chaos plan can fail it directly; a primary marked dead (its write
         path raised :class:`SimulatedCrash`) always fails. Once
         ``failure_threshold`` consecutive probes fail the breaker opens
-        and, with ``auto_failover``, the least-lagged reachable replica is
-        promoted.
+        and the least-lagged reachable replica is promoted.
         """
         with self._lock:
             site = f"replication.probe:{self._primary_name}"
@@ -439,11 +431,7 @@ class KernelGroup:
                 self._breaker.record_success()
                 return True
             self._breaker.record_failure()
-            if (
-                self._breaker.state == CircuitBreaker.OPEN
-                and self.config.auto_failover
-                and self._replicas
-            ):
+            if self._breaker.state == CircuitBreaker.OPEN and self._replicas:
                 self.failover()
             return False
 
@@ -482,7 +470,7 @@ class KernelGroup:
             del self._replicas[chosen.name]
             deposed_kernel = self._primary
             deposed_name = self._primary_name
-            promoted = chosen.promote(check="warn", fsync=self.config.fsync)
+            promoted = chosen.promote(fsync=self.config.fsync)
             # the dead "process" is abandoned; release its WAL handle (the
             # kill is simulated in-process, the descriptor would leak)
             deposed_kernel.close()

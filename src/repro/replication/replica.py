@@ -151,9 +151,7 @@ class Replica:
     # ------------------------------------------------------------------
     # promotion
     # ------------------------------------------------------------------
-    def promote(
-        self, check: str = "warn", fsync: bool = True
-    ) -> MonetKernel:
+    def promote(self, fsync: bool = True) -> MonetKernel:
         """Turn the applied state into a new durable primary.
 
         Builds a :class:`DurableStore` at :attr:`path`, replays the applied
@@ -161,7 +159,8 @@ class Replica:
         (WAL-logged via the interpreter's define hook), records the module
         expectations, and folds it all into a checkpoint so the new
         lineage starts with an empty WAL. Any pending uncommitted batch is
-        discarded first — the deposed primary never committed it.
+        discarded first — the deposed primary never committed it. The new
+        primary checks MIL defined on it later in ``"warn"`` mode.
         """
         from repro.durability.store import DurableStore
 
@@ -174,7 +173,7 @@ class Replica:
                 f"directory {self.path}"
             )
         self._batches.discard()
-        kernel = MonetKernel(threads=1, check=check, store=store)
+        kernel = MonetKernel(threads=1, check="warn", store=store)
         snapshot = self.kernel.snapshot()
         if snapshot:
             with kernel.transaction():

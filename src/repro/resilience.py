@@ -224,34 +224,38 @@ def cancel_checkpoint(site: str = "") -> None:
         token.check(site)
 
 
+#: The longest backoff sleep between two retries (seconds).
+MAX_RETRY_DELAY = 0.25
+#: Transient errors :class:`RetryPolicy` never retries (see there).
+GIVE_UP_ON: tuple[type[BaseException], ...] = (
+    CircuitOpenError,
+    TimeoutExpired,
+    OverloadError,
+)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff for transient faults.
 
-    Only :class:`repro.errors.TransientError` is retried.
-    :class:`repro.errors.CircuitOpenError`,
+    Only :class:`repro.errors.TransientError` is retried, and never the
+    ones in :data:`GIVE_UP_ON`: :class:`repro.errors.CircuitOpenError`,
     :class:`repro.errors.TimeoutExpired` and
-    :class:`repro.errors.OverloadError` are excluded by default: all three
-    are transient (a later, fresh attempt may succeed) but retrying *now* —
-    against an open circuit, an exhausted budget, or a saturated service —
-    only makes the condition worse. Sleeps never exceed the active
+    :class:`repro.errors.OverloadError` are all transient (a later, fresh
+    attempt may succeed) but retrying *now* — against an open circuit, an
+    exhausted budget, or a saturated service — only makes the condition
+    worse. Sleeps never exceed :data:`MAX_RETRY_DELAY` nor the active
     deadline's remaining budget.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.005
     multiplier: float = 2.0
-    max_delay: float = 0.25
-    give_up_on: tuple[type[BaseException], ...] = (
-        CircuitOpenError,
-        TimeoutExpired,
-        OverloadError,
-    )
     sleep: Callable[[float], None] = time.sleep
 
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
-        return min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
+        return min(self.base_delay * self.multiplier ** (attempt - 1), MAX_RETRY_DELAY)
 
     def call(
         self,
@@ -273,7 +277,7 @@ class RetryPolicy:
             try:
                 return fn()
             except TransientError as exc:
-                if isinstance(exc, self.give_up_on) or attempt >= self.max_attempts:
+                if isinstance(exc, GIVE_UP_ON) or attempt >= self.max_attempts:
                     raise
                 pause = self.delay_for(attempt)
                 if deadline is not None:
@@ -480,8 +484,6 @@ class ResiliencePolicy:
         call_timeout: per-call budget (seconds) for guarded kernel commands
             and extractor invocations; ``None`` = unbounded.
         query_budget: per-query budget (seconds); ``None`` = unbounded.
-        breaker_failure_threshold / breaker_recovery_timeout: parameters of
-            the per-extractor circuit breakers.
         on_error: ``"raise"`` keeps the historical fail-fast behaviour;
             ``"degrade"`` drops what failed, records a
             :class:`FailureReport`, and answers from what survived.
@@ -490,8 +492,6 @@ class ResiliencePolicy:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     call_timeout: float | None = None
     query_budget: float | None = None
-    breaker_failure_threshold: int = 3
-    breaker_recovery_timeout: float = 30.0
     on_error: str = "raise"
 
     def __post_init__(self) -> None:
@@ -508,8 +508,5 @@ class ResiliencePolicy:
         return Deadline(self.query_budget)
 
     def new_breaker(self, name: str) -> CircuitBreaker:
-        return CircuitBreaker(
-            name=name,
-            failure_threshold=self.breaker_failure_threshold,
-            recovery_timeout=self.breaker_recovery_timeout,
-        )
+        """A per-extractor breaker with :class:`CircuitBreaker`'s defaults."""
+        return CircuitBreaker(name=name)

@@ -20,7 +20,9 @@ remaps through a journaled five-phase protocol (plan → copy → catch-up →
 cutover → retire) that survives a crash at any kill point, keeps reads
 answering through dual routing (the ``migrating``/``dual_read`` counters
 on the coverage report), and fences stale pre-cutover writes with
-:class:`repro.errors.FencedWriteError`.
+:class:`repro.errors.FencedWriteError`. None of these guarantees — owner
+routing, epoch fencing, migration accounting, hedged stragglers — is a
+:class:`ShardConfig` option: they cannot be switched off.
 
 The ``shard-death`` and ``migration`` scenarios of :mod:`repro.chaos`
 kill shards mid-scatter and run a split under load, check the degraded

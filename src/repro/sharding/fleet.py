@@ -11,7 +11,7 @@ gather a merged answer.
 The gather is robust *by construction*:
 
 * every shard sub-request passes a per-shard :class:`CircuitBreaker` and
-  an optional per-shard deadline;
+  is bounded by the request token's deadline;
 * the shard transport is a fault site (``sharding.transport:<shard>``):
   ``partition`` severs the link (the request is lost), ``lag`` makes the
   shard a straggler — answered through a **hedged** backup request
@@ -47,9 +47,9 @@ appends durably, then applies (:meth:`ShardedKernel._log`); reopening
 applies the log in order, then resolves what a crash left in doubt.
 
 Construction runs the :mod:`repro.check.shardcheck` static pass
-(SHARD001-SHARD003, SHARD005, SHARD006) under the configured check mode;
-MIL registered for scatter execution (:meth:`ShardedKernel.run`) runs the
-``scatter`` stage of the MIL pass pipeline.
+(SHARD002, a warning) under the configured check mode; MIL registered for
+scatter execution (:meth:`ShardedKernel.run`) runs the ``scatter`` stage
+of the MIL pass pipeline.
 The transport is simulated in-process — shards are kernels, not sockets —
 which is exactly what makes every disaster here a seeded, replayable test.
 """
@@ -97,7 +97,6 @@ from repro.replication.group import GroupConfig, KernelGroup, Lease
 from repro.resilience import (
     CancellationToken,
     CircuitBreaker,
-    Deadline,
     cancel_checkpoint,
     cancel_scope,
 )
@@ -140,30 +139,29 @@ def _validate_floor(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Configuration of one sharded fleet."""
+    """Configuration of one sharded fleet.
+
+    What stays fixed: writes go to the ring owner, replicated shards fence
+    by epoch, a cutover fences stale write intents, coverage reports count
+    ``migrating`` and ``dual_read``, and stragglers get a hedged backup
+    request. Each sub-request is bounded by the request token's deadline.
+    """
 
     #: Fleet-wide coverage floor for gathers (callers override per query).
     #: Zero means "no floor" and is flagged SHARD002.
     min_coverage: float = 0.25
-    #: Where writes route; anything but "owner" is SHARD001.
-    write_routing: str = "owner"
     #: Replicas per shard (0 = bare kernels, no per-shard failover).
     replication: int = 0
-    #: Epoch fencing on the per-shard groups (SHARD003 when off).
-    fencing: bool = True
-    #: Read policy of the per-shard groups (primary | any | bounded(ms)).
+    #: Read policy handed to the per-shard groups (primary | any |
+    #: bounded(ms)). It changes nothing a fleet does: the fleet's only
+    #: read routing, the hedged backup, asks for ``"any"``. The group
+    #: still parses it, so a malformed policy fails at construction.
+    #: Kept only while ``benchmarks/pipeline/fleet.py`` passes it.
     read_policy: str = "primary"
     #: Consecutive failed probes before a shard's breaker opens.
     failure_threshold: int = 2
     #: Breaker open -> half-open delay (seconds).
     recovery_timeout: float = 30.0
-    #: Per-shard sub-request budget in seconds; None = no wall-clock bound
-    #: (the deterministic default — chaos classifies losses by fault kind).
-    shard_deadline: float | None = None
-    #: Issue hedged backup requests for stragglers and transient losses.
-    hedge: bool = True
-    #: Virtual nodes per shard on the placement ring.
-    vnodes: int = 32
     #: Strictness of the SHARD static pass: error | warn | off.
     check: str = "error"
     #: fsync discipline for the shard stores and the placement journal.
@@ -171,12 +169,6 @@ class ShardConfig:
     #: Max pending tail records a migration may carry into cutover
     #: (bounded staleness); above it cutover raises MigrationLagError.
     catchup_lag_floor: int = 0
-    #: Count in-flight migrations and dual reads on coverage reports
-    #: (SHARD005 when off: mid-migration degradation turns invisible).
-    migration_accounting: bool = True
-    #: Epoch-fence stale write intents after a cutover (SHARD006 when
-    #: off: a stale source shard accepts writes no gather will read).
-    migration_fencing: bool = True
 
 
 @dataclass(frozen=True)
@@ -455,20 +447,21 @@ class ShardedKernel:
                 f"{self.config.catchup_lag_floor} — a negative lag floor "
                 f"would refuse every cutover"
             )
+        if self.config.failure_threshold < 1:
+            raise ShardConfigError(
+                f"failure_threshold must be >= 1 failed probe(s), got "
+                f"{self.config.failure_threshold}"
+            )
 
-        # static vetting of the configuration (SHARD001-SHARD003)
+        # static vetting of the configuration (SHARD002, a warning)
         from repro.check.shardcheck import check_fleet_config
 
-        mode = CheckMode.of(self.config.check)
         #: SHARD findings collected at construction (empty with check="off").
-        self.diagnostics: list[Diagnostic] = []
-        if mode.checks:
-            report = check_fleet_config(self.config, names)
-            self.diagnostics = report.sorted()
-            if mode.raises:
-                report.raise_if_errors(
-                    "sharded fleet configuration", ShardingCheckError
-                )
+        self.diagnostics: list[Diagnostic] = (
+            check_fleet_config(self.config).sorted()
+            if CheckMode.of(self.config.check).checks
+            else []
+        )
 
         self._lock = threading.RLock()
         self._journal = RecordLog(
@@ -482,7 +475,7 @@ class ShardedKernel:
         # a file that is not a placement journal fails here, typed
         journaled = self._journal.recover().records
         self._journal.open()
-        self.ring = HashRing(names, vnodes=self.config.vnodes)
+        self.ring = HashRing(names)
         self._shards: dict[str, _Shard] = {
             name: self._build_shard(name) for name in names
         }
@@ -541,7 +534,6 @@ class ShardedKernel:
                 ],
                 config=GroupConfig(
                     read_policy=self.config.read_policy,
-                    fencing=self.config.fencing,
                     failure_threshold=self.config.failure_threshold,
                     recovery_timeout=self.config.recovery_timeout,
                     fsync=self.config.fsync,
@@ -672,17 +664,7 @@ class ShardedKernel:
                 # recovered placement: restore the handle, write nothing
                 self._documents[video_id] = (document, domain)
                 return self._placements[video_id]
-            if self.config.write_routing == "owner":
-                target = self.owner_of(video_id)
-            else:
-                # SHARD001 rejects this routing; honoring it under
-                # check="off"/"warn" demonstrates the hazard it names
-                if self.config.write_routing not in self._shards:
-                    raise PlacementError(
-                        f"write_routing {self.config.write_routing!r} names "
-                        f"no shard in the fleet"
-                    )
-                target = self.config.write_routing
+            target = self.owner_of(video_id)
             if self.shard(target).dead:
                 raise ShardingError(
                     f"owning shard {target!r} is dead; rebalance before "
@@ -1002,9 +984,9 @@ class ShardedKernel:
         buckets: "_GatherBuckets",
         thunk: Callable[[_Shard], Any],
     ) -> Any:
-        """One shard sub-request: breaker, transport faults, deadline,
-        hedging, and crash handling. Returns the shard's value, or None
-        when the shard was lost (its name lands in the right bucket)."""
+        """One shard sub-request: breaker, transport faults, hedging, and
+        crash handling. Returns the shard's value, or None when the shard
+        was lost (its name lands in the right bucket)."""
         site = f"sharding.transport:{name}"
         cancel_checkpoint(site)
         shard = self._shards[name]
@@ -1029,11 +1011,6 @@ class ShardedKernel:
     ) -> Any:
         """:meth:`_gather_one` past the breaker: records each outcome it classifies."""
         name = shard.name
-        deadline = (
-            Deadline(self.config.shard_deadline, clock=self._clock)
-            if self.config.shard_deadline is not None
-            else None
-        )
         hedged = False
         try:
             if self.faults.link_partitioned(site):
@@ -1041,13 +1018,11 @@ class ShardedKernel:
                 raise _RequestLost(f"transport to {name} partitioned")
             straggler = self.faults.link_lag(site) > 0
             self.faults.on_call(site)
-            if straggler and self.config.hedge:
+            if straggler:
                 value = self._backup_attempt(shard, thunk)
                 hedged = True
             else:
                 value = thunk(shard)
-            if deadline is not None and deadline.expired:
-                raise _RequestLost(f"shard {name} answered past the deadline")
         except SimulatedCrash:
             # the shard process died mid-scatter; a replicated shard fails
             # over internally, a bare one is dead until rebalanced
@@ -1058,33 +1033,28 @@ class ShardedKernel:
                 buckets.dead.append(name)
             return None
         except (_RequestLost, DeadlineExceeded):
-            self._blame(shard, site)
-            buckets.timed_out.append(name)
-            return None
+            return self._lost(shard, site, buckets)
         except TransientError:
             # one transient transport fault: hedge a backup request once
-            if self.config.hedge and not hedged:
-                try:
-                    value = self._backup_attempt(shard, thunk)
-                    hedged = True
-                except (TransientError, ReplicationError, MonetError):
-                    self._blame(shard, site)
-                    buckets.timed_out.append(name)
-                    return None
-            else:
-                self._blame(shard, site)
-                buckets.timed_out.append(name)
-                return None
+            if hedged:
+                return self._lost(shard, site, buckets)
+            try:
+                value = self._backup_attempt(shard, thunk)
+                hedged = True
+            except (TransientError, ReplicationError, MonetError):
+                return self._lost(shard, site, buckets)
         shard.breaker.record_success()
         buckets.answered.append(name)
         if hedged:
             buckets.hedged.append(name)
         return value
 
-    def _blame(self, shard: _Shard, site: str) -> None:
-        """Count a lost sub-request against the shard, unless the caller gave up first (raises)."""
+    def _lost(self, shard: _Shard, site: str, buckets: "_GatherBuckets") -> None:
+        """Count a lost sub-request against the shard, unless the caller
+        gave up first (raises); the gather books it as timed out."""
         cancel_checkpoint(site)
         shard.breaker.record_failure()
+        buckets.timed_out.append(shard.name)
 
     def _shard_read(
         self, shard: _Shard, parsed: CoqlQuery
@@ -1150,7 +1120,6 @@ class ShardedKernel:
             total, covered = 1, int(video in served)
         else:
             total, covered = len(self._placements), len(served)
-        accounting = self.config.migration_accounting
         return ShardCoverageReport(
             plan=plan,
             targeted=tuple(targets),
@@ -1161,8 +1130,8 @@ class ShardedKernel:
             dead=tuple(sorted(buckets.dead)),
             documents_total=total,
             documents_covered=covered,
-            migrating=len(self.migrations.in_flight()) if accounting else 0,
-            dual_read=dual_read if accounting else 0,
+            migrating=len(self.migrations.in_flight()),
+            dual_read=dual_read,
         )
 
     def _enforce_floor(

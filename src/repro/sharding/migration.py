@@ -287,9 +287,7 @@ class PlacementLease:
     the routing epoch and owner observed when it was issued. Presenting
     it after a cutover advanced the epoch (and moved the document)
     fences with :class:`repro.errors.FencedWriteError` — a stale source
-    shard can never accept a write after the ring advances. With
-    ``migration_fencing`` disabled (the SHARD006 hazard) the stale write
-    is honored against the old owner, landing rows no gather will read.
+    shard can never accept a write after the ring advances.
     """
 
     __slots__ = ("_coordinator", "video", "owner", "epoch")
@@ -618,28 +616,23 @@ class MigrationCoordinator:
         fleet = self._fleet
         with fleet._lock:
             current = fleet._placements.get(video_id)
-            stale = epoch != fleet._routing_epoch and owner != current
-            if stale and fleet.config.migration_fencing:
+            if epoch != fleet._routing_epoch and owner != current:
                 raise FencedWriteError(
                     f"stale placement intent for {video_id!r}: shard "
                     f"{owner!r} no longer owns it (now {current!r})",
                     lease_epoch=epoch,
                     group_epoch=fleet._routing_epoch,
                 )
-            # with fencing disabled the stale write is honored against
-            # the old owner — the SHARD006 hazard, demonstrated under
-            # check="off"/"warn": rows land where no gather will look
-            target = owner if stale else current
-            self._insert_event(target, video_id, event)
+            self._insert_event(current, video_id, event)
             # a write to the source of a copied document also joins the
             # migration's pending tail (ShardedKernel._apply)
             fleet._log(
                 "event",
                 video=video_id,
-                shard=target,
+                shard=current,
                 event=event_payload(event),
             )
-            return target
+            return current
 
     def _insert_event(
         self, shard_name: str, video_id: str, event: VideoEvent

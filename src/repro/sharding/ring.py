@@ -2,7 +2,7 @@
 
 Documents are placed by hashing their id (the video id — the unit the
 paper's metadata decomposes around) onto a ring of virtual nodes. Each
-shard contributes ``vnodes`` points; a key is owned by the first live
+shard contributes :data:`VNODES` points; a key is owned by the first live
 vnode clockwise from the key's hash. Consistent hashing gives the two
 properties the fleet needs:
 
@@ -29,6 +29,9 @@ from repro.errors import ShardingError
 
 __all__ = ["HashRing"]
 
+#: Virtual nodes (ring points) per shard.
+VNODES = 32
+
 
 def _point(label: str) -> int:
     digest = hashlib.md5(label.encode("utf-8")).digest()
@@ -38,18 +41,15 @@ def _point(label: str) -> int:
 class HashRing:
     """A consistent-hash ring over named shards with virtual nodes."""
 
-    def __init__(self, shards: Iterable[str], vnodes: int = 32):
+    def __init__(self, shards: Iterable[str]):
         self._shards = sorted(shards)
         if not self._shards:
             raise ShardingError("a hash ring needs at least one shard")
         if len(set(self._shards)) != len(self._shards):
             raise ShardingError(f"duplicate shard names in {self._shards}")
-        if vnodes < 1:
-            raise ShardingError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
         points: list[tuple[int, str]] = []
         for shard in self._shards:
-            for index in range(vnodes):
+            for index in range(VNODES):
                 points.append((_point(f"{shard}#{index}"), shard))
         # ties (crc collisions across labels) break by shard name so the
         # ring order is a pure function of the configuration
@@ -62,7 +62,7 @@ class HashRing:
         return list(self._shards)
 
     def extended(self, shard: str) -> "HashRing":
-        """A new ring with ``shard`` added (same vnodes).
+        """A new ring with ``shard`` added.
 
         The complement of death: adding a shard steals only the keys its
         own vnode arcs now cover — every other key keeps its owner, which
@@ -73,7 +73,7 @@ class HashRing:
         """
         if shard in self._shards:
             raise ShardingError(f"shard {shard!r} is already on the ring")
-        return HashRing([*self._shards, shard], vnodes=self.vnodes)
+        return HashRing([*self._shards, shard])
 
     def owner(self, key: str, exclude: Iterable[str] = ()) -> str:
         """The shard owning ``key``: the first ring point clockwise from

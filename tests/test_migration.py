@@ -1,6 +1,6 @@
 """Online shard splitting: the five-phase migration protocol, crash-safe
 recovery at every kill point, dual-read degraded gathers, fenced cutover,
-bounded-staleness catch-up, and the SHARD005/SHARD006 static checks."""
+and bounded-staleness catch-up."""
 
 import json
 
@@ -12,15 +12,12 @@ from repro.chaos.sharding import (
     migration_sweep,
     split_under_load,
 )
-from repro.check.diagnostics import Severity
-from repro.check.shardcheck import check_fleet_config
 from repro.errors import (
     FencedWriteError,
     MigrationError,
     MigrationLagError,
     RequestCancelled,
     ShardConfigError,
-    ShardingCheckError,
     ShardingError,
     SimulatedCrash,
 )
@@ -421,7 +418,7 @@ class TestCrashRecovery:
 
 
 # ---------------------------------------------------------------------------
-# configuration validation and the static checks
+# configuration validation
 # ---------------------------------------------------------------------------
 
 
@@ -435,6 +432,18 @@ class TestConfigValidation:
         with pytest.raises(ShardConfigError):
             make_fleet(tmp_path, catchup_lag_floor=-1)
 
+    @pytest.mark.parametrize("replication", [0, 1])
+    def test_zero_failure_threshold_fails_before_touching_disk(
+        self, tmp_path, replication
+    ):
+        with pytest.raises(ShardConfigError, match="failure_threshold"):
+            ShardedKernel(
+                tmp_path,
+                2,
+                ShardConfig(failure_threshold=0, replication=replication),
+            )
+        assert list(tmp_path.iterdir()) == []
+
     def test_shard_config_error_is_a_value_error(self):
         assert issubclass(ShardConfigError, ValueError)
 
@@ -444,26 +453,6 @@ class TestConfigValidation:
         with pytest.raises(ShardConfigError):
             fleet.query("RETRIEVE fly_out", min_coverage=2.0)
         fleet.close()
-
-
-class TestMigrationChecks:
-    def test_shard005_rejects_unaccounted_migration(self, tmp_path):
-        report = check_fleet_config(
-            ShardConfig(migration_accounting=False), ["shard-0", "shard-1"]
-        )
-        [diag] = list(report)
-        assert diag.code == "SHARD005" and diag.severity == Severity.ERROR
-        with pytest.raises(ShardingCheckError, match="SHARD005"):
-            make_fleet(tmp_path, migration_accounting=False)
-
-    def test_shard006_rejects_unfenced_cutover(self, tmp_path):
-        report = check_fleet_config(
-            ShardConfig(migration_fencing=False), ["shard-0", "shard-1"]
-        )
-        [diag] = list(report)
-        assert diag.code == "SHARD006" and diag.severity == Severity.ERROR
-        with pytest.raises(ShardingCheckError, match="SHARD006"):
-            make_fleet(tmp_path, migration_fencing=False)
 
 
 # ---------------------------------------------------------------------------

@@ -351,3 +351,136 @@ def test_the_def_scan_skips_docstrings_dunders_and_protocol_members():
     assert sorted(defs) == ["m:Thing.lonely", "m:Thing.used"]
     assert {"spelled", "used"} <= _mentions(tree)
     assert "lonely" not in _mentions(tree)
+
+
+# ---------------------------------------------------------------------------
+# config level: every option is something non-test code sets
+# ---------------------------------------------------------------------------
+
+#: The configuration dataclasses checked, by module.
+CONFIG_CLASSES = {
+    "ShardConfig": "repro.sharding.fleet",
+    "GroupConfig": "repro.replication.group",
+    "ServiceConfig": "repro.service.service",
+    "ResiliencePolicy": "repro.resilience",
+    "RetryPolicy": "repro.resilience",
+}
+
+#: Fields only tests pass (each one a test tells apart from its default).
+#: It may only shrink: a field that gains a setter in ``src/``,
+#: ``benchmarks/`` or ``examples/``, or goes, leaves it too. A field that
+#: nothing sets, not even a test, is never allowed.
+FIELDS_SET_ONLY_BY_TESTS = {
+    "ResiliencePolicy.call_timeout",
+    "ResiliencePolicy.on_error",
+    "ResiliencePolicy.query_budget",
+    "ResiliencePolicy.retry",
+    "RetryPolicy.base_delay",
+    "RetryPolicy.max_attempts",
+    "RetryPolicy.multiplier",
+    "RetryPolicy.sleep",
+    "ServiceConfig.batch_budget",
+    "ServiceConfig.interactive_budget",
+    "ServiceConfig.rate_burst",
+    "ServiceConfig.rate_limit",
+    "ShardConfig.catchup_lag_floor",
+    "ShardConfig.check",
+    "ShardConfig.failure_threshold",
+    "ShardConfig.recovery_timeout",
+}
+
+
+def config_fields() -> set[str]:
+    """``Class.field`` for every annotated field of the config classes."""
+    found = set()
+    for name, module in CONFIG_CLASSES.items():
+        [cls] = [
+            node
+            for node in _tree(MODULES[module]).body
+            if isinstance(node, ast.ClassDef) and node.name == name
+        ]
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found.add(f"{name}.{stmt.target.id}")
+    return found
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def set_fields(trees: list[ast.AST]) -> set[str]:
+    """``Class.field`` for every keyword the trees pass to a config class,
+    to ``replace`` (counted for every class with that field), or to a
+    helper that forwards its ``**kwargs`` into one of those."""
+    fields = config_fields()
+    targets = {name: {name} for name in CONFIG_CLASSES}
+    changed = True
+    while changed:  # helpers forwarding into helpers
+        changed = False
+        for tree in trees:
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.args.kwarg is None:
+                    continue
+                forwarded = set()
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and any(
+                        kw.arg is None
+                        and isinstance(kw.value, ast.Name)
+                        and kw.value.id == node.args.kwarg.arg
+                        for kw in call.keywords
+                    ):
+                        forwarded |= targets.get(_callee(call), set())
+                if not forwarded <= targets.get(node.name, set()):
+                    targets[node.name] = targets.get(node.name, set()) | forwarded
+                    changed = True
+    found = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = _callee(call)
+            classes = CONFIG_CLASSES if callee == "replace" else targets.get(callee, ())
+            for kw in call.keywords:
+                for cls in classes:
+                    if f"{cls}.{kw.arg}" in fields:
+                        found.add(f"{cls}.{kw.arg}")
+    return found
+
+
+def _trees(*directories: str) -> list[ast.AST]:
+    return [
+        _tree(path)
+        for directory in directories
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ]
+
+
+def test_every_config_field_has_a_setter():
+    by_code = set_fields(_trees("src", "benchmarks", "examples"))
+    by_tests = set_fields(_trees("tests"))
+    assert sorted(config_fields() - by_code - by_tests) == []
+    assert sorted(by_tests - by_code) == sorted(FIELDS_SET_ONLY_BY_TESTS)
+
+
+def test_the_setter_scan_follows_forwarding_helpers_and_replace():
+    tree = ast.parse(
+        "def make(tmp, **overrides):\n"
+        "    return ShardConfig(**overrides)\n"
+        "def outer(**kw):\n"
+        "    return make(1, **kw)\n"
+        "outer(fsync=False)\n"
+        "RetryPolicy(3)\n"
+        "replace(policy, query_budget=1.0)\n"
+    )
+    assert set_fields([tree]) == {
+        "ShardConfig.fsync",
+        "ResiliencePolicy.query_budget",
+    }

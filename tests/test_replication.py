@@ -73,6 +73,17 @@ def make_group(tmp_path, primary=None, clock=None, config=None, faults=None):
     )
 
 
+def unsatisfiable_config(check="error"):
+    """A bounded read policy both of make_group's replicas exceed (REPL003
+    twice as a warning, once as an error)."""
+    return GroupConfig(
+        read_policy="bounded(50)",
+        registered_lag_ms={"replica-0": 80.0, "replica-1": 90.0},
+        check=check,
+        fsync=False,
+    )
+
+
 # ---------------------------------------------------------------------------
 # read-policy grammar + REPL static pass
 # ---------------------------------------------------------------------------
@@ -100,19 +111,6 @@ class TestReplCheck:
         )
         assert report.sorted() == []
 
-    def test_repl001_write_routed_to_replica(self):
-        report = check_group_config(
-            GroupConfig(write_routing="replica-0"), ["replica-0"]
-        )
-        codes = [d.code for d in report.sorted()]
-        assert codes == ["REPL001"]
-        assert report.has_errors()
-
-    def test_repl002_unfenced_epoch_transition(self):
-        report = check_group_config(GroupConfig(fencing=False), ["replica-0"])
-        assert [d.code for d in report.sorted()] == ["REPL002"]
-        assert report.has_errors()
-
     def test_repl003_warns_per_slow_replica_errors_when_unsatisfiable(self):
         config = GroupConfig(
             read_policy="bounded(50)",
@@ -136,22 +134,16 @@ class TestReplCheck:
         assert report.has_errors()
 
     def test_group_construction_enforces_the_pass(self, tmp_path):
-        with pytest.raises(ReplicationCheckError):
-            make_group(tmp_path, config=GroupConfig(fencing=False, fsync=False))
+        with pytest.raises(ReplicationCheckError, match="REPL003"):
+            make_group(tmp_path, config=unsatisfiable_config())
 
     def test_check_warn_records_diagnostics_without_raising(self, tmp_path):
-        group = make_group(
-            tmp_path,
-            config=GroupConfig(fencing=False, check="warn", fsync=False),
-        )
-        assert [d.code for d in group.diagnostics] == ["REPL002"]
+        group = make_group(tmp_path, config=unsatisfiable_config(check="warn"))
+        assert [d.code for d in group.diagnostics] == ["REPL003"] * 3
         group.close()
 
     def test_check_off_skips_the_pass(self, tmp_path):
-        group = make_group(
-            tmp_path,
-            config=GroupConfig(fencing=False, check="off", fsync=False),
-        )
+        group = make_group(tmp_path, config=unsatisfiable_config(check="off"))
         assert group.diagnostics == []
         group.close()
 
@@ -548,17 +540,6 @@ class TestFencingAndFailover:
         group.report_primary_failure()
         with pytest.raises(ReplicationError):
             group.failover()
-
-    def test_fencing_off_is_flagged_but_admits_the_late_write(self, tmp_path):
-        # REPL002 exists precisely because this path is a split brain
-        group, _ = self._converged_group(tmp_path, fencing=False, check="warn")
-        stale = group.lease()
-        group.report_primary_failure()
-        group.failover()
-        stale.write(lambda k: k.persist("ghost", lap_bat()))
-        assert group.fenced_writes == 0
-        assert "ghost" in group.primary.catalog_names()
-        group.close()
 
     def test_promoted_replica_refuses_further_shipments(self, tmp_path):
         group, _ = self._converged_group(tmp_path)

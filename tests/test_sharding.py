@@ -23,7 +23,6 @@ from repro.durability.wal import JOURNAL_MAGIC, encode_record, read_records
 from repro.errors import (
     InsufficientCoverageError,
     PlacementError,
-    ShardingCheckError,
     SimulatedCrash,
     WalCorruptionError,
 )
@@ -110,16 +109,8 @@ class TestHashRing:
 
 
 class TestShardCheck:
-    def test_shard001_rejects_non_owner_routing(self, tmp_path):
-        report = check_fleet_config(
-            ShardConfig(write_routing="shard-0"), THREE
-        )
-        assert [d.code for d in report] == ["SHARD001"]
-        with pytest.raises(ShardingCheckError, match="SHARD001"):
-            make_fleet(tmp_path, write_routing="shard-0")
-
     def test_shard002_warns_on_missing_coverage_floor(self, tmp_path):
-        report = check_fleet_config(ShardConfig(min_coverage=0.0), THREE)
+        report = check_fleet_config(ShardConfig(min_coverage=0.0))
         [diag] = list(report)
         assert diag.code == "SHARD002"
         assert diag.severity == Severity.WARNING
@@ -127,17 +118,6 @@ class TestShardCheck:
         fleet = make_fleet(tmp_path, min_coverage=0.0)
         assert [d.code for d in fleet.diagnostics] == ["SHARD002"]
         fleet.close()
-
-    def test_shard003_rejects_unfenced_replication(self, tmp_path):
-        report = check_fleet_config(
-            ShardConfig(replication=1, fencing=False), THREE
-        )
-        assert "SHARD003" in [d.code for d in report]
-        with pytest.raises(ShardingCheckError, match="SHARD003"):
-            make_fleet(tmp_path, replication=1, fencing=False)
-
-    def test_bare_unfenced_fleet_is_clean(self):
-        assert not list(check_fleet_config(ShardConfig(fencing=False), THREE))
 
 
 # ---------------------------------------------------------------------------
