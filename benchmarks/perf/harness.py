@@ -12,8 +12,8 @@ fused compiler would accelerate —
 * ``end_to_end_query`` — a full COQL round through :class:`CobraVDBMS`
   (parse → preprocess → execute) against a synthetic document;
 * ``replicated_read_fanout`` — aggregate reads routed across a replicated
-  kernel group (one primary + two WAL-shipped replicas) under a mix of
-  ``primary`` / ``any`` / ``bounded(ms)`` read policies;
+  kernel group (one primary + two WAL-shipped replicas), each to the
+  least-lagged reachable replica;
 * ``sharded_scatter_gather`` — COQL gathers across a three-shard
   consistent-hash fleet, mixing fan-out scatters (every shard answers,
   results merged with a coverage report) with shard-local routed queries;
@@ -186,7 +186,6 @@ def bench_replicated_read_fanout(rows: int, repeats: int) -> dict:
     from repro.replication import GroupConfig, KernelGroup
 
     reads_per_repeat = 30
-    policies = ("primary", "any", "bounded(250)")
     with tempfile.TemporaryDirectory(prefix="repro-bench-repl-") as scratch:
         base = Path(scratch)
         # fsync off: this measures routing + replica-read overhead, not
@@ -203,13 +202,13 @@ def bench_replicated_read_fanout(rows: int, repeats: int) -> dict:
             primary,
             base,
             replicas=("replica-0", "replica-1"),
-            config=GroupConfig(read_policy="any", fsync=False),
+            config=GroupConfig(fsync=False),
         )
         group.pump()
 
         def fanout() -> None:
-            for index in range(reads_per_repeat):
-                routed = group.route_read(policy=policies[index % len(policies)])
+            for _ in range(reads_per_repeat):
+                routed = group.route_read()
                 routed.kernel.bat("bench_f").tail_array().sum()
 
         summary = _summary(

@@ -82,12 +82,7 @@ def failover(
         primary,
         base,
         replicas=("replica-0", "replica-1"),
-        config=GroupConfig(
-            read_policy="bounded(250)",
-            failure_threshold=2,
-            fsync=fsync,
-            registered_lag_ms={"replica-0": 10.0, "replica-1": 40.0},
-        ),
+        config=GroupConfig(failure_threshold=2, fsync=fsync),
         faults=faults,
     )
 

@@ -29,13 +29,6 @@ the reproduction's three levels:
   PROC is registered for service execution, on whatever topology
   :class:`repro.service.QueryService` fronts (``SVCnnn`` codes): unbounded
   ``WHILE`` loops must carry a ``cancelpoint()``;
-* :mod:`repro.check.replcheck` — replication-topology checks run when a
-  :class:`repro.replication.KernelGroup` is constructed (``REPLnnn``
-  codes): the ``bounded(ms)`` read policy must be satisfiable against the
-  replicas' registered link lag;
-* :mod:`repro.check.shardcheck` — sharded-fleet checks run when a
-  :class:`repro.sharding.ShardedKernel` is constructed (``SHARDnnn``
-  codes): a coverage floor should be declared;
 * :mod:`repro.check.programcheck` (with :mod:`repro.check.callgraph`) —
   whole-program interprocedural analysis: per-PROC effect/cost
   summaries propagated bottom-up in SCC order over the call graph of all
@@ -161,9 +154,7 @@ from repro.check.moacheck import check_expr as check_moa_expr
 from repro.check.modelcheck import check_cpd, check_template
 from repro.check.programcheck import ProcSummary, ProgramChecker, SummaryCache
 from repro.check.racecheck import RaceChecker
-from repro.check.replcheck import check_group_config, parse_read_policy
 from repro.check.sanitize import KernelSanitizer
-from repro.check.shardcheck import check_fleet_config
 from repro.check.servicecheck import ServiceChecker
 
 __all__ = [
@@ -188,8 +179,6 @@ __all__ = [
     "check_catalog",
     "check_cpd",
     "check_feature_set",
-    "check_fleet_config",
-    "check_group_config",
     "check_moa_cost",
     "check_moa_expr",
     "check_moa_flow",
@@ -197,6 +186,5 @@ __all__ = [
     "collect_call_sites",
     "estimate_extraction_cost",
     "fingerprint",
-    "parse_read_policy",
     "validate_translation",
 ]

@@ -107,6 +107,7 @@ __all__ = [
     "WAL_FILE",
     "apply_record",
     "replay",
+    "superseded_appends",
 ]
 
 WAL_FILE = "wal.log"
@@ -180,6 +181,22 @@ def _rebuilding(record: dict[str, Any], error: type[Exception]) -> Iterator[None
         ) from exc
 
 
+def superseded_appends(records: Sequence[dict[str, Any]]) -> dict[int, int]:
+    """The ``append`` records a later ``persist`` or ``drop`` of the same
+    BAT supersedes: the index of each in ``records`` -> the index of the
+    last such record."""
+    last = {
+        record["name"]: index
+        for index, record in enumerate(records)
+        if record["op"] in ("persist", "drop")
+    }
+    return {
+        index: last[record["name"]]
+        for index, record in enumerate(records)
+        if record["op"] == "append" and index < last.get(record["name"], -1)
+    }
+
+
 def replay(
     records: Sequence[dict[str, Any]],
     catalog: MutableMapping[str, BAT],
@@ -190,22 +207,15 @@ def replay(
     """:func:`apply_record` over committed records, in log order.
 
     An ``append`` that a later ``persist`` or ``drop`` of the same BAT
-    supersedes is passed over instead of length-checked: when the log is
-    replayed onto a checkpoint that already subsumes it, the BAT is in its
-    *final* state, which such an append need not fit — and whatever it did
-    would be overwritten anyway.
+    supersedes (:func:`superseded_appends`) is passed over instead of
+    length-checked: when the log is replayed onto a checkpoint that already
+    subsumes it, the BAT is in its *final* state, which such an append need
+    not fit — and whatever it did would be overwritten anyway.
     """
-    superseded_before = {
-        record["name"]: index
-        for index, record in enumerate(records)
-        if record["op"] in ("persist", "drop")
-    }
+    skipped = superseded_appends(records)
     for index, record in enumerate(records):
-        if record["op"] == "append" and index < superseded_before.get(
-            record["name"], -1
-        ):
-            continue
-        apply_record(record, catalog, define, modules, error)
+        if index not in skipped:
+            apply_record(record, catalog, define, modules, error)
 
 
 @dataclass

@@ -35,7 +35,8 @@ JSON-lines ``placements.log`` from before ``REPROJNL1``) raises
 A WAL *transaction* (:meth:`WriteAheadLog.commit`) is one ``begin`` +
 delta records + ``commit`` batch, fsynced after the commit marker;
 :class:`BatchAssembler` is the one reader of that grammar — recovery, the
-replicas and ``inspect`` feed it records and get back those in effect.
+replicas, a lagging replication link's cut and ``inspect`` feed it records
+and get back those in effect.
 
 Read semantics (:func:`read_records`): records are scanned until EOF or the
 first structurally bad record (short header, length past EOF, CRC or JSON

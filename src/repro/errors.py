@@ -219,15 +219,6 @@ class FencedWriteError(ReplicationError, PermanentError):
         )
 
 
-class StalenessBoundError(ReplicationError, TransientError):
-    """No group node could satisfy a staleness-bounded read right now.
-
-    Transient — replicas catch up and partitions heal — so a client may
-    retry, but the group never silently serves data staler than the bound
-    the caller asked for.
-    """
-
-
 class ShardingError(MonetError):
     """Error in the sharded kernel fleet (placement, scatter-gather)."""
 
@@ -452,14 +443,6 @@ class SanitizerError(DiagnosticError, MonetError):
 
 class MoaCheckError(DiagnosticError, MoaError):
     """Static analysis rejected a Moa expression before compilation."""
-
-
-class ReplicationCheckError(DiagnosticError, ReplicationError):
-    """Static analysis rejected a kernel-group configuration.
-
-    Raised at :class:`repro.replication.KernelGroup` construction when the
-    REPL diagnostic family finds an error-severity misconfiguration (an
-    unsatisfiable staleness bound)."""
 
 
 class ShardingCheckError(DiagnosticError, ShardingError):

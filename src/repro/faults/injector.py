@@ -73,6 +73,13 @@ class FaultInjector:
     def enabled(self) -> bool:
         return self.plan is not None
 
+    def targets(self, site: str) -> bool:
+        """Whether some spec's site pattern matches ``site``, of any kind —
+        so a caller can skip preparing work for a hook that cannot fire."""
+        return self.plan is not None and any(
+            fnmatch.fnmatchcase(site, spec.site) for spec in self.plan.specs
+        )
+
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
@@ -229,8 +236,8 @@ class FaultInjector:
 
         A firing ``lag`` spec keeps the replica ``spec.factor`` records
         behind the primary per trigger (summed across firing specs) without
-        severing the link — the slow-follower regime staleness-bounded
-        read routing must handle. Returns 0 when nothing fires.
+        severing the link — the slow-follower regime read routing and
+        failover must handle. Returns 0 when nothing fires.
         """
         if self.plan is None:
             return 0

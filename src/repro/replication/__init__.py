@@ -5,15 +5,14 @@ The replication layer turns the durability machinery of
 :class:`KernelGroup` fronts one durable primary :class:`MonetKernel` and N
 :class:`Replica` read replicas, each fed by streaming the primary's WAL
 records over a :class:`ReplicationLink` and applying them through the same
-replay semantics as crash recovery. Reads route by staleness policy
-(``primary`` / ``any`` / ``bounded(ms)``), failed primaries are detected
-by circuit-breaker probes and replaced by promoting the least-lagged
-replica, epoch fencing rejects a deposed primary's late writes, and
-partitioned replicas catch back up from a checkpoint snapshot + WAL tail.
-The ``replication`` scenario of :mod:`repro.chaos` verifies all of it
-under seeded kills and partitions; :mod:`repro.check.replcheck`
-statically vets the read policy against the replicas' registered lag
-(REPL003).
+replay semantics as crash recovery. A read goes to the least-lagged
+reachable replica (the primary when none is reachable), failed primaries
+are detected by circuit-breaker probes and replaced by promoting the
+least-lagged replica, epoch fencing rejects a deposed primary's late
+writes, and partitioned replicas catch back up from a checkpoint snapshot
++ WAL tail. The ``replication`` scenario of :mod:`repro.chaos` verifies
+all of it under seeded kills and partitions. The package imports nothing
+from :mod:`repro.check`.
 """
 
 from repro.replication.group import (

@@ -8,7 +8,7 @@ round, ``kind="lag"`` withholds the newest records — so the chaos harness
 can drive the group through the regimes the routing and failover logic
 must survive.
 
-Reads route by policy (``"primary"``, ``"any"``, ``"bounded(ms)"``);
+A read goes to the least-lagged reachable replica, else the primary;
 writes go through epoch-stamped :class:`Lease` credentials so a deposed
 primary's late writes are *fenced*: after :meth:`failover` bumps the group
 epoch, any write presented under the old epoch raises
@@ -19,27 +19,23 @@ normal durability path (its applied state becomes a fresh checkpointed
 store) and the survivors re-seed from the new lineage on their next pump.
 
 Writes always go to the primary and always pass the epoch fence; a breaker
-that opens always promotes. Construction runs the :mod:`repro.check.replcheck`
-static pass (REPL003) under the configured check mode, mirroring how the
-query service vets its own configuration.
+that opens always promotes. None of it is configurable, so nothing checks
+a configuration: a :class:`GroupConfig` the constructor accepts is valid.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
-from repro.check.diagnostics import CheckMode, Diagnostic
 from repro.errors import (
     FencedWriteError,
-    ReplicationCheckError,
     ReplicationError,
     ReproError,
     SimulatedCrash,
-    StalenessBoundError,
 )
 from repro.faults import FaultInjector, FaultPlan, resolve_injector
 from repro.monet.bat import compare_catalogs
@@ -61,22 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupConfig:
-    """Configuration of one kernel group.
+    """Configuration of one kernel group."""
 
-    ``registered_lag_ms`` declares each replica's expected steady-state
-    link lag — the operator's capacity claim the REPL003 check holds the
-    ``bounded(ms)`` read policy against.
-    """
-
-    read_policy: str = "primary"
     #: Consecutive failed probes before the breaker opens -> failover.
     failure_threshold: int = 2
     #: Breaker open -> half-open delay (seconds).
     recovery_timeout: float = 30.0
-    #: Declared steady-state link lag per replica name (milliseconds).
-    registered_lag_ms: Mapping[str, float] = field(default_factory=dict)
-    #: Strictness of the REPL static pass: error | warn | off.
-    check: str = "error"
     #: fsync discipline for stores created by promotion.
     fsync: bool = True
 
@@ -93,8 +79,7 @@ class FailoverEvent:
 
 @dataclass(frozen=True)
 class ReplicaStatus:
-    """Point-in-time view of one replica (wall-clock staleness excluded
-    from equality so status snapshots compare deterministically)."""
+    """Point-in-time view of one replica."""
 
     name: str
     lag_records: int
@@ -102,7 +87,6 @@ class ReplicaStatus:
     snapshots_installed: int
     records_applied: int
     has_pending: bool
-    staleness_ms: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -163,7 +147,7 @@ class KernelGroup:
             (``replication.link:<name>``) and the health probe
             (``replication.probe:<primary>``); defaults to sharing the
             primary's injector so one plan drives the whole group.
-        clock: injectable monotonic clock (staleness, breaker timing).
+        clock: injectable monotonic clock (breaker timing).
     """
 
     def __init__(
@@ -194,21 +178,6 @@ class KernelGroup:
         if len(set(names)) != len(names):
             raise ReplicationError(f"duplicate replica names in {names}")
 
-        # static vetting of the configuration (REPL003)
-        from repro.check.replcheck import check_group_config, parse_read_policy
-
-        self._policy = parse_read_policy(self.config.read_policy)
-        mode = CheckMode.of(self.config.check)
-        #: REPL findings collected at construction (empty with check="off").
-        self.diagnostics: list[Diagnostic] = []
-        if mode.checks:
-            report = check_group_config(self.config, names)
-            self.diagnostics = report.sorted()
-            if mode.raises:
-                report.raise_if_errors(
-                    "kernel group configuration", ReplicationCheckError
-                )
-
         self._lock = threading.RLock()
         self._epoch = 1
         self._primary = primary
@@ -216,8 +185,7 @@ class KernelGroup:
         self._primary_dead = False
         self._link = ReplicationLink(primary.store.path)
         self._replicas: dict[str, Replica] = {
-            name: Replica(name, self.base_dir / name, clock=clock)
-            for name in names
+            name: Replica(name, self.base_dir / name) for name in names
         }
         self._breaker = self._new_breaker(primary_name)
         self._fenced_writes = 0
@@ -284,13 +252,12 @@ class KernelGroup:
                 self._pump_once()
 
     def _pump_once(self) -> None:
-        now = self._clock()
         for name in sorted(self._replicas):
             replica = self._replicas[name]
             site = f"replication.link:{name}"
             if replica.partitioned or self.faults.link_partitioned(site):
-                replica.mark_lag(
-                    now, self._link.backlog(replica.position, self._epoch)
+                replica.lag_records = self._link.backlog(
+                    replica.position, self._epoch
                 )
                 continue
             withhold = self.faults.link_lag(site)
@@ -298,7 +265,7 @@ class KernelGroup:
                 replica.position, self._epoch, withhold=withhold
             )
             replica.apply_shipment(shipment)
-            replica.mark_lag(now, shipment.remaining)
+            replica.lag_records = shipment.remaining
 
     def partition(self, name: str) -> None:
         """Administratively sever one replica's link until :meth:`heal`."""
@@ -311,54 +278,21 @@ class KernelGroup:
     # ------------------------------------------------------------------
     # read routing
     # ------------------------------------------------------------------
-    def route_read(self, policy: str | None = None) -> RoutedRead:
-        """Pick the node one read should execute on.
-
-        ``policy`` overrides the configured read policy for this read
-        (parsed with the same grammar). Routing:
-
-        * ``primary`` — always the primary (fails when it is down);
-        * ``any`` — the least-lagged reachable replica, falling back to
-          the primary when no replica is reachable;
-        * ``bounded(ms)`` — the least-lagged reachable replica whose
-          staleness is within the bound, else the primary; when the
-          primary is down too, :class:`StalenessBoundError` — the caller
-          asked for freshness nobody can currently attest.
-        """
-        from repro.check.replcheck import parse_read_policy
-
+    def route_read(self) -> RoutedRead:
+        """Pick the node one read should execute on: the least-lagged
+        reachable replica, else the primary. With no replica reachable and
+        the primary down, :class:`ReplicationError`."""
         with self._lock:
-            mode, bound = (
-                self._policy if policy is None else parse_read_policy(policy)
-            )
-            if mode == "primary":
-                return self._route_primary()
-            now = self._clock()
-            candidates = [
-                replica
-                for _, replica in sorted(self._replicas.items())
-                if not replica.partitioned
-            ]
-            if mode == "bounded":
-                assert bound is not None
-                candidates = [
-                    replica
-                    for replica in candidates
-                    if replica.staleness_ms(now) <= bound
-                ]
-            if candidates:
-                best = min(candidates, key=lambda r: (r.lag_records, r.name))
+            best = self._least_lagged()
+            if best is not None:
                 return self._route_replica(best)
-            if not self._primary_dead:
-                # the primary is definitionally fresh
-                return self._route_primary()
-            if mode == "bounded":
-                raise StalenessBoundError(
-                    f"no replica within the {bound:g}ms staleness bound and "
-                    f"the primary is down; nothing can attest the requested "
-                    f"freshness"
-                )
-            return self._route_primary()  # raises: primary down, no replicas
+            return self._route_primary()
+
+    def _least_lagged(self) -> Replica | None:
+        """The reachable replica with the fewest unconsumed records (name
+        breaks ties), or None when every replica is partitioned."""
+        reachable = [r for r in self._replicas.values() if not r.partitioned]
+        return min(reachable, key=lambda r: (r.lag_records, r.name), default=None)
 
     def _route_primary(self) -> RoutedRead:
         if self._primary_dead:
@@ -456,17 +390,12 @@ class KernelGroup:
         with self._lock:
             self._primary_dead = True
             self._pump_once()
-            candidates = [
-                replica
-                for _, replica in sorted(self._replicas.items())
-                if not replica.partitioned
-            ]
-            if not candidates:
+            chosen = self._least_lagged()
+            if chosen is None:
                 raise ReplicationError(
                     "no reachable replica to promote (all partitioned or "
                     "none configured)"
                 )
-            chosen = min(candidates, key=lambda r: (r.lag_records, r.name))
             del self._replicas[chosen.name]
             deposed_kernel = self._primary
             deposed_name = self._primary_name
@@ -521,7 +450,6 @@ class KernelGroup:
 
     def status(self) -> GroupStatus:
         with self._lock:
-            now = self._clock()
             replicas = tuple(
                 ReplicaStatus(
                     name=name,
@@ -530,7 +458,6 @@ class KernelGroup:
                     snapshots_installed=replica.snapshots_installed,
                     records_applied=replica.records_applied,
                     has_pending=replica.has_pending,
-                    staleness_ms=round(replica.staleness_ms(now), 3),
                 )
                 for name, replica in sorted(self._replicas.items())
             )

@@ -37,8 +37,8 @@ from repro.durability.checkpoint import (
     Checkpoint,
     read_checkpoint,
 )
-from repro.durability.store import WAL_FILE
-from repro.durability.wal import WalScan, read_records
+from repro.durability.store import WAL_FILE, superseded_appends
+from repro.durability.wal import BatchAssembler, WalScan, read_records
 
 __all__ = ["ReplicaPosition", "ReplicationLink", "Shipment"]
 
@@ -122,13 +122,16 @@ class ReplicationLink:
         """The shipment that advances ``position`` toward the primary.
 
         ``epoch`` is the group's current epoch (stamped into the returned
-        position); ``withhold`` keeps that many of the newest records back,
-        modelling a lagging link without severing it.
+        position); ``withhold`` keeps up to that many of the newest records
+        back, modelling a lagging link without severing it. It never holds
+        back a record that supersedes one it ships (:func:`_keep_superseders`).
         """
         snapshot, scan = self._tail(position, epoch)
         if snapshot is not None:
             position = ReplicaPosition(epoch, snapshot.seqno)
         shipped = max(0, len(scan.records) - max(withhold, 0))
+        if shipped < len(scan.records):
+            shipped = _keep_superseders(scan.records, shipped)
         return Shipment(
             snapshot=snapshot,
             records=scan.records[:shipped],
@@ -150,3 +153,31 @@ class ReplicationLink:
             # the position is off-lineage: everything must re-ship
             return len(scan.records) + len(snapshot.catalog) + len(snapshot.procs)
         return len(scan.records)
+
+
+def _keep_superseders(records: list[dict[str, Any]], cut: int) -> int:
+    """Move ``cut`` (the records shipped) past the point where each shipped
+    ``append``'s superseding record takes effect.
+
+    A WAL a crash left untruncated under a newer checkpoint replays onto
+    that checkpoint, where a BAT is already in its final state: such an
+    append fits only because :func:`repro.durability.store.replay` skips
+    it for its later ``persist`` or ``drop`` — so both must take effect in
+    the same shipment. Held on every lagging shipment, the rule also means
+    no earlier shipment left such an append behind. "Takes effect" is the
+    replica's own batch grammar
+    (:class:`BatchAssembler`): an auto-commit record at itself, a
+    transaction's records at its commit marker.
+    """
+    index_of = {id(record): index for index, record in enumerate(records)}
+    assembler = BatchAssembler()
+    effective: list[dict[str, Any]] = []
+    settles: list[int] = []  # where each effective record takes effect
+    for index, record in enumerate(records):
+        for done in assembler.feed([record]):
+            effective.append(done)
+            settles.append(index)
+    for append, superseder in sorted(superseded_appends(effective).items()):
+        if index_of[id(effective[append])] < cut <= settles[superseder]:
+            cut = settles[superseder] + 1
+    return cut

@@ -1,4 +1,4 @@
-"""A read replica: applied WAL state, staleness accounting, promotion.
+"""A read replica: applied WAL state, lag accounting, promotion.
 
 A :class:`Replica` holds an internal store-less :class:`MonetKernel` whose
 catalog is the replication apply target. Shipments are applied with the
@@ -21,9 +21,7 @@ serving the old BATs.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Callable
 
 from repro.durability.checkpoint import Checkpoint
 from repro.durability.store import replay
@@ -42,18 +40,11 @@ class Replica:
     Args:
         name: group-unique replica name (also its fault-site suffix).
         path: directory the replica will promote its durable store into.
-        clock: injectable monotonic clock for staleness accounting.
     """
 
-    def __init__(
-        self,
-        name: str,
-        path: str | Path,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, name: str, path: str | Path):
         self.name = name
         self.path = Path(path)
-        self._clock = clock
         #: Store-less serving kernel; its catalog is the apply target.
         self.kernel = MonetKernel(threads=1, check="off")
         self.position = ReplicaPosition()
@@ -63,9 +54,9 @@ class Replica:
         self.partitioned = False
         #: Module names shipped via ``module`` records.
         self.modules: set[str] = set()
-        #: Durable primary records not yet consumed, as of the last pump.
+        #: Durable primary records not yet consumed, as of the last pump
+        #: (the group's pump sets it).
         self.lag_records = 0
-        self._caught_up_at = clock()
         self.records_applied = 0
         self.snapshots_installed = 0
         self.promoted = False
@@ -123,26 +114,6 @@ class Replica:
     def has_pending(self) -> bool:
         """Whether an uncommitted transaction batch is buffered."""
         return self._batches.open
-
-    # ------------------------------------------------------------------
-    # staleness
-    # ------------------------------------------------------------------
-    def mark_lag(self, now: float, lag_records: int) -> None:
-        """Record this pump round's lag; caught-up rounds reset the clock."""
-        self.lag_records = lag_records
-        if lag_records == 0:
-            self._caught_up_at = now
-
-    def staleness_ms(self, now: float | None = None) -> float:
-        """Milliseconds since the replica was last fully caught up.
-
-        0.0 while caught up — a caught-up replica serves the same committed
-        state as the primary, however long ago the last write happened.
-        """
-        if self.lag_records == 0:
-            return 0.0
-        now = self._clock() if now is None else now
-        return max(0.0, (now - self._caught_up_at) * 1000.0)
 
     def catalog(self) -> dict[str, BAT]:
         """Deep copy of the applied catalog (for convergence checks)."""

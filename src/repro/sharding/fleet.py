@@ -46,10 +46,9 @@ effect in :meth:`ShardedKernel._apply` and nowhere else: the live path
 appends durably, then applies (:meth:`ShardedKernel._log`); reopening
 applies the log in order, then resolves what a crash left in doubt.
 
-Construction runs the :mod:`repro.check.shardcheck` static pass
-(SHARD002, a warning) under the configured check mode; MIL registered for
-scatter execution (:meth:`ShardedKernel.run`) runs the ``scatter`` stage
-of the MIL pass pipeline.
+A configuration the constructor accepts is valid; nothing lints it. MIL
+registered for scatter execution (:meth:`ShardedKernel.run`) runs the
+``scatter`` stage of the MIL pass pipeline.
 The transport is simulated in-process — shards are kernels, not sockets —
 which is exactly what makes every disaster here a seeded, replayable test.
 """
@@ -148,21 +147,21 @@ class ShardConfig:
     """
 
     #: Fleet-wide coverage floor for gathers (callers override per query).
-    #: Zero means "no floor" and is flagged SHARD002.
+    #: Zero means "no floor".
     min_coverage: float = 0.25
     #: Replicas per shard (0 = bare kernels, no per-shard failover).
     replication: int = 0
-    #: Read policy handed to the per-shard groups (primary | any |
-    #: bounded(ms)). It changes nothing a fleet does: the fleet's only
-    #: read routing, the hedged backup, asks for ``"any"``. The group
-    #: still parses it, so a malformed policy fails at construction.
-    #: Kept only while ``benchmarks/pipeline/fleet.py`` passes it.
+    #: Inert: nothing reads it, and a malformed value is no longer
+    #: rejected. A replica read always goes to the least-lagged reachable
+    #: replica. Kept only because ``benchmarks/pipeline/fleet.py`` passes
+    #: it; ROADMAP item 2 deletes it.
     read_policy: str = "primary"
     #: Consecutive failed probes before a shard's breaker opens.
     failure_threshold: int = 2
     #: Breaker open -> half-open delay (seconds).
     recovery_timeout: float = 30.0
-    #: Strictness of the SHARD static pass: error | warn | off.
+    #: Strictness of the ``scatter`` check stage of :meth:`ShardedKernel.run`:
+    #: error | warn | off.
     check: str = "error"
     #: fsync discipline for the shard stores and the placement journal.
     fsync: bool = True
@@ -453,15 +452,9 @@ class ShardedKernel:
                 f"{self.config.failure_threshold}"
             )
 
-        # static vetting of the configuration (SHARD002, a warning)
-        from repro.check.shardcheck import check_fleet_config
-
-        #: SHARD findings collected at construction (empty with check="off").
-        self.diagnostics: list[Diagnostic] = (
-            check_fleet_config(self.config).sorted()
-            if CheckMode.of(self.config.check).checks
-            else []
-        )
+        CheckMode.of(self.config.check)  # a misspelled mode fails here
+        #: Findings of :meth:`run`'s scatter stage under ``check="warn"``.
+        self.diagnostics: list[Diagnostic] = []
 
         self._lock = threading.RLock()
         self._journal = RecordLog(
@@ -533,11 +526,9 @@ class ShardedKernel:
                     f"{name}-r{i}" for i in range(self.config.replication)
                 ],
                 config=GroupConfig(
-                    read_policy=self.config.read_policy,
                     failure_threshold=self.config.failure_threshold,
                     recovery_timeout=self.config.recovery_timeout,
                     fsync=self.config.fsync,
-                    check=self.config.check,
                 ),
                 faults=self.faults,
                 clock=self._clock,
@@ -1070,7 +1061,7 @@ class ShardedKernel:
         """The hedged request: a replica read when the shard is
         replicated, a second primary attempt otherwise."""
         if shard.group is not None:
-            routed = shard.group.route_read(policy="any")
+            routed = shard.group.route_read()
             if routed.replica is not None:
                 backup = _Shard(
                     shard.name, routed.kernel, None, shard.breaker

@@ -150,7 +150,8 @@ def synthesize_race(
         ]
     audio = plan_soundtrack(timeline, sample_rate=sample_rate)
     corrupted = None
-    if injector.enabled:
+    if injector.targets("synth.audio"):
+        # rendering the whole soundtrack only pays when a spec may corrupt it
         signal = synthesize_audio(audio).signal
         samples = injector.corrupt_array("synth.audio", signal.samples)
         if samples is not signal.samples:

@@ -235,3 +235,59 @@ TestDurableKernelModel = DurableKernelMachine.TestCase
 TestDurableKernelModel.settings = settings(
     max_examples=100, stateful_step_count=25, deadline=None
 )  # derandomized by the ci profile (tests/conftest.py), like every property test
+
+
+# -- explore-found cases, pinned as explicit rule sequences ---------------------
+
+
+def run_steps(*steps) -> DurableKernelMachine:
+    """Drive a fresh machine through ``steps`` (each a callable taking the
+    machine), checking the invariant after every one, as hypothesis
+    would; returns the machine, torn down."""
+    machine = DurableKernelMachine()
+    try:
+        machine.recovery_reproduces_the_model()
+        for step in steps:
+            step(machine)
+            machine.recovery_reproduces_the_model()
+    finally:
+        machine.teardown()
+    return machine
+
+
+def stale_log_steps():
+    """A crash between a checkpoint's rename and its WAL truncation leaves
+    a log the checkpoint already covers: an append to ``a``, then a
+    ``persist`` of an empty ``a`` that supersedes it."""
+    return (
+        lambda m: m.crash_between_checkpoint_rename_and_wal_truncation(),
+        lambda m: m.transaction(body=[("insert", "a", 0, 0.0)], commits=True),
+        lambda m: m.transaction(body=[("persist_fresh", "a", 0, 0.0)], commits=True),
+        lambda m: m.crash_between_checkpoint_rename_and_wal_truncation(),
+    )
+
+
+def test_a_lagging_catch_up_ships_the_persist_that_supersedes_an_append():
+    """The replica re-seeds from that checkpoint, where ``a`` is already
+    empty. A link withholding the last record (the persist's commit
+    marker) once shipped the append without its persist, and the replica
+    refused the append: rows [2, 3) do not continue 0 rows."""
+    run_steps(
+        *stale_log_steps(),
+        lambda m: m.pump_a_lagging_link(withhold=1),
+        lambda m: m.pump(),
+    )
+
+
+def test_every_cut_of_a_stale_log_converges():
+    """Every pair of lagging pumps over the stale log, then a full pump:
+    the replica reaches the model whichever records each round withheld,
+    the second round tailing what the first one left open."""
+    for first in range(7):
+        for second in range(7):
+            run_steps(
+                *stale_log_steps(),
+                lambda m: m.pump_a_lagging_link(withhold=first),
+                lambda m: m.pump_a_lagging_link(withhold=second),
+                lambda m: m.pump(),
+            )

@@ -140,6 +140,16 @@ class TestFaultInjector:
             injector.on_call("kernel.command:hmmP")
         injector.on_call("extractor:flyout")  # no match, no fault
 
+    def test_targets_matches_a_site_pattern_of_any_kind(self):
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec(site="synth.*", kind="delay", delay=0.1),)
+        )
+        injector = FaultInjector(plan)
+        assert injector.targets("synth.audio")
+        assert not injector.targets("kernel.command:hmmP")
+        assert not FaultInjector.disabled().targets("synth.audio")
+        assert injector._site_counts == {}  # asking consumes no invocation
+
     def test_max_triggers(self):
         plan = FaultPlan(
             seed=0,

@@ -208,6 +208,36 @@ def test_the_walk_sees_lazy_imports_and_skips_type_checking_ones():
 
 
 # ---------------------------------------------------------------------------
+# layers: the replication runtime does not import the analyzer
+# ---------------------------------------------------------------------------
+
+
+def imported_modules(name: str) -> set[str]:
+    """The module every import statement in module ``name`` names, at any
+    depth: function bodies and ``TYPE_CHECKING`` blocks included."""
+    found = set()
+    for node in ast.walk(_tree(MODULES[name])):
+        if isinstance(node, ast.ImportFrom):
+            found.add(_absolute(node.level, node.module, name))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_replication_imports_nothing_from_repro_check():
+    offenders = {
+        name: sorted(
+            imported
+            for imported in imported_modules(name)
+            if imported == "repro.check" or imported.startswith("repro.check.")
+        )
+        for name in MODULES
+        if name == "repro.replication" or name.startswith("repro.replication.")
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+# ---------------------------------------------------------------------------
 # def level: every function is something reached code names
 # ---------------------------------------------------------------------------
 

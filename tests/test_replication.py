@@ -1,5 +1,5 @@
-"""Replicated kernel group: WAL shipping, staleness-bounded routing, epoch
-fencing, failover, the REPL static pass, and the seeded chaos scenario."""
+"""Replicated kernel group: WAL shipping, read routing, epoch fencing,
+failover, and the seeded chaos scenario."""
 
 import json
 
@@ -14,14 +14,8 @@ from repro.chaos.replication import (
     scenario,
     sweep,
 )
-from repro.check.replcheck import check_group_config, parse_read_policy
 from repro.durability import DurableStore
-from repro.errors import (
-    FencedWriteError,
-    ReplicationCheckError,
-    ReplicationError,
-    StalenessBoundError,
-)
+from repro.errors import FencedWriteError, ReplicationError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.monet.bat import BAT
 from repro.monet.kernel import MonetKernel
@@ -71,81 +65,6 @@ def make_group(tmp_path, primary=None, clock=None, config=None, faults=None):
         clock=clock or FakeClock(),
         faults=faults,
     )
-
-
-def unsatisfiable_config(check="error"):
-    """A bounded read policy both of make_group's replicas exceed (REPL003
-    twice as a warning, once as an error)."""
-    return GroupConfig(
-        read_policy="bounded(50)",
-        registered_lag_ms={"replica-0": 80.0, "replica-1": 90.0},
-        check=check,
-        fsync=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# read-policy grammar + REPL static pass
-# ---------------------------------------------------------------------------
-
-
-class TestReadPolicy:
-    def test_grammar(self):
-        assert parse_read_policy("primary") == ("primary", None)
-        assert parse_read_policy("any") == ("any", None)
-        assert parse_read_policy("bounded(250)") == ("bounded", 250.0)
-        assert parse_read_policy("bounded( 12.5 ms )") == ("bounded", 12.5)
-
-    @pytest.mark.parametrize(
-        "bad", ["bounded()", "bounded(-5)", "replica", "", "bounded(x)"]
-    )
-    def test_malformed_policy_raises(self, bad):
-        with pytest.raises(ReplicationError):
-            parse_read_policy(bad)
-
-
-class TestReplCheck:
-    def test_clean_config_has_no_findings(self):
-        report = check_group_config(
-            GroupConfig(read_policy="bounded(100)"), ["replica-0"]
-        )
-        assert report.sorted() == []
-
-    def test_repl003_warns_per_slow_replica_errors_when_unsatisfiable(self):
-        config = GroupConfig(
-            read_policy="bounded(50)",
-            registered_lag_ms={"replica-0": 80.0, "replica-1": 10.0},
-        )
-        report = check_group_config(config, ["replica-0", "replica-1"])
-        findings = report.sorted()
-        assert [d.code for d in findings] == ["REPL003"]
-        assert not report.has_errors()  # one slow replica: warning only
-
-        hopeless = GroupConfig(
-            read_policy="bounded(50)",
-            registered_lag_ms={"replica-0": 80.0, "replica-1": 90.0},
-        )
-        report = check_group_config(hopeless, ["replica-0", "replica-1"])
-        assert [d.code for d in report.sorted()] == [
-            "REPL003",
-            "REPL003",
-            "REPL003",
-        ]
-        assert report.has_errors()
-
-    def test_group_construction_enforces_the_pass(self, tmp_path):
-        with pytest.raises(ReplicationCheckError, match="REPL003"):
-            make_group(tmp_path, config=unsatisfiable_config())
-
-    def test_check_warn_records_diagnostics_without_raising(self, tmp_path):
-        group = make_group(tmp_path, config=unsatisfiable_config(check="warn"))
-        assert [d.code for d in group.diagnostics] == ["REPL003"] * 3
-        group.close()
-
-    def test_check_off_skips_the_pass(self, tmp_path):
-        group = make_group(tmp_path, config=unsatisfiable_config(check="off"))
-        assert group.diagnostics == []
-        group.close()
 
 
 # ---------------------------------------------------------------------------
@@ -350,97 +269,44 @@ class TestPumpAndApply:
 
 
 # ---------------------------------------------------------------------------
-# staleness + read routing
+# read routing
 # ---------------------------------------------------------------------------
 
 
 class TestReadRouting:
-    def _group(self, tmp_path, policy="primary"):
-        clock = FakeClock()
+    def _group(self, tmp_path):
         primary = make_primary(tmp_path)
-        group = make_group(
-            tmp_path,
-            primary=primary,
-            clock=clock,
-            config=GroupConfig(read_policy=policy, fsync=False),
-        )
+        group = make_group(tmp_path, primary=primary)
         primary.persist("laps", lap_bat())
         group.pump()
-        return group, clock
-
-    def test_caught_up_replica_has_zero_staleness(self, tmp_path):
-        group, clock = self._group(tmp_path)
-        clock.now += 100.0  # no lag: quiet time is not staleness
-        assert group.replica("replica-0").staleness_ms(clock.now) == 0.0
-        group.close()
-
-    def test_lagging_replica_staleness_grows_from_caught_up_point(
-        self, tmp_path
-    ):
-        group, clock = self._group(tmp_path)
-        group.replica("replica-0").mark_lag(clock.now, 2)
-        clock.now += 0.3
-        assert group.replica("replica-0").staleness_ms(clock.now) == (
-            pytest.approx(300.0)
-        )
-        group.close()
-
-    def test_primary_policy_always_routes_to_primary(self, tmp_path):
-        group, _ = self._group(tmp_path, policy="primary")
-        routed = group.route_read()
-        assert routed.is_primary and routed.node == "primary"
-        assert routed.kernel is group.primary
-        group.close()
+        return group
 
     def test_any_routes_to_least_lagged_replica(self, tmp_path):
-        group, clock = self._group(tmp_path, policy="any")
-        group.replica("replica-0").mark_lag(clock.now, 5)
+        group = self._group(tmp_path)
+        group.replica("replica-0").lag_records = 5
         routed = group.route_read()
         assert not routed.is_primary and routed.node == "replica-1"
+        assert routed.kernel is group.replica("replica-1").kernel
         assert dict(group.status().reads) == {"replica-1": 1}
         group.close()
 
     def test_any_falls_back_to_primary_when_replicas_unreachable(
         self, tmp_path
     ):
-        group, _ = self._group(tmp_path, policy="any")
+        group = self._group(tmp_path)
         group.partition("replica-0")
         group.partition("replica-1")
-        assert group.route_read().is_primary
+        routed = group.route_read()
+        assert routed.is_primary and routed.kernel is group.primary
         group.close()
 
-    def test_bounded_prefers_fresh_replica_else_primary(self, tmp_path):
-        group, clock = self._group(tmp_path, policy="bounded(250)")
-        assert not group.route_read().is_primary  # lag 0: within any bound
-        for name in group.replica_names():
-            group.replica(name).mark_lag(clock.now, 3)
-        clock.now += 1.0  # 1000ms staleness, over the 250ms bound
-        assert group.route_read().is_primary
-        group.close()
-
-    def test_bounded_with_dead_primary_and_stale_replicas_raises(
-        self, tmp_path
-    ):
-        group, clock = self._group(tmp_path, policy="bounded(250)")
-        for name in group.replica_names():
-            group.replica(name).mark_lag(clock.now, 3)
-        clock.now += 1.0
-        group.report_primary_failure()
-        with pytest.raises(StalenessBoundError):
-            group.route_read()
-        group.close()
-
-    def test_primary_policy_with_dead_primary_raises(self, tmp_path):
-        group, _ = self._group(tmp_path, policy="primary")
+    def test_dead_primary_and_partitioned_replicas_raise(self, tmp_path):
+        group = self._group(tmp_path)
+        group.partition("replica-0")
+        group.partition("replica-1")
         group.report_primary_failure()
         with pytest.raises(ReplicationError):
             group.route_read()
-        group.close()
-
-    def test_per_read_policy_override(self, tmp_path):
-        group, _ = self._group(tmp_path, policy="primary")
-        assert not group.route_read(policy="any").is_primary
-        assert group.route_read(policy="primary").is_primary
         group.close()
 
 
@@ -619,10 +485,10 @@ class TestPromotionRace:
             barrier.wait()
             for _ in range(300):
                 try:
-                    routed = group.route_read(policy="bounded(60000)")
+                    routed = group.route_read()
                     nodes.append(routed.node)
-                except (StalenessBoundError, ReplicationError):
-                    pass  # a read mid-swap may find nobody attestable
+                except ReplicationError:
+                    pass  # a typed refusal is an allowed outcome
                 except BaseException as exc:  # noqa: BLE001
                     surprises.append(exc)
 
@@ -647,7 +513,7 @@ class TestPromotionRace:
         # the new topology (the deposed primary is out of the group)
         assert group.epoch == 2
         assert group.primary_name == "replica-0"
-        after = [group.route_read(policy="any").node for _ in range(5)]
+        after = [group.route_read().node for _ in range(5)]
         assert set(after) <= {"replica-0", "replica-1"}
         group.close()
 
@@ -669,9 +535,9 @@ class TestGroupStatus:
         assert status.epoch == 1 and status.primary == "primary"
         assert [r.name for r in status.replicas] == ["replica-0", "replica-1"]
         assert all(r.lag_records == 0 for r in status.replicas)
-        assert status.reads == (("primary", 1),)
-        # two snapshots of the same quiescent group compare equal even
-        # though wall-clock staleness readings may differ
+        # the read went to a caught-up replica, not the primary
+        assert status.reads == (("replica-0", 1),)
+        # two snapshots of the same quiescent group compare equal
         assert status == group.status()
         group.close()
 

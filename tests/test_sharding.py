@@ -1,6 +1,6 @@
 """Sharded kernel fleet: consistent-hash placement, two-phase registration,
-partial-failure-tolerant gathers, the SHARD static pass, and the seeded
-shard-death chaos scenario."""
+partial-failure-tolerant gathers, and the seeded shard-death chaos
+scenario."""
 
 import copy
 import json
@@ -14,8 +14,6 @@ from repro.chaos.sharding import (
     placement_sweep,
     shard_death,
 )
-from repro.check.diagnostics import Severity
-from repro.check.shardcheck import check_fleet_config
 from repro.cobra.model import RawVideo, VideoDocument, VideoObject
 from repro.cobra.preprocessor import choose_scatter_plan
 from repro.cobra.query import parse_coql
@@ -101,23 +99,6 @@ class TestHashRing:
         chain = ring.successors("race0")
         assert sorted(chain) == sorted(THREE)
         assert chain[0] == ring.owner("race0")
-
-
-# ---------------------------------------------------------------------------
-# the SHARD static pass
-# ---------------------------------------------------------------------------
-
-
-class TestShardCheck:
-    def test_shard002_warns_on_missing_coverage_floor(self, tmp_path):
-        report = check_fleet_config(ShardConfig(min_coverage=0.0))
-        [diag] = list(report)
-        assert diag.code == "SHARD002"
-        assert diag.severity == Severity.WARNING
-        # a warning: construction succeeds but records the finding
-        fleet = make_fleet(tmp_path, min_coverage=0.0)
-        assert [d.code for d in fleet.diagnostics] == ["SHARD002"]
-        fleet.close()
 
 
 # ---------------------------------------------------------------------------

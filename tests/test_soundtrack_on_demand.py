@@ -122,3 +122,13 @@ def test_an_uncorrupted_soundtrack_is_rendered_on_demand(renders):
     race = synthesize_race(spec_for(1), faults=injector)
     assert race.corrupted_signal is None
     assert sha256(race.signal) == SAMPLES["seed1"]
+
+
+def test_a_plan_that_spares_the_audio_renders_nothing_at_synthesis(renders):
+    """An enabled injector with no spec matching ``synth.audio`` cannot
+    corrupt the soundtrack, so synthesis does not render it."""
+    injector = FaultInjector(get_plan("ci-low-rate"))
+    assert injector.enabled and not injector.targets("synth.audio")
+    race = synthesize_race(spec_for(1), faults=injector)
+    assert renders == [] and race.corrupted_signal is None
+    assert injector.injections == []
