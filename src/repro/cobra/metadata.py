@@ -12,17 +12,21 @@ BATs for the event roles. Writes are column-at-a-time, like the paper's
 off-line population: a document, or a batch of late events, lands as one
 ``insert_bulk`` per BAT (:meth:`MetadataStore.append_events`), so a
 registration costs at most thirteen bulk appends however many rows it
-carries. Lookups are column-at-a-time too: equality filters are probes
-of the BATs' on-demand hash accelerators, the surviving oid
-lists are intersected, a role condition reads one ``oid -> value`` map of
-the role BATs, and a Python record is materialised only for an oid
-that is actually returned (DESIGN.md, "BAT accelerators and the COQL
-execution path"). Nothing is cached here — the accelerators live on the
-BATs, so a store view can be rebuilt per read at no cost.
+carries. Lookups are column-at-a-time too, and cost what they return:
+equality filters are probes of the BATs' on-demand hash accelerators (a
+kind's hits bisected inside a video's runs of rows, so no position list is
+walked or copied whole), a role condition probes the role BATs by the
+values that denote its label and finds the events it accepts without
+looking at the others, and a Python record is materialised only for an oid
+that is actually returned, in one pass (DESIGN.md, "BAT accelerators and
+the COQL execution path"). Nothing is cached here — the accelerators live
+on the BATs, so a store view can be rebuilt per read at no cost.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, islice, repeat
+from operator import and_, eq, itemgetter
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -180,20 +184,23 @@ class MetadataStore:
         video_id: str | None = None,
         kind: str | None = None,
         min_confidence: float = 0.0,
+        among: list[int] | None = None,
     ) -> list[int]:
         """Ascending oids of the events matching the filters.
 
-        The video and kind filters are hash probes on their BATs; the two
-        position lists are intersected by walking the shorter one against
-        the other's column, and the confidence floor is one comparison on
-        the cached float column. No record is built.
+        The video and kind filters are hash probes on their BATs, the
+        kind's probed only inside the video's runs of rows; the confidence
+        floor is one comparison on the cached float column. ``among`` hands
+        in an ascending oid list to check the filters on instead (a gather
+        per filter), for when it is shorter than what the probes would
+        give. No record is built.
         """
-        oids = _matching(self._event_bats, video_id=video_id, kind=kind)
+        oids = _matching(self._event_bats, among, video_id=video_id, kind=kind)
         if not oids:
             return oids
         below = self.event_column("confidence")[oids] < min_confidence
         if below.any():
-            oids = [oid for oid, drop in zip(oids, below.tolist()) if not drop]
+            oids = list(compress(oids, (~below).tolist()))
         return oids
 
     def events(
@@ -208,70 +215,86 @@ class MetadataStore:
 
         ``oids`` hands in an already filtered ascending oid list (the query
         executor's surviving candidates) in place of the filters; either
-        way a record — columns gathered positionally, roles through one
-        batched head probe on the role BATs for the whole list — is built
-        only for an oid that is returned.
+        way a record is built only for an oid that is returned, in one
+        pass: the sort keys are gathered first and the oids put in record
+        order (:func:`_record_order`), every column is gathered positionally
+        in that order, the roles come from one batched head probe of the
+        role BATs, and each record is one dict literal.
         """
         if oids is None:
             oids = self.event_oids(video_id, kind, min_confidence)
-        columns = {
-            attr: bat.tails_at(oids) for attr, bat in self._event_bats.items()
-        }
-        roles = self._roles_of(oids)
-        order = sorted(
-            range(len(oids)),
-            key=lambda i: (columns["video_id"][i], columns["start"][i]),
-        )
-        out: list[dict[str, Any]] = []
-        for i in order:
-            record = {attr: values[i] for attr, values in columns.items()}
-            record["roles"] = roles[i]
-            record["interval"] = Interval(
-                record["start"], record["end"], record["kind"]
+        bats = self._event_bats
+        order = _record_order(bats["video_id"].tails_at(oids), bats["start"].tails_at(oids))
+        oids = [oids[i] for i in order]
+        return [
+            {
+                "event_id": event_id,
+                "video_id": video,
+                "kind": kind,
+                "start": start,
+                "end": end,
+                "confidence": confidence,
+                "source": source,
+                "roles": roles,
+                "interval": Interval(start, end, kind),
+            }
+            for event_id, video, kind, start, end, confidence, source, roles in zip(
+                *(bat.tails_at(oids) for bat in bats.values()), self._roles_of(oids)
             )
-            out.append(record)
-        return out
+        ]
 
     def _roles_of(self, oids: list[int]) -> list[dict[str, str]]:
         """Each event's ``role -> object id`` pairs, in role-BAT order: one
         head probe of the oid-headed role BATs for the whole oid list, then
-        one positional gather per role BAT."""
+        one positional gather per role BAT. An event with no role rows gets
+        an empty dict of its own and costs nothing more."""
         rows = self._role_names.head_positions_many(oids)
-        flat = [position for positions in rows for position in positions]
-        names = self._role_names.tails_at(flat)
-        values = self._role_objects.tails_at(flat)
+        flat = _flat(rows)
+        if not flat:
+            return [{} for _ in rows]
+        pairs = zip(self._role_names.tails_at(flat), self._role_objects.tails_at(flat))
         out: list[dict[str, str]] = []
-        start = 0
         for positions in rows:
-            end = start + len(positions)
-            out.append(dict(zip(names[start:end], values[start:end])))
-            start = end
+            if len(positions) == 1:
+                name, value = next(pairs)
+                out.append({name: value})
+            else:
+                out.append(dict(islice(pairs, len(positions))))
         return out
 
     def has_events(self, video_id: str | None, kind: str) -> bool:
         """Existence probe: is :meth:`events` non-empty for this video
-        (``None`` = any video) and kind?
+        (``None`` = any video) and kind? A row is listed under the floor
+        ``confidence >= 0`` (a NaN confidence is listed, as in
+        :meth:`event_oids`); no record is built."""
+        if video_id is not None:
+            return not self.videos_without(kind, [video_id])
+        return self._any_listed(self._event_bats["kind"].tail_positions(kind))
 
-        Walks the shorter of the kind's and the video's position lists,
-        checking the other attribute row by row, and stops at the first
-        row that is live under the listing floor (``confidence >= 0``; a
-        NaN confidence is listed, as in :meth:`event_oids`). Builds no
-        record and no intersection.
+    def videos_without(self, kind: str, videos: list[str]) -> list[str]:
+        """The videos, of ``videos`` and in their order, with no listed
+        event of ``kind`` — the preprocessor's availability probe.
+
+        Two probes however many videos: one batched probe of the video BAT
+        gives each video's rows as runs of consecutive positions (rows land
+        a video at a time, so a video is a run or a few), one probe of the
+        kind's hash bisects every run. A video's rows of the kind are then
+        checked against the listing floor only until one is listed.
         """
         bats = self._event_bats
-        rows, check, wanted = bats["kind"].tail_positions(kind), None, None
-        if video_id is not None:
-            in_video = bats["video_id"].tail_positions(video_id)
-            if len(in_video) < len(rows):
-                rows, check, wanted = in_video, bats["kind"], kind
-            else:
-                check, wanted = bats["video_id"], video_id
-        confidence = bats["confidence"]
-        return any(
-            (check is None or check.fetch(oid)[1] == wanted)
-            and not confidence.fetch(oid)[1] < 0.0
-            for oid in rows
-        )
+        runs = bats["video_id"].tail_runs(videos)
+        hits = bats["kind"].tail_positions_in(kind, runs)
+        return [
+            video_id
+            for video_id, oids in zip(videos, hits)
+            if not self._any_listed(oids)
+        ]
+
+    def _any_listed(self, oids: list[int]) -> bool:
+        """Whether any of the events is above the listing floor, stopping
+        at the first that is."""
+        fetch = self._event_bats["confidence"].fetch
+        return any(not fetch(oid)[1] < 0.0 for oid in oids)
 
     def event_column(self, attr: str) -> np.ndarray:
         """One numeric event attribute (``start`` / ``end`` /
@@ -283,53 +306,91 @@ class MetadataStore:
         """The video each of the given events belongs to."""
         return self._event_bats["video_id"].tails_at(oids)
 
-    def role_values(self, role: str) -> dict[int, str]:
-        """``event oid -> value of role`` for every event that has the role,
-        at once: one tail probe of the role-name BAT, then a positional
-        gather of those rows' heads (the event oids) and of the role-object
-        BAT. Of duplicate role names on one event the last pair wins, as in
-        the event's ``roles`` dict."""
-        positions = self._role_names.tail_positions(role)
-        return dict(
-            zip(
-                self._role_names.heads_at(positions),
-                self._role_objects.tails_at(positions),
+    def role_holders(self, role: str, values: Iterable[str]) -> dict[int, str]:
+        """``event oid -> value of role`` for every event whose ``role`` is
+        one of ``values``, probed by value: one tail probe of the
+        role-object BAT for all the values, a gather of those rows' role
+        names, then of the kept rows' event oids and values. Of duplicate
+        role names on one event the last pair wins, as in the event's
+        ``roles`` dict: one batched head probe gives each kept row's event's
+        rows, and the names of the rows after it are gathered at once
+        (there are none when each kept row is its event's last). Costs what
+        the values' rows cost, not what the role's rows do."""
+        names, objects = self._role_names, self._role_objects
+        positions = _flat(objects.tail_positions_many(values))
+        positions = _where(positions, names.tails_at(positions), role)
+        oids = objects.heads_at(positions)
+        holders = zip(oids, objects.tails_at(positions))
+        rows = names.head_positions_many(oids)
+        if all(map(eq, map(itemgetter(-1), rows), positions)):
+            return dict(holders)  # each row is its event's last: none later
+        later = [
+            each[each.index(position) + 1 :] for position, each in zip(positions, rows)
+        ]
+        superseded = set(
+            _where(
+                [index for index, each in enumerate(later) for _ in each],
+                names.tails_at(_flat(later)),
+                role,
             )
         )
+        return {
+            oid: value
+            for index, (oid, value) in enumerate(holders)
+            if index not in superseded
+        }
+
+    def role_matches(
+        self, role: str, label: str, video_id: str | None = None
+    ) -> set[int]:
+        """The events (of ``video_id``, ``None`` = any video) whose ``role``
+        value denotes ``label`` in the event's own video, found by value.
+
+        A value denotes the label of that video's first object with that
+        id, or itself when the video has no such object (roles may store
+        bare labels). So the values that can denote ``label`` are the ids
+        of the objects (of ``video_id``) labelled with it, plus the label
+        itself (one probe of the object label BAT); one batched probe of
+        the object id BAT gives the label each (video, value) pair
+        denotes; and :meth:`role_holders` gives the events holding one of
+        those values, each kept if its value denotes ``label`` in its own
+        video. Four probes, and work in the rows of those values only.
+        """
+        bats = self._object_bats
+        ids = bats["object_id"]
+        labelled = bats["label"].tail_positions(label)
+        if video_id is not None:
+            labelled = _where(labelled, bats["video_id"].tails_at(labelled), video_id)
+        values = list(dict.fromkeys([*ids.tails_at(labelled), label]))
+        positions = _flat(ids.tail_positions_many(values))
+        denotes: dict[tuple[str, str], str] = {}  # (video, value) -> label
+        for key, name in zip(
+            zip(bats["video_id"].tails_at(positions), ids.tails_at(positions)),
+            bats["label"].tails_at(positions),
+        ):
+            denotes.setdefault(key, name)  # the first object of an id wins
+        holders = self.role_holders(role, values)
+        oids, held = list(holders), list(holders.values())
+        videos = self.event_video_ids(oids)
+        # a value that is no object id in the event's video denotes itself
+        keep = map(eq, map(denotes.get, zip(videos, held), held), repeat(label))
+        if video_id is not None:
+            keep = map(and_, keep, map(eq, videos, repeat(video_id)))
+        return set(compress(oids, keep))
 
     def role_filter(
         self, role: str, label: str | None
     ) -> Callable[[list[int]], list[int]]:
         """A filter keeping the oids (in order) whose ``role`` value denotes
-        ``label`` in the event's own video.
-
-        A value denotes the label of that video's object with that id, or
-        itself when the video has no such object (roles may store bare
-        labels); an event without the role denotes ``None``. The role map
-        (:meth:`role_values`) is built once, here. Each video the filter
-        meets is resolved once, however many oid lists the filter is then
-        applied to: the values that denote ``label`` there come from one
-        probe of its objects. So a condition costs one role probe plus one
-        object probe per video, not per candidate.
-        """
-        values = self.role_values(role)
-        denoting: dict[str, set[str | None]] = {}  # video -> values
-
-        def keep(oids: list[int]) -> list[int]:
-            videos = self.event_video_ids(oids)
-            for video_id in set(videos).difference(denoting):
-                labels = self._object_labels(video_id)
-                hits = {value for value, name in labels.items() if name == label}
-                if label not in labels:
-                    hits.add(label)  # a bare label denotes itself
-                denoting[video_id] = hits
-            return [
-                oid
-                for oid, video_id in zip(oids, videos)
-                if values.get(oid) in denoting[video_id]
-            ]
-
-        return keep
+        ``label`` (:meth:`role_matches`), resolved once, here, however many
+        oid lists it is then applied to. An event without the role denotes
+        ``None``."""
+        if label is None:
+            names = self._role_names
+            having = set(names.heads_at(names.tail_positions(role)))
+            return lambda oids: [oid for oid in oids if oid not in having]
+        matched = self.role_matches(role, label)
+        return lambda oids: [oid for oid in oids if oid in matched]
 
     def objects(
         self,
@@ -349,42 +410,60 @@ class MetadataStore:
             for i in range(len(oids))
         ]
 
-    def _object_labels(self, video_id: str) -> dict[str, str]:
-        """``object id -> label`` of one video's objects, the first object
-        of an id winning: a hash probe on the object video BAT and two
-        positional gathers."""
-        bats = self._object_bats
-        positions = bats["video_id"].tail_positions(video_id)
-        labels: dict[str, str] = {}
-        for object_id, label in zip(
-            bats["object_id"].tails_at(positions), bats["label"].tails_at(positions)
-        ):
-            labels.setdefault(object_id, label)
-        return labels
 
-
-def _matching(bats: dict[str, BAT], **wanted: Any) -> list[int]:
+def _matching(
+    bats: dict[str, BAT], among: list[int] | None = None, **wanted: Any
+) -> list[int]:
     """Ascending oids of the rows of one position-aligned BAT group whose
-    attributes equal the ``wanted`` values (``None`` = any): probe each
-    wanted attribute's tail hash, then check the shortest position list
-    against the other wanted columns."""
-    probed = sorted(
-        (
-            (bats[attr].tail_positions(value), attr, value)
-            for attr, value in wanted.items()
-            if value is not None
-        ),
-        key=lambda entry: len(entry[0]),
-    )
-    if not probed:
+    attributes equal the ``wanted`` values (``None`` = any), of ``among``
+    when it is given.
+
+    Without ``among``, the first wanted attribute is probed for its runs of
+    consecutive rows and the second only inside those runs (two bisections
+    a run, see :meth:`BAT.tail_positions_in`). Rows land a video at a time
+    and the video comes first, so that intersection costs about what it
+    returns. Any attribute left is checked on a gather of the survivors.
+    """
+    probes = [(bats[attr], value) for attr, value in wanted.items() if value is not None]
+    if among is not None:
+        oids = among
+    elif not probes:
         return list(range(len(next(iter(bats.values())))))
-    oids = probed[0][0]
-    for _, attr, value in probed[1:]:
-        if not oids:
-            break
-        oids = [
-            oid
-            for oid, tail in zip(oids, bats[attr].tails_at(oids))
-            if tail == value
-        ]
+    else:
+        (outer, outer_value), *probes = probes
+        if not probes:
+            return outer.tail_positions(outer_value)
+        (inner, inner_value), *probes = probes
+        oids = inner.tail_positions_in(inner_value, outer.tail_runs([outer_value]))[0]
+    for bat, value in probes:
+        oids = _where(oids, bat.tails_at(oids), value)
     return oids
+
+
+def _record_order(videos: list[str], starts: list[float]) -> list[int]:
+    """The positions of the records in ``(video_id, start)`` order, ties in
+    the given order.
+
+    Two stable sorts on plain keys — by start, then by video — give that
+    order at a fraction of the cost of tuple keys, but only when the starts
+    are totally ordered. With a NaN start (the sum is NaN then) it is the
+    one stable sort on ``(video_id, start)`` keys the listing has always
+    made, whose answer then depends on the comparisons the sort makes.
+    """
+    total = sum(starts)
+    if total != total:
+        keys = list(zip(videos, starts))
+        return sorted(range(len(keys)), key=keys.__getitem__)
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    order.sort(key=videos.__getitem__)
+    return order
+
+
+def _flat(lists: Iterable[list[Any]]) -> list[Any]:
+    return list(chain.from_iterable(lists))
+
+
+def _where(items: Iterable[Any], values: Iterable[Any], wanted: Any) -> list[Any]:
+    """The items, in order, whose paired value equals ``wanted`` — one
+    column compared without a Python step per value."""
+    return list(compress(items, map(eq, values, repeat(wanted))))

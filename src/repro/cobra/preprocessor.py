@@ -174,24 +174,27 @@ class QueryPreprocessor:
         """Ensure all metadata a query needs exists, extracting on demand.
 
         ``videos`` are the query's targets among this domain's videos.
-        For every required kind and every target video: if events of the
-        kind are absent, pick the best applicable extraction method (the
-        cheapest estimated plan within the top quality band — see
-        :meth:`_choose_method`) and run it, persisting the produced
-        events. Under a
-        ``degrade`` policy a kind whose extraction fails is dropped (and
-        reported) instead of aborting the whole query.
+        For every required kind, one availability probe
+        (:meth:`MetadataStore.videos_without`) names the targets that lack
+        it, however many there are; for each of those, pick the best
+        applicable extraction method (the cheapest estimated plan within
+        the top quality band — see :meth:`_choose_method`) and run it,
+        persisting the produced events. Under a ``degrade`` policy a kind
+        whose extraction fails is dropped (and reported) instead of
+        aborting the whole query.
         """
         report = PreprocessReport(self.required_kinds(query))
         for kind in report.required_kinds:
-            for video_id in videos:
+            cancel_checkpoint(f"preprocess:{kind}")
+            if deadline is not None:
+                deadline.check(f"preprocess:{kind}")
+            missing = self._metadata.videos_without(kind, videos)
+            if len(missing) < len(videos):
+                report.available.append(kind)
+            for video_id in missing:
                 cancel_checkpoint(f"preprocess:{kind}")
                 if deadline is not None:
                     deadline.check(f"preprocess:{kind}")
-                if self._metadata.has_events(video_id, kind):
-                    if kind not in report.available:
-                        report.available.append(kind)
-                    continue
                 method = self._choose_method(kind, video_id)
                 if method is None:
                     raise UnknownConceptError(

@@ -33,13 +33,15 @@ event sets through the Allen relations of :mod:`repro.rules.temporal`.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
+
+import numpy as np
 
 from repro.cobra.metadata import MetadataStore
 from repro.errors import QuerySyntaxError, UnknownConceptError
-from repro.rules.temporal import ALLEN_RELATIONS, holds, partner_bounds
+from repro.rules.temporal import ALLEN_RELATIONS, holds, partner_bounds_array
 from repro.synth.annotations import Interval
 
 __all__ = ["Condition", "CoqlQuery", "parse_coql", "QueryExecutor"]
@@ -184,7 +186,11 @@ class QueryExecutor:
     Column-at-a-time: the query's kind/video filters yield a candidate
     list of event oids, every WHERE conjunct narrows that list through
     BAT probes (no record exists yet), and the survivors are materialised
-    once at the end, in ``(video_id, start)`` order.
+    once at the end, in ``(video_id, start)`` order. A ``ROLE`` /
+    ``POSITION`` / ``LAP`` conjunct names the events it accepts outright,
+    found by value; with one present, the candidates are the fewest such
+    events that are of the query's video and kind, not every event of the
+    kind.
     """
 
     def __init__(self, metadata: MetadataStore):
@@ -192,39 +198,57 @@ class QueryExecutor:
 
     def execute(self, query: CoqlQuery) -> list[dict[str, Any]]:
         """Return matching event records (dicts with ``interval`` etc.)."""
-        oids = self._metadata.event_oids(video_id=query.video, kind=query.kind)
+        metadata = self._metadata
+        accepted = [
+            self._accepted(condition, query.video) for condition in query.conditions
+        ]
+        named = [events for events in accepted if events is not None]
+        oids = metadata.event_oids(
+            video_id=query.video,
+            kind=query.kind,
+            among=sorted(min(named, key=len)) if named else None,
+        )
         if not oids and not self._kind_known(query.kind):
             raise UnknownConceptError(
                 f"no events of kind {query.kind!r} in any video — is the "
                 f"concept extracted or defined?"
             )
-        for condition in query.conditions:
-            oids = self._apply(condition, oids)
-        return self._metadata.events(oids=oids)
+        for condition, events in zip(query.conditions, accepted):
+            if events is None:
+                oids = self._apply(condition, oids)
+            else:
+                oids = [oid for oid in oids if oid in events]
+        return metadata.events(oids=oids)
 
     def _kind_known(self, kind: str) -> bool:
         return self._metadata.has_events(None, kind)
 
     # ------------------------------------------------------------------
-    def _apply(self, condition: Condition, oids: list[int]) -> list[int]:
-        """Narrow the candidates by one conjunct. Role conditions read one
-        role map per condition (:meth:`MetadataStore.role_filter`,
-        :meth:`MetadataStore.role_values`), never a probe per candidate."""
+    def _accepted(
+        self, condition: Condition, video_id: str | None
+    ) -> set[int] | None:
+        """The events a role conjunct accepts (of ``video_id``, when the
+        query names one), found by value once per condition
+        (:meth:`MetadataStore.role_matches`, :meth:`MetadataStore
+        .role_holders`), never with a probe per candidate; ``None`` for any
+        other conjunct."""
         metadata = self._metadata
         if condition.kind == "role":
             role = condition.get("role")
-            return metadata.role_filter(role, condition.get("label"))(oids)
+            return metadata.role_matches(role, condition.get("label"), video_id)
         if condition.kind == "position":
             role = f"p{condition.get('position')}"
-            return metadata.role_filter(role, condition.get("label"))(oids)
-        if condition.kind == "confidence":
-            confidence = metadata.event_column("confidence")
-            keep = confidence[oids] >= condition.get("minimum")
-            return [oid for oid, kept in zip(oids, keep.tolist()) if kept]
+            return metadata.role_matches(role, condition.get("label"), video_id)
         if condition.kind == "lap":
-            lap = str(condition.get("lap"))
-            laps = metadata.role_values("lap")
-            return [oid for oid in oids if laps.get(oid) == lap]
+            return set(metadata.role_holders("lap", [str(condition.get("lap"))]))
+        return None
+
+    def _apply(self, condition: Condition, oids: list[int]) -> list[int]:
+        """Narrow the candidates by a confidence or temporal conjunct."""
+        if condition.kind == "confidence":
+            confidence = self._metadata.event_column("confidence")
+            keep = confidence[oids] >= condition.get("minimum")
+            return list(compress(oids, keep.tolist()))
         if condition.kind == "temporal":
             return self._temporal(condition, oids)
         raise QuerySyntaxError(f"unknown condition kind {condition.kind!r}")
@@ -234,11 +258,12 @@ class QueryExecutor:
         the other kind in their own video — one interval join per video.
 
         The other kind is fetched once per video and role-filtered through
-        one filter (one role map) for the whole condition, then sorted by
-        start. Per candidate, :func:`partner_bounds` gives the
-        ranges a partner's endpoints must lie in: the start range is a
-        bisected window of the sorted starts, the end range a float
-        comparison inside it, and only what passes both reaches
+        one probe by value for the whole condition, then sorted by start.
+        For all of a video's candidates at once, :func:`partner_bounds_array`
+        gives the ranges a partner's endpoints must lie in, and the start
+        range becomes a window of the sorted starts by one binary search
+        each; a candidate with an empty window is done. Inside a window the
+        end range is a float comparison, and only what passes both reaches
         :func:`holds`, which keeps the last word (tolerance included).
         """
         metadata = self._metadata
@@ -246,9 +271,7 @@ class QueryExecutor:
         other_kind = condition.get("other")
         role = condition.get("role")
         with_role = (
-            None
-            if role is None
-            else metadata.role_filter(role, condition.get("label"))
+            None if role is None else metadata.role_matches(role, condition.get("label"))
         )
         starts = metadata.event_column("start")
         ends = metadata.event_column("end")
@@ -259,31 +282,32 @@ class QueryExecutor:
         for video_id, candidates in by_video.items():
             others = metadata.event_oids(video_id=video_id, kind=other_kind)
             if with_role is not None:
-                others = with_role(others)
+                others = [oid for oid in others if oid in with_role]
             if not others:
                 continue
-            partners = sorted(
-                zip(starts[others].tolist(), ends[others].tolist())
-            )
+            partners = sorted(zip(starts[others].tolist(), ends[others].tolist()))
             partner_starts = [start for start, _ in partners]
             longest = max(end - start for start, end in partners)
-            for oid, start, end in zip(
+            lows, highs = starts[candidates], ends[candidates]
+            start_lo, start_hi, end_lo, end_hi = partner_bounds_array(
+                relation, lows, highs, longest=longest
+            )
+            for oid, start, end, first, last, low, high in zip(
                 candidates,
-                starts[candidates].tolist(),
-                ends[candidates].tolist(),
+                lows.tolist(),
+                highs.tolist(),
+                np.searchsorted(partner_starts, start_lo, "left").tolist(),
+                np.searchsorted(partner_starts, start_hi, "right").tolist(),
+                end_lo.tolist(),
+                end_hi.tolist(),
             ):
+                if first == last:
+                    continue
                 interval = Interval(start, end)
-                start_lo, start_hi, end_lo, end_hi = partner_bounds(
-                    relation, interval, longest=longest
-                )
-                window = range(
-                    bisect_left(partner_starts, start_lo),
-                    bisect_right(partner_starts, start_hi),
-                )
                 if any(
-                    end_lo <= partners[position][1] <= end_hi
+                    low <= partners[position][1] <= high
                     and holds(relation, interval, Interval(*partners[position]))
-                    for position in window
+                    for position in range(first, last)
                 ):
                     kept.add(oid)
         return [oid for oid in oids if oid in kept]

@@ -9,9 +9,12 @@ the paper's MIL snippets (``insert``, ``reverse``, ``find``, ``select``,
 
 Columns are Python lists; speed comes from Monet-style *accelerators* hung
 on the BAT and built on demand: a value -> ascending-positions hash per
-column (:meth:`BAT.tail_positions`, :meth:`BAT.head_positions`,
-:meth:`BAT.head_positions_many`, :meth:`BAT.tail_exists`) and a memoised
-read-only numpy image of the tail column (:meth:`BAT.tail_array`).
+column (:meth:`BAT.tail_positions`, :meth:`BAT.head_positions`, the
+batched :meth:`BAT.tail_positions_many` / :meth:`BAT.head_positions_many`,
+:meth:`BAT.tail_exists`, and :meth:`BAT.tail_runs` /
+:meth:`BAT.tail_positions_in`, which read the hash in place and copy only
+what they return) and a memoised read-only numpy image of the tail column
+(:meth:`BAT.tail_array`).
 Inserts never touch them — appended rows
 are caught up on the next probe — and every other mutation drops them, so
 the Cobra metadata store and the feature-extraction extensions get index-
@@ -31,6 +34,7 @@ from __future__ import annotations
 import copy as _copy
 import math
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -110,17 +114,49 @@ def _hash_key(value: Any) -> Any:
     return _NAN if isinstance(value, float) and value != value else value
 
 
+#: What a probe reads for a key with no rows (never changed by a reader).
+_NO_HITS: list[int] = []
+
+
+def _runs(hits: list[int]) -> list[tuple[int, int]]:
+    """Ascending positions as maximal runs of consecutive ones, ``[lo, hi)``
+    pairs. ``hits[k] - k`` never falls, and stays the same exactly along a
+    run, so each run's end is found by galloping and then bisecting on it:
+    O(log length) steps per run."""
+    runs: list[tuple[int, int]] = []
+    start, count = 0, len(hits)
+    while start < count:
+        offset = hits[start] - start
+        if hits[-1] - (count - 1) == offset:  # the rest is one run
+            runs.append((hits[start], hits[-1] + 1))
+            break
+        last, step = start, 1  # hits[last] is in the run
+        while last + step < count and hits[last + step] - (last + step) == offset:
+            last += step
+            step *= 2
+        beyond = min(last + step, count)  # hits[beyond] is not, if it exists
+        while beyond - last > 1:
+            middle = (last + beyond) // 2
+            if hits[middle] - middle == offset:
+                last = middle
+            else:
+                beyond = middle
+        runs.append((hits[start], hits[last] + 1))
+        start = last + 1
+    return runs
+
+
 class _Hash:
     """One column's accelerator: value -> ascending positions over rows
     ``[0, rows)``; rows appended since are added by :meth:`catch_up`."""
 
-    __slots__ = ("positions", "rows", "_floats")
+    __slots__ = ("positions", "rows", "floats")
 
     def __init__(self, atom: Atom):
         self.positions: dict[Any, list[int]] = {}
         self.rows = 0
         # only float-capable columns can hold a NaN to normalise
-        self._floats = (
+        self.floats = (
             atom.dtype.kind in "fO" and atom.name not in _IMMUTABLE_OBJECT_ATOMS
         )
 
@@ -129,10 +165,15 @@ class _Hash:
         if start == len(column):
             return
         new = column[start:]
-        if self._floats:
+        if self.floats:
             new = [_hash_key(v) for v in new]
+        get = positions.get
         for position, value in enumerate(new, start):
-            positions.setdefault(value, []).append(position)
+            hits = get(value)
+            if hits is None:
+                positions[value] = [position]
+            else:
+                hits.append(position)
         self.rows = start + len(new)
 
 
@@ -147,10 +188,10 @@ class BAT:
 
     BATs are safe for concurrent *inserts* from the MIL parallel block (a
     single mutex guards mutation). Accelerator probes
-    (:meth:`tail_positions`, :meth:`head_positions`,
-    :meth:`head_positions_many`, :meth:`tail_exists`, :meth:`tail_array`)
-    take the same mutex and are therefore snapshot-consistent against
-    concurrent inserts — the *watermark guarantee*: a
+    (:meth:`tail_positions`, :meth:`head_positions`, the batched and range
+    probes, :meth:`tail_exists`, :meth:`tail_array`) take the same mutex
+    and are therefore snapshot-consistent against concurrent inserts —
+    the *watermark guarantee*: a
     probe sees every row that was complete when it started (in particular
     every row below a ``len()`` read beforehand) and returns no position at
     or beyond a ``len()`` read afterwards, because an accelerator covers
@@ -350,15 +391,21 @@ class BAT:
         self._rewrites += 1
 
     def _probe(
-        self, side: str, keys: list[Any], build: bool
-    ) -> list[list[int]] | None:
-        """Ascending positions of each key in the head or tail column, from
-        that column's hash caught up to the current length — one mutex
-        acquisition and one catch-up however many keys.
+        self,
+        side: str,
+        keys: list[Any],
+        build: bool,
+        read: Callable[[list[int]], Any] | None = None,
+    ) -> list[Any] | None:
+        """What ``read`` makes of each key's ascending positions in the head
+        or tail column, from that column's hash caught up to the current
+        length — one mutex acquisition and one catch-up however many keys.
 
-        ``None`` means "scan instead": the hash does not exist and
-        ``build`` is false, or the column holds unhashable values. The
-        returned lists are the caller's own.
+        ``read`` runs under the mutex on the hash's own list (empty for a
+        key never stored) and must not keep or change it; without one, the
+        caller gets a copy of its own. ``None`` means "scan instead": the
+        hash does not exist and ``build`` is false, or the column holds
+        unhashable values.
         """
         with self._lock:
             index = self._hashes.get(side)
@@ -368,22 +415,32 @@ class BAT:
                 index = _Hash(self._head_atom if side == "head" else self._tail_atom)
             try:
                 index.catch_up(self._head if side == "head" else self._tail)
-                positions = index.positions
-                found = [positions.get(_hash_key(key)) for key in keys]
+                if index.floats:
+                    keys = [_hash_key(key) for key in keys]
+                found = list(map(index.positions.get, keys))
             except TypeError:  # unhashable values in an object column
                 self._hashes.pop(side, None)
                 return None
             self._hashes[side] = index
-            return [list(hits) if hits else [] for hits in found]
+            if read is None:
+                return [hits[:] if hits else [] for hits in found]
+            return [read(hits or _NO_HITS) for hits in found]
 
-    def _positions(self, side: str, keys: list[Any]) -> list[list[int]]:
-        found = self._probe(side, keys, build=True)
+    def _positions(
+        self,
+        side: str,
+        keys: list[Any],
+        read: Callable[[list[int]], Any] | None = None,
+    ) -> list[Any]:
+        found = self._probe(side, keys, build=True, read=read)
         if found is None:
             column = self._head if side == "head" else self._tail
             found = [
                 [i for i, value in enumerate(column) if _eq(value, key)]
                 for key in keys
             ]
+            if read is not None:
+                found = [read(hits) for hits in found]
         return found
 
     def tail_positions(self, value: Any) -> list[int]:
@@ -400,9 +457,41 @@ class BAT:
         """:meth:`head_positions` of every value, in order, from one probe
         of the head hash: a whole oid list's rows of an oid-headed BAT for
         one mutex acquisition and one catch-up, under the same watermark
-        guarantee."""
-        coerce = self._head_atom.coerce
-        return self._positions("head", [coerce(value) for value in values])
+        guarantee. The values are coerced a column at a time, as
+        :meth:`insert_bulk` coerces, with the same results and errors."""
+        return self._positions("head", _coerced(self._head_atom, values))
+
+    def tail_positions_many(self, values: Iterable[Any]) -> list[list[int]]:
+        """:meth:`tail_positions` of every value, in order, from one probe
+        of the tail hash (:meth:`head_positions_many` on the tail side)."""
+        return self._positions("tail", _coerced(self._tail_atom, values))
+
+    def tail_runs(self, values: Iterable[Any]) -> list[list[tuple[int, int]]]:
+        """Each value's tail positions as maximal runs of consecutive
+        positions, ``[lo, hi)`` pairs in ascending order, from one probe of
+        the tail hash. Rows that land a block at a time make few runs, so
+        this costs about one step per run, not one per position."""
+        return self._positions("tail", _coerced(self._tail_atom, values), _runs)
+
+    def tail_positions_in(
+        self, value: Any, groups: Iterable[list[tuple[int, int]]]
+    ) -> list[list[int]]:
+        """For each group of ``[lo, hi)`` ranges (such as :meth:`tail_runs`
+        gives), the ascending positions inside them whose tail equals
+        ``value``, from one probe of the tail hash: two bisections a range,
+        and only the positions returned are copied."""
+        groups = list(groups)
+
+        def within(hits: list[int]) -> list[list[int]]:
+            out = []
+            for ranges in groups:
+                found: list[int] = []
+                for lo, hi in ranges:
+                    found += hits[bisect_left(hits, lo) : bisect_left(hits, hi)]
+                out.append(found)
+            return out
+
+        return self._positions("tail", [self._tail_atom.coerce(value)], within)[0]
 
     def tail_exists(self, value: Any) -> bool:
         """:meth:`exist` on the tail side: does any tail equal ``value``?"""

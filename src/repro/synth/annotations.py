@@ -18,7 +18,7 @@ from repro.errors import SynthesisError
 __all__ = ["Interval", "GroundTruth", "raster", "merge_intervals"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed-open time interval [start, end) in seconds, with a label."""
 
@@ -26,9 +26,14 @@ class Interval:
     end: float
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise SynthesisError(f"empty interval [{self.start}, {self.end})")
+    def __init__(self, start: float, end: float, label: str = "") -> None:
+        # written out rather than generated, through the slots' own setters
+        # (the frozen __setattr__ refuses): a query builds one per record
+        if end <= start:
+            raise SynthesisError(f"empty interval [{start}, {end})")
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_label(self, label)
 
     @property
     def duration(self) -> float:
@@ -39,6 +44,13 @@ class Interval:
 
     def overlap_seconds(self, other: "Interval") -> float:
         return max(0.0, min(self.end, other.end) - max(self.start, other.start))
+
+
+_set_start, _set_end, _set_label = (
+    Interval.start.__set__,  # type: ignore[attr-defined]
+    Interval.end.__set__,  # type: ignore[attr-defined]
+    Interval.label.__set__,  # type: ignore[attr-defined]
+)
 
 
 def merge_intervals(intervals: Iterable[Interval], gap: float = 0.0) -> list[Interval]:

@@ -174,9 +174,11 @@ role_rows = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(role_rows, role_rows)
 def test_property_role_map_is_the_last_pair_of_each_event(first, later):
-    """``MetadataStore.role_values(role)`` equals ``dict(pairs of oid)
-    .get(role)`` per event — duplicate role names included, and for rows
-    appended after the role BATs' accelerators were first built."""
+    """``MetadataStore.role_holders(role, values)`` equals ``dict(pairs of
+    oid).get(role)`` per event, for the events whose value is one of
+    ``values`` — duplicate role names included (the last pair wins, even
+    when an earlier pair holds a value asked for), and for rows appended
+    after the role BATs' accelerators were first built."""
     store = MetadataStore(MonetKernel(threads=1, check="off"))
     names, objects = store._role_names, store._role_objects
     written: list[tuple[int, str, str]] = []
@@ -192,7 +194,10 @@ def test_property_role_map_is_the_last_pair_of_each_event(first, later):
             expected = {
                 oid: roles[role] for oid, roles in pairs.items() if role in roles
             }
-            assert store.role_values(role) == expected
+            for values in ([], ["d0"], ["d1", "HAKKINEN"], ["d0", "d1", "HAKKINEN", "2"]):
+                assert store.role_holders(role, values) == {
+                    oid: value for oid, value in expected.items() if value in values
+                }
         oids = sorted({oid for oid, _, _ in written}) + [6]
         assert names.head_positions_many(oids) == [
             names.head_positions(oid) for oid in oids

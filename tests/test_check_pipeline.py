@@ -346,6 +346,9 @@ NOT_MODELLED = {
     "restore",
     "tail_exists",
     "tail_positions",
+    "tail_positions_in",
+    "tail_positions_many",
+    "tail_runs",
     "tails_at",
     "version",
 }

@@ -15,6 +15,7 @@ on a fresh kernel, inside and after a rolled-back transaction, after
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tempfile
 from pathlib import Path
@@ -27,6 +28,7 @@ import repro.cobra.query as query_module
 from repro.cobra.catalog import DomainKnowledge
 from repro.cobra.metadata import MetadataStore
 from repro.cobra.model import RawVideo, VideoDocument, VideoEvent, VideoObject
+from repro.cobra.preprocessor import QueryPreprocessor
 from repro.cobra.query import QueryExecutor, parse_coql
 from repro.cobra.vdbms import CobraVDBMS
 from repro.durability.store import DurableStore
@@ -434,6 +436,161 @@ def test_role_conditions_probe_per_condition_not_per_candidate(monkeypatch, temp
         }
         assert counts[-1] <= FIXED_PROBES + len(pairs), (counts, len(pairs))
     assert counts[0] == counts[1] == counts[2], counts
+
+
+# ----------------------------------------------------------------------
+# the rest of a query's work does not grow with its targets or its records
+# ----------------------------------------------------------------------
+def counted_probes(monkeypatch) -> list[int]:
+    probes: list[int] = []
+    real_probe = BAT._probe
+
+    def counting_probe(self, *args, **kwargs):
+        probes.append(1)
+        return real_probe(self, *args, **kwargs)
+
+    monkeypatch.setattr(BAT, "_probe", counting_probe)
+    return probes
+
+
+def videos_store(videos: int) -> tuple[MetadataStore, list[str]]:
+    """``videos`` videos, each with a highlight and an excited_speech event."""
+    store = MetadataStore(MonetKernel(threads=1, check="off"))
+    names = [f"v{index}" for index in range(videos)]
+    for video_id in names:
+        document = VideoDocument(
+            raw=RawVideo(video_id, f"synthetic://{video_id}", 20.0, 10.0, 192, 144, 16000)
+        )
+        for index, kind in enumerate(("highlight", "excited_speech")):
+            event = VideoEvent(f"{video_id}/e{index}", kind, Interval(1.0, 2.0), 0.5, {}, "dbn")
+            document.events[event.event_id] = event
+        store.register_document(document)
+    return store, names
+
+
+def test_preprocessing_probes_per_required_kind_not_per_target_video(monkeypatch):
+    """A query over every video checks each required kind's availability
+    with the same BAT probes over 10 videos as over 40; a check per target
+    video probed the kind's and the video's hash for each one."""
+    probes = counted_probes(monkeypatch)
+    query = parse_coql("RETRIEVE highlight WHERE INTERSECTS excited_speech")
+    counts = []
+    for videos in (10, 40):
+        store, names = videos_store(videos)
+        probes.clear()
+        report = QueryPreprocessor(store, DomainKnowledge("bare")).prepare(query, names)
+        counts.append(len(probes))
+        assert report.available == ["highlight", "excited_speech"]
+        assert not report.extracted
+    assert counts[0] == counts[1], counts
+
+
+def test_records_cost_no_probe_or_key_coercion_per_record(monkeypatch):
+    """Building 50 or 500 records makes the same BAT probes, and coerces no
+    role-BAT key value by value: every record's roles come from one batched
+    head probe whose oid keys are taken a column at a time."""
+    kernel, store = dense_store(300)
+    names = store._role_names
+    coerced: list[int] = []
+    atom = names._head_atom
+
+    def counting_coerce(value):
+        coerced.append(1)
+        return atom.coerce(value)
+
+    monkeypatch.setattr(names, "_head_atom", dataclasses.replace(atom, coerce=counting_coerce))
+    probes = counted_probes(monkeypatch)
+    counts = []
+    for records in (50, 500):
+        probes.clear()
+        coerced.clear()
+        got = store.events(oids=list(range(records)))
+        assert len(got) == records
+        counts.append((len(probes), len(coerced)))
+    assert counts[0] == counts[1] and counts[0][1] == 0, counts
+
+
+# ----------------------------------------------------------------------
+# a later duplicate (oid, role) row decides the event's role, as the last
+# pair does in its ``roles`` dict
+# ----------------------------------------------------------------------
+def test_a_later_duplicate_role_row_wins():
+    """Role rows inserted through the kernel after registration — behind
+    the accelerators the first answers built — give events a second
+    ``(oid, role)`` row: a value that denotes another driver, a bare label,
+    the same value again, two rows in one go, and a role on an event that
+    had none, beside events with no roles at all. Every ``ROLE``,
+    ``POSITION``, ``LAP`` and ``WITH ROLE`` answer must equal the oracle's,
+    whose ``roles`` take the last pair."""
+    kernel, store = dense_store(120)
+    texts = [
+        *(f"RETRIEVE pit_stop WHERE ROLE driver = {label}" for label in LABELS),
+        *(f"RETRIEVE driver_mention FROM v1 WHERE DRIVER = {label}" for label in LABELS),
+        "RETRIEVE highlight WHERE ROLE driver = SCHUMACHER",
+        "RETRIEVE fly_out WHERE ROLE driver = HAKKINEN",
+        *(
+            f"RETRIEVE classification WHERE POSITION {label} = {place}"
+            for label in LABELS
+            for place in (1, 2)
+        ),
+        "RETRIEVE classification FROM v0 WHERE POSITION HAKKINEN = 1",
+        *(f"RETRIEVE classification WHERE LAP = {lap}" for lap in (1, 2, 3)),
+        *(
+            f"RETRIEVE highlight FROM v0 WHERE INTERSECTS pit_stop WITH ROLE driver = {label}"
+            for label in LABELS
+        ),
+        "RETRIEVE excited_speech WHERE INTERSECTS pit_stop WITH ROLE driver = MONTOYA",
+    ]
+    reference = ReferenceExecutor(ReferenceStore(kernel)).execute
+    before = [answer(reference, text) for text in texts]
+    assert_matches_reference(kernel, QueryExecutor(store).execute, texts)
+
+    event_ids = kernel.bat("meta_event_event_id").tails()
+    records = ReferenceStore(kernel).events()
+
+    def first(video_id: str, kind: str, index: int = 0) -> tuple[int, dict]:
+        record = [r for r in records if (r["video_id"], r["kind"]) == (video_id, kind)][index]
+        return event_ids.index(record["event_id"]), record["roles"]
+
+    def other(object_id: str) -> str:
+        video_id, index = object_id.split("/d")
+        return f"{video_id}/d{(int(index) + 1) % len(LABELS)}"
+
+    duplicates = []
+    oid, roles = first("v0", "pit_stop")
+    duplicates.append((oid, "driver", other(roles["driver"])))
+    oid, roles = first("v0", "pit_stop", 1)
+    duplicates.append((oid, "driver", "MONTOYA"))  # a bare label
+    oid, roles = first("v1", "driver_mention")
+    duplicates.append((oid, "driver", roles["driver"]))  # the same value again
+    oid, roles = first("v0", "classification")
+    duplicates += [
+        (oid, "p1", other(roles["p1"])),
+        (oid, "p2", next(label for label in LABELS if label != roles["p2"])),
+        (oid, "lap", str(int(roles["lap"]) % 3 + 1)),
+    ]
+    oid, roles = first("v0", "highlight")
+    assert not roles
+    duplicates.append((oid, "driver", "v0/d0"))  # a role where there was none
+    oid, _ = first("v1", "fly_out")
+    duplicates += [(oid, "driver", "v1/d0"), (oid, "driver", "v1/d1")]
+    kernel.run(
+        "\n".join(
+            f'meta_role_name.insert({oid}, "{role}"); '
+            f'meta_role_object.insert({oid}, "{value}");'
+            for oid, role, value in duplicates
+        )
+    )
+
+    assert_matches_reference(kernel, QueryExecutor(store).execute, texts)
+    after = [answer(reference, text) for text in texts]
+    changed = [text for text, old, new in zip(texts, before, after) if old != new]
+    assert len(changed) >= 5, changed  # the duplicates must bite
+    listing = ReferenceStore(kernel).events()
+    assert store.events() == listing
+    assert [list(r["roles"].items()) for r in store.events()] == [
+        list(r["roles"].items()) for r in listing
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from repro.errors import RuleError
@@ -12,6 +13,7 @@ from repro.rules.temporal import (
     allen_relation,
     holds,
     partner_bounds,
+    partner_bounds_array,
 )
 from repro.synth.annotations import Interval
 
@@ -102,6 +104,27 @@ def test_property_partner_bounds_never_exclude_a_true_partner(
         )
         assert start_lo <= b.start <= start_hi, (relation, a, b)
         assert end_lo <= b.end <= end_hi, (relation, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_endpoint, _duration), min_size=1, max_size=8),
+    st.sampled_from((0.0, 0.125, 0.3, 0.5)),
+    st.sampled_from((float("inf"), 0.25, 7.0)),
+)
+def test_property_partner_bounds_array_is_the_scalar_rule_elementwise(
+    specs, tolerance, longest
+):
+    """The interval join computes a video's candidates' ranges at once with
+    ``partner_bounds_array``; each row must be exactly what
+    ``partner_bounds`` gives that interval (an open-ended one included)."""
+    starts = np.array([start for start, _ in specs] + [1.0])
+    ends = np.array([start + duration for start, duration in specs] + [float("inf")])
+    for relation in ALLEN_RELATIONS + ("intersects", "within"):
+        rows = zip(*partner_bounds_array(relation, starts, ends, tolerance, longest))
+        for (start, end), row in zip(zip(starts.tolist(), ends.tolist()), rows):
+            want = partner_bounds(relation, Interval(start, end), tolerance, longest)
+            assert np.array_equal(row, want, equal_nan=True), (relation, start, end)
 
 
 def test_partner_bounds_unknown_relation():
