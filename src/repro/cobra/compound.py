@@ -27,12 +27,20 @@ __all__ = ["Component", "TemporalConstraint", "CompoundEventDef"]
 
 @dataclass(frozen=True)
 class Component:
-    """One part of a compound event."""
+    """One part of a compound event: events of ``kind``, optionally only
+    those whose ``role`` denotes ``role_label`` (both given, or neither)."""
 
     alias: str
     kind: str
     role: str | None = None
     role_label: str | None = None
+
+    def __post_init__(self) -> None:
+        if (self.role is None) != (self.role_label is None):
+            raise CobraError(
+                f"component {self.alias!r}: a role constraint needs both a role "
+                f"and a label, got role={self.role!r}, role_label={self.role_label!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -378,17 +378,10 @@ class MetadataStore:
             keep = map(and_, keep, map(eq, videos, repeat(video_id)))
         return set(compress(oids, keep))
 
-    def role_filter(
-        self, role: str, label: str | None
-    ) -> Callable[[list[int]], list[int]]:
+    def role_filter(self, role: str, label: str) -> Callable[[list[int]], list[int]]:
         """A filter keeping the oids (in order) whose ``role`` value denotes
         ``label`` (:meth:`role_matches`), resolved once, here, however many
-        oid lists it is then applied to. An event without the role denotes
-        ``None``."""
-        if label is None:
-            names = self._role_names
-            having = set(names.heads_at(names.tail_positions(role)))
-            return lambda oids: [oid for oid in oids if oid not in having]
+        oid lists it is then applied to."""
         matched = self.role_matches(role, label)
         return lambda oids: [oid for oid in oids if oid in matched]
 

@@ -11,9 +11,12 @@ the same examples every time and a failure reproduces by rerunning it.
 test's own ``max_examples``.
 
 Under a global fault plan (``REPRO_FAULT_PLAN`` names one) the run reports
-the injections that plan fired, by kind and site, at the end;
-``--min-injections N`` fails the run when fewer than ``N`` fired, so a plan
-that stops reaching the code it is meant to fault shows up as a failure.
+the injections that plan fired, by kind and site, at the end, and how often
+its injector drew at each site family (``extract.stream:*`` for every
+``extract.stream:<name>``) — a draw is one hook call a spec of the plan
+matched, fired or not; ``--min-injections N`` fails the run when fewer than
+``N`` fired, so a plan that stops reaching the code it is meant to fault
+shows up as a failure.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def pytest_collection_modifyitems(items):
 
 #: (kind, site) -> injections the global fault plan fired this session
 _FIRED = pytest.StashKey[Counter]()
+#: site -> draws the global fault plan's injector made this session
+_DRAWN = pytest.StashKey[Counter]()
 
 
 def pytest_addoption(parser):
@@ -80,22 +85,34 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    """Count what the global plan fires: an injection is the plan's when
-    the injector logging it is the one installed from ``REPRO_FAULT_PLAN``
-    (not an injector a test built or installed itself)."""
+    """Count what the global plan draws and fires: a draw or an injection is
+    the plan's when the injector making it is the one installed from
+    ``REPRO_FAULT_PLAN`` (not an injector a test built or installed itself)."""
     name = os.environ.get(plans.ENV_VAR)
     if not name:
         return
     fired: Counter = Counter()
+    drawn: Counter = Counter()
     config.stash[_FIRED] = fired
+    config.stash[_DRAWN] = drawn
     log = FaultInjector._log
+    next_invocation = FaultInjector._next_invocation
+
+    def the_plans(injector) -> bool:
+        return injector is plans._GLOBAL and plans._GLOBAL_FROM_ENV == name
 
     def counting_log(self, site, spec, invocation, detail=""):
-        if self is plans._GLOBAL and plans._GLOBAL_FROM_ENV == name:
+        if the_plans(self):
             fired[spec.kind, site] += 1
         log(self, site, spec, invocation, detail)
 
+    def counting_draw(self, site):
+        if the_plans(self):
+            drawn[site] += 1
+        return next_invocation(self, site)
+
     FaultInjector._log = counting_log
+    FaultInjector._next_invocation = counting_draw
 
 
 def _fired(config) -> Counter | None:
@@ -120,6 +137,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line(f"plan {plan}: {total} injection(s) fired")
     for (kind, site), count in sorted((fired or Counter()).items()):
         terminalreporter.write_line(f"  {count:6d}  {kind} @ {site}")
+    drawn = config.stash.get(_DRAWN, Counter())
+    families: dict[str, list[int]] = {}
+    for site, count in drawn.items():
+        family = site.partition(":")[0] + (":*" if ":" in site else "")
+        families.setdefault(family, []).append(count)
+    terminalreporter.write_line(f"draws by site family: {sum(drawn.values())} in total")
+    for family, counts in sorted(families.items()):
+        terminalreporter.write_line(
+            f"  {sum(counts):6d}  {family} ({len(counts)} site(s), "
+            f"at most {max(counts)} at one)"
+        )
     if total < wanted:
         terminalreporter.write_line(
             f"FAILED: fewer than --min-injections={wanted} injections fired", red=True

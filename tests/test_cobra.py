@@ -266,6 +266,14 @@ class TestCompound:
         )
         assert other.evaluate(store, "race1") == []
 
+    @pytest.mark.parametrize(
+        "constraint", [{"role": "driver"}, {"role_label": "HAKKINEN"}]
+    )
+    def test_half_a_role_constraint_is_rejected(self, constraint):
+        """A role without a label once selected the events lacking the role."""
+        with pytest.raises(CobraError, match="both a role and a label"):
+            Component("f", "fly_out", **constraint)
+
     def test_duplicate_alias_rejected(self):
         with pytest.raises(CobraError):
             CompoundEventDef("x", [Component("a", "e"), Component("a", "e")])

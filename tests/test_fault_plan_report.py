@@ -54,6 +54,16 @@ def test_the_report_counts_the_plans_injections_by_kind_and_site(pytester, monke
     assert all(row[3].startswith("kernel.command:") for row in rows)
 
 
+def test_the_report_counts_the_plans_draws_by_site_family(pytester, monkeypatch):
+    """Every command dispatch is a draw at ``kernel.command:<name>``, fired
+    or not: 200 ``abs`` calls draw at least 200 times in that family."""
+    result = run_suite(pytester, monkeypatch, "kernel-transient")
+    [total] = [line for line in result.outlines if line.startswith("draws by site family:")]
+    [row] = [line.split() for line in result.outlines if " kernel.command:* (" in line]
+    assert int(row[0]) >= 200 and int(row[0]) >= fired(result)
+    assert int(total.split()[4]) == int(row[0])
+
+
 def test_too_few_injections_fail_the_run(pytester, monkeypatch):
     total = fired(run_suite(pytester, monkeypatch, "kernel-transient"))
     enough = run_suite(pytester, monkeypatch, "kernel-transient", f"--min-injections={total}")
